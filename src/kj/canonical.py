@@ -38,7 +38,6 @@ __all__ = [
     "LABEL_B",
     "CanonicalGenerator",
     "lee_generator",
-    "rescaled_generator",
     "canonical_chain",
     "verify_basis",
     "mod4_types",
@@ -134,11 +133,6 @@ def canonical_chain(complex_: ChainComplex, orientation, rescaled: bool = False)
         raise ValueError("canonical generators are cycles of the t = 1 complex")
     gen = lee_generator(complex_.diagram, orientation)
     return gen.rescaled_chain(complex_) if rescaled else gen.chain(complex_)
-
-
-def rescaled_generator(gen: CanonicalGenerator, complex_: ChainComplex) -> dict:
-    """The 2^((w-k)/2)-rescaled chain of a previously built generator."""
-    return gen.rescaled_chain(complex_)
 
 
 @dataclass

@@ -266,16 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # KJ_THREADS caps worker parallelism; evaluation is sequential and
-    # deterministic, so any cap is honored trivially
-    cap = os.environ.get("KJ_THREADS")
-    if cap is not None:
-        try:
-            if int(cap) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"kj: bad KJ_THREADS value {cap!r}", file=sys.stderr)
-            return EXIT_VALIDATION
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,7 +14,8 @@ circles with the sign (-1)^(number of 1 bits below the flipped index).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .diagram import PlanarDiagram, Resolution, crossing_sign, resolve
 from .errors import InternalInvariantError, PDValidationError
@@ -34,6 +35,7 @@ __all__ = [
     "kauffman_bracket",
     "mod4_split",
     "edge_map_on_chain",
+    "carry_labels",
 ]
 
 # circle labels
@@ -42,6 +44,8 @@ V_MINUS = 1
 
 # Gen = (bits, labels); labels indexed by the resolution's circle order
 Gen = tuple[tuple[int, ...], tuple[int, ...]]
+
+_NOTHING: Mapping = MappingProxyType({})
 
 
 def _label_deg(label: int) -> int:
@@ -144,22 +148,21 @@ class ChainComplex:
         tgt = self.resolutions[tbits]
         c1 = src.circle_of_dart[(j, 0)]
         c2 = src.circle_of_dart[(j, 2)]
-        corr = _match_circles(src, tgt)
+        t1 = tgt.circle_of_dart[(j, 0)]
+        t2 = tgt.circle_of_dart[(j, 2)]
+        consumed = {c1: None, c2: None}
         out = []
         if c1 != c2:
             # merge: both source circles land on one target circle
-            tcirc = _target_of(tgt, src.circles[c1].edge_set())
             for lab, coeff in merge_products(labels[c1], labels[c2], self.t):
-                tlabels = _transport_labels(src, tgt, labels, corr, {tcirc: lab})
+                tlabels = carry_labels(src, tgt, labels, consumed, {t1: lab})
                 out.append(((tbits, tlabels), coeff))
         else:
-            t1 = tgt.circle_of_dart[(j, 0)]
-            t2 = tgt.circle_of_dart[(j, 2)]
             if t1 == t2:
                 raise InternalInvariantError("cube edge changed no circle")
             for (la, lb), coeff in split_products(labels[c1], self.t):
-                tlabels = _transport_labels(
-                    src, tgt, labels, corr, {t1: la, t2: lb}
+                tlabels = carry_labels(
+                    src, tgt, labels, consumed, {t1: la, t2: lb}
                 )
                 out.append(((tbits, tlabels), coeff))
         return out
@@ -227,38 +230,47 @@ class ChainComplex:
         return self.vec_to_chain(i + 1, self.diff[i].apply(vec))
 
 
-def _match_circles(src: Resolution, tgt: Resolution) -> dict[int, int]:
-    """Source circle index -> target circle index via shared edges.
+def carry_labels(
+    src: Resolution,
+    dst: Resolution,
+    labels: tuple[int, ...],
+    placed: Mapping[int, int | None] = _NOTHING,
+    fixed: Mapping[int, int] = _NOTHING,
+    skip: frozenset = frozenset(),
+) -> tuple[int, ...]:
+    """Labels of ``dst``'s circles, carried over from ``src``'s circles.
 
-    Resolutions of the same diagram partition the same edge set, so a circle
-    unaffected by a reconnection keeps its edge set exactly; affected circles
-    are matched by any shared edge (good enough for single-edge moves where
-    callers fix up the affected circles explicitly)."""
-    by_edge: dict[int, int] = {}
-    for ti, circ in enumerate(tgt.circles):
-        for e in circ.edges:
-            by_edge[e] = ti
-    return {
-        si: by_edge[circ.edges[0]] for si, circ in enumerate(src.circles)
-    }
-
-
-def _target_of(tgt: Resolution, edge_set) -> int:
-    for ti, circ in enumerate(tgt.circles):
-        if circ.edge_set() & edge_set:
-            return ti
-    raise InternalInvariantError("no target circle shares an edge")
-
-
-def _transport_labels(src, tgt, labels, corr, overrides) -> tuple[int, ...]:
-    out = [None] * tgt.circle_count
-    for ti, lab in overrides.items():
+    ``fixed`` sets a target circle's label outright. ``placed`` sends a
+    source circle to a named target circle, or drops it with None. Every
+    other source circle goes to the target circle with the same edges
+    outside ``skip`` (none, if it has no edge there): resolutions of one
+    diagram partition the same edges, so a circle that a change leaves
+    alone keeps them. A fixed label wins over a carried one, and an earlier
+    source circle over a later one.
+    """
+    out: list[int | None] = [None] * dst.circle_count
+    for ti, lab in fixed.items():
         out[ti] = lab
+    if skip:
+        by_set = {es - skip: ti for ti, es in enumerate(dst.circle_edge_sets)}
+    else:
+        by_set = dst.circle_of_edge_set
     for si, lab in enumerate(labels):
-        ti = corr[si]
+        if si in placed:
+            ti = placed[si]
+            if ti is None:
+                continue
+        else:
+            edges = src.circle_edge_sets[si]
+            key = edges - skip if skip else edges
+            ti = by_set.get(key) if key else None
+            if ti is None:
+                raise InternalInvariantError(
+                    f"no circle matches edges {sorted(edges)}"
+                )
         if out[ti] is None:
             out[ti] = lab
-    if any(x is None for x in out):
+    if None in out:
         raise InternalInvariantError("circle correspondence left a gap")
     return tuple(out)
 

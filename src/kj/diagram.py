@@ -453,6 +453,14 @@ class Resolution:
         raise KeyError(edge)
 
     @cached_property
+    def circle_edge_sets(self) -> tuple[frozenset, ...]:
+        return tuple(c.edge_set() for c in self.circles)
+
+    @cached_property
+    def circle_of_edge_set(self) -> dict[frozenset, int]:
+        return {es: i for i, es in enumerate(self.circle_edge_sets)}
+
+    @cached_property
     def circle_of_dart(self) -> dict[Dart, int]:
         """Arrival or exit dart -> circle index (crossing circles only)."""
         out: dict[Dart, int] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagram import Dart, PlanarDiagram, smoothing_partner
-from .errors import IllegalMoveError, PDValidationError
+from .errors import IllegalMoveError, PDSyntaxError, PDValidationError
 
 __all__ = [
     "Birth",
@@ -81,22 +81,29 @@ Move = Birth | Death | Saddle | R1Move | R2Move | R3Move
 
 
 def move_from_json(obj: dict) -> Move:
+    if not isinstance(obj, dict):
+        raise PDSyntaxError(f"a move must be a JSON object, not {obj!r}")
     t = obj.get("type")
-    if t == "birth":
-        return Birth()
-    if t == "death":
-        return Death(int(obj["edge"]))
-    if t == "saddle":
-        e1, e2 = obj["edges"]
-        return Saddle((int(e1), int(e2)), obj.get("side", "left"))
-    if t == "r1":
-        return R1Move(obj["action"], int(obj["edge"]), obj.get("hand", "left"))
-    if t == "r2":
-        e1, e2 = obj["edges"]
-        return R2Move(obj["action"], (int(e1), int(e2)), bool(obj.get("over", False)))
-    if t == "r3":
-        c1, c2, c3 = obj["crossings"]
-        return R3Move((int(c1), int(c2), int(c3)))
+    try:
+        if t == "birth":
+            return Birth()
+        if t == "death":
+            return Death(int(obj["edge"]))
+        if t == "saddle":
+            e1, e2 = obj["edges"]
+            return Saddle((int(e1), int(e2)), obj.get("side", "left"))
+        if t == "r1":
+            return R1Move(obj["action"], int(obj["edge"]), obj.get("hand", "left"))
+        if t == "r2":
+            e1, e2 = obj["edges"]
+            return R2Move(
+                obj["action"], (int(e1), int(e2)), bool(obj.get("over", False))
+            )
+        if t == "r3":
+            c1, c2, c3 = obj["crossings"]
+            return R3Move((int(c1), int(c2), int(c3)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PDSyntaxError(f"malformed {t} move {obj}") from exc
     raise IllegalMoveError(f"unknown move type {t!r}")
 
 

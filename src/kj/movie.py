@@ -18,6 +18,7 @@ is the Khovanov-Jacobsson number up to sign.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,13 +29,22 @@ from .cube import (
     V_MINUS,
     V_PLUS,
     build_complex,
+    carry_labels,
     counit,
     edge_map_on_chain,
     merge_products,
     split_products,
 )
-from .diagram import PlanarDiagram, oriented_resolution as _oriented_bits, parse_pd, render_pd, resolve
-from .errors import IllegalMoveError, InternalInvariantError
+from .diagram import (
+    PlanarDiagram,
+    all_orientations,
+    oriented_resolution,
+    parse_pd,
+    render_pd,
+    resolve,
+    smoothing_partner,
+)
+from .errors import IllegalMoveError, InternalInvariantError, PDSyntaxError
 from .homology import FieldHomology
 from .moves import (
     Move,
@@ -136,36 +146,6 @@ class ChainMap:
         return out
 
 
-def _match_circles_by_edges(res_src, res_dst, overrides: dict[int, int]):
-    """Source circle index -> target circle index; overrides win, the rest
-    must match edge sets exactly."""
-    by_set = {circ.edge_set(): i for i, circ in enumerate(res_dst.circles)}
-    out = dict(overrides)
-    for i, circ in enumerate(res_src.circles):
-        if i in out:
-            continue
-        j = by_set.get(circ.edge_set())
-        if j is None:
-            raise InternalInvariantError(
-                f"no matching circle for {sorted(circ.edges)}"
-            )
-        out[i] = j
-    return out
-
-
-def _place_labels(res_dst, corr: dict[int, int], labels, overrides: dict[int, int]):
-    out = [None] * res_dst.circle_count
-    for tgt, lab in overrides.items():
-        out[tgt] = lab
-    for src_idx, lab in enumerate(labels):
-        tgt = corr.get(src_idx)
-        if tgt is not None and out[tgt] is None:
-            out[tgt] = lab
-    if any(x is None for x in out):
-        raise InternalInvariantError("incomplete label transport")
-    return tuple(out)
-
-
 def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
     """Chain map of a birth, death, or saddle (same crossing set)."""
     t = c1.t
@@ -176,24 +156,18 @@ def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> Chai
     for bits, res1 in c1.resolutions.items():
         res2 = c2.resolutions[bits]
         if kind == "birth":
-            loop = rec.data["loop"]
-            lidx = res2.circle_index_of_edge(loop)
-            corr = _match_circles_by_edges(res1, res2, {})
-            for labels_gen in _gens_at(c1, bits):
-                labels = labels_gen[1]
-                tlabels = _place_labels(res2, corr, labels, {lidx: V_PLUS})
-                cm.add_entry(labels_gen, (bits, tlabels), ring.one)
+            lidx = res2.circle_index_of_edge(rec.data["loop"])
+            for gen in _gens_at(c1, bits):
+                tlabels = carry_labels(res1, res2, gen[1], fixed={lidx: V_PLUS})
+                cm.add_entry(gen, (bits, tlabels), ring.one)
         elif kind == "death":
-            loop = rec.data["loop"]
-            lidx = res1.circle_index_of_edge(loop)
-            corr = _match_circles_by_edges(res1, res2, {lidx: -1})
-            corr.pop(lidx)
+            lidx = res1.circle_index_of_edge(rec.data["loop"])
             for gen in _gens_at(c1, bits):
                 labels = gen[1]
                 coeff = counit(labels[lidx])
                 if not coeff:
                     continue
-                tlabels = _place_labels(res2, corr, labels, {})
+                tlabels = carry_labels(res1, res2, labels, {lidx: None})
                 cm.add_entry(gen, (bits, tlabels), ring.from_int(coeff))
         else:
             e1, e2 = rec.data["feet"]
@@ -202,20 +176,21 @@ def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> Chai
             if i1 != i2:
                 # merge
                 target = _saddle_merge_target(rec, res2)
-                corr = _match_circles_by_edges(res1, res2, {i1: target, i2: target})
+                placed = {i1: target, i2: target}
                 for gen in _gens_at(c1, bits):
                     labels = gen[1]
                     for lab, coeff in merge_products(labels[i1], labels[i2], t):
-                        tlabels = _place_labels(res2, corr, labels, {target: lab})
+                        tlabels = carry_labels(
+                            res1, res2, labels, placed, {target: lab}
+                        )
                         cm.add_entry(gen, (bits, tlabels), ring.from_int(coeff))
             else:
                 ta, tb = _saddle_split_targets(rec, res2)
-                corr = _match_circles_by_edges(res1, res2, {i1: ta})
                 for gen in _gens_at(c1, bits):
                     labels = gen[1]
                     for (la, lb), coeff in split_products(labels[i1], t):
-                        tlabels = _place_labels(
-                            res2, corr, labels, {ta: la, tb: lb}
+                        tlabels = carry_labels(
+                            res1, res2, labels, {i1: ta}, {ta: la, tb: lb}
                         )
                         cm.add_entry(gen, (bits, tlabels), ring.from_int(coeff))
     cm.verify()
@@ -224,8 +199,6 @@ def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> Chai
 
 def _gens_at(c: ChainComplex, bits):
     k = c.resolutions[bits].circle_count
-    import itertools
-
     for labels in itertools.product((V_PLUS, V_MINUS), repeat=k):
         yield (bits, labels)
 
@@ -234,8 +207,6 @@ def _saddle_merge_target(rec: MoveRecord, res2) -> int:
     data = rec.data
     if "new_loop" in data:
         return res2.circle_index_of_edge(data["new_loop"])
-    if "absorbed" in data:
-        return res2.circle_index_of_edge(data["feet"][0])
     return res2.circle_index_of_edge(data["feet"][0])
 
 
@@ -250,9 +221,19 @@ def _saddle_split_targets(rec: MoveRecord, res2):
     return res2.circle_index_of_edge(e1), res2.circle_index_of_edge(e2)
 
 
-def _twist_sign(bits, above: int) -> int:
-    """Parity correction for inserting or toggling a 1-bit at ``above``."""
-    return -1 if sum(bits[above + 1 :]) % 2 else 1
+def _change_twist(bits, changes: dict[int, int]) -> int:
+    """Sign making a bit-substitution commute with the other cube edges.
+
+    For each changed position x with old bit != new bit, every 1-bit above x
+    contributes a flip.
+    """
+    parity = 0
+    for x, new in changes.items():
+        if bits[x] != new:
+            for u, b in enumerate(bits):
+                if u > x and u not in changes and b:
+                    parity ^= 1
+    return -1 if parity else 1
 
 
 def _apply_x(label: int, t: int):
@@ -284,20 +265,24 @@ def r1_chain_map(
         res2 = c_big.resolutions[tbits]
         lidx = res2.circle_index_of_edge(f1)
         midx = res2.circle_index_of_edge(a_big)
-        corr = _match_circles_by_edges(res1, res2, {host: midx})
-        sign = 1 if hand == "left" else _twist_sign(tbits, cstar)
+        placed = {host: midx}
+        sign = 1 if hand == "left" else _change_twist(tbits, {cstar: 0})
         for gen in _gens_at(c_small, bits):
             labels = gen[1]
             if hand == "right":
-                tlabels = _place_labels(res2, corr, labels, {lidx: V_PLUS})
+                tlabels = carry_labels(res1, res2, labels, placed, {lidx: V_PLUS})
                 cm.add_entry(gen, (tbits, tlabels), ring.from_int(sign))
                 continue
             # left curl: split at the marked point minus twice the genus term
             for (la, lb), coeff in split_products(labels[host], t):
-                tlabels = _place_labels(res2, corr, labels, {midx: la, lidx: lb})
+                tlabels = carry_labels(
+                    res1, res2, labels, placed, {midx: la, lidx: lb}
+                )
                 cm.add_entry(gen, (tbits, tlabels), ring.from_int(sign * coeff))
             for lx, coeff in _apply_x(labels[host], t):
-                tlabels = _place_labels(res2, corr, labels, {midx: lx, lidx: V_PLUS})
+                tlabels = carry_labels(
+                    res1, res2, labels, placed, {midx: lx, lidx: V_PLUS}
+                )
                 cm.add_entry(gen, (tbits, tlabels), ring.from_int(-2 * sign * coeff))
     cm.verify()
     return cm
@@ -332,14 +317,13 @@ def r2_chain_map(
     for bits, res1 in c_small.resolutions.items():
         tbits = _embed_bits(bits, cross_embed, nbig, {k1: 0, k2: 1})
         res2 = c_big.resolutions[tbits]
-        overrides = {}
-        for small_edge, big_edge in anchors.items():
-            src_idx = res1.circle_index_of_edge(small_edge)
-            overrides[src_idx] = res2.circle_index_of_edge(big_edge)
-        corr = _match_circles_by_edges(res1, res2, overrides)
-        sign = _twist_sign(tbits, k2)
+        placed = {
+            res1.circle_index_of_edge(small_edge): res2.circle_index_of_edge(big_edge)
+            for small_edge, big_edge in anchors.items()
+        }
+        sign = _change_twist(tbits, {k2: 0})
         for gen in _gens_at(c_small, bits):
-            tlabels = _place_labels(res2, corr, gen[1], {})
+            tlabels = carry_labels(res1, res2, gen[1], placed)
             incl.add_entry(gen, (tbits, tlabels), ring.from_int(sign))
     alpha = _r2_alpha(incl, c_big, k1, k2, m1, m2)
     for s in (1, -1):
@@ -370,46 +354,13 @@ def _r2_alpha(incl: ChainMap, c_big: ChainComplex, k1, k2, m1, m2) -> ChainMap:
             tau = _spectator_parity_sign(gen_big[0], {k1, k2})
             mid = edge_map_on_chain(c_big, {gen_big: v}, k1)
             for gmid, coeff in mid.items():
-                target, tcoeff = _identify_with_circle_part(
-                    c_big, gmid, k2, m1, m2
+                target, tcoeff = _identify_with_local_circle(
+                    c_big, gmid, k2, frozenset((m1, m2))
                 )
                 out.add_entry(
                     gen_small, target, coeff * tcoeff * c_big.ring.from_int(tau)
                 )
     return out
-
-
-def _identify_with_circle_part(c_big: ChainComplex, gen: Gen, k2, m1, m2):
-    """Send a generator at the k2 = 1 position to the k2 = 0 position whose
-    diagram is the same plus the small middle circle (born with v+)."""
-    bits, labels = gen
-    if bits[k2] != 1:
-        raise InternalInvariantError("identification expects the folded position")
-    tbits = bits[:k2] + (0,) + bits[k2 + 1 :]
-    res_mid = c_big.resolutions[bits]
-    res_circ = c_big.resolutions[tbits]
-    m_set = {m1, m2}
-    circle_idx = None
-    for i, circ in enumerate(res_circ.circles):
-        if circ.edge_set() <= m_set:
-            circle_idx = i
-            break
-    if circle_idx is None:
-        raise InternalInvariantError("circle part has no middle circle")
-    corr = {}
-    for i, circ in enumerate(res_mid.circles):
-        keys = circ.edge_set() - m_set
-        tgt = None
-        for j, tcirc in enumerate(res_circ.circles):
-            if j != circle_idx and keys & tcirc.edge_set():
-                tgt = j
-                break
-        if tgt is None:
-            raise InternalInvariantError("middle identification failed")
-        corr[i] = tgt
-    tlabels = _place_labels(res_circ, corr, labels, {circle_idx: V_PLUS})
-    sign = _twist_sign(bits, k2)
-    return (tbits, tlabels), c_big.ring.from_int(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +390,20 @@ class Movie:
 
     @staticmethod
     def from_json(text: str) -> "Movie":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise PDSyntaxError(f"movie is not JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise PDSyntaxError("a movie must be a JSON object")
         init = obj.get("initial", "empty")
-        if init == "empty":
-            d = PlanarDiagram()
-        else:
-            d = parse_pd(init)
-        moves = [move_from_json(m) for m in obj.get("moves", [])]
-        return Movie(d, moves)
+        moves = obj.get("moves", [])
+        if not isinstance(init, str) or not isinstance(moves, list):
+            raise PDSyntaxError(
+                "a movie's initial must be PD text and its moves a list"
+            )
+        d = PlanarDiagram() if init == "empty" else parse_pd(init)
+        return Movie(d, [move_from_json(m) for m in moves])
 
     def to_json(self) -> dict:
         init = "empty" if self.initial.is_empty() else render_pd(self.initial)
@@ -573,9 +530,7 @@ def _direction_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord, e: in
 def _oriented_circle_color(d: PlanarDiagram, o, edge: int) -> int:
     """Color left of the oriented-resolution circle through ``edge``, along
     the direction the orientation induces on it."""
-    from .diagram import oriented_resolution as _ores
-
-    res = resolve(d, _ores(d, o))
+    res = resolve(d, oriented_resolution(d, o))
     i = res.circle_index_of_edge(edge)
     along = res.traversal_matches_orientation(i, o)
     return res.left_color_along(i, along)
@@ -588,7 +543,7 @@ def propagate_orientation(
     is not orientation-compatible, two entries after a birth."""
     if rec.kind in ("saddle_merge", "saddle_split", "saddle_reconnect"):
         e1, e2 = rec.data["feet"]
-        res = resolve(d1, _oriented_bits(d1, o))
+        res = resolve(d1, oriented_resolution(d1, o))
         i1 = res.circle_index_of_edge(e1)
         i2 = res.circle_index_of_edge(e2)
         if i1 != i2:
@@ -673,21 +628,6 @@ def compatible_orientations(movie: Movie, o_in) -> set[tuple[bool, ...]]:
 # ---------------------------------------------------------------------------
 # homology-level steps and composition
 # ---------------------------------------------------------------------------
-
-
-def _change_twist(bits, changes: dict[int, int]) -> int:
-    """Sign making a bit-substitution commute with the other cube edges.
-
-    For each changed position x with old bit != new bit, every 1-bit above x
-    contributes a flip.
-    """
-    parity = 0
-    for x, new in changes.items():
-        if bits[x] != new:
-            for u, b in enumerate(bits):
-                if u > x and u not in changes and b:
-                    parity ^= 1
-    return -1 if parity else 1
 
 
 def _invert_degree_matrices(mats: dict[int, SparseMatrix]) -> dict[int, SparseMatrix]:
@@ -792,16 +732,12 @@ class _R3Transport:
     def _open_bit(self, d, t, m, b):
         """Bit of the middle crossing that does not glue the two triangle
         sides to each other."""
-        from .diagram import smoothing_partner
-
         sm, sb = self._slot(d, m, self.r), self._slot(d, b, self.r)
         closed = 0 if smoothing_partner(sm, 0) == sb else 1
         return 1 - closed
 
     def _glue_bits(self, d, t, m, b):
         """(beta_p, beta_q): bits gluing t to the other side at p and q."""
-        from .diagram import smoothing_partner
-
         st_p, sm_p = self._slot(d, t, self.p), self._slot(d, m, self.p)
         st_q, sb_q = self._slot(d, t, self.q), self._slot(d, b, self.q)
         bp = 0 if smoothing_partner(st_p, 0) == sm_p else 1
@@ -819,21 +755,12 @@ class _R3Transport:
         for pos, b in tbits_pattern.items():
             tbits[pos] = b
         tbits = tuple(tbits)
-        res1 = self.c1.resolutions[bits]
-        res2 = self.c2.resolutions[tbits]
-        local1, local2 = set(self.sides1), set(self.sides2)
-        corr = {}
-        for i, circ in enumerate(res1.circles):
-            keys = circ.edge_set() - local1
-            tgt = None
-            for j, tcirc in enumerate(res2.circles):
-                if keys & tcirc.edge_set():
-                    tgt = j
-                    break
-            if tgt is None:
-                raise InternalInvariantError("slide transport lost a circle")
-            corr[i] = tgt
-        tlabels = _place_labels(res2, corr, labels, {})
+        tlabels = carry_labels(
+            self.c1.resolutions[bits],
+            self.c2.resolutions[tbits],
+            labels,
+            skip=frozenset(self.sides1 + self.sides2),
+        )
         return (tbits, tlabels)
 
     def _sigma_image(self, gen: Gen):
@@ -870,7 +797,7 @@ class _R3Transport:
                     mid = edge_map_on_chain(complex_, {gen: coeff}, flip)
                     for gmid, c in mid.items():
                         tgt, tc = _identify_with_local_circle(
-                            complex_, gmid, other, set(sides)
+                            complex_, gmid, other, frozenset(sides)
                         )
                         v = out.get(tgt, ring.zero) + c * tc * ring.from_int(tau)
                         if ring.is_zero(v):
@@ -976,35 +903,29 @@ class _R3Transport:
         return out
 
 
-def _identify_with_local_circle(complex_: ChainComplex, gen: Gen, other_pos, local_edges):
-    """Identify the folded position with (unfolded position) + small circle
-    made of local edges; the circle is born with v+."""
+def _identify_with_local_circle(complex_: ChainComplex, gen: Gen, pos, local_edges):
+    """Identify the folded position (bit 1 at ``pos``) with the unfolded
+    position plus the small circle made of local edges, born with v+; every
+    other circle keeps its edges outside the local ones."""
     bits, labels = gen
-    if bits[other_pos] == 0:
+    if bits[pos] != 1:
         raise InternalInvariantError("identification expects the folded position")
-    tbits = bits[:other_pos] + (0,) + bits[other_pos + 1 :]
-    res_mid = complex_.resolutions[bits]
+    tbits = bits[:pos] + (0,) + bits[pos + 1 :]
     res_circ = complex_.resolutions[tbits]
-    circle_idx = None
-    for i, circ in enumerate(res_circ.circles):
-        if circ.edge_set() <= local_edges:
-            circle_idx = i
-            break
+    circle_idx = next(
+        (i for i, es in enumerate(res_circ.circle_edge_sets) if es <= local_edges),
+        None,
+    )
     if circle_idx is None:
         raise InternalInvariantError("no local circle at the folded position")
-    corr = {}
-    for i, circ in enumerate(res_mid.circles):
-        keys = circ.edge_set() - local_edges
-        tgt = None
-        for j, tcirc in enumerate(res_circ.circles):
-            if j != circle_idx and keys & tcirc.edge_set():
-                tgt = j
-                break
-        if tgt is None:
-            raise InternalInvariantError("local identification failed")
-        corr[i] = tgt
-    tlabels = _place_labels(res_circ, corr, labels, {circle_idx: V_PLUS})
-    sign = _change_twist(bits, {other_pos: 0})
+    tlabels = carry_labels(
+        complex_.resolutions[bits],
+        res_circ,
+        labels,
+        fixed={circle_idx: V_PLUS},
+        skip=local_edges,
+    )
+    sign = _change_twist(bits, {pos: 0})
     return (tbits, tlabels), complex_.ring.from_int(sign)
 
 
@@ -1129,19 +1050,6 @@ def induced_map(movie: Movie, t: int, ring: Ring | None = None) -> MovieMaps:
 # ---------------------------------------------------------------------------
 
 
-def _left_color_at(d: PlanarDiagram, o, edge: int) -> int | None:
-    """Checkerboard color to the left of ``edge`` along its induced
-    direction in the oriented resolution; None for free loops."""
-    if edge in d.loops:
-        return None
-    from .diagram import oriented_resolution as _ores
-
-    res = resolve(d, _ores(d, o))
-    i = res.circle_index_of_edge(edge)
-    along = res.traversal_matches_orientation(i, o)
-    return res.left_color_along(i, along)
-
-
 def coloring_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord) -> bool:
     """Whether the outer-face convention flips across a move.
 
@@ -1155,7 +1063,7 @@ def coloring_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord) -> bool
     shared = sorted(set(d1.crossing_edges) & set(d2.crossing_edges))
     if not shared:
         return False
-    for o1 in _some_orientations(d1):
+    for o1 in all_orientations(d1):
         outs = propagate_orientation(d1, d2, rec, o1)
         if not outs:
             continue
@@ -1163,18 +1071,10 @@ def coloring_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord) -> bool
         for e in shared:
             if _direction_flip(d1, d2, rec, e) is None:
                 continue
-            c1 = _left_color_at(d1, o1, e)
-            c2 = _left_color_at(d2, o2, e)
-            if c1 is None or c2 is None:
-                continue
-            return c1 != c2
+            return _oriented_circle_color(d1, o1, e) != _oriented_circle_color(
+                d2, o2, e
+            )
     return False
-
-
-def _some_orientations(d: PlanarDiagram):
-    from .diagram import all_orientations
-
-    return all_orientations(d)
 
 
 def movie_convention_flips(movie: Movie) -> list[bool]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import PDValidationError
+
 __all__ = [
     "QSqrt2",
     "GFElement",
@@ -236,7 +238,7 @@ def GF(p: int) -> Ring:
     if p in _gf_cache:
         return _gf_cache[p]
     if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise PDValidationError(f"{p} is not prime")
     ring = Ring(
         f"F{p}",
         GFElement(0, p),

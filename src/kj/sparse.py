@@ -18,7 +18,6 @@ __all__ = [
     "kernel_basis",
     "solve_in_image",
     "rank",
-    "image_basis",
 ]
 
 
@@ -232,14 +231,6 @@ def rank(m: SparseMatrix) -> int:
     for col in m.columns():
         ech.insert(col)
     return len(ech.pivots)
-
-
-def image_basis(m: SparseMatrix) -> list[dict]:
-    """Independent columns spanning the image (as reduced pivot vectors)."""
-    ech = _Echelon(m.ring, m.rows)
-    for col in m.columns():
-        ech.insert(col)
-    return [pvec for _, pvec, _ in ech.pivots]
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict]:

@@ -50,6 +50,26 @@ def test_exit_codes(tmp_path, capsys):
     movie.write_text(json.dumps({"initial": "empty", "moves": [{"type": "death", "edge": 7}]}))
     code, _, err = run_cli(capsys, "movie", str(movie))
     assert code == 4 and "illegal move" in err
+    for ring in ("Fp:4", "Fp:1"):
+        code, _, err = run_cli(capsys, "homology", "trefoil", "--ring", ring)
+        assert code == 2 and err.count("\n") == 1 and "validation error" in err
+    malformed = [
+        "PD[X(1,5,2,4), X(3,1,4,6), X(5,3,6,2)]",
+        json.dumps([{"type": "birth"}]),
+        json.dumps({"initial": "empty", "moves": [{"type": "saddle"}]}),
+        json.dumps({"initial": "empty",
+                    "moves": [{"type": "birth"}, {"type": "death", "edge": "x"}]}),
+    ]
+    for k, text in enumerate(malformed):
+        path = tmp_path / f"malformed{k}.movie"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "movie", str(path))
+        assert code == 1 and err.count("\n") == 1 and "parse error" in err
+    code, _, err = run_cli(capsys, "movie", "trefoil.pd")
+    assert code == 1 and "parse error" in err
+    movie.write_text(json.dumps({"initial": "PD[X(1,1,1,2)]", "moves": []}))
+    code, _, err = run_cli(capsys, "movie", str(movie))
+    assert code == 2 and "validation error" in err
 
 
 def test_lee_rejects_characteristic_two(capsys):

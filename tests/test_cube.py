@@ -7,13 +7,14 @@ from kj.cube import (
     V_MINUS,
     V_PLUS,
     build_complex,
+    carry_labels,
     filtration_level,
     graded_euler_characteristic,
     kauffman_bracket,
     mod4_split,
 )
 from kj.diagram import parse_pd, resolve
-from kj.errors import PDValidationError
+from kj.errors import InternalInvariantError, PDValidationError
 from kj.laurent import Laurent
 from kj.rings import GF, QQ, ZZ
 
@@ -145,3 +146,15 @@ def test_empty_diagram_complex_is_rank_one():
     from kj.homology import homology
 
     assert homology(c).nonzero() == {(0, 0): (1, [])}
+
+
+def test_carry_labels_rejects_unmatched_circles():
+    two = resolve(parse_pd("PD[O, O]"), ())
+    one = resolve(parse_pd("PD[O]"), ())
+    assert carry_labels(two, one, (V_MINUS, V_PLUS), {1: None}) == (V_MINUS,)
+    # the second loop has no circle with its edges in the target
+    with pytest.raises(InternalInvariantError):
+        carry_labels(two, one, (V_MINUS, V_PLUS))
+    # the only source circle is dropped and nothing labels the target
+    with pytest.raises(InternalInvariantError):
+        carry_labels(one, one, (V_PLUS,), {0: None})

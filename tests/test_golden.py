@@ -1,0 +1,78 @@
+"""CLI output pinned byte for byte against recorded golden files.
+
+Each case runs ``kj`` once per output format and compares stdout with
+``golden/<case>.txt`` or ``golden/<case>.json``. Refactors that claim to
+keep the answers must keep these files unchanged. After an intended change
+of output, re-record with ``PYTHONPATH=src python tests/test_golden.py``
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from kj import cli
+from kj.cli import main
+from kj.corpus import DIAGRAMS
+from kj.verify import run_suite
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# open movies on r3-unknot: a slide followed by a poke or by a curl, so the
+# R3 transport and both forward Reidemeister chain maps are pinned
+OPEN_MOVIES = ("r3-r2", "r3-r1")
+
+CASES = (
+    [(f"generators-{name}", ["generators", name]) for name in DIAGRAMS]
+    + [(f"movie-{name}", ["movie", f"{name}.movie"])
+       for name in ("sphere", "torus", "genus2", "torus-noise")]
+    + [(f"movie-{name}-{theory}",
+        ["movie", str(GOLDEN / f"{name}.movie"), "--theory", theory])
+       for name in OPEN_MOVIES for theory in ("kh", "lee")]
+    + [(f"verify-{suite}", ["verify", suite])
+       for suite in ("rmoves", "leading-order")]
+)
+
+
+_suite_reports = functools.cache(run_suite)
+
+
+@pytest.fixture(autouse=True)
+def _run_each_suite_once(monkeypatch):
+    # both formats render the same reports, so one run of a suite serves both
+    monkeypatch.setattr(cli, "run_suite", _suite_reports)
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case,argv", CASES, ids=[c for c, _ in CASES])
+def test_cli_output_matches_golden(case, argv, fmt):
+    code, out = _run(["--format", fmt, *argv])
+    assert code == 0
+    suffix = "txt" if fmt == "text" else "json"
+    assert out == (GOLDEN / f"{case}.{suffix}").read_text()
+
+
+def record() -> None:
+    for case, argv in CASES:
+        for fmt, suffix in (("text", "txt"), ("json", "json")):
+            code, out = _run(["--format", fmt, *argv])
+            if code != 0:
+                sys.exit(f"{case} ({fmt}) exited {code}")
+            (GOLDEN / f"{case}.{suffix}").write_text(out)
+
+
+if __name__ == "__main__":
+    record()
