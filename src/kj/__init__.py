@@ -24,7 +24,7 @@ from .diagram import (
 )
 from .homology import FieldHomology, HomologySummary, homology, lee_total_rank
 from .laurent import Laurent
-from .movie import Movie, MovieMaps, compatible_orientations, induced_map, kj_number
+from .movie import Movie, MovieMaps, compatible_orientations, kj_number
 from .moves import Birth, Death, Move, R1Move, R2Move, R3Move, Saddle, apply_move
 from .rings import GF, QQ, QSQRT2, QSqrt2, ZZ, half_power_of_two
 from .snf import smith_normal_form
@@ -63,7 +63,6 @@ __all__ = [
     "Movie",
     "MovieMaps",
     "kj_number",
-    "induced_map",
     "compatible_orientations",
     "Birth",
     "Death",

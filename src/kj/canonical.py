@@ -11,8 +11,10 @@ its induced direction (colors from the checkerboard structure, outer face
 of one smoothing arc, so they always receive opposite labels and the chain
 is killed by every merge, making it a cycle.
 
-The rescaled generator multiplies by 2^((w - k)/2), with w the writhe and
-k the circle count of the oriented resolution; this lives in Q(sqrt2).
+The rescaled generator multiplies by 2^((w - k)/2), with w the writhe of the
+orientation and k the circle count of the oriented resolution. Computations
+stay over Q and carry the rescaling as the integer e = w - k (a power of
+sqrt2); only ``rescaled_chain`` writes the factor out, over Q(sqrt2).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cube import ChainComplex, Gen, V_MINUS, V_PLUS, build_complex
+from .cube import ChainComplex, V_MINUS, V_PLUS, build_complex
 from .diagram import (
     PlanarDiagram,
     all_orientations,
@@ -31,7 +33,7 @@ from .diagram import (
 from .errors import InternalInvariantError, PDValidationError
 from .homology import FieldHomology
 from .rings import QQ, QSQRT2, Ring, half_power_of_two
-from .sparse import SparseMatrix, rank as matrix_rank
+from .sparse import SparseMatrix, rank as matrix_rank, vec_add, vec_sub
 
 __all__ = [
     "LABEL_A",
@@ -63,37 +65,29 @@ class CanonicalGenerator:
     labels: tuple[str, ...]  # a/b per circle of the oriented resolution
     scale_exponent: Fraction  # (w - k)/2
 
+    @property
+    def twice_exponent(self) -> int:
+        """e = w - k: the rescaled cycle is 2^(e/2) times the raw one."""
+        return int(2 * self.scale_exponent)
+
     def chain(self, complex_: ChainComplex) -> dict:
         """The raw cycle as a chain of ``complex_`` (any ring, t = 1)."""
-        return _expand_labels(complex_, self.bits, self.labels, rescale=False)
+        ring = complex_.ring
+        stack = [((), ring.one)]
+        for lab in self.labels:
+            stack = [
+                (prefix + (vlab,), coeff * ring.from_int(c))
+                for prefix, coeff in stack
+                for vlab, c in _EXPANSION[lab].items()
+            ]
+        return {(self.bits, tup): coeff for tup, coeff in stack}
 
     def rescaled_chain(self, complex_: ChainComplex) -> dict:
         """The rescaled cycle; requires the Q(sqrt2) complex."""
         if complex_.ring is not QSQRT2:
-            raise ValueError("rescaled generators live over Q(sqrt2)")
-        return _expand_labels(complex_, self.bits, self.labels, rescale=True)
-
-
-def _expand_labels(complex_, bits, labels, rescale: bool) -> dict:
-    ring = complex_.ring
-    chain: dict[Gen, object] = {}
-    k = len(labels)
-    stack = [((), ring.one)]
-    for lab in labels:
-        new = []
-        for prefix, coeff in stack:
-            for vlab, c in _EXPANSION[lab].items():
-                new.append((prefix + (vlab,), coeff * ring.from_int(c)))
-        stack = new
-    for tup, coeff in stack:
-        chain[(bits, tup)] = coeff
-    if rescale:
-        d = complex_.diagram
-        w = writhe(d)
-        exp = w - k  # twice the exponent (w - k)/2
-        factor = half_power_of_two(exp)
-        chain = {g: factor * v for g, v in chain.items()}
-    return chain
+            raise ValueError("rescaled generators are written out over Q(sqrt2)")
+        factor = half_power_of_two(self.twice_exponent)
+        return {g: factor * v for g, v in self.chain(complex_).items()}
 
 
 def lee_generator(
@@ -190,15 +184,18 @@ def mod4_types(d: PlanarDiagram) -> tuple[int, int]:
     """q residues mod 4 of (sbar_o + sbar_o') and (sbar_o - sbar_o') for a knot.
 
     Both combinations must be homogeneous mod 4 and their residues differ
-    by 2; raises otherwise.
+    by 2; raises otherwise. The two orientations share their rescaling, so
+    the raw cycles give the same supports.
     """
     if d.component_count != 1:
         raise PDValidationError("mod-4 types are stated for knots")
-    complex_ = build_complex(d, 1, QSQRT2)
-    o = (True,)
-    oprime = (False,)
-    plus = _combine(complex_, o, oprime, 1)
-    minus = _combine(complex_, o, oprime, -1)
+    complex_ = build_complex(d, 1, QQ)
+    o, oprime = lee_generator(d, (True,)), lee_generator(d, (False,))
+    if o.twice_exponent != oprime.twice_exponent:
+        raise InternalInvariantError("the knot's two orientations rescale differently")
+    s, sprime = o.chain(complex_), oprime.chain(complex_)
+    plus = vec_add(QQ, s, sprime)
+    minus = vec_sub(QQ, s, sprime)
     out = []
     for chain in (plus, minus):
         residues = {complex_.q_of(g) % 4 for g in chain}
@@ -211,16 +208,3 @@ def mod4_types(d: PlanarDiagram) -> tuple[int, int]:
         raise InternalInvariantError("mod-4 residues do not differ by 2")
     return out[0], out[1]
 
-
-def _combine(complex_, o1, o2, sign: int) -> dict:
-    c1 = canonical_chain(complex_, o1, rescaled=True)
-    c2 = canonical_chain(complex_, o2, rescaled=True)
-    ring = complex_.ring
-    out = dict(c1)
-    for g, v in c2.items():
-        s = out.get(g, ring.zero) + ring.from_int(sign) * v
-        if ring.is_zero(s):
-            out.pop(g, None)
-        else:
-            out[g] = s
-    return out

@@ -172,6 +172,8 @@ def cmd_generators(args) -> int:
 
 def cmd_movie(args) -> int:
     movie = _read_movie(args.movie)
+    if movie.is_closed and args.theory == "lee":
+        raise PDValidationError("the KJ number of a closed movie is defined at t = 0")
     chi = movie.euler_characteristic
     frames = [("empty" if f.is_empty() else render_pd(f)) for f in movie.frames]
     payload = {
@@ -189,7 +191,7 @@ def cmd_movie(args) -> int:
         lines.append(f"n = {n}")
     else:
         t = 0 if args.theory == "kh" else 1
-        maps = MovieMaps(movie, t=t, ring=QQ)
+        maps = MovieMaps(movie, t=t)
         total = maps.composite_step()
         mats = {
             str(i): m.to_json() for i, m in sorted(total.mats.items()) if m.rows or m.cols
@@ -238,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser("homology", help="homology of a diagram")
     ph.add_argument("diagram", help="PD file or corpus name")
     ph.add_argument("--theory", choices=("kh", "lee"), default="kh")
-    ph.add_argument("--ring", default="Z", help="Z, Q, Qsqrt2, or Fp:<p>")
+    ph.add_argument("--ring", default="Z",
+                    help="Z, Q, Qsqrt2, or Fp:<p> with p a prime below 2^31")
     ph.set_defaults(func=cmd_homology)
 
     pj = sub.add_parser("jones", help="state-sum bracket and the chain-level oracle")

@@ -20,7 +20,6 @@ from .sparse import (
     _Echelon,
     kernel_basis,
     rank as matrix_rank,
-    solve_in_image,
 )
 
 __all__ = ["HomologySummary", "homology", "FieldHomology", "lee_total_rank"]
@@ -162,8 +161,8 @@ class FieldHomology:
     """Explicit homology bases with representative cycles, over a field.
 
     For every homological degree i this stores an echelon of im(d_{i-1})
-    and representative cycles extending it to ker(d_i); ``reduce`` writes
-    any cycle as (coordinates on the representatives) + exact part.
+    extended by representative cycles to ker(d_i); ``reduce`` writes any
+    cycle as (coordinates on the representatives) + exact part.
     """
 
     def __init__(self, complex_: ChainComplex):
@@ -172,20 +171,21 @@ class FieldHomology:
         self.complex = complex_
         self.ring = complex_.ring
         self.reps: dict[int, list[dict]] = {}
-        self._image_cols: dict[int, list[dict]] = {}
+        # per degree: the echelon, and insertion index -> representative position
+        self._echelons: dict[int, tuple[_Echelon, dict[int, int]]] = {}
         for i in complex_.degrees():
-            img = (
-                complex_.diff[i - 1].columns() if i - 1 in complex_.bases else []
-            )
-            self._image_cols[i] = img
-            reps: list[dict] = []
             ech = _Echelon(self.ring, complex_.dim(i))
-            for col in img:
-                ech.insert(col)
+            if i - 1 in complex_.bases:
+                for col in complex_.diff[i - 1].columns():
+                    ech.insert(col)
+            reps: list[dict] = []
+            position: dict[int, int] = {}
             for vec in kernel_basis(complex_.diff[i]):
                 if ech.insert(vec) is None:
+                    position[ech.ncols - 1] = len(reps)
                     reps.append(vec)
             self.reps[i] = reps
+            self._echelons[i] = (ech, position)
 
     def rank(self, i: int) -> int:
         return len(self.reps.get(i, ()))
@@ -202,16 +202,11 @@ class FieldHomology:
 
         Raises if the vector is not a cycle or not in the cycle space.
         """
-        cols = self._image_cols[i] + self.reps[i]
-        m = SparseMatrix(self.complex.dim(i), len(cols), self.ring)
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                m.set(r, j, v)
-        sol = solve_in_image(m, vec)
+        ech, position = self._echelons[i]
+        sol = ech.membership(vec)
         if sol is None:
             raise InternalInvariantError("vector is not a cycle of the complex")
-        n_img = len(self._image_cols[i])
-        return {j - n_img: v for j, v in sol.items() if j >= n_img}
+        return {position[j]: v for j, v in sol.items() if j in position}
 
     def reduce_chain(self, chain: dict) -> tuple[int, dict]:
         if not chain:

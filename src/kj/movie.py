@@ -53,10 +53,10 @@ from .moves import (
     move_from_json,
     move_to_json,
 )
-from .rings import QQ, QSQRT2, Ring
-from .sparse import SparseMatrix, solve_in_image
+from .rings import QQ, Ring
+from .sparse import SparseMatrix, _Echelon, solve_in_image
 
-__all__ = ["Movie", "MovieMaps", "kj_number", "induced_map", "compatible_orientations"]
+__all__ = ["Movie", "MovieMaps", "kj_number", "compatible_orientations"]
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +637,12 @@ def _invert_degree_matrices(mats: dict[int, SparseMatrix]) -> dict[int, SparseMa
             raise InternalInvariantError(
                 f"induced map at degree {i} is not square ({m.rows}x{m.cols})"
             )
+        ech = _Echelon(m.ring, m.rows)
+        for col in m.columns():
+            ech.insert(col)
         inv = SparseMatrix(m.cols, m.rows, m.ring)
         for col in range(m.rows):
-            target = {col: m.ring.one}
-            sol = solve_in_image(m, target)
+            sol = ech.membership({col: m.ring.one})
             if sol is None:
                 raise InternalInvariantError(
                     f"induced map at degree {i} is not invertible"
@@ -935,12 +937,13 @@ def _identify_with_local_circle(complex_: ChainComplex, gen: Gen, pos, local_edg
 
 
 class MovieMaps:
-    """Per-frame complexes and the induced maps of every move, at one t."""
+    """Per-frame complexes and the induced maps of every move, at one t,
+    over Q unless ``ring`` names another field."""
 
     def __init__(self, movie: Movie, t: int, ring: Ring | None = None):
         self.movie = movie
         self.t = t
-        self.ring = ring or (QSQRT2 if t == 1 else QQ)
+        self.ring = ring or QQ
         self.complexes = [
             build_complex(f, t, self.ring, validate=False) for f in movie.frames
         ]
@@ -1028,7 +1031,7 @@ def kj_number(movie: Movie) -> int:
     """|image of the generator| for a closed movie at t = 0."""
     if not movie.is_closed:
         raise IllegalMoveError("the movie is not closed (empty to empty)")
-    maps = MovieMaps(movie, t=0, ring=QQ)
+    maps = MovieMaps(movie, t=0)
     total = maps.composite_step()
     m = total.mats.get(0)
     if m is None or m.rows != 1 or m.cols != 1:
@@ -1038,11 +1041,6 @@ def kj_number(movie: Movie) -> int:
     if frac.denominator != 1:
         raise InternalInvariantError(f"induced map is not integral: {frac}")
     return abs(frac.numerator)
-
-
-def induced_map(movie: Movie, t: int, ring: Ring | None = None) -> MovieMaps:
-    """All per-move induced maps and their composite for one theory."""
-    return MovieMaps(movie, t, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Elements are plain Python objects supporting ``+ - * /`` and ``==``; a small
 ring adapter carries the constants and coercions the matrix code needs.
 Q(sqrt2) is implemented as the quadratic field Q[t]/(t^2 - 2), never as a
-float, so half-integer powers of two are exact.
+float, so half-integer powers of two are exact. kj itself computes over Q
+and carries powers of sqrt2 as integer exponents (``half_power_sign``);
+Q(sqrt2) is there for ``--ring Qsqrt2`` and for library callers.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "QSQRT2",
     "GF",
     "half_power_of_two",
+    "half_power_sign",
 ]
 
 
@@ -122,6 +125,19 @@ def half_power_of_two(k: int) -> QSqrt2:
     if r == 0:
         return QSqrt2(base, Fraction(0))
     return QSqrt2(Fraction(0), base)
+
+
+def half_power_sign(r: Fraction, k: int) -> int | None:
+    """The sign s with r == s * 2**(k/2), or None; always None for odd k,
+    where 2**(k/2) is irrational. The rational form of ``half_power_of_two``."""
+    if k % 2:
+        return None
+    power = Fraction(2) ** (k // 2)
+    if r == power:
+        return 1
+    if r == -power:
+        return -1
+    return None
 
 
 class GFElement:
@@ -232,11 +248,16 @@ def _is_prime(p: int) -> bool:
 
 _gf_cache: dict[int, Ring] = {}
 
+# primes are found by trial division, which takes milliseconds below this
+MAX_PRIME = 2**31
+
 
 def GF(p: int) -> Ring:
-    """The prime field F_p. Lee theory additionally requires p odd."""
+    """The prime field F_p, for p < 2^31. Lee theory additionally requires p odd."""
     if p in _gf_cache:
         return _gf_cache[p]
+    if p >= MAX_PRIME:
+        raise PDValidationError(f"{p} is too large: the field size must be below 2^31")
     if not _is_prime(p):
         raise PDValidationError(f"{p} is not prime")
     ring = Ring(

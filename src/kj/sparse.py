@@ -2,8 +2,8 @@
 
 Matrices never store zero entries. Vectors are plain dicts index -> scalar
 with zeros dropped. Kernel, image, and membership solving run over any field
-adapter (Q, Q(sqrt2), F_p) by fraction-free-enough Gaussian elimination on
-the exact elements themselves.
+adapter (Q, F_p, and Q(sqrt2) when a caller asks for it) by Gaussian
+elimination on the exact elements themselves.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .canonical import canonical_chain
+from .canonical import canonical_chain, lee_generator
 from .cube import build_complex, graded_euler_characteristic, kauffman_bracket
 from .diagram import PlanarDiagram, all_orientations, parse_pd, render_pd
 from .errors import IllegalMoveError
@@ -25,8 +26,8 @@ from .movie import (
     movie_total_flip,
 )
 from .moves import Birth, Death, Move, R1Move, R2Move, R3Move, Saddle, apply_move
-from .rings import QQ, QSQRT2, QSqrt2, half_power_of_two
-from .sparse import SparseMatrix, solve_in_image
+from .rings import QQ, half_power_sign
+from .sparse import SparseMatrix, solve_in_image, vec_sub
 
 __all__ = [
     "verify_proposition",
@@ -63,39 +64,43 @@ def _plain(x):
         return [_plain(v) for v in sorted(x, key=repr)]
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    if isinstance(x, QSqrt2):
-        return str(x)
     return x
 
 
-def _canonical_matrix(complex_, fh, orientations, rescaled=True):
-    """Columns: homology coordinates of each canonical class, stacked over
-    degrees. Returns (matrix, row offset per degree, column degree list)."""
+# The checks push raw canonical cycles s_o over Q. As sbar_o = 2^(e_o/2) s_o,
+# a coefficient r of s_o' in the image of s_o is the coefficient
+# r * 2^((e_o - e_o')/2) of sbar_o' in the image of sbar_o.
+
+
+def _twice_exponent(d: PlanarDiagram, orientation) -> int:
+    return lee_generator(d, orientation).twice_exponent
+
+
+def _expand_in_canonical_classes(complex_, fh, i, coords, orientations):
+    """Solve [class] = sum c_o * [canonical class], or None; the class has
+    coordinates ``coords`` on the degree-i homology basis."""
     offset = {}
     run = 0
-    for i in sorted(fh.reps):
-        offset[i] = run
-        run += fh.rank(i)
+    for k in sorted(fh.reps):
+        offset[k] = run
+        run += fh.rank(k)
     m = SparseMatrix(run, len(orientations), complex_.ring)
-    degrees = []
     for j, o in enumerate(orientations):
-        chain = canonical_chain(complex_, o, rescaled=rescaled)
-        i, vec = complex_.chain_to_vec(chain)
-        coords = fh.reduce(i, vec)
-        degrees.append(i)
-        for r, v in coords.items():
-            m.set(offset[i] + r, j, v)
-    return m, offset, degrees
+        k, vec = complex_.chain_to_vec(canonical_chain(complex_, o))
+        for r, v in fh.reduce(k, vec).items():
+            m.set(offset[k] + r, j, v)
+    target = {offset[i] + r: v for r, v in coords.items()} if coords else {}
+    return solve_in_image(m, target)
 
 
 def _expand_in_canonical_chains(complex_, chain, orientations):
-    """Solve chain = sum c_o * rescaled canonical chain, or None."""
+    """Solve chain = sum c_o * canonical chain, or None."""
     gens = sorted(set(chain))
     index = {}
     cols = []
     for o in orientations:
         col = {}
-        for g, v in canonical_chain(complex_, o, rescaled=True).items():
+        for g, v in canonical_chain(complex_, o).items():
             index.setdefault(g, len(index))
             col[index[g]] = v
         cols.append(col)
@@ -118,62 +123,53 @@ def verify_proposition(movie: Movie, orientation) -> CheckReport:
     if movie.has_closed_component():
         return CheckReport(name, False, {"error": "movie has a closed component"})
     chi = movie.euler_characteristic
-    maps = MovieMaps(movie, t=1, ring=QSQRT2)
+    maps = MovieMaps(movie, t=1)
     c1, c2 = maps.complexes[0], maps.complexes[-1]
     fh2 = maps.homologies[-1]
-    sbar = canonical_chain(c1, orientation, rescaled=True)
-    level, image = maps.apply_to_chain(sbar)
+    level, image = maps.apply_to_chain(canonical_chain(c1, orientation))
     flip = movie_total_flip(movie)
     compat = {
         effective_orientation(o, flip)
         for o in compatible_orientations(movie, orientation)
     }
     finals = all_orientations(movie.frames[-1])
+    # e_o' - e_o for each final orientation o'
+    e_in = _twice_exponent(c1.diagram, orientation)
+    shifts = [_twice_exponent(c2.diagram, o) - e_in for o in finals]
     if level == "chain":
         coeffs = _expand_in_canonical_chains(c2, image, finals)
-        if coeffs is None:
-            # fall back to homology classes
-            i, vec = c2.chain_to_vec(image) if image else (None, {})
-            if image:
-                coords = fh2.reduce(i, vec)
-            else:
-                coords = {}
-            level, image = "class", (i, coords)
-        else:
-            return _judge_proposition(name, chi, finals, coeffs, compat, "chain")
-    i, coords = image
-    m, offset, degrees = _canonical_matrix(c2, fh2, finals)
-    target = {offset[i] + r: v for r, v in coords.items()} if coords else {}
-    coeffs = solve_in_image(m, target)
+        if coeffs is not None:
+            return _judge_proposition(name, chi, finals, shifts, coeffs, compat, "chain")
+        # fall back to homology classes (the zero chain never gets here)
+        i, vec = c2.chain_to_vec(image)
+        image = (i, fh2.reduce(i, vec))
+    coeffs = _expand_in_canonical_classes(c2, fh2, *image, finals)
     if coeffs is None:
         return CheckReport(
             name, False, {"error": "image is not in the canonical span"}
         )
-    return _judge_proposition(name, chi, finals, coeffs, compat, "class")
+    return _judge_proposition(name, chi, finals, shifts, coeffs, compat, "class")
 
 
-def _judge_proposition(name, chi, finals, coeffs, compat, level) -> CheckReport:
-    ring = QSQRT2
-    main = half_power_of_two(-chi)        # 2^(-chi/2)
-    alt = half_power_of_two(-2 * chi)     # 2^(-chi)
+def _judge_proposition(name, chi, finals, shifts, coeffs, compat, level) -> CheckReport:
+    """Each compatible coefficient must be +-2^(-chi/2) (the alternative
+    hypothesis: +-2^(-chi)), every other one zero."""
     signs = {}
     ok_main = True
     ok_alt = True
     for j, o in enumerate(finals):
-        c = coeffs.get(j, ring.zero)
+        r = coeffs.get(j, 0)
         if o in compat:
-            if c == main:
-                signs[o] = 1
-            elif c == -main:
-                signs[o] = -1
+            sign = half_power_sign(r, -chi + shifts[j])
+            if sign is None:
+                ok_main = False
             else:
-                ok_main = False
-            if c != alt and c != -alt:
+                signs[o] = sign
+            if half_power_sign(r, -2 * chi + shifts[j]) is None:
                 ok_alt = False
-        else:
-            if not ring.is_zero(c):
-                ok_main = False
-                ok_alt = False
+        elif r:
+            ok_main = False
+            ok_alt = False
     details = {
         "chi": chi,
         "level": level,
@@ -193,34 +189,27 @@ def verify_corollary(movie: Movie) -> CheckReport:
         return CheckReport(name, False, {"error": "ends are not knots"})
     if not movie.is_connected_surface():
         return CheckReport(name, False, {"error": "cobordism is not connected"})
+    # sbar_+ - sbar_- is a multiple of s_+ - s_- only if both orientations of
+    # a knot share their exponent, so check that at both ends
+    exps = [{_twice_exponent(d, o) for o in all_orientations(d)} for d in (d1, d2)]
+    if any(len(e) != 1 for e in exps):
+        return CheckReport(name, False, {"error": "orientations rescale differently"})
+    shift = exps[1].pop() - exps[0].pop()
     chi = movie.euler_characteristic
-    maps = MovieMaps(movie, t=1, ring=QSQRT2)
+    maps = MovieMaps(movie, t=1)
     c1, c2 = maps.complexes[0], maps.complexes[-1]
     fh2 = maps.homologies[-1]
-    ring = QSQRT2
-    s_plus = canonical_chain(c1, (True,), rescaled=True)
-    s_minus = canonical_chain(c1, (False,), rescaled=True)
-    diff = dict(s_plus)
-    for g, v in s_minus.items():
-        w = diff.get(g, ring.zero) - v
-        if ring.is_zero(w):
-            diff.pop(g, None)
-        else:
-            diff[g] = w
+    diff = vec_sub(QQ, canonical_chain(c1, (True,)), canonical_chain(c1, (False,)))
     level, image = maps.apply_to_chain(diff)
     finals = all_orientations(d2)
     if level == "chain":
         coeffs = _expand_in_canonical_chains(c2, image, finals)
     else:
-        i, coords = image
-        m, offset, _ = _canonical_matrix(c2, fh2, finals)
-        target = {offset[i] + r: v for r, v in coords.items()} if coords else {}
-        coeffs = solve_in_image(m, target)
+        coeffs = _expand_in_canonical_classes(c2, fh2, *image, finals)
     if coeffs is None:
         return CheckReport(name, False, {"error": "image not in canonical span"})
-    c_a = coeffs.get(0, ring.zero)
-    c_b = coeffs.get(1, ring.zero)
-    factor = half_power_of_two(-chi)
+    c_a = coeffs.get(0, 0)
+    c_b = coeffs.get(1, 0)
     residue = chi % 4
     if residue == 0:
         shape_ok = c_a == -c_b  # multiple of sbar_o - sbar_o'
@@ -228,13 +217,9 @@ def verify_corollary(movie: Movie) -> CheckReport:
         shape_ok = c_a == c_b  # multiple of sbar_o + sbar_o'
     else:
         return CheckReport(name, False, {"error": f"chi = {chi} is odd"})
-    sign = None
-    if c_a == factor:
-        sign = 1
-    elif c_a == -factor:
-        sign = -1
+    sign = half_power_sign(c_a, -chi + shift)
     ok = shape_ok and sign is not None
-    alt_ok = shape_ok and (c_a == half_power_of_two(-2 * chi) or c_a == -half_power_of_two(-2 * chi))
+    alt_ok = shape_ok and half_power_sign(c_a, -2 * chi + shift) is not None
     return CheckReport(
         name,
         ok,
@@ -255,8 +240,8 @@ def leading_order_check(movie: Movie) -> CheckReport:
     q-filtration strictly; for chain-level movies the composite difference
     must raise it by at least chi + 4."""
     name = f"leading-order[{_movie_name(movie)}]"
-    maps0 = MovieMaps(movie, t=0, ring=QQ)
-    maps1 = MovieMaps(movie, t=1, ring=QQ)
+    maps0 = MovieMaps(movie, t=0)
+    maps1 = MovieMaps(movie, t=1)
     per_move = []
     all_ok = True
     for k, rec in enumerate(movie.records):
@@ -314,8 +299,8 @@ def final_computation_check(movie: Movie) -> CheckReport:
     from .cube import V_MINUS, V_PLUS
 
     name = f"final-computation[{_movie_name(movie)}]"
-    maps0 = MovieMaps(movie, t=0, ring=QQ)
-    maps1 = MovieMaps(movie, t=1, ring=QQ)
+    maps0 = MovieMaps(movie, t=0)
+    maps1 = MovieMaps(movie, t=1)
     comp0, comp1 = maps0.chain_composite(), maps1.chain_composite()
     if comp0 is None or comp1 is None:
         return CheckReport(name, False, {"error": "movie is not chain-level"})
@@ -330,13 +315,7 @@ def final_computation_check(movie: Movie) -> CheckReport:
     expect = {minus_gen: QQ.from_int(2)}
     neg = {minus_gen: QQ.from_int(-2)}
     phi_ok = img1 in (expect, neg)
-    psi = dict(img1)
-    for g, v in img0.items():
-        w = psi.get(g, QQ.zero) - v
-        if QQ.is_zero(w):
-            psi.pop(g, None)
-        else:
-            psi[g] = w
+    psi = vec_sub(QQ, img1, img0)
     chi = movie.euler_characteristic
     bound = 1 + chi + 4
     gap_ok = all(
@@ -395,7 +374,7 @@ def euler_oracle_suite(corpus=None) -> list[CheckReport]:
 
 def _canonical_transport_report(movie: Movie, label: str) -> CheckReport:
     """rho'([sbar_o]) = +-[sbar_otilde] for every orientation."""
-    maps = MovieMaps(movie, t=1, ring=QSQRT2)
+    maps = MovieMaps(movie, t=1)
     total = maps.composite_step()
     flip = movie_total_flip(movie)
     c1, c2 = maps.complexes[0], maps.complexes[-1]
@@ -406,17 +385,18 @@ def _canonical_transport_report(movie: Movie, label: str) -> CheckReport:
         if len(outs) != 1:
             return CheckReport(label, False, {"error": f"transport of {o} branches"})
         o2 = effective_orientation(next(iter(outs)), flip)
-        chain = canonical_chain(c1, o, rescaled=True)
-        i, vec = c1.chain_to_vec(chain)
+        i, vec = c1.chain_to_vec(canonical_chain(c1, o))
         img = total.apply_class(i, fh1.reduce(i, vec))
-        expect_chain = canonical_chain(c2, o2, rescaled=True)
-        j, evec = c2.chain_to_vec(expect_chain)
+        j, evec = c2.chain_to_vec(canonical_chain(c2, o2))
         if i != j:
             return CheckReport(label, False, {"error": "degree mismatch"})
         ecoords = fh2.reduce(j, evec)
+        # img must be +-2^(shift/2) * ecoords; R-moves keep e's parity
+        shift = _twice_exponent(c2.diagram, o2) - _twice_exponent(c1.diagram, o)
         matched = None
         for s in (1, -1):
-            if {k: QSQRT2.from_int(s) * v for k, v in ecoords.items()} == img:
+            scale = s * Fraction(2) ** (shift // 2)
+            if shift % 2 == 0 and {k: scale * v for k, v in ecoords.items()} == img:
                 matched = s
                 break
         if matched is None:

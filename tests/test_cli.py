@@ -50,7 +50,7 @@ def test_exit_codes(tmp_path, capsys):
     movie.write_text(json.dumps({"initial": "empty", "moves": [{"type": "death", "edge": 7}]}))
     code, _, err = run_cli(capsys, "movie", str(movie))
     assert code == 4 and "illegal move" in err
-    for ring in ("Fp:4", "Fp:1"):
+    for ring in ("Fp:4", "Fp:1", "Fp:1000000000000000003"):
         code, _, err = run_cli(capsys, "homology", "trefoil", "--ring", ring)
         assert code == 2 and err.count("\n") == 1 and "validation error" in err
     malformed = [
@@ -70,6 +70,9 @@ def test_exit_codes(tmp_path, capsys):
     movie.write_text(json.dumps({"initial": "PD[X(1,1,1,2)]", "moves": []}))
     code, _, err = run_cli(capsys, "movie", str(movie))
     assert code == 2 and "validation error" in err
+    # the Khovanov-Jacobsson number is a t = 0 invariant
+    code, out, err = run_cli(capsys, "movie", "torus.movie", "--theory", "lee")
+    assert code == 2 and not out and err.count("\n") == 1 and "validation error" in err
 
 
 def test_lee_rejects_characteristic_two(capsys):

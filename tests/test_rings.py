@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from kj.rings import GF, QQ, QSQRT2, QSqrt2, ZZ, half_power_of_two
+from kj.errors import PDValidationError
+from kj.rings import GF, QQ, QSQRT2, QSqrt2, ZZ, half_power_of_two, half_power_sign
 
 
 def test_qsqrt2_norm_identity():
@@ -34,6 +35,41 @@ def test_half_power_of_two():
     assert half_power_of_two(-3) == QSqrt2.of(0, Fraction(1, 4))
     for k in range(-7, 8):
         assert half_power_of_two(k) * half_power_of_two(-k) == QSQRT2.one
+
+
+def test_half_power_sign():
+    # even twice-exponents, both signs, negative exponents
+    assert half_power_sign(Fraction(1), 0) == 1
+    assert half_power_sign(Fraction(-1), 0) == -1
+    assert half_power_sign(Fraction(4), 4) == 1
+    assert half_power_sign(Fraction(-4), 4) == -1
+    assert half_power_sign(Fraction(1, 2), -2) == 1
+    assert half_power_sign(Fraction(-1, 8), -6) == -1
+    assert half_power_sign(-1, 0) == -1  # a plain int works too
+    # wrong magnitude
+    assert half_power_sign(Fraction(2), 4) is None
+    assert half_power_sign(Fraction(1, 2), 2) is None
+    # odd twice-exponent: 2^(k/2) is irrational, so no rational matches
+    for r in (Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(0)):
+        for k in (-3, -1, 1, 3):
+            assert half_power_sign(r, k) is None
+    # zero is no signed power of two
+    for k in (-2, 0, 2):
+        assert half_power_sign(Fraction(0), k) is None
+        assert half_power_sign(0, k) is None
+    # agrees with comparing against half_power_of_two in Q(sqrt2)
+    for k in range(-7, 8):
+        for r in (Fraction(1), Fraction(-2), Fraction(1, 4), Fraction(-1, 2), Fraction(3)):
+            p = half_power_of_two(k)
+            expect = 1 if r == p else (-1 if r == -p else None)
+            assert half_power_sign(r, k) == expect
+
+
+def test_gf_size_bound():
+    assert GF(2**31 - 1).characteristic == 2**31 - 1  # a Mersenne prime
+    for p in (2**31, 1000000000000000003):
+        with pytest.raises(PDValidationError, match="below 2\\^31"):
+            GF(p)
 
 
 def test_gf_basic():

@@ -1,12 +1,13 @@
 import random
 
-from kj.canonical import canonical_chain
+from kj.canonical import canonical_chain, mod4_types
+from kj.corpus import load_movie
 from kj.cube import build_complex
 from kj.diagram import parse_pd
 from kj.homology import homology
-from kj.movie import Movie, MovieMaps, compatible_orientations
+from kj.movie import Movie, MovieMaps, compatible_orientations, kj_number
 from kj.moves import R1Move, R2Move, R3Move, Saddle, apply_move
-from kj.rings import QQ, QSQRT2
+from kj.rings import QQ, QSQRT2, QSqrt2
 from kj.sparse import solve_in_image
 from kj.verify import (
     corollary_suite,
@@ -14,6 +15,7 @@ from kj.verify import (
     leading_order_suite,
     random_cancelling_insertion,
     rmoves_suite,
+    run_suite,
     verify_corollary,
     verify_proposition,
 )
@@ -127,3 +129,19 @@ def test_insertion_invariance_nonclosed():
     for i, m in a.mats.items():
         other = b.mats[i]
         assert m == other or m == other.scale(QQ.from_int(-1))
+
+
+def test_automatic_paths_never_use_qsqrt2(monkeypatch):
+    """Q(sqrt2) is computed in only when a caller asks for it: the verify
+    suites, mod-4 types and KJ numbers run over Q."""
+
+    def refuse(self, other):
+        raise AssertionError("Q(sqrt2) arithmetic on an automatic path")
+
+    monkeypatch.setattr(QSqrt2, "__mul__", refuse)
+    monkeypatch.setattr(QSqrt2, "__rmul__", refuse)
+    assert all(r.ok for r in run_suite("corollary"))
+    assert all(r.ok for r in run_suite("rmoves"))
+    plus, minus = mod4_types(parse_pd(TREFOIL))
+    assert (plus - minus) % 4 == 2
+    assert kj_number(load_movie("torus")) == 2
