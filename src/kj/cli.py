@@ -3,7 +3,8 @@
 Subcommands: homology, jones, generators, movie, verify. Inputs are PD
 files, movie JSON files, or bundled corpus names. Output is deterministic
 text or JSON (schema 1). Exit codes: 1 parse error, 2 validation error,
-3 internal invariant failure, 4 illegal move, 10 verification failure.
+3 internal invariant failure, 4 illegal move, 5 diagram too large (more
+crossings than ``kj.cube.MAX_CROSSINGS``), 10 verification failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .corpus import DIAGRAMS, bundled_path
 from .cube import build_complex, graded_euler_characteristic, kauffman_bracket
 from .diagram import all_orientations, parse_pd, render_pd, writhe
 from .errors import (
+    DiagramTooLargeError,
     IllegalMoveError,
     InternalInvariantError,
     PDSyntaxError,
@@ -34,6 +36,7 @@ EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 EXIT_MOVE = 4
+EXIT_TOO_LARGE = 5
 EXIT_VERIFY = 10
 
 
@@ -282,6 +285,9 @@ def main(argv=None) -> int:
     except IllegalMoveError as exc:
         print(f"kj: illegal move: {exc}", file=sys.stderr)
         return EXIT_MOVE
+    except DiagramTooLargeError as exc:
+        print(f"kj: diagram too large: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except InternalInvariantError as exc:
         print(f"kj: internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -7,6 +7,7 @@ __all__ = [
     "PDSyntaxError",
     "PDValidationError",
     "IllegalMoveError",
+    "DiagramTooLargeError",
     "InternalInvariantError",
 ]
 
@@ -21,6 +22,10 @@ class PDValidationError(ValueError):
 
 class IllegalMoveError(ValueError):
     """A movie move whose location data does not apply to its frame."""
+
+
+class DiagramTooLargeError(ValueError):
+    """A diagram with more crossings than kj builds a cube of resolutions for."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -1,10 +1,16 @@
 """Homology of the graded complexes: ranks, torsion, and basis cycles.
 
-Over a field the module produces explicit representative cycles per degree
-(and per q when the differential is graded), plus a reduction routine that
-expresses any cycle in the homology basis with an exactness certificate.
-Over the integers it reports free ranks and torsion via Smith normal form,
-with torsion attributed to the q of its target block.
+``homology`` reports free ranks, and torsion over the integers, per (i, q)
+for the graded theory and per i for the filtered one. It splits the
+complex into direct-summand blocks (q, or q mod 4 for the filtered
+differential, which shifts q by 0 or 4), cancels unit entries of the
+differential block by block (Gaussian elimination), and then takes the Smith
+normal form over Z, or the rank over a field, of only what is left. Torsion
+is attributed to the q of its target block.
+
+``FieldHomology`` produces explicit representative cycles per degree over a
+field, plus a reduction routine that expresses any cycle in the homology
+basis with an exactness certificate.
 """
 
 from __future__ import annotations
@@ -77,24 +83,6 @@ class HomologySummary:
         return "\n".join(lines)
 
 
-def _blocks_by_q(complex_: ChainComplex, i: int) -> dict[int, list[int]]:
-    """Positions of degree-i basis elements grouped by q."""
-    out: dict[int, list[int]] = {}
-    for pos, g in enumerate(complex_.bases[i]):
-        out.setdefault(complex_.q_of(g), []).append(pos)
-    return out
-
-
-def _restrict(m: SparseMatrix, rows: list[int], cols: list[int]) -> SparseMatrix:
-    rmap = {r: i for i, r in enumerate(rows)}
-    cmap = {c: i for i, c in enumerate(cols)}
-    out = SparseMatrix(len(rows), len(cols), m.ring)
-    for (r, c), v in m.data.items():
-        if r in rmap and c in cmap:
-            out.set(rmap[r], cmap[c], v)
-    return out
-
-
 def homology(complex_: ChainComplex, ring: Ring | None = None) -> HomologySummary:
     """Free ranks per (i, q) for the graded theory, per i for the filtered
     one; torsion only over the integers."""
@@ -103,37 +91,127 @@ def homology(complex_: ChainComplex, ring: Ring | None = None) -> HomologySummar
         raise ValueError("homology ring must match the complex ring")
     summary = HomologySummary(ring.name, complex_.t)
     graded = complex_.t == 0
-    degrees = complex_.degrees()
-    for i in degrees:
-        d_out = complex_.diff[i]
-        d_in = complex_.diff.get(i - 1)
-        if graded:
-            for q, cols in sorted(_blocks_by_q(complex_, i).items()):
-                rows_out = (
-                    [p for p, g in enumerate(complex_.bases[i + 1]) if complex_.q_of(g) == q]
-                    if i + 1 in complex_.bases
-                    else []
-                )
-                block_out = _restrict(d_out, rows_out, cols)
-                if d_in is not None and i - 1 in complex_.bases:
-                    cols_in = [
-                        p
-                        for p, g in enumerate(complex_.bases[i - 1])
-                        if complex_.q_of(g) == q
-                    ]
-                    block_in = _restrict(d_in, cols, cols_in)
-                else:
-                    block_in = SparseMatrix(len(cols), 0, complex_.ring)
-                rank_free, tors = _group_of_block(block_out, block_in, ring)
-                if rank_free or tors:
-                    summary.groups[(i, q)] = (rank_free, tors)
-        else:
-            if d_in is None:
-                d_in = SparseMatrix(complex_.dim(i), 0, complex_.ring)
-            rank_free, tors = _group_of_block(d_out, d_in, ring)
-            if rank_free or tors:
-                summary.groups[(i, None)] = (rank_free, tors)
+    first = {}  # degree -> id of its first generator
+    degree: list[int] = []  # generator id -> i
+    labels: list[int] = []  # generator id -> q (t = 0) or q mod 4 (t = 1)
+    for i in complex_.degrees():
+        first[i] = len(labels)
+        for g in complex_.bases[i]:
+            q = complex_.q_of(g)
+            degree.append(i)
+            labels.append(q if graded else q % 4)
+    # (i, q) or (i, None) -> leftover generator ids, and their rows of d
+    leftover: dict[tuple, list[int]] = {}
+    rows: dict[int, dict] = {}
+    for out, inn in _blocks(complex_, first, labels):
+        _eliminate(out, inn, ring)
+        for x, row in out.items():
+            leftover.setdefault((degree[x], labels[x] if graded else None), []).append(x)
+            rows[x] = row
+    for (i, k), gens in leftover.items():
+        d_out = _leftover_matrix(rows, gens, leftover.get((i + 1, k), []), complex_.ring)
+        d_in = _leftover_matrix(rows, leftover.get((i - 1, k), []), gens, complex_.ring)
+        rank_free, tors = _group_of_block(d_out, d_in, ring)
+        if rank_free or tors:
+            summary.groups[(i, k)] = (rank_free, tors)
     return summary
+
+
+def _blocks(complex_: ChainComplex, first: dict[int, int], labels: list[int]):
+    """The differential split into direct summands by generator label, one
+    block at a time, as adjacency: source -> {target: coeff} and target ->
+    {sources}. Every generator of the block is a key of both maps.
+
+    Generators are numbered degree by degree from ``first``. The entries of
+    d are sorted into blocks in one pass, and a block's maps are built only
+    when its turn comes, so at most one block's adjacency is alive.
+    """
+    ids = list(range(len(labels)))  # one int object per generator, shared
+    members: dict[int, list[int]] = {}
+    for x in ids:
+        members.setdefault(labels[x], []).append(x)
+    entries: dict[int, dict[int, list]] = {b: {} for b in members}
+    for i, m in complex_.diff.items():
+        if i + 1 in first:
+            src = first[i]
+            for rc in m.data:
+                entries[labels[src + rc[1]]].setdefault(i, []).append(rc)
+    for b in sorted(members):
+        out = {x: {} for x in members[b]}
+        inn = {x: set() for x in members[b]}
+        for i, keys in entries.pop(b).items():
+            data = complex_.diff[i].data
+            src, tgt = first[i], first[i + 1]
+            for rc in keys:
+                x, y = ids[src + rc[1]], ids[tgt + rc[0]]
+                out[x][y] = data[rc]
+                inn[y].add(x)
+        yield out, inn
+
+
+def _eliminate(out: dict, inn: dict, ring: Ring) -> None:
+    """Cancel unit entries of a block's differential in place, until none is
+    left (Bar-Natan's Gaussian elimination lemma, arXiv:math/0606318).
+
+    Cancelling a unit u = d(x -> y) deletes x and y and adds
+    -d(x' -> y) u^-1 d(x -> y') to every other entry x' -> y'; the complex
+    that remains is homotopy equivalent to the one before. Units are +-1 over
+    Z and every nonzero entry over a field. Among the units of a row, the
+    target with the fewest incoming entries goes first, which keeps fill-in
+    small.
+    """
+    field = ring.is_field
+    one = ring.one
+    cancelled = True
+    while cancelled:
+        cancelled = False
+        for x in list(out):
+            row = out.get(x)
+            if not row:
+                continue
+            y = None
+            for target, v in row.items():
+                if (field or v == 1 or v == -1) and (
+                    y is None or len(inn[target]) < len(inn[y])
+                ):
+                    y = target
+            if y is None:
+                continue
+            cancelled = True
+            u = row.pop(y)
+            scale = -(one / u) if field else -u
+            del out[x]
+            for target in row:
+                inn[target].discard(x)
+            for w in inn.pop(x):
+                del out[w][x]
+            for z in out.pop(y):
+                inn[z].discard(y)
+            sources = inn.pop(y)
+            sources.discard(x)
+            for w in sources:
+                wrow = out[w]
+                a = wrow.pop(y) * scale
+                for target, v in row.items():
+                    s = wrow.get(target)
+                    s = a * v if s is None else s + a * v
+                    if s:
+                        if target not in wrow:
+                            inn[target].add(w)
+                        wrow[target] = s
+                    elif target in wrow:
+                        del wrow[target]
+                        inn[target].discard(w)
+
+
+def _leftover_matrix(rows: dict, cols: list[int], targets: list[int], ring: Ring) -> SparseMatrix:
+    """The leftover differential from ``cols`` to ``targets``."""
+    index = {y: r for r, y in enumerate(targets)}
+    m = SparseMatrix(len(targets), len(cols), ring)
+    for c, x in enumerate(cols):
+        for y, v in rows[x].items():
+            m.set(index[y], c, v)
+    return m
 
 
 def _group_of_block(d_out: SparseMatrix, d_in: SparseMatrix, ring: Ring):

@@ -1,8 +1,12 @@
 import json
+import time
 
 import pytest
 
-from kj.cli import main
+from kj.cli import EXIT_TOO_LARGE, main
+from kj.cube import MAX_CROSSINGS
+
+from diagrams import torus_pd
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +77,19 @@ def test_exit_codes(tmp_path, capsys):
     # the Khovanov-Jacobsson number is a t = 0 invariant
     code, out, err = run_cli(capsys, "movie", "torus.movie", "--theory", "lee")
     assert code == 2 and not out and err.count("\n") == 1 and "validation error" in err
+
+
+def test_too_large_diagram_exits_before_building(tmp_path, capsys):
+    path = tmp_path / "T2_21.pd"
+    path.write_text(torus_pd(21))
+    assert MAX_CROSSINGS < 21
+    for argv in (["homology", str(path)], ["homology", str(path), "--theory", "lee",
+                 "--ring", "Q"], ["jones", str(path)], ["generators", str(path)]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_TOO_LARGE == 5
+        assert not out and err.count("\n") == 1 and "diagram too large" in err
 
 
 def test_lee_rejects_characteristic_two(capsys):

@@ -4,7 +4,7 @@ Each case runs ``kj`` once per output format and compares stdout with
 ``golden/<case>.txt`` or ``golden/<case>.json``. Refactors that claim to
 keep the answers must keep these files unchanged. After an intended change
 of output, re-record with ``PYTHONPATH=src python tests/test_golden.py``
-and review the diff.
+and review the diff; name cases after the script to re-record only those.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # R3 transport and both forward Reidemeister chain maps are pinned
 OPEN_MOVIES = ("r3-r2", "r3-r1")
 
+# T(2,7) and its mirror by the torus formula in ROADMAP.md, under each
+# theory and ring that `kj homology` offers for the torus workload
+TORUS_HOMOLOGY = (("kh", "Z"), ("kh", "Q"), ("lee", "Q"), ("lee", "Fp:5"))
+
 # (case, argv, expected exit code); the proposition suite at seed 0 has two
 # known failing checks, so it exits 10 with its [FAIL] lines pinned
 CASES = (
@@ -42,6 +46,10 @@ CASES = (
                            ("proposition", 10), ("corollary", 0))]
     + [("homology-trefoil-lee-qsqrt2",
         ["homology", "trefoil", "--theory", "lee", "--ring", "Qsqrt2"], 0)]
+    + [(f"homology-{name}", ["homology", name], 0) for name in DIAGRAMS]
+    + [(f"homology-{knot}-{theory}-{ring.replace(':', '').lower()}",
+        ["homology", str(GOLDEN / f"{knot}.pd"), "--theory", theory, "--ring", ring], 0)
+       for knot in ("T2_7", "T2_7m") for theory, ring in TORUS_HOMOLOGY]
 )
 
 
@@ -71,8 +79,10 @@ def test_cli_output_matches_golden(case, argv, expected, fmt):
     assert out == (GOLDEN / f"{case}.{suffix}").read_text()
 
 
-def record() -> None:
+def record(names: list[str]) -> None:
     for case, argv, expected in CASES:
+        if names and case not in names:
+            continue
         for fmt, suffix in (("text", "txt"), ("json", "json")):
             code, out = _run(["--format", fmt, *argv])
             if code != expected:
@@ -81,4 +91,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

@@ -1,9 +1,16 @@
-import pytest
+import functools
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kj.corpus import DIAGRAMS
 from kj.cube import build_complex, graded_euler_characteristic
 from kj.diagram import parse_pd
+from kj.errors import IllegalMoveError
 from kj.homology import FieldHomology, homology, lee_total_rank
 from kj.laurent import Laurent
+from kj.moves import R1Move, R2Move, apply_move
 from kj.rings import GF, QQ, ZZ
 
 from diagrams import CINQUEFOIL, FIG8, HOPF, MIRROR_TREFOIL, TREFOIL, UNKNOT, UNLINK2
@@ -137,3 +144,54 @@ def test_field_homology_reduce_roundtrip():
         for col in img[:3]:
             if col:
                 assert fh.reduce(i + 1, col) == {}
+
+
+def test_lee_over_integers_keeps_invariant_factors():
+    # the leftovers of both q mod 4 blocks of a degree reach one Smith form,
+    # so a degree reports all its torsion once, as invariant factors (coprime
+    # orders from two blocks would give Z/6, not Z/2 Z/3); values recorded
+    # from the whole-degree Smith form that came before elimination
+    expected = {
+        TREFOIL: {(0, None): (2, []), (3, None): (0, [2, 2])},
+        FIG8: {(-1, None): (0, [2, 2]), (0, None): (2, []), (2, None): (0, [2, 2])},
+        CINQUEFOIL: {(0, None): (2, []), (3, None): (0, [2, 2]), (5, None): (0, [2, 2])},
+    }
+    for text, groups in expected.items():
+        assert homology(build_complex(parse_pd(text), 1, ZZ)).nonzero() == groups
+
+
+def _add_random_r_move(d, rng: random.Random):
+    """d after one R1 or R2 addition at a random spot, retried on illegal ones."""
+    for _ in range(200):
+        edges = d.edges
+        if rng.random() < 0.5:
+            move = R1Move("add", rng.choice(edges), rng.choice(("left", "right")))
+        else:
+            move = R2Move("add", (rng.choice(edges), rng.choice(edges)),
+                          rng.choice((False, True)))
+        try:
+            return apply_move(d, move)[0]
+        except IllegalMoveError:
+            continue
+    raise RuntimeError("found no legal R1 or R2 addition")
+
+
+# Khovanov homology over Z, Lee homology over F5
+INVARIANCE_RINGS = {0: ZZ, 1: GF(5)}
+
+
+@functools.cache
+def _homology_of(text: str, t: int):
+    return homology(build_complex(parse_pd(text), t, INVARIANCE_RINGS[t])).nonzero()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(DIAGRAMS)), seed=st.integers(0, 2**32 - 1))
+def test_homology_invariant_under_random_r_moves(name, seed):
+    # corpus diagrams have at most 5 crossings, so the result has at most 7
+    text = DIAGRAMS[name]
+    moved = _add_random_r_move(parse_pd(text), random.Random(seed))
+    assert moved.crossing_count <= 7
+    for t, ring in INVARIANCE_RINGS.items():
+        got = homology(build_complex(moved, t, ring)).nonzero()
+        assert got == _homology_of(text, t)
