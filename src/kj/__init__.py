@@ -27,7 +27,6 @@ from .laurent import Laurent
 from .movie import Movie, MovieMaps, compatible_orientations, kj_number
 from .moves import Birth, Death, Move, R1Move, R2Move, R3Move, Saddle, apply_move
 from .rings import GF, QQ, QSQRT2, QSqrt2, ZZ, half_power_of_two
-from .snf import smith_normal_form
 from .sparse import SparseMatrix, kernel_basis, solve_in_image
 from .verify import (
     leading_order_check,
@@ -76,7 +75,6 @@ __all__ = [
     "verify_corollary",
     "leading_order_check",
     "run_suite",
-    "smith_normal_form",
     "SparseMatrix",
     "kernel_basis",
     "solve_in_image",

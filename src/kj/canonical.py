@@ -136,6 +136,7 @@ class BasisReport:
     expected_rank: int
     homology_rank: int
     coordinates: SparseMatrix  # homology coordinates of each canonical class
+    classes: list[tuple[int, dict]]  # per orientation: (degree, class coordinates)
 
     def to_json(self):
         return {
@@ -150,34 +151,26 @@ def verify_basis(d: PlanarDiagram, ring: Ring | None = None) -> BasisReport:
     """Check that the canonical classes freely generate the t = 1 homology.
 
     Returns the change-of-basis matrix from canonical classes to the
-    computed homology basis; a failure indicates a labeling-rule bug.
+    computed homology basis, one column per orientation in the order of
+    ``all_orientations``; a failure indicates a labeling-rule bug.
     """
-    ring = ring or QQ
-    complex_ = build_complex(d, 1, ring)
+    complex_ = build_complex(d, 1, ring or QQ)
     fh = FieldHomology(complex_)
     orientations = all_orientations(d)
     expected = len(orientations)
-    cols: list[tuple[int, dict]] = []
+    classes: list[tuple[int, dict]] = []
     for o in orientations:
         chain = canonical_chain(complex_, o)
         if complex_.apply_differential(chain):
             raise InternalInvariantError(
                 f"canonical chain of {o} is not a cycle"
             )
-        cols.append(fh.reduce_chain(chain))
+        classes.append(fh.reduce_chain(chain))
     rank = fh.total_rank()
     # full-rank check: the classes must be independent and span
-    offset: dict[int, int] = {}
-    run = 0
-    for i in sorted(fh.reps):
-        offset[i] = run
-        run += fh.rank(i)
-    m = SparseMatrix(run, expected, ring)
-    for j, (i, coords) in enumerate(cols):
-        for kk, v in coords.items():
-            m.set(offset[i] + kk, j, v)
+    m, _ = fh.class_matrix(classes)
     ok = expected == rank and matrix_rank(m) == expected
-    return BasisReport(d, ok, expected, rank, m)
+    return BasisReport(d, ok, expected, rank, m, classes)
 
 
 def mod4_types(d: PlanarDiagram) -> tuple[int, int]:

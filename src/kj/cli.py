@@ -25,7 +25,7 @@ from .errors import (
     PDSyntaxError,
     PDValidationError,
 )
-from .homology import FieldHomology, homology
+from .homology import homology
 from .movie import Movie, MovieMaps, kj_number
 from .rings import GF, QQ, QSQRT2, ZZ
 from .verify import run_suite
@@ -131,14 +131,9 @@ def cmd_generators(args) -> int:
     if d.is_empty():
         raise PDValidationError("the empty diagram has no canonical generators")
     report = verify_basis(d)
-    complex_ = build_complex(d, 1, QQ)
-    fh = FieldHomology(complex_)
     rows = []
-    for o in all_orientations(d):
+    for o, (i, coords) in zip(all_orientations(d), report.classes):
         gen = lee_generator(d, o)
-        chain = gen.chain(complex_)
-        i, vec = complex_.chain_to_vec(chain)
-        coords = fh.reduce(i, vec)
         rows.append(
             {
                 "orientation": ["+" if b else "-" for b in o],

@@ -9,15 +9,14 @@ normal form over Z, or the rank over a field, of only what is left. Torsion
 is attributed to the q of its target block.
 
 ``FieldHomology`` produces explicit representative cycles per degree over a
-field, plus a reduction routine that expresses any cycle in the homology
-basis with an exactness certificate.
+field, plus a reduction routine that writes any cycle's class in that basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cube import ChainComplex, Gen
+from .cube import ChainComplex
 from .errors import InternalInvariantError
 from .rings import Ring, ZZ
 from .snf import snf_diagonal
@@ -83,12 +82,10 @@ class HomologySummary:
         return "\n".join(lines)
 
 
-def homology(complex_: ChainComplex, ring: Ring | None = None) -> HomologySummary:
+def homology(complex_: ChainComplex) -> HomologySummary:
     """Free ranks per (i, q) for the graded theory, per i for the filtered
-    one; torsion only over the integers."""
-    ring = ring or complex_.ring
-    if ring.name != complex_.ring.name:
-        raise ValueError("homology ring must match the complex ring")
+    one, over the complex's ring; torsion only over the integers."""
+    ring = complex_.ring
     summary = HomologySummary(ring.name, complex_.t)
     graded = complex_.t == 0
     first = {}  # degree -> id of its first generator
@@ -109,8 +106,8 @@ def homology(complex_: ChainComplex, ring: Ring | None = None) -> HomologySummar
             leftover.setdefault((degree[x], labels[x] if graded else None), []).append(x)
             rows[x] = row
     for (i, k), gens in leftover.items():
-        d_out = _leftover_matrix(rows, gens, leftover.get((i + 1, k), []), complex_.ring)
-        d_in = _leftover_matrix(rows, leftover.get((i - 1, k), []), gens, complex_.ring)
+        d_out = _leftover_matrix(rows, gens, leftover.get((i + 1, k), []), ring)
+        d_in = _leftover_matrix(rows, leftover.get((i - 1, k), []), gens, ring)
         rank_free, tors = _group_of_block(d_out, d_in, ring)
         if rank_free or tors:
             summary.groups[(i, k)] = (rank_free, tors)
@@ -239,8 +236,9 @@ class FieldHomology:
     """Explicit homology bases with representative cycles, over a field.
 
     For every homological degree i this stores an echelon of im(d_{i-1})
-    extended by representative cycles to ker(d_i); ``reduce`` writes any
-    cycle as (coordinates on the representatives) + exact part.
+    extended by representative cycles to ker(d_i). Only the representatives
+    are labelled (by their position), so ``reduce`` writes any cycle as
+    coordinates on the representatives modulo boundaries.
     """
 
     def __init__(self, complex_: ChainComplex):
@@ -249,21 +247,18 @@ class FieldHomology:
         self.complex = complex_
         self.ring = complex_.ring
         self.reps: dict[int, list[dict]] = {}
-        # per degree: the echelon, and insertion index -> representative position
-        self._echelons: dict[int, tuple[_Echelon, dict[int, int]]] = {}
+        self._echelons: dict[int, _Echelon] = {}
         for i in complex_.degrees():
-            ech = _Echelon(self.ring, complex_.dim(i))
+            ech = _Echelon(self.ring)
             if i - 1 in complex_.bases:
                 for col in complex_.diff[i - 1].columns():
                     ech.insert(col)
             reps: list[dict] = []
-            position: dict[int, int] = {}
             for vec in kernel_basis(complex_.diff[i]):
-                if ech.insert(vec) is None:
-                    position[ech.ncols - 1] = len(reps)
+                if ech.insert(vec, label=len(reps)) is None:
                     reps.append(vec)
             self.reps[i] = reps
-            self._echelons[i] = (ech, position)
+            self._echelons[i] = ech
 
     def rank(self, i: int) -> int:
         return len(self.reps.get(i, ()))
@@ -271,20 +266,15 @@ class FieldHomology:
     def total_rank(self) -> int:
         return sum(len(r) for r in self.reps.values())
 
-    def basis_chains(self, i: int) -> list[dict]:
-        """Representative cycles as chains (Gen -> scalar)."""
-        return [self.complex.vec_to_chain(i, v) for v in self.reps.get(i, [])]
-
     def reduce(self, i: int, vec: dict) -> dict:
         """Coordinates of a cycle's class on the degree-i representatives.
 
-        Raises if the vector is not a cycle or not in the cycle space.
+        Raises if the vector is not in the cycle space.
         """
-        ech, position = self._echelons[i]
-        sol = ech.membership(vec)
+        sol = self._echelons[i].membership(vec)
         if sol is None:
             raise InternalInvariantError("vector is not a cycle of the complex")
-        return {position[j]: v for j, v in sol.items() if j in position}
+        return sol
 
     def reduce_chain(self, chain: dict) -> tuple[int, dict]:
         if not chain:
@@ -292,12 +282,16 @@ class FieldHomology:
         i, vec = self.complex.chain_to_vec(chain)
         return i, self.reduce(i, vec)
 
-    def class_of(self, chain: dict) -> dict:
-        """Coordinates of a chain's homology class (zero chain -> {})."""
-        if not chain:
-            return {}
-        _, coords = self.reduce_chain(chain)
-        return coords
-
-    def is_exact(self, chain: dict) -> bool:
-        return not self.class_of(chain)
+    def class_matrix(self, classes: list[tuple[int, dict]]) -> tuple[SparseMatrix, dict[int, int]]:
+        """Classes given as (degree, coordinates) as the columns of one matrix
+        on the homology basis of all degrees, with each degree's first row."""
+        offset: dict[int, int] = {}
+        run = 0
+        for i in sorted(self.reps):
+            offset[i] = run
+            run += self.rank(i)
+        m = SparseMatrix(run, len(classes), self.ring)
+        for j, (i, coords) in enumerate(classes):
+            for k, v in coords.items():
+                m.set(offset[i] + k, j, v)
+        return m, offset

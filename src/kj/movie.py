@@ -131,12 +131,6 @@ class ChainMap:
                 out.mats[i] = self.mats[j] * earlier.mats[i]
         return out
 
-    def scaled(self, s: int) -> "ChainMap":
-        out = ChainMap(self.src, self.dst, self.shift)
-        for i, m in self.mats.items():
-            out.mats[i] = m.scale(self.src.ring.from_int(s))
-        return out
-
     def plus(self, other: "ChainMap") -> "ChainMap":
         if other.shift != self.shift:
             raise InternalInvariantError("cannot add maps of different shifts")
@@ -325,15 +319,9 @@ def r2_chain_map(
         for gen in _gens_at(c_small, bits):
             tlabels = carry_labels(res1, res2, gen[1], placed)
             incl.add_entry(gen, (tbits, tlabels), ring.from_int(sign))
-    alpha = _r2_alpha(incl, c_big, k1, k2, m1, m2)
-    for s in (1, -1):
-        candidate = incl.plus(alpha.scaled(s))
-        try:
-            candidate.verify()
-            return candidate
-        except InternalInvariantError:
-            continue
-    raise InternalInvariantError("no sign makes the poke map a chain map")
+    cm = incl.plus(_r2_alpha(incl, c_big, k1, k2, m1, m2))
+    cm.verify()
+    return cm
 
 
 def _spectator_parity_sign(bits, pattern_positions) -> int:
@@ -637,9 +625,9 @@ def _invert_degree_matrices(mats: dict[int, SparseMatrix]) -> dict[int, SparseMa
             raise InternalInvariantError(
                 f"induced map at degree {i} is not square ({m.rows}x{m.cols})"
             )
-        ech = _Echelon(m.ring, m.rows)
-        for col in m.columns():
-            ech.insert(col)
+        ech = _Echelon(m.ring)
+        for j, col in enumerate(m.columns()):
+            ech.insert(col, label=j)
         inv = SparseMatrix(m.cols, m.rows, m.ring)
         for col in range(m.rows):
             sol = ech.membership({col: m.ring.one})

@@ -1,193 +1,69 @@
-"""Smith normal form of integer matrices with unimodular transforms.
+"""Invariant factors of integer matrices: the diagonal of the Smith form.
 
-Returns (D, U, V) with U * M * V = D, D diagonal with a divisibility chain,
-and U, V unimodular. Arbitrary-precision integers throughout; the pivot
-strategy (least absolute value, then fewest row+column nonzeros, then index
-order) keeps fill-in tolerable at desk scale. Any strategy is correct.
+Row and column operations bring the matrix to a diagonal, pivoting on an
+entry of least absolute value and replacing every other entry of its row
+and column by its division remainder; a nonzero remainder is smaller than
+the pivot and becomes the next one. The diagonal pairs (a, b) are then
+turned into (gcd, lcm) until they form a divisibility chain. Invariant
+factors are unique, so any pivot order gives the same list. No transforms
+are kept.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .rings import ZZ
 from .sparse import SparseMatrix
 
-__all__ = ["smith_normal_form", "snf_diagonal"]
-
-
-class _Work:
-    """Dense integer working copy with row/column op mirroring into U, V."""
-
-    def __init__(self, m: SparseMatrix):
-        self.rows = m.rows
-        self.cols = m.cols
-        self.a = [[0] * m.cols for _ in range(m.rows)]
-        for (r, c), v in m.data.items():
-            self.a[r][c] = int(v)
-        self.u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
-        self.v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
-
-    # row ops act on (a, u); column ops on (a, v)
-
-    def swap_rows(self, i, j):
-        if i != j:
-            self.a[i], self.a[j] = self.a[j], self.a[i]
-            self.u[i], self.u[j] = self.u[j], self.u[i]
-
-    def swap_cols(self, i, j):
-        if i != j:
-            for row in self.a:
-                row[i], row[j] = row[j], row[i]
-            for row in self.v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(self, dst, src, k):
-        if k:
-            self.a[dst] = [x + k * y for x, y in zip(self.a[dst], self.a[src])]
-            self.u[dst] = [x + k * y for x, y in zip(self.u[dst], self.u[src])]
-
-    def add_col(self, dst, src, k):
-        if k:
-            for row in self.a:
-                row[dst] += k * row[src]
-            for row in self.v:
-                row[dst] += k * row[src]
-
-    def negate_row(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-
-
-def _pick_pivot(w: _Work, k: int):
-    """Least |value|; ties by fewest nonzeros in its row+column; then index."""
-    best = None
-    row_nnz = [sum(1 for x in w.a[i][k:] if x) for i in range(w.rows)]
-    col_nnz = [sum(1 for i in range(k, w.rows) if w.a[i][j]) for j in range(w.cols)]
-    for i in range(k, w.rows):
-        if not row_nnz[i]:
-            continue
-        for j in range(k, w.cols):
-            x = w.a[i][j]
-            if x == 0:
-                continue
-            key = (abs(x), row_nnz[i] + col_nnz[j], i, j)
-            if best is None or key < best[0]:
-                best = (key, i, j)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _clear_position(w: _Work, k: int) -> bool:
-    """Bring a pivot to (k, k) and zero out its row and column. False if the
-    remaining submatrix is zero."""
-    pos = _pick_pivot(w, k)
-    if pos is None:
-        return False
-    w.swap_rows(k, pos[0])
-    w.swap_cols(k, pos[1])
-    while True:
-        dirty = False
-        for i in range(k + 1, w.rows):
-            x = w.a[i][k]
-            if x == 0:
-                continue
-            q = x // w.a[k][k]
-            w.add_row(i, k, -q)
-            if w.a[i][k]:
-                # nonzero remainder is strictly smaller: promote it
-                w.swap_rows(k, i)
-                dirty = True
-        for j in range(k + 1, w.cols):
-            x = w.a[k][j]
-            if x == 0:
-                continue
-            q = x // w.a[k][k]
-            w.add_col(j, k, -q)
-            if w.a[k][j]:
-                w.swap_cols(k, j)
-                dirty = True
-        if dirty:
-            continue
-        if all(w.a[i][k] == 0 for i in range(k + 1, w.rows)) and all(
-            w.a[k][j] == 0 for j in range(k + 1, w.cols)
-        ):
-            break
-    if w.a[k][k] < 0:
-        w.negate_row(k)
-    return True
-
-
-def smith_normal_form(m: SparseMatrix) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    """Diagonalize an integer matrix. Returns (D, U, V) with U*M*V = D."""
-    if m.ring is not ZZ:
-        raise ValueError("smith_normal_form requires integer coefficients")
-    w = _Work(m)
-    n = min(w.rows, w.cols)
-    rank = 0
-    for k in range(n):
-        if not _clear_position(w, k):
-            break
-        rank += 1
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = w.a[i][i], w.a[i + 1][i + 1]
-            if b % a != 0:
-                _fix_pair(w, i)
-                changed = True
-
-    d = SparseMatrix(m.rows, m.cols, ZZ)
-    for i in range(n):
-        if w.a[i][i]:
-            d.set(i, i, w.a[i][i])
-    u = SparseMatrix(m.rows, m.rows, ZZ, _dense_entries(w.u))
-    v = SparseMatrix(m.cols, m.cols, ZZ, _dense_entries(w.v))
-    return d, u, v
-
-
-def _fix_pair(w: _Work, i: int):
-    """Replace diagonal (a, b) at rows i, i+1 by (gcd, +-ab/gcd).
-
-    All other entries in these two rows and columns are zero, so the
-    Euclidean exchange below stays inside the 2x2 block.
-    """
-    if w.a[i][i] < 0:
-        w.negate_row(i)
-    w.add_col(i, i + 1, 1)  # block becomes [[a, 0], [b, b]]
-    while w.a[i + 1][i] != 0:
-        q = w.a[i + 1][i] // w.a[i][i]
-        w.add_row(i + 1, i, -q)
-        if w.a[i + 1][i]:
-            w.swap_rows(i, i + 1)
-            if w.a[i][i] < 0:
-                w.negate_row(i)
-    if w.a[i][i] < 0:
-        w.negate_row(i)
-    z = w.a[i][i + 1]
-    if z:
-        # gcd divides every entry the exchange produced
-        w.add_col(i + 1, i, -(z // w.a[i][i]))
-    if w.a[i + 1][i + 1] < 0:
-        w.negate_row(i + 1)
-
-
-def _dense_entries(rows):
-    return {
-        (i, j): x
-        for i, row in enumerate(rows)
-        for j, x in enumerate(row)
-        if x
-    }
+__all__ = ["snf_diagonal"]
 
 
 def snf_diagonal(m: SparseMatrix) -> list[int]:
-    """Nonzero diagonal of the Smith form (rank and torsion in one list)."""
-    d, _, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(m.rows, m.cols)):
-        x = d.get(i, i)
-        if x:
-            out.append(int(x))
-    return out
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix (rank and
+    torsion in one list)."""
+    if m.ring is not ZZ:
+        raise ValueError("snf_diagonal requires integer coefficients")
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), v in m.data.items():
+        rows.setdefault(r, {})[c] = int(v)
+    diag = []
+    while rows:
+        _, r, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        column_clear = True
+        for s in list(rows):
+            row = rows[s]
+            if s == r or c not in row:
+                continue
+            q = row[c] // p
+            for j, v in pivot_row.items():
+                x = row.get(j, 0) - q * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            if c in row:
+                column_clear = False
+            if not row:
+                del rows[s]
+        if not column_clear:
+            continue
+        # column c is zero off the pivot, so column operations touch only this row
+        for j in list(pivot_row):
+            if j != c:
+                x = pivot_row[j] % p
+                if x:
+                    pivot_row[j] = x
+                else:
+                    del pivot_row[j]
+        if len(pivot_row) == 1:
+            diag.append(abs(p))
+            del rows[r]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            g = gcd(a, b)
+            diag[i], diag[j] = g, a // g * b
+    return diag

@@ -67,12 +67,6 @@ class SparseMatrix:
     def copy(self) -> "SparseMatrix":
         return SparseMatrix(self.rows, self.cols, self.ring, self.data)
 
-    def transpose(self) -> "SparseMatrix":
-        m = SparseMatrix(self.cols, self.rows, self.ring)
-        for (r, c), v in self.data.items():
-            m.data[(c, r)] = v
-        return m
-
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_shape(other)
         m = self.copy()
@@ -178,15 +172,14 @@ class _Echelon:
     """Row echelon form of a list of column vectors, for span queries.
 
     Columns are inserted one at a time; each reduces against the pivots found
-    so far. Combination tracking lets ``solve`` express a target in terms of
-    the original columns.
+    so far. A column inserted under a label carries its coefficient through
+    the reduction, so ``membership`` can express a target in terms of the
+    labelled columns; unlabelled columns only widen the span.
     """
 
-    def __init__(self, ring: Ring, dim: int):
+    def __init__(self, ring: Ring):
         self.ring = ring
-        self.dim = dim
         self.pivots: list[tuple[int, dict, dict]] = []  # (pivot row, vector, combo)
-        self.ncols = 0
 
     def _reduce(self, vec: dict, combo: dict):
         ring = self.ring
@@ -199,25 +192,19 @@ class _Echelon:
                 combo = vec_sub(ring, combo, vec_scale(ring, factor, pcombo))
         return vec, combo
 
-    def insert(self, vec: dict) -> dict | None:
+    def insert(self, vec: dict, label=None) -> dict | None:
         """Insert a column; returns None if independent, else the combination
-        of previously inserted columns equal to it."""
-        idx = self.ncols
-        self.ncols += 1
-        red, combo = self._reduce(vec, {idx: self.ring.one})
-        if not red:
-            # vec = sum of earlier columns: solve combo for idx coefficient 1
-            coeff = combo.pop(idx, None)
-            if coeff is None:
-                return {}
-            inv = self.ring.one / coeff
-            return vec_scale(self.ring, -inv, combo)
-        prow = min(red)
-        self.pivots.append((prow, red, combo))
-        return None
+        of earlier labelled columns equal to it modulo the unlabelled ones."""
+        red, combo = self._reduce(vec, {} if label is None else {label: self.ring.one})
+        if red:
+            self.pivots.append((min(red), red, combo))
+            return None
+        combo.pop(label, None)
+        return vec_scale(self.ring, self.ring.from_int(-1), combo)
 
     def membership(self, vec: dict) -> dict | None:
-        """Coefficients on the inserted columns expressing vec, or None."""
+        """Coefficients on the labelled columns expressing vec modulo the
+        unlabelled ones, or None if vec is outside the span."""
         red, combo = self._reduce(vec, {})
         if red:
             return None
@@ -227,7 +214,7 @@ class _Echelon:
 def rank(m: SparseMatrix) -> int:
     if not m.ring.is_field:
         raise ValueError("rank requires field coefficients")
-    ech = _Echelon(m.ring, m.rows)
+    ech = _Echelon(m.ring)
     for col in m.columns():
         ech.insert(col)
     return len(ech.pivots)
@@ -237,10 +224,10 @@ def kernel_basis(m: SparseMatrix) -> list[dict]:
     """A basis of ker(m) over a field, one vector per non-pivot column."""
     if not m.ring.is_field:
         raise ValueError("kernel_basis requires field coefficients")
-    ech = _Echelon(m.ring, m.rows)
+    ech = _Echelon(m.ring)
     out = []
     for j, col in enumerate(m.columns()):
-        combo = ech.insert(col)
+        combo = ech.insert(col, label=j)
         if combo is not None:
             # col_j = sum(combo[k] * col_k), so e_j - combo spans the kernel
             vec = {k: -v for k, v in combo.items()}
@@ -253,7 +240,7 @@ def solve_in_image(m: SparseMatrix, target: dict) -> dict | None:
     """Exact x with m*x = target, or None if target is not in the image."""
     if not m.ring.is_field:
         raise ValueError("solve_in_image requires field coefficients")
-    ech = _Echelon(m.ring, m.rows)
-    for col in m.columns():
-        ech.insert(col)
+    ech = _Echelon(m.ring)
+    for j, col in enumerate(m.columns()):
+        ech.insert(col, label=j)
     return ech.membership(target)

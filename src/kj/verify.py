@@ -79,16 +79,9 @@ def _twice_exponent(d: PlanarDiagram, orientation) -> int:
 def _expand_in_canonical_classes(complex_, fh, i, coords, orientations):
     """Solve [class] = sum c_o * [canonical class], or None; the class has
     coordinates ``coords`` on the degree-i homology basis."""
-    offset = {}
-    run = 0
-    for k in sorted(fh.reps):
-        offset[k] = run
-        run += fh.rank(k)
-    m = SparseMatrix(run, len(orientations), complex_.ring)
-    for j, o in enumerate(orientations):
-        k, vec = complex_.chain_to_vec(canonical_chain(complex_, o))
-        for r, v in fh.reduce(k, vec).items():
-            m.set(offset[k] + r, j, v)
+    m, offset = fh.class_matrix(
+        [fh.reduce_chain(canonical_chain(complex_, o)) for o in orientations]
+    )
     target = {offset[i] + r: v for r, v in coords.items()} if coords else {}
     return solve_in_image(m, target)
 

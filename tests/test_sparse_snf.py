@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from kj.rings import QQ, ZZ
-from kj.snf import smith_normal_form
-from kj.sparse import SparseMatrix, kernel_basis, rank, solve_in_image
+from kj.snf import snf_diagonal
+from kj.sparse import SparseMatrix, _Echelon, kernel_basis, rank, solve_in_image
 
 
 def _mat(ring, rows):
@@ -14,12 +16,7 @@ def _mat(ring, rows):
     return m
 
 
-def _dense(m):
-    return [[int(m.get(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-
-
 def _det(rows):
-    # fraction-free enough for the small unimodular checks here
     n = len(rows)
     a = [[Fraction(x) for x in r] for r in rows]
     det = Fraction(1)
@@ -37,18 +34,30 @@ def _det(rows):
     return det
 
 
+def _invariant_factors(rows):
+    """d_k / d_(k-1) from the determinantal divisors d_k, the gcd of all
+    k x k minors, up to the rank."""
+    n, m = len(rows), len(rows[0])
+    divisors = [1]
+    for k in range(1, min(n, m) + 1):
+        g = 0
+        for rs in combinations(range(n), k):
+            for cs in combinations(range(m), k):
+                g = gcd(g, int(_det([[rows[r][c] for c in cs] for r in rs])))
+        if g == 0:
+            break
+        divisors.append(g)
+    return [b // a for a, b in zip(divisors, divisors[1:])]
+
+
 def test_snf_worked_example():
-    d, u, v = smith_normal_form(_mat(ZZ, [[2, 4], [6, 8]]))
-    assert [int(d.get(i, i)) for i in range(2)] == [2, 4]
+    assert snf_diagonal(_mat(ZZ, [[2, 4], [6, 8]])) == [2, 4]
 
 
 def test_snf_identity_and_zero():
-    d, _, _ = smith_normal_form(SparseMatrix.identity(3, ZZ))
-    assert [int(d.get(i, i)) for i in range(3)] == [1, 1, 1]
-    z = SparseMatrix.zero(2, 3, ZZ)
-    d, u, v = smith_normal_form(z)
-    assert d.is_zero()
-    assert abs(_det(_dense(u))) == 1 and abs(_det(_dense(v))) == 1
+    assert snf_diagonal(SparseMatrix.identity(3, ZZ)) == [1, 1, 1]
+    assert snf_diagonal(SparseMatrix.zero(2, 3, ZZ)) == []
+    assert snf_diagonal(_mat(ZZ, [[2, 0], [0, 3]])) == [1, 6]
 
 
 def test_snf_randomized_properties():
@@ -56,21 +65,8 @@ def test_snf_randomized_properties():
     for _ in range(40):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = _mat(
-            ZZ,
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)],
-        )
-        d, u, v = smith_normal_form(m)
-        assert u * m * v == d
-        diag = [int(d.get(i, i)) for i in range(min(rows, cols))]
-        for i, j in d.data:
-            assert i == j
-        nz = [x for x in diag if x]
-        assert all(x > 0 for x in nz)
-        for a, b in zip(nz, nz[1:]):
-            assert b % a == 0
-        assert abs(_det(_dense(u))) == 1
-        assert abs(_det(_dense(v))) == 1
+        dense = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        assert snf_diagonal(_mat(ZZ, dense)) == _invariant_factors(dense)
 
 
 def test_kernel_and_solve():
@@ -104,6 +100,24 @@ def test_kernel_and_solve():
 def test_solve_detects_non_membership():
     m = _mat(QQ, [[1, 0], [0, 0]])
     assert solve_in_image(m, {1: Fraction(1)}) is None
+
+
+def test_echelon_reports_only_labelled_columns():
+    # unlabelled image columns e0 + e1 and e2; labelled representatives e0, e3
+    ech = _Echelon(QQ)
+    one = Fraction(1)
+    assert ech.insert({0: one, 1: one}) is None
+    assert ech.insert({2: one}) is None
+    assert ech.insert({0: one}, label=0) is None
+    assert ech.insert({3: one}, label=1) is None
+    # e1 = (e0 + e1) - e0: only the representative e0 shows, with -1
+    assert ech.membership({1: one}) == {0: Fraction(-1)}
+    target = {0: Fraction(2), 2: Fraction(5), 3: Fraction(-3)}
+    assert ech.membership(target) == {0: Fraction(2), 1: Fraction(-3)}
+    assert ech.membership({2: one}) == {}
+    assert ech.membership({4: one}) is None
+    # a dependent labelled column reports the labelled columns it equals
+    assert ech.insert({0: one, 2: one, 3: one}, label=2) == {0: one, 1: one}
 
 
 def test_matrix_json_roundtrippable_strings():
