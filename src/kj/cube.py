@@ -14,8 +14,11 @@ circles with the sign (-1)^(number of 1 bits below the flipped index).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections import Counter
+from collections.abc import Callable, Mapping
+from operator import itemgetter
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .diagram import PlanarDiagram, Resolution, crossing_sign, resolve
 from .errors import DiagramTooLargeError, InternalInvariantError, PDValidationError
@@ -49,16 +52,12 @@ Gen = tuple[tuple[int, ...], tuple[int, ...]]
 _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
-# machine, `kj homology` on T(2,9) (19686 generators) takes 1.6 s for
-# Khovanov homology over Z and 6 s for Lee homology over Q; on T(2,11)
-# (177150 generators) it takes 20 s and 260 MiB, and 96 s and 415 MiB,
-# mostly building the cube and checking d^2 = 0. Each further crossing
-# roughly triples the generators.
+# machine, `kj homology` on T(2,9) (19686 generators) takes 0.8 s for
+# Khovanov homology over Z and 1.0 s for Lee homology over Q; on T(2,11)
+# (177150 generators) it takes 5 to 10 s and 263 MiB, and 9 to 14 s and
+# 362 MiB. Each further crossing roughly triples the generators, and memory
+# grows with them.
 MAX_CROSSINGS = 12
-
-
-def _label_deg(label: int) -> int:
-    return 1 if label == V_PLUS else -1
 
 
 def merge_products(x: int, y: int, t: int):
@@ -85,8 +84,28 @@ def counit(x: int) -> int:
     return 1 if x == V_MINUS else 0
 
 
+class _Edge(NamedTuple):
+    """One cube edge out of a resolution, with its circle map worked out once.
+
+    ``c1`` and ``c2`` are the source circles the change consumes (equal for a
+    split), and ``products`` maps their labels to [(new labels, coeff)], the
+    labels of the circle(s) the change makes. ``take`` reads a generator's
+    target labels off ``labels + new labels``.
+    """
+
+    tbits: tuple[int, ...]
+    sign: int
+    c1: int
+    c2: int
+    products: dict
+    take: Callable
+
+
 class ChainComplex:
-    """Basis-indexed chain groups with sparse differentials d_i: C^i -> C^{i+1}."""
+    """Basis-indexed chain groups with sparse differentials d_i: C^i -> C^{i+1}.
+
+    ``qs[i]`` is the q-grading of each generator of ``bases[i]``, in order.
+    """
 
     def __init__(self, diagram: PlanarDiagram, t: int, ring: Ring):
         self.diagram = diagram
@@ -101,8 +120,19 @@ class ChainComplex:
         self.n_minus = diagram.crossing_count - self.n_plus
         self.resolutions: dict[tuple[int, ...], Resolution] = {}
         self.bases: dict[int, list[Gen]] = {}
+        self.qs: dict[int, list[int]] = {}
         self.index: dict[Gen, tuple[int, int]] = {}
         self.diff: dict[int, SparseMatrix] = {}
+        pairs = list(itertools.product((V_PLUS, V_MINUS), repeat=2))
+        self._merges = {
+            (x, y): [((lab,), coeff) for lab, coeff in merge_products(x, y, t)]
+            for x, y in pairs
+        }
+        self._splits = {(x, x): split_products(x, t) for x in (V_PLUS, V_MINUS)}
+        self._edges: dict[tuple[int, ...], dict[int, _Edge]] = {}
+        # int -> its ring element (None if zero in the ring); every entry of
+        # d is one of these shared objects
+        self._elements: dict[int, object] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -110,19 +140,23 @@ class ChainComplex:
     def _build(self):
         d = self.diagram
         n = d.crossing_count
-        per_degree: dict[int, list[Gen]] = {}
+        # bits and labels both run in lexicographic order, so each degree's
+        # generators come out sorted
         for bits in itertools.product((0, 1), repeat=n):
             res = resolve(d, bits)
             self.resolutions[bits] = res
-            i = sum(bits) - self.n_minus
+            weight = sum(bits)
+            i = weight - self.n_minus
             k = res.circle_count
+            gens = self.bases.setdefault(i, [])
+            qs = self.qs.setdefault(i, [])
+            # deg v+ = +1 and deg v- = -1, so the labels add k - 2 (number of v-)
+            q_all_plus = k + weight + self.n_plus - 2 * self.n_minus
             for labels in itertools.product((V_PLUS, V_MINUS), repeat=k):
-                per_degree.setdefault(i, []).append((bits, labels))
-        for i, gens in per_degree.items():
-            gens.sort()
-            self.bases[i] = gens
-            for pos, g in enumerate(gens):
-                self.index[g] = (i, pos)
+                g = (bits, labels)
+                self.index[g] = (i, len(gens))
+                gens.append(g)
+                qs.append(q_all_plus - 2 * sum(labels))  # V_MINUS = 1
         for i in sorted(self.bases):
             if i + 1 in self.bases:
                 self.diff[i] = self._differential(i)
@@ -130,12 +164,59 @@ class ChainComplex:
                 self.diff[i] = SparseMatrix(0, len(self.bases[i]), self.ring)
 
     def _differential(self, i: int) -> SparseMatrix:
-        m = SparseMatrix(len(self.bases[i + 1]), len(self.bases[i]), self.ring)
-        for pos, gen in enumerate(self.bases[i]):
-            for target, coeff in self.gen_differential(gen):
-                _, tpos = self.index[target]
-                m.add_to(tpos, pos, self.ring.from_int(coeff))
+        """d_i, one column at a time: each column is summed as ints, and each
+        distinct int becomes a ring element once, so equal entries share one
+        object."""
+        ring, index, elements = self.ring, self.index, self._elements
+        m = SparseMatrix(len(self.bases[i + 1]), len(self.bases[i]), ring)
+        data = m.data
+        for c, (bits, labels) in enumerate(self.bases[i]):
+            col: dict[int, int] = {}
+            for tbits, sign, c1, c2, products, take in self._out_edges(bits).values():
+                for new, coeff in products[labels[c1], labels[c2]]:
+                    r = index[(tbits, take(labels + new))][1]
+                    col[r] = col.get(r, 0) + sign * coeff
+            for r, v in col.items():
+                if v not in elements:
+                    x = ring.from_int(v)
+                    elements[v] = None if ring.is_zero(x) else x
+                if elements[v] is not None:
+                    data[(r, c)] = elements[v]
         return m
+
+    def _out_edges(self, bits: tuple[int, ...]) -> dict[int, _Edge]:
+        """The cube edges leaving resolution ``bits``, by flipped bit."""
+        edges = self._edges.get(bits)
+        if edges is None:
+            edges = {j: self._edge(bits, j) for j, b in enumerate(bits) if not b}
+            self._edges[bits] = edges
+        return edges
+
+    def _edge(self, bits: tuple[int, ...], j: int) -> _Edge:
+        src = self.resolutions[bits]
+        tbits = bits[:j] + (1,) + bits[j + 1 :]
+        tgt = self.resolutions[tbits]
+        c1 = src.circle_of_dart[(j, 0)]
+        c2 = src.circle_of_dart[(j, 2)]
+        t1 = tgt.circle_of_dart[(j, 0)]
+        t2 = tgt.circle_of_dart[(j, 2)]
+        k = src.circle_count
+        if c1 != c2:
+            # merge: both source circles land on one target circle
+            fixed, products = {t1: k}, self._merges
+        elif t1 == t2:
+            raise InternalInvariantError("cube edge changed no circle")
+        else:
+            fixed, products = {t1: k, t2: k + 1}, self._splits
+        # carry the source circles' own indices: each target circle reads its
+        # label from that source circle, or from position k (k + 1), the
+        # new label(s) appended after the k source labels
+        source = carry_labels(src, tgt, tuple(range(k)), {c1: None, c2: None}, fixed)
+        if len(source) > 1:
+            take = itemgetter(*source)
+        else:
+            take = lambda ext, s=source[0]: (ext[s],)  # noqa: E731
+        return _Edge(tbits, (-1) ** sum(bits[:j]), c1, c2, products, take)
 
     def gen_differential(self, gen: Gen):
         """Image of a single generator as [(generator, integer coeff)]."""
@@ -152,29 +233,11 @@ class ChainComplex:
     def edge_image(self, gen: Gen, j: int):
         """Unsigned merge/split across the cube edge flipping bit j."""
         bits, labels = gen
-        src = self.resolutions[bits]
-        tbits = bits[:j] + (1,) + bits[j + 1 :]
-        tgt = self.resolutions[tbits]
-        c1 = src.circle_of_dart[(j, 0)]
-        c2 = src.circle_of_dart[(j, 2)]
-        t1 = tgt.circle_of_dart[(j, 0)]
-        t2 = tgt.circle_of_dart[(j, 2)]
-        consumed = {c1: None, c2: None}
-        out = []
-        if c1 != c2:
-            # merge: both source circles land on one target circle
-            for lab, coeff in merge_products(labels[c1], labels[c2], self.t):
-                tlabels = carry_labels(src, tgt, labels, consumed, {t1: lab})
-                out.append(((tbits, tlabels), coeff))
-        else:
-            if t1 == t2:
-                raise InternalInvariantError("cube edge changed no circle")
-            for (la, lb), coeff in split_products(labels[c1], self.t):
-                tlabels = carry_labels(
-                    src, tgt, labels, consumed, {t1: la, t2: lb}
-                )
-                out.append(((tbits, tlabels), coeff))
-        return out
+        e = self._out_edges(bits)[j]
+        return [
+            ((e.tbits, e.take(labels + new)), coeff)
+            for new, coeff in e.products[labels[e.c1], labels[e.c2]]
+        ]
 
     # -- gradings -------------------------------------------------------------
 
@@ -182,9 +245,8 @@ class ChainComplex:
         return sum(gen[0]) - self.n_minus
 
     def q_of(self, gen: Gen) -> int:
-        bits, labels = gen
-        deg = sum(_label_deg(x) for x in labels)
-        return deg + sum(bits) + self.n_plus - 2 * self.n_minus
+        i, pos = self.index[gen]
+        return self.qs[i][pos]
 
     def degrees(self) -> list[int]:
         return sorted(self.bases)
@@ -193,22 +255,47 @@ class ChainComplex:
         return len(self.bases.get(i, ()))
 
     def validate(self) -> None:
-        """d^2 = 0, and the q behavior expected of the theory."""
+        """d^2 = 0, and the q behavior expected of the theory.
+
+        Both run on the integers that the entries of d stand for, one column
+        at a time: d_{i+1}(d_i e_c) is summed in a dict of ints and must
+        vanish over Z, hence in the ring. At most two degrees of d are held
+        as ints at once.
+        """
+        shifts = {0} if self.t == 0 else {0, 4}
+        later = None  # d_i as int columns, kept from the previous degree
         for i in self.degrees():
-            if i + 1 in self.bases and i + 2 in self.bases:
-                if not (self.diff[i + 1] * self.diff[i]).is_zero():
-                    raise InternalInvariantError(f"d^2 != 0 at degree {i}")
-            m = self.diff[i]
             if i + 1 not in self.bases:
                 continue
-            for (r, c), _ in m.data.items():
-                dq = self.q_of(self.bases[i + 1][r]) - self.q_of(self.bases[i][c])
-                if self.t == 0 and dq != 0:
-                    raise InternalInvariantError("graded differential broke q")
-                if self.t == 1 and dq not in (0, 4):
-                    raise InternalInvariantError(
-                        f"filtered differential shifted q by {dq}"
-                    )
+            cols = later if later is not None else self._int_columns(i)
+            later = self._int_columns(i + 1) if i + 2 in self.bases else None
+            q_src, q_tgt = self.qs[i], self.qs[i + 1]
+            for c, col in enumerate(cols):
+                image: dict[int, int] = {}
+                for r, v in col:
+                    dq = q_tgt[r] - q_src[c]
+                    if dq not in shifts:
+                        if self.t == 0:
+                            raise InternalInvariantError("graded differential broke q")
+                        raise InternalInvariantError(
+                            f"filtered differential shifted q by {dq}"
+                        )
+                    if later is not None:
+                        for r2, w in later[r]:
+                            image[r2] = image.get(r2, 0) + v * w
+                if any(image.values()):
+                    raise InternalInvariantError(f"d^2 != 0 at degree {i}")
+
+    def _int_columns(self, i: int) -> list[list[tuple[int, int]]]:
+        """d_i as columns of (row, int) pairs."""
+        # every entry is one of the shared elements, looked up by identity,
+        # because hashing a Fraction costs more than checking its entry
+        ints = {id(x): v for v, x in self._elements.items() if x is not None}
+        m = self.diff[i]
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
+        for (r, c), x in m.data.items():
+            cols[c].append((r, ints[id(x)]))
+        return cols
 
     # -- chains as dicts Gen -> scalar -----------------------------------------
 
@@ -284,10 +371,9 @@ def carry_labels(
     return tuple(out)
 
 
-def build_complex(
-    diagram: PlanarDiagram, t: int, ring: Ring, validate: bool = True
-) -> ChainComplex:
-    """Build the t = 0 (graded) or t = 1 (filtered) complex over ``ring``."""
+def build_complex(diagram: PlanarDiagram, t: int, ring: Ring) -> ChainComplex:
+    """Build the t = 0 (graded) or t = 1 (filtered) complex over ``ring``,
+    and check d^2 = 0 and its q shift."""
     _admit(diagram)
     if t not in (0, 1):
         raise ValueError("t must be 0 or 1")
@@ -296,8 +382,7 @@ def build_complex(
             "the filtered theory requires characteristic different from 2"
         )
     c = ChainComplex(diagram, t, ring)
-    if validate:
-        c.validate()
+    c.validate()
     return c
 
 
@@ -324,11 +409,11 @@ def graded_euler_characteristic(complex_: ChainComplex) -> Laurent:
     """Sum of (-1)^i q^(q-grading) over the chain basis (t = 0 only)."""
     if complex_.t != 0:
         raise ValueError("the Euler characteristic oracle is for t = 0")
-    out = Laurent.zero()
-    for i, gens in complex_.bases.items():
-        for g in gens:
-            out = out + Laurent.q(complex_.q_of(g), (-1) ** i)
-    return out
+    tally: Counter = Counter()
+    for i, qs in complex_.qs.items():
+        for q, count in Counter(qs).items():
+            tally[q] += (-1) ** i * count
+    return Laurent(tally)
 
 
 def kauffman_bracket(d: PlanarDiagram) -> Laurent:

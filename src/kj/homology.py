@@ -93,10 +93,9 @@ def homology(complex_: ChainComplex) -> HomologySummary:
     labels: list[int] = []  # generator id -> q (t = 0) or q mod 4 (t = 1)
     for i in complex_.degrees():
         first[i] = len(labels)
-        for g in complex_.bases[i]:
-            q = complex_.q_of(g)
-            degree.append(i)
-            labels.append(q if graded else q % 4)
+        qs = complex_.qs[i]
+        degree.extend([i] * len(qs))
+        labels.extend(qs if graded else [q % 4 for q in qs])
     # (i, q) or (i, None) -> leftover generator ids, and their rows of d
     leftover: dict[tuple, list[int]] = {}
     rows: dict[int, dict] = {}

@@ -932,9 +932,7 @@ class MovieMaps:
         self.movie = movie
         self.t = t
         self.ring = ring or QQ
-        self.complexes = [
-            build_complex(f, t, self.ring, validate=False) for f in movie.frames
-        ]
+        self.complexes = [build_complex(f, t, self.ring) for f in movie.frames]
         self.homologies = [FieldHomology(c) for c in self.complexes]
         self.chain_steps: list[ChainMap | None] = []
         self.steps: list[StepMap] = []

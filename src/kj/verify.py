@@ -273,12 +273,12 @@ def _difference_filtration(c_src, c_dst, cm0, cm1, chi, minimum_extra=1):
     for i in cm0.mats:
         # the t = 0 map must be pure of degree chi
         for (r, c), _ in cm0.mats[i].data.items():
-            dq = c_dst.q_of(c_dst.bases[i][r]) - c_src.q_of(c_src.bases[i][c])
+            dq = c_dst.qs[i][r] - c_src.qs[i][c]
             if dq != chi:
                 ok = False
         delta = cm1.mats[i] - cm0.mats[i]
         for (r, c), _ in delta.data.items():
-            dq = c_dst.q_of(c_dst.bases[i][r]) - c_src.q_of(c_src.bases[i][c])
+            dq = c_dst.qs[i][r] - c_src.qs[i][c]
             extra = dq - chi
             min_shift = extra if min_shift is None else min(min_shift, extra)
             if extra < minimum_extra:

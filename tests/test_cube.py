@@ -1,8 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 
+from kj import cube
+from kj.corpus import DIAGRAMS
 from kj.cube import (
     V_MINUS,
     V_PLUS,
@@ -17,8 +20,9 @@ from kj.diagram import parse_pd, resolve
 from kj.errors import InternalInvariantError, PDValidationError
 from kj.laurent import Laurent
 from kj.rings import GF, QQ, ZZ
+from kj.sparse import SparseMatrix
 
-from diagrams import CURL, FIG8, HOPF, MIRROR_TREFOIL, TREFOIL
+from diagrams import CURL, FIG8, HOPF, MIRROR_TREFOIL, TREFOIL, torus_pd
 
 
 def test_unknot_complex():
@@ -158,3 +162,48 @@ def test_carry_labels_rejects_unmatched_circles():
     # the only source circle is dropped and nothing labels the target
     with pytest.raises(InternalInvariantError):
         carry_labels(one, one, (V_PLUS,), {0: None})
+
+
+def _mirror(text: str) -> str:
+    """Swap the over and under strand of every crossing: X(a,b,c,d) -> X(a,d,c,b)."""
+    return re.sub(r"X\((\d+),(\d+),(\d+),(\d+)\)", r"X(\1,\4,\3,\2)", text)
+
+
+def _slow_differential(c, i: int) -> SparseMatrix:
+    """d_i entry by entry from ``gen_differential``."""
+    m = SparseMatrix(c.dim(i + 1), c.dim(i), c.ring)
+    for col, g in enumerate(c.bases[i]):
+        for target, coeff in c.gen_differential(g):
+            j, row = c.index[target]
+            assert j == i + 1
+            m.add_to(row, col, c.ring.from_int(coeff))
+    return m
+
+
+TORI = [torus_pd(n) for n in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("t, ring", [(0, ZZ), (0, QQ), (1, QQ), (1, GF(5))])
+def test_differential_matches_generator_by_generator(t, ring):
+    for text in [*DIAGRAMS.values(), *TORI, *map(_mirror, TORI)]:
+        c = build_complex(parse_pd(text), t, ring)
+        for i in c.degrees():
+            assert c.diff[i] == _slow_differential(c, i), (text, i)
+
+
+def test_build_catches_a_dropped_split_term(monkeypatch):
+    split = cube.split_products
+    monkeypatch.setattr(cube, "split_products", lambda x, t: split(x, t)[1:])
+    for t in (0, 1):
+        with pytest.raises(InternalInvariantError, match="d\\^2 != 0"):
+            build_complex(parse_pd(TREFOIL), t, QQ)
+
+
+def test_build_catches_a_broken_q_shift(monkeypatch):
+    # the t = 1 products at t = 0: d^2 = 0 still holds, but v- v- -> v+
+    # raises q by 4, which the graded theory forbids
+    merge, split = cube.merge_products, cube.split_products
+    monkeypatch.setattr(cube, "merge_products", lambda x, y, t: merge(x, y, 1))
+    monkeypatch.setattr(cube, "split_products", lambda x, t: split(x, 1))
+    with pytest.raises(InternalInvariantError, match="graded differential broke q"):
+        build_complex(parse_pd(TREFOIL), 0, QQ)

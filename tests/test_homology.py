@@ -80,6 +80,7 @@ def test_acyclic_two_term_complex():
 
         def __init__(self):
             self.bases = {0: ["x"], 1: ["y"]}
+            self.qs = {0: [0], 1: [0]}
             self.diff = {
                 0: SparseMatrix(1, 1, QQ, {(0, 0): QQ.one}),
                 1: SparseMatrix(0, 1, QQ),

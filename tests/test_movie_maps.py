@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from kj.canonical import canonical_chain, lee_generator
-from kj.cube import V_MINUS, V_PLUS, build_complex
+from kj.corpus import load_movie
+from kj.cube import V_MINUS, V_PLUS, ChainComplex, build_complex
 from kj.diagram import all_orientations, parse_pd
 from kj.moves import Birth, Death, R1Move, R2Move, R3Move, Saddle, apply_move
 from kj.movie import Movie, MovieMaps, kj_number
@@ -175,3 +176,18 @@ def test_kj_number_with_r_move_noise():
     )
     assert [f.is_empty() for f in mv.frames][-1]
     assert kj_number(mv) == 2
+
+
+def test_every_frame_complex_is_validated(monkeypatch):
+    checked = []
+    validate = ChainComplex.validate
+
+    def spy(self):
+        checked.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ChainComplex, "validate", spy)
+    for t in (0, 1):
+        checked.clear()
+        maps = MovieMaps(load_movie("torus-noise"), t)
+        assert checked == maps.complexes
