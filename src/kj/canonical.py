@@ -151,8 +151,9 @@ def verify_basis(d: PlanarDiagram, ring: Ring | None = None) -> BasisReport:
     """Check that the canonical classes freely generate the t = 1 homology.
 
     Returns the change-of-basis matrix from canonical classes to the
-    computed homology basis, one column per orientation in the order of
-    ``all_orientations``; a failure indicates a labeling-rule bug.
+    greedy homology basis (``FieldHomology.greedy_coordinates``), one column
+    per orientation in the order of ``all_orientations``; a failure
+    indicates a labeling-rule bug.
     """
     complex_ = build_complex(d, 1, ring or QQ)
     fh = FieldHomology(complex_)
@@ -165,7 +166,8 @@ def verify_basis(d: PlanarDiagram, ring: Ring | None = None) -> BasisReport:
             raise InternalInvariantError(
                 f"canonical chain of {o} is not a cycle"
             )
-        classes.append(fh.reduce_chain(chain))
+        i, coords = fh.reduce_chain(chain)
+        classes.append((i, fh.greedy_coordinates(i, coords)))
     rank = fh.total_rank()
     # full-rank check: the classes must be independent and span
     m, _ = fh.class_matrix(classes)

@@ -93,8 +93,11 @@ def cmd_homology(args) -> int:
     if t == 1 and ring is ZZ:
         # torsion of the deformed theory is out of scope; use a field
         raise PDValidationError("the filtered theory is computed over a field")
-    complex_ = build_complex(d, t, ring)
+    # ranks do not change under the field extension Q(sqrt2) / Q, and every
+    # entry of d is an integer, so Q(sqrt2) homology is computed over Q
+    complex_ = build_complex(d, t, QQ if ring is QSQRT2 else ring)
     summary = homology(complex_)
+    summary.ring_name = ring.name
     _emit(
         args,
         {"command": "homology", "diagram": render_pd(d), "theory": args.theory,
@@ -190,7 +193,7 @@ def cmd_movie(args) -> int:
     else:
         t = 0 if args.theory == "kh" else 1
         maps = MovieMaps(movie, t=t)
-        total = maps.composite_step()
+        total = maps.composite_step().in_greedy_bases()
         mats = {
             str(i): m.to_json() for i, m in sorted(total.mats.items()) if m.rows or m.cols
         }

@@ -8,12 +8,20 @@ differential block by block (Gaussian elimination), and then takes the Smith
 normal form over Z, or the rank over a field, of only what is left. Torsion
 is attributed to the q of its target block.
 
-``FieldHomology`` produces explicit representative cycles per degree over a
-field, plus a reduction routine that writes any cycle's class in that basis.
+``FieldHomology`` runs the same elimination over a field and keeps its
+record. There every nonzero entry is a unit, so nothing of d is left: the
+leftover generators are a basis of the homology (the leftover basis), f
+projects a cycle onto them (its class), and g includes them back as
+representative cycles (Bar-Natan, arXiv:math/0606318). No echelon of a
+whole degree is built. Only printing asks for the greedy basis, the
+kernel_basis cycles independent in homology in column order, which keeps
+printed coordinates as they were; converting to it is one rank x rank
+system per degree.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .cube import ChainComplex
@@ -88,14 +96,7 @@ def homology(complex_: ChainComplex) -> HomologySummary:
     ring = complex_.ring
     summary = HomologySummary(ring.name, complex_.t)
     graded = complex_.t == 0
-    first = {}  # degree -> id of its first generator
-    degree: list[int] = []  # generator id -> i
-    labels: list[int] = []  # generator id -> q (t = 0) or q mod 4 (t = 1)
-    for i in complex_.degrees():
-        first[i] = len(labels)
-        qs = complex_.qs[i]
-        degree.extend([i] * len(qs))
-        labels.extend(qs if graded else [q % 4 for q in qs])
+    first, degree, labels = _numbering(complex_)
     # (i, q) or (i, None) -> leftover generator ids, and their rows of d
     leftover: dict[tuple, list[int]] = {}
     rows: dict[int, dict] = {}
@@ -111,6 +112,21 @@ def homology(complex_: ChainComplex) -> HomologySummary:
         if rank_free or tors:
             summary.groups[(i, k)] = (rank_free, tors)
     return summary
+
+
+def _numbering(complex_: ChainComplex):
+    """Generator ids, degree by degree: the first id of each degree, and per
+    id its degree i and its block label, q at t = 0 and q mod 4 at t = 1."""
+    graded = complex_.t == 0
+    first = {}  # degree -> id of its first generator
+    degree: list[int] = []  # generator id -> i
+    labels: list[int] = []  # generator id -> q (t = 0) or q mod 4 (t = 1)
+    for i in complex_.degrees():
+        first[i] = len(labels)
+        qs = complex_.qs[i]
+        degree.extend([i] * len(qs))
+        labels.extend(qs if graded else [q % 4 for q in qs])
+    return first, degree, labels
 
 
 def _blocks(complex_: ChainComplex, first: dict[int, int], labels: list[int]):
@@ -145,7 +161,7 @@ def _blocks(complex_: ChainComplex, first: dict[int, int], labels: list[int]):
         yield out, inn
 
 
-def _eliminate(out: dict, inn: dict, ring: Ring) -> None:
+def _eliminate(out: dict, inn: dict, ring: Ring) -> list[tuple]:
     """Cancel unit entries of a block's differential in place, until none is
     left (Bar-Natan's Gaussian elimination lemma, arXiv:math/0606318).
 
@@ -155,9 +171,16 @@ def _eliminate(out: dict, inn: dict, ring: Ring) -> None:
     Z and every nonzero entry over a field. Among the units of a row, the
     target with the fewest incoming entries goes first, which keeps fill-in
     small.
+
+    Returns the cancellations in order as (x, y, s, row, gcol): s = -u^-1,
+    ``row`` is the rest of x's row, and ``gcol`` maps every other source w
+    of y to -d(w -> y) u^-1. They are the lemma's maps: the projection f
+    sends x to 0 and y to s * row, and the inclusion g sends w to
+    w + gcol[w] * x.
     """
     field = ring.is_field
     one = ring.one
+    steps: list[tuple] = []
     cancelled = True
     while cancelled:
         cancelled = False
@@ -185,9 +208,11 @@ def _eliminate(out: dict, inn: dict, ring: Ring) -> None:
                 inn[z].discard(y)
             sources = inn.pop(y)
             sources.discard(x)
+            gcol = {}
+            steps.append((x, y, scale, row, gcol))
             for w in sources:
                 wrow = out[w]
-                a = wrow.pop(y) * scale
+                a = gcol[w] = wrow.pop(y) * scale
                 for target, v in row.items():
                     s = wrow.get(target)
                     s = a * v if s is None else s + a * v
@@ -198,6 +223,7 @@ def _eliminate(out: dict, inn: dict, ring: Ring) -> None:
                     elif target in wrow:
                         del wrow[target]
                         inn[target].discard(w)
+    return steps
 
 
 def _leftover_matrix(rows: dict, cols: list[int], targets: list[int], ring: Ring) -> SparseMatrix:
@@ -232,12 +258,20 @@ def lee_total_rank(complex_: ChainComplex) -> int:
 
 
 class FieldHomology:
-    """Explicit homology bases with representative cycles, over a field.
+    """Homology over a field with explicit maps to and from the chains.
 
-    For every homological degree i this stores an echelon of im(d_{i-1})
-    extended by representative cycles to ker(d_i). Only the representatives
-    are labelled (by their position), so ``reduce`` writes any cycle as
-    coordinates on the representatives modulo boundaries.
+    The complex is eliminated block by block, as in ``homology``. Over a
+    field every nonzero entry is a unit, so no entry of d survives and the
+    leftover generators of degree i are a basis of H^i (the leftover basis).
+    The recorded cancellations give the two maps of the elimination lemma:
+    f projects a chain onto the leftover generators, and g includes them back
+    as cycles. ``reps[i]`` is g of the degree-i leftover basis, ``reduce``
+    is f on a cycle, and f(reps[i][k]) is the k-th unit vector.
+
+    Printed coordinates use the greedy basis instead: walking
+    ``kernel_basis(d_i)`` in order, the cycles whose classes are independent
+    of those kept before. ``greedy_reps`` and ``greedy_coordinates`` convert,
+    one rank x rank system per degree, built only when a caller asks.
     """
 
     def __init__(self, complex_: ChainComplex):
@@ -245,19 +279,31 @@ class FieldHomology:
             raise ValueError("FieldHomology requires field coefficients")
         self.complex = complex_
         self.ring = complex_.ring
-        self.reps: dict[int, list[dict]] = {}
-        self._echelons: dict[int, _Echelon] = {}
-        for i in complex_.degrees():
-            ech = _Echelon(self.ring)
-            if i - 1 in complex_.bases:
-                for col in complex_.diff[i - 1].columns():
-                    ech.insert(col)
-            reps: list[dict] = []
-            for vec in kernel_basis(complex_.diff[i]):
-                if ech.insert(vec, label=len(reps)) is None:
-                    reps.append(vec)
-            self.reps[i] = reps
-            self._echelons[i] = ech
+        first, degree, labels = _numbering(complex_)
+        self._first = first
+        self._steps: list[tuple] = []  # the cancellations, in order
+        self._step_of: dict[int, int] = {}  # cancelled id -> its step
+        self._g_of: dict[int, list] = {}  # id w -> [(step, gcol[w])]
+        leftover: dict[int, list[int]] = {i: [] for i in first}
+        for out, inn in _blocks(complex_, first, labels):
+            for step in _eliminate(out, inn, self.ring):
+                k = len(self._steps)
+                self._steps.append(step)
+                self._step_of[step[0]] = self._step_of[step[1]] = k
+                for w, a in step[4].items():
+                    self._g_of.setdefault(w, []).append((k, a))
+            for x, row in out.items():
+                if row:
+                    raise InternalInvariantError("elimination over a field left an entry")
+                leftover[degree[x]].append(x)
+        self._position = {
+            x: k for gens in leftover.values() for k, x in enumerate(sorted(gens))
+        }
+        self.reps: dict[int, list[dict]] = {
+            i: [self._include(x, first[i]) for x in sorted(gens)]
+            for i, gens in leftover.items()
+        }
+        self._greedy: dict[int, tuple[list[dict], _Echelon]] = {}
 
     def rank(self, i: int) -> int:
         return len(self.reps.get(i, ()))
@@ -266,14 +312,13 @@ class FieldHomology:
         return sum(len(r) for r in self.reps.values())
 
     def reduce(self, i: int, vec: dict) -> dict:
-        """Coordinates of a cycle's class on the degree-i representatives.
+        """Coordinates of a cycle's class on the degree-i leftover basis: f.
 
         Raises if the vector is not in the cycle space.
         """
-        sol = self._echelons[i].membership(vec)
-        if sol is None:
+        if self.complex.diff[i].apply(vec):
             raise InternalInvariantError("vector is not a cycle of the complex")
-        return sol
+        return self._project(i, vec)
 
     def reduce_chain(self, chain: dict) -> tuple[int, dict]:
         if not chain:
@@ -294,3 +339,91 @@ class FieldHomology:
             for k, v in coords.items():
                 m.set(offset[i] + k, j, v)
         return m, offset
+
+    def greedy_reps(self, i: int) -> list[dict]:
+        """The degree-i cycles of the greedy basis."""
+        return self._greedy_basis(i)[0]
+
+    def greedy_coordinates(self, i: int, coords: dict) -> dict:
+        """Leftover-basis coordinates of a degree-i class, rewritten on the
+        greedy basis."""
+        sol = self._greedy_basis(i)[1].membership(coords)
+        if sol is None:
+            raise InternalInvariantError("greedy basis does not span the homology")
+        return sol
+
+    def _greedy_basis(self, i: int):
+        got = self._greedy.get(i)
+        if got is None:
+            reps: list[dict] = []
+            ech = _Echelon(self.ring)  # labelled by position in reps
+            if self.rank(i):
+                for vec in kernel_basis(self.complex.diff[i]):
+                    if ech.insert(self._project(i, vec), label=len(reps)) is None:
+                        reps.append(vec)
+                        if len(reps) == self.rank(i):
+                            break
+            got = self._greedy[i] = (reps, ech)
+        return got
+
+    def _project(self, i: int, vec: dict) -> dict:
+        """f(vec) for a degree-i vector, on the degree-i leftover basis.
+
+        The cancellations act in the order they were made: each one drops its
+        x and replaces its y by s * row, whose generators all outlive it.
+        """
+        first, step_of, steps = self._first[i], self._step_of, self._steps
+        v = {first + c: x for c, x in vec.items()}
+        heap = [step_of[g] for g in v if g in step_of]
+        heapq.heapify(heap)
+        while heap:
+            x, y, scale, row, _ = steps[heapq.heappop(heap)]
+            v.pop(x, None)
+            c = v.pop(y, None)
+            if c is None:
+                continue
+            c = c * scale
+            for z, w in row.items():
+                s = v.get(z)
+                if s is None:
+                    v[z] = c * w
+                    if z in step_of:
+                        heapq.heappush(heap, step_of[z])
+                else:
+                    s = s + c * w
+                    if s:
+                        v[z] = s
+                    else:
+                        del v[z]
+        position = self._position
+        return {position[g]: c for g, c in v.items()}
+
+    def _include(self, x: int, first: int) -> dict:
+        """g(x) for a leftover generator x, as a vector of its degree.
+
+        The cancellations act in reverse order: each adds gcol[w] * x_k for
+        the w present, and every w that feeds x_k is final by then, since it
+        is x itself or an x_j cancelled later than x_k.
+        """
+        one, steps, g_of = self.ring.one, self._steps, self._g_of
+        v = {x: one}
+        pending: dict[int, object] = {}
+        heap: list[int] = []
+
+        def spread(w, c):
+            for k, a in g_of.get(w, ()):
+                if k in pending:
+                    pending[k] = pending[k] + c * a
+                else:
+                    pending[k] = c * a
+                    heapq.heappush(heap, -k)
+
+        spread(x, one)
+        while heap:
+            k = -heapq.heappop(heap)
+            c = pending.pop(k)
+            if c:
+                xk = steps[k][0]
+                v[xk] = c
+                spread(xk, c)
+        return {g - first: c for g, c in v.items()}

@@ -98,30 +98,30 @@ class ChainMap:
         return self.dst.vec_to_chain(i + self.shift, self.mats[i].apply(vec))
 
     def verify(self) -> None:
-        """Commutation with both differentials, exactly."""
+        """Commutation with both differentials, exactly, one column at a
+        time: for every generator e_c of degree i, f_{i+1}(d_i e_c) and
+        d_j(f_i e_c), j = i + shift, are summed in one dict and must cancel."""
+        f_cols = {i: m.columns() for i, m in self.mats.items()}
         for i in self.src.degrees():
-            if i + 1 not in self.src.bases:
-                continue
-            left = (
-                self.mats[i + 1] * self.src.diff[i]
-                if i + 1 in self.mats
-                else None
-            )
             j = i + self.shift
-            if j in self.dst.diff and j + 1 in self.dst.bases:
-                right = self.dst.diff[j] * self.mats[i]
-            else:
-                right = None
-            if left is None or left.is_zero():
-                left = None
-            if right is None or right.is_zero():
-                right = None
-            if left is None and right is None:
-                continue
-            if left is None or right is None or not (left - right).is_zero():
-                raise InternalInvariantError(
-                    f"chain map does not commute with d at degree {i}"
-                )
+            # f_i has no rows when degree j of the target is empty, and at the
+            # top degree of the source d_i has none
+            d_dst = self.dst.diff[j].columns() if j in self.dst.diff else []
+            f_next, f_here = f_cols.get(i + 1), f_cols[i]
+            for c, col in enumerate(self.src.diff[i].columns()):
+                acc: dict = {}
+                for r, v in col.items():
+                    for r2, w in f_next[r].items():
+                        s = acc.get(r2)
+                        acc[r2] = v * w if s is None else s + v * w
+                for r, v in f_here[c].items():
+                    for r2, w in d_dst[r].items():
+                        s = acc.get(r2)
+                        acc[r2] = -(v * w) if s is None else s - v * w
+                if any(acc.values()):
+                    raise InternalInvariantError(
+                        f"chain map does not commute with d at degree {i}"
+                    )
 
     def compose(self, earlier: "ChainMap") -> "ChainMap":
         out = ChainMap(earlier.src, self.dst, earlier.shift + self.shift)
@@ -688,6 +688,21 @@ class StepMap:
         if i not in self.mats:
             return {}
         return self.mats[i].apply(coords)
+
+    def in_greedy_bases(self) -> "StepMap":
+        """The same map written on the greedy bases of both ends
+        (``FieldHomology.greedy_coordinates``), as ``kj movie`` prints it."""
+        mats = {}
+        for i, m in self.mats.items():
+            out = SparseMatrix(m.rows, m.cols, m.ring)
+            if m.data:
+                for col, rep in enumerate(self.fh_src.greedy_reps(i)):
+                    img = m.apply(self.fh_src.reduce(i, rep))
+                    coords = self.fh_dst.greedy_coordinates(i + self.shift, img)
+                    for r, v in coords.items():
+                        out.set(r, col, v)
+            mats[i] = out
+        return StepMap(self.fh_src, self.fh_dst, mats, self.shift)
 
 
 # -- R3 transport ---------------------------------------------------------------

@@ -15,11 +15,12 @@ EMPTY = "PD[]"
 R3_UNKNOT = "PD[X(5,3,1,4), X(2,3,5,6), X(1,2,6,4)]"
 
 
-def torus_pd(n: int) -> str:
+def torus_pd(n: int, mirror: bool = False) -> str:
     """T(2,n) for odd n > 0 by the formula in ROADMAP.md: X(w(2i), w(2i+n+1),
-    w(2i+1), w(2i+n)) for i = 1..n, with w(x) = (x-1) mod 2n + 1."""
+    w(2i+1), w(2i+n)) for i = 1..n, with w(x) = (x-1) mod 2n + 1. The mirror
+    reverses the cyclic order of every crossing."""
     w = lambda x: (x - 1) % (2 * n) + 1  # noqa: E731
-    return "PD[" + ", ".join(
-        f"X({w(2 * i)},{w(2 * i + n + 1)},{w(2 * i + 1)},{w(2 * i + n)})"
-        for i in range(1, n + 1)
-    ) + "]"
+    xs = [(w(2 * i), w(2 * i + n + 1), w(2 * i + 1), w(2 * i + n)) for i in range(1, n + 1)]
+    if mirror:
+        xs = [(a, d, c, b) for a, b, c, d in xs]
+    return "PD[" + ", ".join("X(%d,%d,%d,%d)" % x for x in xs) + "]"

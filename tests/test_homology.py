@@ -4,16 +4,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kj.canonical import canonical_chain
 from kj.corpus import DIAGRAMS
 from kj.cube import build_complex, graded_euler_characteristic
-from kj.diagram import parse_pd
+from kj.diagram import all_orientations, parse_pd
 from kj.errors import IllegalMoveError
 from kj.homology import FieldHomology, homology, lee_total_rank
 from kj.laurent import Laurent
 from kj.moves import R1Move, R2Move, apply_move
 from kj.rings import GF, QQ, ZZ
+from kj.sparse import _Echelon, kernel_basis
 
-from diagrams import CINQUEFOIL, FIG8, HOPF, MIRROR_TREFOIL, TREFOIL, UNKNOT, UNLINK2
+from diagrams import (
+    CINQUEFOIL, FIG8, HOPF, MIRROR_TREFOIL, TREFOIL, UNKNOT, UNLINK2, torus_pd,
+)
 
 
 def test_unknot_homology():
@@ -145,6 +149,61 @@ def test_field_homology_reduce_roundtrip():
         for col in img[:3]:
             if col:
                 assert fh.reduce(i + 1, col) == {}
+
+
+class _EchelonHomology:
+    """The whole-degree echelon homology that FieldHomology replaced, kept
+    as the reference: per degree, an echelon of im(d_{i-1}) extended by each
+    vector of kernel_basis(d_i) independent of it (the greedy basis), those
+    labelled by position, so membership gives greedy coordinates."""
+
+    def __init__(self, c):
+        self.reps, self._echelons = {}, {}
+        for i in c.degrees():
+            ech = _Echelon(c.ring)
+            if i - 1 in c.bases:
+                for col in c.diff[i - 1].columns():
+                    ech.insert(col)
+            reps = []
+            for vec in kernel_basis(c.diff[i]):
+                if ech.insert(vec, label=len(reps)) is None:
+                    reps.append(vec)
+            self.reps[i], self._echelons[i] = reps, ech
+
+    def reduce(self, i, vec):
+        return self._echelons[i].membership(vec)
+
+
+CROSS_CHECK = {
+    **DIAGRAMS,
+    **{f"T2_{n}{'m' if m else ''}": torus_pd(n, m) for n in (3, 5, 7) for m in (False, True)},
+}
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK))
+def test_field_homology_matches_echelon_reference(name, t, ring):
+    d = parse_pd(CROSS_CHECK[name])
+    c = build_complex(d, t, ring)
+    fh = FieldHomology(c)
+    ref = _EchelonHomology(c)
+    groups = homology(c).groups
+    for i in c.degrees():
+        assert fh.rank(i) == sum(r for (j, _), (r, _) in groups.items() if j == i)
+        assert fh.greedy_reps(i) == ref.reps[i]
+        for k, rep in enumerate(fh.reps[i]):
+            assert c.diff[i].apply(rep) == {}
+            assert fh.reduce(i, rep) == {k: ring.one}
+        if i + 1 in c.bases:
+            for col in c.diff[i].columns():
+                assert fh.reduce(i + 1, col) == {}
+        for rep in ref.reps[i]:
+            assert fh.greedy_coordinates(i, fh.reduce(i, rep)) == ref.reduce(i, rep)
+    if t == 1:
+        for o in all_orientations(d):
+            i, vec = c.chain_to_vec(canonical_chain(c, o))
+            assert fh.greedy_coordinates(i, fh.reduce(i, vec)) == ref.reduce(i, vec)
 
 
 def test_lee_over_integers_keeps_invariant_factors():

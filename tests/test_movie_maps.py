@@ -6,6 +6,7 @@ from kj.canonical import canonical_chain, lee_generator
 from kj.corpus import load_movie
 from kj.cube import V_MINUS, V_PLUS, ChainComplex, build_complex
 from kj.diagram import all_orientations, parse_pd
+from kj.errors import InternalInvariantError
 from kj.moves import Birth, Death, R1Move, R2Move, R3Move, Saddle, apply_move
 from kj.movie import Movie, MovieMaps, kj_number
 from kj.rings import QQ, QSQRT2, QSqrt2, half_power_of_two
@@ -191,3 +192,21 @@ def test_every_frame_complex_is_validated(monkeypatch):
         checked.clear()
         maps = MovieMaps(load_movie("torus-noise"), t)
         assert checked == maps.complexes
+
+
+def test_chain_map_check_catches_every_flipped_r2_entry():
+    # the check runs at every degree of the source, the top one included,
+    # where f_{i+1} is zero and d_j f_i alone must vanish
+    for text, edges in ((UNKNOT, (1, 1)), (TREFOIL, (1, 3))):
+        mv = Movie(parse_pd(text), [R2Move("add", edges)])
+        for t in (0, 1):
+            cm = MovieMaps(mv, t=t).chain_steps[0]
+            entries = [(m, key) for m in cm.mats.values() for key in list(m.data)]
+            assert entries
+            for m, key in entries:
+                v = m.data[key]
+                m.data[key] = -v
+                with pytest.raises(InternalInvariantError):
+                    cm.verify()
+                m.data[key] = v
+            cm.verify()

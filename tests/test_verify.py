@@ -131,6 +131,31 @@ def test_insertion_invariance_nonclosed():
         assert m == other or m == other.scale(QQ.from_int(-1))
 
 
+def test_closed_movies_and_suites_never_compute_a_kernel_basis(monkeypatch):
+    """Movie maps read homology off the recorded elimination: only the
+    greedy basis of an open movie's ends or of `kj generators` asks for
+    kernel_basis, so KJ numbers and the verify suites never do."""
+    import importlib
+
+    movies = ("torus", "genus2", "torus-noise")
+    suites = ("corollary", "proposition")
+
+    def results():
+        numbers = [kj_number(load_movie(name)) for name in movies]
+        return numbers, [[r.line() for r in run_suite(s, 8)] for s in suites]
+
+    expected = results()
+
+    def refuse(m):
+        raise AssertionError("kernel_basis on an automatic path")
+
+    # kj.homology, the attribute of the package, is the function homology()
+    for module in ("kj.sparse", "kj.homology"):
+        monkeypatch.setattr(importlib.import_module(module), "kernel_basis", refuse)
+    assert results() == expected
+    assert expected[0] == [2, 0, 2]
+
+
 def test_automatic_paths_never_use_qsqrt2(monkeypatch):
     """Q(sqrt2) is computed in only when a caller asks for it: the verify
     suites, mod-4 types and KJ numbers run over Q."""
