@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Callable, Mapping
-from operator import itemgetter
+from collections.abc import Iterator, Mapping
+from itertools import repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -52,11 +52,11 @@ Gen = tuple[tuple[int, ...], tuple[int, ...]]
 _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
-# machine, `kj homology` on T(2,9) (19686 generators) takes 0.8 s for
-# Khovanov homology over Z and 1.0 s for Lee homology over Q; on T(2,11)
-# (177150 generators) it takes 5 to 10 s and 263 MiB, and 9 to 14 s and
-# 362 MiB. Each further crossing roughly triples the generators, and memory
-# grows with them.
+# machine, `kj homology` on T(2,9) (19686 generators) takes 0.5 to 0.6 s and
+# 41 MiB for Khovanov homology over Z, and 0.6 to 1.0 s and 50 MiB for Lee
+# homology over Q; on T(2,11) (177150 generators) it takes 4.9 to 5.8 s and
+# 246 MiB, and 9.2 to 10.1 s and 355 MiB. Each further crossing roughly
+# triples the generators, and memory grows with them.
 MAX_CROSSINGS = 12
 
 
@@ -84,27 +84,79 @@ def counit(x: int) -> int:
     return 1 if x == V_MINUS else 0
 
 
-class _Edge(NamedTuple):
-    """One cube edge out of a resolution, with its circle map worked out once.
+def _labeling_tables(k: int):
+    """The 2^k labelings of k circles in code order, the code of each, and
+    the q degree of each (deg v+ = +1, deg v- = -1).
 
-    ``c1`` and ``c2`` are the source circles the change consumes (equal for a
-    split), and ``products`` maps their labels to [(new labels, coeff)], the
-    labels of the circle(s) the change makes. ``take`` reads a generator's
-    target labels off ``labels + new labels``.
+    A labeling's code reads its labels as a binary number, first circle most
+    significant (V_PLUS = 0, V_MINUS = 1), so code order is lexicographic.
+    """
+    labelings = tuple(itertools.product((V_PLUS, V_MINUS), repeat=k))
+    codes = {labels: code for code, labels in enumerate(labelings)}
+    return labelings, codes, tuple(k - 2 * sum(labels) for labels in labelings)
+
+
+class _Index(Mapping):
+    """Generator -> (i, pos), computed from the offset of each resolution in
+    its degree and the code of the labels; KeyError for a generator outside
+    the complex. It holds only those tables, never the complex."""
+
+    __slots__ = ("_where",)
+
+    def __init__(self, where: dict[tuple[int, ...], tuple[int, int, dict]]):
+        self._where = where  # bits -> (i, offset, codes of its labelings)
+
+    def __getitem__(self, gen: Gen) -> tuple[int, int]:
+        bits, labels = gen
+        try:
+            i, offset, codes = self._where[bits]
+            return i, offset + codes[labels]
+        except KeyError:
+            raise KeyError(gen) from None
+
+    def __iter__(self) -> Iterator[Gen]:
+        for bits, (_, _, codes) in self._where.items():
+            yield from zip(repeat(bits), codes)
+
+    def __len__(self) -> int:
+        return sum(len(codes) for _, _, codes in self._where.values())
+
+
+class _Edge(NamedTuple):
+    """One cube edge out of a resolution, with its circle map worked out once
+    on label codes.
+
+    ``s1`` and ``s2`` are the bits of the source code that hold the labels of
+    the circles the change consumes (equal for a split). ``weights[p]`` is
+    what source bit p adds to the target code: the target bit of the circle
+    it is carried to, or 0 for a consumed circle. ``products[x << 1 | y]``
+    lists, for labels x and y of the consumed circles, (code of the new
+    circle(s) in the target, coeff), and ``entries[x << 1 | y]`` the same
+    with the edge's sign times coeff as a ring element, zeros left out.
     """
 
     tbits: tuple[int, ...]
-    sign: int
-    c1: int
-    c2: int
-    products: dict
-    take: Callable
+    s1: int
+    s2: int
+    weights: tuple[int, ...]
+    products: list[list[tuple[int, int]]]
+    entries: list[list[tuple[int, object]]]
+
+    def carried(self, offset: int) -> list[int]:
+        """``offset`` plus the target code of the carried circles, for every
+        source code."""
+        out = [offset]
+        for w in self.weights:  # from the lowest bit up
+            out += [r + w for r in out]
+        return out
 
 
 class ChainComplex:
     """Basis-indexed chain groups with sparse differentials d_i: C^i -> C^{i+1}.
 
     ``qs[i]`` is the q-grading of each generator of ``bases[i]``, in order.
+    A resolution's generators sit together in its degree, in code order, so
+    ``index`` is offset arithmetic rather than a table of generators.
     """
 
     def __init__(self, diagram: PlanarDiagram, t: int, ring: Ring):
@@ -121,15 +173,16 @@ class ChainComplex:
         self.resolutions: dict[tuple[int, ...], Resolution] = {}
         self.bases: dict[int, list[Gen]] = {}
         self.qs: dict[int, list[int]] = {}
-        self.index: dict[Gen, tuple[int, int]] = {}
+        self._where: dict[tuple[int, ...], tuple[int, int, dict]] = {}
+        self.index: Mapping[Gen, tuple[int, int]] = _Index(self._where)
         self.diff: dict[int, SparseMatrix] = {}
-        pairs = list(itertools.product((V_PLUS, V_MINUS), repeat=2))
-        self._merges = {
-            (x, y): [((lab,), coeff) for lab, coeff in merge_products(x, y, t)]
-            for x, y in pairs
-        }
-        self._splits = {(x, x): split_products(x, t) for x in (V_PLUS, V_MINUS)}
-        self._edges: dict[tuple[int, ...], dict[int, _Edge]] = {}
+        # products by x << 1 | y, the labels of the consumed circles
+        labels = (V_PLUS, V_MINUS)
+        self._merges = [merge_products(x, y, t) for x in labels for y in labels]
+        self._splits = [split_products(V_PLUS, t), [], [], split_products(V_MINUS, t)]
+        self._coded: dict[tuple, tuple] = {}  # _products by (news, sign)
+        # the cube edges edge_image has worked out, by (bits, flipped bit)
+        self._edges: dict[tuple[tuple[int, ...], int], _Edge] = {}
         # int -> its ring element (None if zero in the ring); every entry of
         # d is one of these shared objects
         self._elements: dict[int, object] = {}
@@ -140,6 +193,8 @@ class ChainComplex:
     def _build(self):
         d = self.diagram
         n = d.crossing_count
+        layers: dict[int, list[tuple[int, ...]]] = {}
+        tables: dict[int, tuple] = {}  # shared by every resolution with k circles
         # bits and labels both run in lexicographic order, so each degree's
         # generators come out sorted
         for bits in itertools.product((0, 1), repeat=n):
@@ -148,49 +203,63 @@ class ChainComplex:
             weight = sum(bits)
             i = weight - self.n_minus
             k = res.circle_count
+            if k not in tables:
+                tables[k] = _labeling_tables(k)
+            labelings, codes, degrees = tables[k]
             gens = self.bases.setdefault(i, [])
-            qs = self.qs.setdefault(i, [])
-            # deg v+ = +1 and deg v- = -1, so the labels add k - 2 (number of v-)
-            q_all_plus = k + weight + self.n_plus - 2 * self.n_minus
-            for labels in itertools.product((V_PLUS, V_MINUS), repeat=k):
-                g = (bits, labels)
-                self.index[g] = (i, len(gens))
-                gens.append(g)
-                qs.append(q_all_plus - 2 * sum(labels))  # V_MINUS = 1
+            self._where[bits] = (i, len(gens), codes)
+            layers.setdefault(i, []).append(bits)
+            gens.extend(zip(repeat(bits), labelings))
+            shift = weight + self.n_plus - 2 * self.n_minus
+            self.qs.setdefault(i, []).extend(map(shift.__add__, degrees))
         for i in sorted(self.bases):
             if i + 1 in self.bases:
-                self.diff[i] = self._differential(i)
+                self.diff[i] = self._differential(i, layers[i])
             else:
                 self.diff[i] = SparseMatrix(0, len(self.bases[i]), self.ring)
 
-    def _differential(self, i: int) -> SparseMatrix:
-        """d_i, one column at a time: each column is summed as ints, and each
-        distinct int becomes a ring element once, so equal entries share one
-        object."""
-        ring, index, elements = self.ring, self.index, self._elements
-        m = SparseMatrix(len(self.bases[i + 1]), len(self.bases[i]), ring)
+    def _differential(self, i: int, layer: list[tuple[int, ...]]) -> SparseMatrix:
+        """d_i, one resolution at a time and one column at a time, in the
+        order of ``gen_differential``: by flipped bit, then by product.
+
+        Each edge's rows come from its carried codes plus the code of the new
+        circle(s), and each signed coefficient becomes a ring element once,
+        so equal entries share one object. No two terms of d land on one
+        entry; a collision raises instead of overwriting.
+        """
+        where = self._where
+        m = SparseMatrix(len(self.bases[i + 1]), len(self.bases[i]), self.ring)
         data = m.data
-        for c, (bits, labels) in enumerate(self.bases[i]):
-            col: dict[int, int] = {}
-            for tbits, sign, c1, c2, products, take in self._out_edges(bits).values():
-                for new, coeff in products[labels[c1], labels[c2]]:
-                    r = index[(tbits, take(labels + new))][1]
-                    col[r] = col.get(r, 0) + sign * coeff
-            for r, v in col.items():
-                if v not in elements:
-                    x = ring.from_int(v)
-                    elements[v] = None if ring.is_zero(x) else x
-                if elements[v] is not None:
-                    data[(r, c)] = elements[v]
+        terms = 0
+        for bits in layer:
+            _, offset, codes = where[bits]
+            size = len(codes)
+            edges = []
+            for j, b in enumerate(bits):
+                if b:
+                    continue
+                e = self._edge(bits, j)
+                # the codes holding labels x, y at s1, s2: a quarter each for
+                # a merge, half each of x = y for a split
+                share = size >> (1 if e.s1 == e.s2 else 2)
+                terms += share * sum(map(len, e.entries))
+                edges.append((e.carried(where[e.tbits][1]), e.entries, e.s1, e.s2))
+            for code in range(size):
+                c = offset + code
+                for rows, entries, s1, s2 in edges:
+                    r = rows[code]
+                    for delta, x in entries[(code >> s1 & 1) << 1 | code >> s2 & 1]:
+                        data[r + delta, c] = x
+        if len(data) != terms:
+            raise InternalInvariantError(f"two terms of d_{i} landed on one entry")
         return m
 
-    def _out_edges(self, bits: tuple[int, ...]) -> dict[int, _Edge]:
-        """The cube edges leaving resolution ``bits``, by flipped bit."""
-        edges = self._edges.get(bits)
-        if edges is None:
-            edges = {j: self._edge(bits, j) for j, b in enumerate(bits) if not b}
-            self._edges[bits] = edges
-        return edges
+    def _element(self, v: int):
+        """The shared ring element of the int ``v``, or None if it is zero."""
+        if v not in self._elements:
+            x = self.ring.from_int(v)
+            self._elements[v] = None if self.ring.is_zero(x) else x
+        return self._elements[v]
 
     def _edge(self, bits: tuple[int, ...], j: int) -> _Edge:
         src = self.resolutions[bits]
@@ -200,23 +269,48 @@ class ChainComplex:
         c2 = src.circle_of_dart[(j, 2)]
         t1 = tgt.circle_of_dart[(j, 0)]
         t2 = tgt.circle_of_dart[(j, 2)]
-        k = src.circle_count
+        k, tk = src.circle_count, tgt.circle_count
         if c1 != c2:
             # merge: both source circles land on one target circle
-            fixed, products = {t1: k}, self._merges
+            fixed, news = {t1: k}, (tk - 1 - t1,)
         elif t1 == t2:
             raise InternalInvariantError("cube edge changed no circle")
         else:
-            fixed, products = {t1: k, t2: k + 1}, self._splits
+            fixed, news = {t1: k, t2: k + 1}, (tk - 1 - t1, tk - 1 - t2)
         # carry the source circles' own indices: each target circle reads its
-        # label from that source circle, or from position k (k + 1), the
-        # new label(s) appended after the k source labels
+        # label from that source circle, or is new (position k or k + 1)
         source = carry_labels(src, tgt, tuple(range(k)), {c1: None, c2: None}, fixed)
-        if len(source) > 1:
-            take = itemgetter(*source)
-        else:
-            take = lambda ext, s=source[0]: (ext[s],)  # noqa: E731
-        return _Edge(tbits, (-1) ** sum(bits[:j]), c1, c2, products, take)
+        weights = [0] * k
+        for ti, si in enumerate(source):
+            if si < k:
+                weights[k - 1 - si] = 1 << tk - 1 - ti
+        products, entries = self._products(news, (-1) ** sum(bits[:j]))
+        return _Edge(tbits, k - 1 - c1, k - 1 - c2, tuple(weights), products, entries)
+
+    def _products(self, news: tuple[int, ...], sign: int):
+        """The products and entries of ``_Edge`` for an edge whose new
+        circle(s) hold target code bits ``news``; every such edge shares them.
+        """
+        key = (news, sign)
+        if key not in self._coded:
+            if len(news) == 1:
+                (m,) = news
+                products = [
+                    [(lab << m, coeff) for lab, coeff in ps] for ps in self._merges
+                ]
+            else:
+                m1, m2 = news
+                products = [
+                    [(l1 << m1 | l2 << m2, coeff) for (l1, l2), coeff in ps]
+                    for ps in self._splits
+                ]
+            entries = [
+                [(delta, x) for delta, coeff in ps
+                 if (x := self._element(sign * coeff)) is not None]
+                for ps in products
+            ]
+            self._coded[key] = products, entries
+        return self._coded[key]
 
     def gen_differential(self, gen: Gen):
         """Image of a single generator as [(generator, integer coeff)]."""
@@ -233,10 +327,15 @@ class ChainComplex:
     def edge_image(self, gen: Gen, j: int):
         """Unsigned merge/split across the cube edge flipping bit j."""
         bits, labels = gen
-        e = self._out_edges(bits)[j]
+        e = self._edges.get((bits, j))
+        if e is None:
+            e = self._edges[bits, j] = self._edge(bits, j)
+        code = self._where[bits][2][labels]
+        ti, row, _ = self._where[e.tbits]
+        row += sum(w for p, w in enumerate(e.weights) if code >> p & 1)
         return [
-            ((e.tbits, e.take(labels + new)), coeff)
-            for new, coeff in e.products[labels[e.c1], labels[e.c2]]
+            (self.bases[ti][row + delta], coeff)
+            for delta, coeff in e.products[(code >> e.s1 & 1) << 1 | code >> e.s2 & 1]
         ]
 
     # -- gradings -------------------------------------------------------------
@@ -421,6 +520,8 @@ def kauffman_bracket(d: PlanarDiagram) -> Laurent:
 
     Independent of the homological machinery: only circle counting enters,
     via  sum_v (-1)^(|v| + n-) q^(|v| + n+ - 2 n-) (q + 1/q)^(k(v)).
+    The resolutions are tallied by (|v|, k(v)) first, so the polynomial
+    arithmetic runs once per distinct pair.
     """
     _admit(d)
     o = (True,) * d.component_count
@@ -428,13 +529,15 @@ def kauffman_bracket(d: PlanarDiagram) -> Laurent:
         1 for c in range(d.crossing_count) if crossing_sign(d, o, c) == 1
     )
     n_minus = d.crossing_count - n_plus
+    tally = Counter(
+        (sum(bits), resolve(d, bits).circle_count)
+        for bits in itertools.product((0, 1), repeat=d.crossing_count)
+    )
     loop = Laurent({1: 1, -1: 1})
     out = Laurent.zero()
-    for bits in itertools.product((0, 1), repeat=d.crossing_count):
-        k = resolve(d, bits).circle_count
-        weight = sum(bits)
+    for (weight, k), count in sorted(tally.items()):
         term = loop ** k * Laurent.q(weight + n_plus - 2 * n_minus)
-        out = out + (-1) ** (weight + n_minus) * term
+        out = out + (-1) ** (weight + n_minus) * count * term
     return out
 
 

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import pytest
 
@@ -199,6 +201,13 @@ def test_build_catches_a_dropped_split_term(monkeypatch):
             build_complex(parse_pd(TREFOIL), t, QQ)
 
 
+def test_build_refuses_two_terms_on_one_entry(monkeypatch):
+    split = cube.split_products
+    monkeypatch.setattr(cube, "split_products", lambda x, t: split(x, t)[:1] * 2)
+    with pytest.raises(InternalInvariantError, match="landed on one entry"):
+        build_complex(parse_pd(TREFOIL), 0, QQ)
+
+
 def test_build_catches_a_broken_q_shift(monkeypatch):
     # the t = 1 products at t = 0: d^2 = 0 still holds, but v- v- -> v+
     # raises q by 4, which the graded theory forbids
@@ -207,3 +216,51 @@ def test_build_catches_a_broken_q_shift(monkeypatch):
     monkeypatch.setattr(cube, "split_products", lambda x, t: split(x, 1))
     with pytest.raises(InternalInvariantError, match="graded differential broke q"):
         build_complex(parse_pd(TREFOIL), 0, QQ)
+
+
+@pytest.mark.parametrize("t, ring", [(0, ZZ), (0, QQ), (1, QQ), (1, GF(5))])
+def test_differential_keeps_entry_order(t, ring):
+    # the order of d's entries decides the pivots of the elimination
+    for text in [*DIAGRAMS.values(), *TORI, *map(_mirror, TORI)]:
+        c = build_complex(parse_pd(text), t, ring)
+        for i in c.degrees():
+            slow = _slow_differential(c, i)
+            assert list(c.diff[i].data.items()) == list(slow.data.items()), (text, i)
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_index_is_position_in_degree(t):
+    for text in [*DIAGRAMS.values(), *TORI, *map(_mirror, TORI)]:
+        c = build_complex(parse_pd(text), t, QQ)
+        assert not isinstance(c.index, dict)
+        for i in c.degrees():
+            for pos, g in enumerate(c.bases[i]):
+                assert c.index[g] == (i, pos), (text, g)
+        assert len(c.index) == sum(c.dim(i) for i in c.degrees())
+        assert set(c.index) == {g for i in c.degrees() for g in c.bases[i]}
+        bits, labels = c.bases[c.degrees()[0]][0]
+        foreign = [
+            (bits + (0,), labels),  # bits not in the cube
+            (bits, labels + (V_PLUS,)),  # one label too many
+            (bits, (2,) * len(labels) or (2,)),  # a label of 2
+        ]
+        for g in foreign:
+            assert g not in c.index
+            with pytest.raises(KeyError):
+                c.index[g]
+            with pytest.raises(KeyError):
+                c.q_of(g)
+
+
+def test_built_complex_is_freed_by_reference_counting():
+    gc.disable()
+    try:
+        for t in (0, 1):
+            c = build_complex(parse_pd(TREFOIL), t, QQ)
+            g = c.bases[0][0]
+            c.q_of(g), c.gen_differential(g), list(c.index)
+            ref = weakref.ref(c)
+            del c
+            assert ref() is None
+    finally:
+        gc.enable()
