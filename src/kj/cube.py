@@ -39,6 +39,8 @@ __all__ = [
     "mod4_split",
     "edge_map_on_chain",
     "carry_labels",
+    "carried_weights",
+    "subset_sums",
     "MAX_CROSSINGS",
 ]
 
@@ -145,10 +147,7 @@ class _Edge(NamedTuple):
     def carried(self, offset: int) -> list[int]:
         """``offset`` plus the target code of the carried circles, for every
         source code."""
-        out = [offset]
-        for w in self.weights:  # from the lowest bit up
-            out += [r + w for r in out]
-        return out
+        return subset_sums(offset, self.weights)
 
 
 class ChainComplex:
@@ -272,20 +271,14 @@ class ChainComplex:
         k, tk = src.circle_count, tgt.circle_count
         if c1 != c2:
             # merge: both source circles land on one target circle
-            fixed, news = {t1: k}, (tk - 1 - t1,)
+            created, news = (t1,), (tk - 1 - t1,)
         elif t1 == t2:
             raise InternalInvariantError("cube edge changed no circle")
         else:
-            fixed, news = {t1: k, t2: k + 1}, (tk - 1 - t1, tk - 1 - t2)
-        # carry the source circles' own indices: each target circle reads its
-        # label from that source circle, or is new (position k or k + 1)
-        source = carry_labels(src, tgt, tuple(range(k)), {c1: None, c2: None}, fixed)
-        weights = [0] * k
-        for ti, si in enumerate(source):
-            if si < k:
-                weights[k - 1 - si] = 1 << tk - 1 - ti
+            created, news = (t1, t2), (tk - 1 - t1, tk - 1 - t2)
+        weights = carried_weights(src, tgt, (c1, c2), created)
         products, entries = self._products(news, (-1) ** sum(bits[:j]))
-        return _Edge(tbits, k - 1 - c1, k - 1 - c2, tuple(weights), products, entries)
+        return _Edge(tbits, k - 1 - c1, k - 1 - c2, weights, products, entries)
 
     def _products(self, news: tuple[int, ...], sign: int):
         """The products and entries of ``_Edge`` for an edge whose new
@@ -468,6 +461,33 @@ def carry_labels(
     if None in out:
         raise InternalInvariantError("circle correspondence left a gap")
     return tuple(out)
+
+
+def carried_weights(src, dst, consumed, created, placed=None) -> tuple[int, ...]:
+    """Where each target circle's label comes from, on label codes: entry p
+    is what bit p of a source code (circle k - 1 - p) adds to the target
+    code, the bit of the target circle ``carry_labels`` carries it to, or 0
+    if it is ``consumed`` or loses its target to an earlier circle.
+    ``created`` target circles carry no label; ``placed`` is as there."""
+    k, tk = src.circle_count, dst.circle_count
+    drop = dict.fromkeys(consumed)
+    if placed:
+        drop = {**placed, **drop}  # a consumed circle goes nowhere
+    source = carry_labels(src, dst, tuple(range(k)), drop, dict.fromkeys(created, k))
+    weights = [0] * k
+    for ti, si in enumerate(source):
+        if si < k:
+            weights[k - 1 - si] = 1 << tk - 1 - ti
+    return tuple(weights)
+
+
+def subset_sums(start: int, weights) -> list[int]:
+    """``start`` plus the weights of the set bits of p, for every p below
+    2^len(weights); bit b of p selects weights[b]."""
+    out = [start]
+    for w in weights:  # from the lowest bit up
+        out += [r + w for r in out]
+    return out
 
 
 def build_complex(diagram: PlanarDiagram, t: int, ring: Ring) -> ChainComplex:

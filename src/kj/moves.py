@@ -102,7 +102,7 @@ def move_from_json(obj: dict) -> Move:
         if t == "r3":
             c1, c2, c3 = obj["crossings"]
             return R3Move((int(c1), int(c2), int(c3)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PDSyntaxError(f"malformed {t} move {obj}") from exc
     raise IllegalMoveError(f"unknown move type {t!r}")
 

@@ -5,7 +5,10 @@ successive diagrams. Every move induces a map between the homologies of
 its frames (for both t = 0 and t = 1):
 
 * Morse moves and forward R1/R2 moves are honest chain maps, machine
-  checked to commute with the differentials;
+  checked to commute with the differentials. Each is a table on the labels
+  of the circles the move consumes and creates, and the identity on every
+  other circle, filled in one resolution pair at a time; the R2 map adds a
+  contraction correction through the circle part;
 * R1/R2 removals invert the homology isomorphism of the matching forward
   move;
 * R3 acts at homology level by transporting representative cycles through
@@ -18,7 +21,6 @@ is the Khovanov-Jacobsson number up to sign.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,11 +31,13 @@ from .cube import (
     V_MINUS,
     V_PLUS,
     build_complex,
+    carried_weights,
     carry_labels,
     counit,
     edge_map_on_chain,
     merge_products,
     split_products,
+    subset_sums,
 )
 from .diagram import (
     PlanarDiagram,
@@ -131,88 +135,83 @@ class ChainMap:
                 out.mats[i] = self.mats[j] * earlier.mats[i]
         return out
 
-    def plus(self, other: "ChainMap") -> "ChainMap":
-        if other.shift != self.shift:
-            raise InternalInvariantError("cannot add maps of different shifts")
-        out = ChainMap(self.src, self.dst, self.shift)
-        for i in self.mats:
-            out.mats[i] = self.mats[i] + other.mats[i]
-        return out
+
+# local tables: entry x lists (labels of the created circles, coeff) for the
+# labels of the consumed circles read as a code x (v+ = 0, first circle first)
+_BIRTH = [[((V_PLUS,), 1)]]
+_DEATH = [[((), counit(x))] for x in (V_PLUS, V_MINUS)]
+_IDENTITY = [[((), 1)]]
+
+
+def _local_map(cm: ChainMap, bits, tbits, consumed, created, table, sign=1, placed=None):
+    """Fill ``cm`` from resolution ``bits`` of its source into ``tbits`` of
+    its target by a local ``table`` on the labels of the ``consumed`` source
+    circles and the ``created`` target circles, times ``sign``. Every other
+    circle keeps its label, on the target circle ``carried_weights`` finds
+    for it once for the pair."""
+    src, dst = cm.src.resolutions[bits], cm.dst.resolutions[tbits]
+    k, tk = src.circle_count, dst.circle_count
+    weights = carried_weights(src, dst, consumed, created, placed)
+    # the all-v+ labeling has code 0, so it sits at the resolution's offset
+    i, col = cm.src.index[bits, (V_PLUS,) * k]
+    j, row = cm.dst.index[tbits, (V_PLUS,) * tk]
+    if j != i + cm.shift:
+        raise InternalInvariantError(
+            f"chain map entry shifts degree by {j - i}, expected {cm.shift}"
+        )
+    ring = cm.src.ring
+    coded = [
+        [(sum(lab << tk - 1 - ti for lab, ti in zip(labels, created)), x)
+         for labels, coeff in entries
+         if not ring.is_zero(x := ring.from_int(sign * coeff))]
+        for entries in table
+    ]
+    # the entry of ``table`` each source code reads
+    where = {k - 1 - si: 1 << len(consumed) - 1 - n for n, si in enumerate(consumed)}
+    keys = subset_sums(0, [where.get(p, 0) for p in range(k)])
+    data = cm.mats[i].data
+    for c, (r, key) in enumerate(zip(subset_sums(row, weights), keys), col):
+        for delta, x in coded[key]:
+            data[r + delta, c] = x
 
 
 def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
     """Chain map of a birth, death, or saddle (same crossing set)."""
-    t = c1.t
-    ring = c1.ring
+    labels = (V_PLUS, V_MINUS)
+    merge = [[((z,), c) for z, c in merge_products(x, y, c1.t)]
+             for x in labels for y in labels]
+    split = [split_products(x, c1.t) for x in labels]
     # a reconnection can change reference crossing signs, shifting degrees
     cm = ChainMap(c1, c2, shift=c1.n_minus - c2.n_minus)
-    kind = rec.kind
     for bits, res1 in c1.resolutions.items():
         res2 = c2.resolutions[bits]
-        if kind == "birth":
+        if rec.kind == "birth":
             lidx = res2.circle_index_of_edge(rec.data["loop"])
-            for gen in _gens_at(c1, bits):
-                tlabels = carry_labels(res1, res2, gen[1], fixed={lidx: V_PLUS})
-                cm.add_entry(gen, (bits, tlabels), ring.one)
-        elif kind == "death":
+            _local_map(cm, bits, bits, (), (lidx,), _BIRTH)
+        elif rec.kind == "death":
             lidx = res1.circle_index_of_edge(rec.data["loop"])
-            for gen in _gens_at(c1, bits):
-                labels = gen[1]
-                coeff = counit(labels[lidx])
-                if not coeff:
-                    continue
-                tlabels = carry_labels(res1, res2, labels, {lidx: None})
-                cm.add_entry(gen, (bits, tlabels), ring.from_int(coeff))
+            _local_map(cm, bits, bits, (lidx,), (), _DEATH)
         else:
-            e1, e2 = rec.data["feet"]
-            i1 = res1.circle_index_of_edge(e1)
-            i2 = res1.circle_index_of_edge(e2)
+            i1, i2 = map(res1.circle_index_of_edge, rec.data["feet"])
             if i1 != i2:
-                # merge
-                target = _saddle_merge_target(rec, res2)
-                placed = {i1: target, i2: target}
-                for gen in _gens_at(c1, bits):
-                    labels = gen[1]
-                    for lab, coeff in merge_products(labels[i1], labels[i2], t):
-                        tlabels = carry_labels(
-                            res1, res2, labels, placed, {target: lab}
-                        )
-                        cm.add_entry(gen, (bits, tlabels), ring.from_int(coeff))
+                _local_map(cm, bits, bits, (i1, i2), _saddle_targets(rec, res2, 1), merge)
             else:
-                ta, tb = _saddle_split_targets(rec, res2)
-                for gen in _gens_at(c1, bits):
-                    labels = gen[1]
-                    for (la, lb), coeff in split_products(labels[i1], t):
-                        tlabels = carry_labels(
-                            res1, res2, labels, {i1: ta}, {ta: la, tb: lb}
-                        )
-                        cm.add_entry(gen, (bits, tlabels), ring.from_int(coeff))
+                _local_map(cm, bits, bits, (i1,), _saddle_targets(rec, res2, 2), split)
     cm.verify()
     return cm
 
 
-def _gens_at(c: ChainComplex, bits):
-    k = c.resolutions[bits].circle_count
-    for labels in itertools.product((V_PLUS, V_MINUS), repeat=k):
-        yield (bits, labels)
-
-
-def _saddle_merge_target(rec: MoveRecord, res2) -> int:
+def _saddle_targets(rec: MoveRecord, res2, count: int) -> tuple[int, ...]:
+    """The ``count`` target circles a saddle creates, 1 for a merge and 2
+    for a split: those of (kept edge, new loop) from the end when the saddle
+    makes a free loop, else those of its feet from the start."""
     data = rec.data
-    if "new_loop" in data:
-        return res2.circle_index_of_edge(data["new_loop"])
-    return res2.circle_index_of_edge(data["feet"][0])
-
-
-def _saddle_split_targets(rec: MoveRecord, res2):
-    data = rec.data
-    if "new_loop" in data:
-        return (
-            res2.circle_index_of_edge(data["kept"] if "kept" in data else data["feet"][0]),
-            res2.circle_index_of_edge(data["new_loop"]),
-        )
     e1, e2 = data["feet"]
-    return res2.circle_index_of_edge(e1), res2.circle_index_of_edge(e2)
+    if "new_loop" in data:
+        edges = (data.get("kept", e1), data["new_loop"])[-count:]
+    else:
+        edges = (e1, e2)[:count]
+    return tuple(map(res2.circle_index_of_edge, edges))
 
 
 def _change_twist(bits, changes: dict[int, int]) -> int:
@@ -230,13 +229,6 @@ def _change_twist(bits, changes: dict[int, int]) -> int:
     return -1 if parity else 1
 
 
-def _apply_x(label: int, t: int):
-    """Multiplication by the degree -2 generator: v+ -> v-, v- -> t v+."""
-    if label == V_PLUS:
-        return [(V_MINUS, 1)]
-    return [(V_PLUS, t)] if t else []
-
-
 def r1_chain_map(
     rec_data: dict, c_small: ChainComplex, c_big: ChainComplex, cross_embed
 ) -> ChainMap:
@@ -249,9 +241,13 @@ def r1_chain_map(
     cstar = rec_data["crossing"]
     f1 = rec_data["loop_edge"]
     a_small, a_big = rec_data["anchor"]
-    t = c_small.t
-    ring = c_small.ring
     nbig = c_big.diagram.crossing_count
+    # a right curl is a birth of the loop; a left curl is the split of the
+    # host circle minus 2 X(host) (x) v+(loop), X: v+ -> v-, v- -> t v+
+    split_minus_2x = [
+        [((V_PLUS, V_MINUS), 1), ((V_MINUS, V_PLUS), -1)],
+        [((V_MINUS, V_MINUS), 1), ((V_PLUS, V_PLUS), -c_small.t)],
+    ]
     cm = ChainMap(c_small, c_big)
     for bits, res1 in c_small.resolutions.items():
         host = res1.circle_index_of_edge(a_small)
@@ -259,25 +255,11 @@ def r1_chain_map(
         res2 = c_big.resolutions[tbits]
         lidx = res2.circle_index_of_edge(f1)
         midx = res2.circle_index_of_edge(a_big)
-        placed = {host: midx}
-        sign = 1 if hand == "left" else _change_twist(tbits, {cstar: 0})
-        for gen in _gens_at(c_small, bits):
-            labels = gen[1]
-            if hand == "right":
-                tlabels = carry_labels(res1, res2, labels, placed, {lidx: V_PLUS})
-                cm.add_entry(gen, (tbits, tlabels), ring.from_int(sign))
-                continue
-            # left curl: split at the marked point minus twice the genus term
-            for (la, lb), coeff in split_products(labels[host], t):
-                tlabels = carry_labels(
-                    res1, res2, labels, placed, {midx: la, lidx: lb}
-                )
-                cm.add_entry(gen, (tbits, tlabels), ring.from_int(sign * coeff))
-            for lx, coeff in _apply_x(labels[host], t):
-                tlabels = carry_labels(
-                    res1, res2, labels, placed, {midx: lx, lidx: V_PLUS}
-                )
-                cm.add_entry(gen, (tbits, tlabels), ring.from_int(-2 * sign * coeff))
+        if hand == "left":
+            _local_map(cm, bits, tbits, (host,), (midx, lidx), split_minus_2x)
+        else:
+            sign = _change_twist(tbits, {cstar: 0})
+            _local_map(cm, bits, tbits, (), (lidx,), _BIRTH, sign, {host: midx})
     cm.verify()
     return cm
 
@@ -300,14 +282,11 @@ def r2_chain_map(
     contraction correction through the circle part."""
     k1 = rec_data["k1"]
     k2 = rec_data["k2"]
-    m1 = rec_data["m1"]
-    m2 = rec_data["m2"]
     anchors: dict[int, int] = rec_data["anchors"]
-    ring = c_small.ring
     nbig = c_big.diagram.crossing_count
     # parallel part: k1 -> 0, k2 -> 1 (k1 is the crossing whose 1-smoothing
     # joins the middle edges, per detect_r2_pattern)
-    incl = ChainMap(c_small, c_big)
+    cm = ChainMap(c_small, c_big)
     for bits, res1 in c_small.resolutions.items():
         tbits = _embed_bits(bits, cross_embed, nbig, {k1: 0, k2: 1})
         res2 = c_big.resolutions[tbits]
@@ -316,10 +295,8 @@ def r2_chain_map(
             for small_edge, big_edge in anchors.items()
         }
         sign = _change_twist(tbits, {k2: 0})
-        for gen in _gens_at(c_small, bits):
-            tlabels = carry_labels(res1, res2, gen[1], placed)
-            incl.add_entry(gen, (tbits, tlabels), ring.from_int(sign))
-    cm = incl.plus(_r2_alpha(incl, c_big, k1, k2, m1, m2))
+        _local_map(cm, bits, tbits, (), (), _IDENTITY, sign, placed)
+    _r2_alpha(cm, k1, k2, rec_data["m1"], rec_data["m2"])
     cm.verify()
     return cm
 
@@ -331,24 +308,25 @@ def _spectator_parity_sign(bits, pattern_positions) -> int:
     return -1 if parity else 1
 
 
-def _r2_alpha(incl: ChainMap, c_big: ChainComplex, k1, k2, m1, m2) -> ChainMap:
-    """(identify with the circle part) after (cube edge at k1), applied to
-    the image of the parallel inclusion."""
-    out = ChainMap(incl.src, incl.dst)
-    for i, m in incl.mats.items():
-        for (row, col), v in m.data.items():
-            gen_small = incl.src.bases[i][col]
-            gen_big = incl.dst.bases[i][row]
+def _r2_alpha(cm: ChainMap, k1, k2, m1, m2) -> None:
+    """Add (identify with the circle part) after (cube edge at k1), applied
+    to the image of the parallel inclusion, into ``cm``. The inclusion lands
+    where k2 = 1 and the correction where k2 = 0, so the entries read here
+    are the inclusion's alone."""
+    c_big = cm.dst
+    for i, m in cm.mats.items():
+        for (row, col), v in list(m.data.items()):
+            gen_small = cm.src.bases[i][col]
+            gen_big = c_big.bases[i][row]
             tau = _spectator_parity_sign(gen_big[0], {k1, k2})
             mid = edge_map_on_chain(c_big, {gen_big: v}, k1)
             for gmid, coeff in mid.items():
                 target, tcoeff = _identify_with_local_circle(
                     c_big, gmid, k2, frozenset((m1, m2))
                 )
-                out.add_entry(
+                cm.add_entry(
                     gen_small, target, coeff * tcoeff * c_big.ring.from_int(tau)
                 )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -960,34 +938,26 @@ class MovieMaps:
         c1, c2 = self.complexes[k], self.complexes[k + 1]
         fh1, fh2 = self.homologies[k], self.homologies[k + 1]
         kind = rec.kind
-        if kind in ("birth", "death") or kind.startswith("saddle"):
-            cm = morse_chain_map(rec, c1, c2)
-            return cm, StepMap.from_chain_map(cm, fh1, fh2)
-        if kind == "r1_add":
-            embed = {old: new for old, new in rec.crossing_map.items()}
-            cm = r1_chain_map(rec.data, c1, c2, embed)
-            return cm, StepMap.from_chain_map(cm, fh1, fh2)
-        if kind == "r2_add":
-            embed = {old: new for old, new in rec.crossing_map.items()}
-            cm = r2_chain_map(rec.data, c1, c2, embed)
-            return cm, StepMap.from_chain_map(cm, fh1, fh2)
-        if kind == "r1_remove":
-            embed = {new: old for old, new in rec.crossing_map.items()}
-            forward = r1_chain_map(rec.data, c2, c1, embed)
-            fwd = StepMap.from_chain_map(forward, fh2, fh1)
-            return None, fwd.inverse()
-        if kind == "r2_remove":
-            embed = {new: old for old, new in rec.crossing_map.items()}
-            forward = r2_chain_map(rec.data, c2, c1, embed)
-            fwd = StepMap.from_chain_map(forward, fh2, fh1)
-            return None, fwd.inverse()
         if kind == "r3":
             transport = _R3Transport(rec, c1, c2)
             mats = transport.class_map(fh1, fh2)
             step = StepMap(fh1, fh2, mats, 0)
             _invert_degree_matrices(mats)  # must be an isomorphism
             return None, step
-        raise InternalInvariantError(f"unknown record kind {kind}")
+        if kind in ("r1_remove", "r2_remove"):
+            # the inverse of the induced map of the matching addition
+            forward = r1_chain_map if kind == "r1_remove" else r2_chain_map
+            embed = {new: old for old, new in rec.crossing_map.items()}
+            cm = forward(rec.data, c2, c1, embed)
+            return None, StepMap.from_chain_map(cm, fh2, fh1).inverse()
+        if kind in ("r1_add", "r2_add"):
+            forward = r1_chain_map if kind == "r1_add" else r2_chain_map
+            cm = forward(rec.data, c1, c2, dict(rec.crossing_map))
+        elif kind in ("birth", "death") or kind.startswith("saddle"):
+            cm = morse_chain_map(rec, c1, c2)
+        else:
+            raise InternalInvariantError(f"unknown record kind {kind}")
+        return cm, StepMap.from_chain_map(cm, fh1, fh2)
 
     # -- composites ----------------------------------------------------------
 

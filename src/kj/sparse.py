@@ -67,13 +67,6 @@ class SparseMatrix:
     def copy(self) -> "SparseMatrix":
         return SparseMatrix(self.rows, self.cols, self.ring, self.data)
 
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._check_shape(other)
-        m = self.copy()
-        for (r, c), v in other.data.items():
-            m.add_to(r, c, v)
-        return m
-
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_shape(other)
         m = self.copy()

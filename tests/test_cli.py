@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kj.cli import EXIT_TOO_LARGE, main
+from kj.corpus import DIAGRAMS
 from kj.cube import MAX_CROSSINGS
+from kj.diagram import parse_pd
+from kj.errors import IllegalMoveError, PDSyntaxError
+from kj.moves import apply_move, move_from_json
 
 from diagrams import torus_pd
 
@@ -63,6 +71,8 @@ def test_exit_codes(tmp_path, capsys):
         json.dumps({"initial": "empty", "moves": [{"type": "saddle"}]}),
         json.dumps({"initial": "empty",
                     "moves": [{"type": "birth"}, {"type": "death", "edge": "x"}]}),
+        # JSON's Infinity is a float that no int holds
+        json.dumps({"initial": "empty", "moves": [{"type": "death", "edge": float("inf")}]}),
     ]
     for k, text in enumerate(malformed):
         path = tmp_path / f"malformed{k}.movie"
@@ -139,3 +149,92 @@ def test_open_movie_prints_matrix(capsys):
         assert "euler characteristic: -2" in out
     finally:
         os.unlink(path)
+
+
+# -- fuzzed inputs: every bad input ends in a documented exit code ------------
+
+_CLEAN_EXITS = {0, 1, 2, 4, 5}
+_SMALL = ("unknot", "unlink2", "curl", "trefoil", "hopf", "r3-unknot")
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**20), st.floats(),
+    st.sampled_from((float("inf"), float("-inf"), float("nan"))), st.text(max_size=4),
+    st.lists(st.integers(-1, 9), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+# any move type with junk fields, or no object at all
+_BAD_MOVE = st.one_of(
+    st.builds(lambda t, fields: {"type": t, **fields},
+              st.sampled_from(("birth", "death", "saddle", "r1", "r2", "r3", "r4")),
+              st.dictionaries(st.sampled_from(("edge", "edges", "side", "action", "hand",
+                                               "over", "crossings")), _JUNK, max_size=3)),
+    _JUNK,
+)
+
+
+def _move(frame, edge):
+    """A well-formed move on ``frame``; additions only while it is small, so
+    every complex stays quick to build."""
+    sides = st.sampled_from(("left", "right"))
+    actions = ("add", "remove") if frame.crossing_count <= 4 else ("remove",)
+    return st.one_of(
+        st.just({"type": "birth"}),
+        st.builds(lambda e: {"type": "death", "edge": e}, edge),
+        st.builds(lambda a, b, s: {"type": "saddle", "edges": [a, b], "side": s},
+                  edge, edge, sides),
+        st.builds(lambda a, e, h: {"type": "r1", "action": a, "edge": e, "hand": h},
+                  st.sampled_from(actions), edge, sides),
+        st.builds(lambda a, b, c, o: {"type": "r2", "action": a, "edges": [b, c], "over": o},
+                  st.sampled_from(actions), edge, edge, st.booleans()),
+        st.builds(lambda c: {"type": "r3", "crossings": c},
+                  st.lists(st.integers(-1, frame.crossing_count), min_size=3, max_size=3)),
+    )
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(DIAGRAMS)), data=st.data())
+def test_mutated_pd_exits_cleanly(tmp_path_factory, name, data):
+    text = DIAGRAMS[name]
+    for _ in range(data.draw(st.integers(1, 3))):
+        numbers = list(re.finditer(r"\d+", text))
+        if numbers and data.draw(st.booleans()):
+            m = data.draw(st.sampled_from(numbers))
+            new = str(data.draw(st.integers(0, 12)))
+            text = text[: m.start()] + new + text[m.end():]
+        else:
+            at = data.draw(st.integers(0, len(text)))
+            ch = data.draw(st.sampled_from(list("PDXO[](),- 0123459x")))
+            text = text[:at] + ch + text[at + data.draw(st.integers(0, 1)):]
+    path = tmp_path_factory.mktemp("pd") / "fuzz.pd"
+    path.write_text(text)
+    for argv in (["homology", str(path)], ["jones", str(path)]):
+        assert _run_quietly(argv) in _CLEAN_EXITS, (argv[0], text)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(initial=st.sampled_from(("empty",) + _SMALL), data=st.data(),
+       theory=st.sampled_from(("kh", "lee")))
+def test_fuzzed_movie_json_exits_cleanly(tmp_path_factory, initial, data, theory):
+    # moves are drawn on the frame the earlier ones reached, so most are legal
+    frame = parse_pd(DIAGRAMS.get(initial, "PD[]"))
+    moves = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.integers(0, 5)) == 0:
+            moves.append(data.draw(_BAD_MOVE))
+            continue
+        edges = sorted(frame.edges)
+        edge = st.sampled_from(edges + [len(edges) + 1])
+        moves.append(data.draw(_move(frame, edge)))
+        try:
+            frame = apply_move(frame, move_from_json(moves[-1]))[0]
+        except (IllegalMoveError, PDSyntaxError):
+            pass
+    obj = {"initial": "empty" if initial == "empty" else DIAGRAMS[initial], "moves": moves}
+    path = tmp_path_factory.mktemp("movie") / "fuzz.movie"
+    path.write_text(json.dumps(obj))
+    code = _run_quietly(["movie", str(path), "--theory", theory])
+    assert code in _CLEAN_EXITS, obj

@@ -1,6 +1,7 @@
 """Every name a module of ``kj`` imports is used in it or listed in its
-``__all__``. The standard library has no linter, so this walks the syntax
-trees."""
+``__all__``, and every private module-level function and class is named
+somewhere in ``kj``. The standard library has no linter, so this walks the
+syntax trees."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,27 @@ def test_no_unused_imports():
             if name not in used
         )
     assert unused == []
+
+
+def test_private_definitions_are_referenced():
+    # a private module-level function or class that nothing else in kj names
+    # is dead code a refactor left behind
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named: dict[str, set[str]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.setdefault(node.id, set()).add(module)
+            elif isinstance(node, ast.Attribute):
+                named.setdefault(node.attr, set()).add(module)
+            elif isinstance(node, ast.alias):
+                named.setdefault(node.name, set()).add(module)
+    orphans = [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not named.get(node.name)
+    ]
+    assert orphans == []

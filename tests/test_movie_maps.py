@@ -1,16 +1,46 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kj.canonical import canonical_chain, lee_generator
-from kj.corpus import load_movie
-from kj.cube import V_MINUS, V_PLUS, ChainComplex, build_complex
+from kj.corpus import MOVIES, load_movie
+from kj.cube import (
+    V_MINUS,
+    V_PLUS,
+    ChainComplex,
+    build_complex,
+    carry_labels,
+    counit,
+    edge_map_on_chain,
+    merge_products,
+    split_products,
+)
 from kj.diagram import all_orientations, parse_pd
 from kj.errors import InternalInvariantError
 from kj.moves import Birth, Death, R1Move, R2Move, R3Move, Saddle, apply_move
-from kj.movie import Movie, MovieMaps, kj_number
+from kj.movie import (
+    ChainMap,
+    Movie,
+    MovieMaps,
+    _change_twist,
+    _embed_bits,
+    _identify_with_local_circle,
+    _spectator_parity_sign,
+    kj_number,
+    morse_chain_map,
+    r1_chain_map,
+    r2_chain_map,
+)
 from kj.rings import QQ, QSQRT2, QSqrt2, half_power_of_two
 from kj.sparse import SparseMatrix
+from kj.verify import (
+    _elementary_morse_instances,
+    _random_composite_movies,
+    random_cancelling_insertion,
+)
 
 from diagrams import HOPF, R3_UNKNOT, TREFOIL, UNKNOT, UNLINK2
 
@@ -210,3 +240,196 @@ def test_chain_map_check_catches_every_flipped_r2_entry():
                     cm.verify()
                 m.data[key] = v
             cm.verify()
+
+
+# -- the elementary chain maps against a generator-by-generator reference -----
+
+
+def _ref_gens_at(c, bits):
+    k = c.resolutions[bits].circle_count
+    for labels in itertools.product((V_PLUS, V_MINUS), repeat=k):
+        yield (bits, labels)
+
+
+def _saddle_merge_target(rec, res2):
+    data = rec.data
+    if "new_loop" in data:
+        return res2.circle_index_of_edge(data["new_loop"])
+    return res2.circle_index_of_edge(data["feet"][0])
+
+
+def _saddle_split_targets(rec, res2):
+    data = rec.data
+    if "new_loop" in data:
+        kept = data["kept"] if "kept" in data else data["feet"][0]
+        return res2.circle_index_of_edge(kept), res2.circle_index_of_edge(data["new_loop"])
+    e1, e2 = data["feet"]
+    return res2.circle_index_of_edge(e1), res2.circle_index_of_edge(e2)
+
+
+def _ref_morse(rec, c1, c2):
+    t, ring = c1.t, c1.ring
+    cm = ChainMap(c1, c2, shift=c1.n_minus - c2.n_minus)
+    for bits, res1 in c1.resolutions.items():
+        res2 = c2.resolutions[bits]
+        if rec.kind == "birth":
+            lidx = res2.circle_index_of_edge(rec.data["loop"])
+            for gen in _ref_gens_at(c1, bits):
+                tlabels = carry_labels(res1, res2, gen[1], fixed={lidx: V_PLUS})
+                cm.add_entry(gen, (bits, tlabels), ring.one)
+        elif rec.kind == "death":
+            lidx = res1.circle_index_of_edge(rec.data["loop"])
+            for gen in _ref_gens_at(c1, bits):
+                coeff = counit(gen[1][lidx])
+                if coeff:
+                    tlabels = carry_labels(res1, res2, gen[1], {lidx: None})
+                    cm.add_entry(gen, (bits, tlabels), ring.from_int(coeff))
+        else:
+            e1, e2 = rec.data["feet"]
+            i1 = res1.circle_index_of_edge(e1)
+            i2 = res1.circle_index_of_edge(e2)
+            for gen in _ref_gens_at(c1, bits):
+                labels = gen[1]
+                if i1 != i2:
+                    target = _saddle_merge_target(rec, res2)
+                    placed = {i1: target, i2: target}
+                    terms = [
+                        (carry_labels(res1, res2, labels, placed, {target: lab}), c)
+                        for lab, c in merge_products(labels[i1], labels[i2], t)
+                    ]
+                else:
+                    ta, tb = _saddle_split_targets(rec, res2)
+                    terms = [
+                        (carry_labels(res1, res2, labels, {i1: ta}, {ta: la, tb: lb}), c)
+                        for (la, lb), c in split_products(labels[i1], t)
+                    ]
+                for tlabels, c in terms:
+                    cm.add_entry(gen, (bits, tlabels), ring.from_int(c))
+    return cm
+
+
+def _ref_r1(rec_data, c_small, c_big, cross_embed):
+    hand, cstar, f1 = rec_data["hand"], rec_data["crossing"], rec_data["loop_edge"]
+    a_small, a_big = rec_data["anchor"]
+    t, ring = c_small.t, c_small.ring
+    nbig = c_big.diagram.crossing_count
+    cm = ChainMap(c_small, c_big)
+    for bits, res1 in c_small.resolutions.items():
+        host = res1.circle_index_of_edge(a_small)
+        tbits = _embed_bits(bits, cross_embed, nbig, {cstar: 0 if hand == "left" else 1})
+        res2 = c_big.resolutions[tbits]
+        lidx = res2.circle_index_of_edge(f1)
+        midx = res2.circle_index_of_edge(a_big)
+        placed = {host: midx}
+        sign = 1 if hand == "left" else _change_twist(tbits, {cstar: 0})
+        for gen in _ref_gens_at(c_small, bits):
+            labels = gen[1]
+            if hand == "right":
+                tlabels = carry_labels(res1, res2, labels, placed, {lidx: V_PLUS})
+                cm.add_entry(gen, (tbits, tlabels), ring.from_int(sign))
+                continue
+            # split at the marked point minus twice X on the host
+            for (la, lb), c in split_products(labels[host], t):
+                tlabels = carry_labels(res1, res2, labels, placed, {midx: la, lidx: lb})
+                cm.add_entry(gen, (tbits, tlabels), ring.from_int(sign * c))
+            x_terms = [(V_MINUS, 1)] if labels[host] == V_PLUS else [(V_PLUS, t)] if t else []
+            for lx, c in x_terms:
+                tlabels = carry_labels(res1, res2, labels, placed, {midx: lx, lidx: V_PLUS})
+                cm.add_entry(gen, (tbits, tlabels), ring.from_int(-2 * sign * c))
+    return cm
+
+
+def _ref_r2(rec_data, c_small, c_big, cross_embed):
+    k1, k2, m1, m2 = (rec_data[key] for key in ("k1", "k2", "m1", "m2"))
+    ring = c_small.ring
+    nbig = c_big.diagram.crossing_count
+    incl = ChainMap(c_small, c_big)
+    for bits, res1 in c_small.resolutions.items():
+        tbits = _embed_bits(bits, cross_embed, nbig, {k1: 0, k2: 1})
+        res2 = c_big.resolutions[tbits]
+        placed = {
+            res1.circle_index_of_edge(a): res2.circle_index_of_edge(b)
+            for a, b in rec_data["anchors"].items()
+        }
+        sign = _change_twist(tbits, {k2: 0})
+        for gen in _ref_gens_at(c_small, bits):
+            tlabels = carry_labels(res1, res2, gen[1], placed)
+            incl.add_entry(gen, (tbits, tlabels), ring.from_int(sign))
+    alpha = ChainMap(c_small, c_big)
+    for i, m in incl.mats.items():
+        for (row, col), v in m.data.items():
+            gen_big = c_big.bases[i][row]
+            tau = _spectator_parity_sign(gen_big[0], {k1, k2})
+            for gmid, coeff in edge_map_on_chain(c_big, {gen_big: v}, k1).items():
+                target, tc = _identify_with_local_circle(
+                    c_big, gmid, k2, frozenset((m1, m2))
+                )
+                alpha.add_entry(c_small.bases[i][col], target, coeff * tc * ring.from_int(tau))
+    for i, m in alpha.mats.items():
+        for (r, c), v in m.data.items():
+            incl.mats[i].add_to(r, c, v)
+    return incl
+
+
+def _elementary_chain_maps(movie, t):
+    """(built, reference) for every move of ``movie`` with a chain map; a
+    removal's is the forward map of the matching addition."""
+    complexes = [build_complex(f, t, QQ) for f in movie.frames]
+    for k, rec in enumerate(movie.records):
+        c1, c2 = complexes[k], complexes[k + 1]
+        if rec.kind in ("birth", "death") or rec.kind.startswith("saddle"):
+            yield morse_chain_map(rec, c1, c2), _ref_morse(rec, c1, c2)
+            continue
+        if rec.kind == "r3":
+            continue
+        new, ref = (r1_chain_map, _ref_r1) if rec.kind[:2] == "r1" else (r2_chain_map, _ref_r2)
+        if rec.kind.endswith("_remove"):
+            c1, c2 = c2, c1
+            embed = {b: a for a, b in rec.crossing_map.items()}
+        else:
+            embed = dict(rec.crossing_map)
+        yield new(rec.data, c1, c2, embed), ref(rec.data, c1, c2, embed)
+
+
+def _reference_movies():
+    movies = {id(mv): mv for _, mv, _ in _elementary_morse_instances()}
+    movies = list(movies.values())
+    for s in range(6):
+        movies.extend(_random_composite_movies(s))
+    rng = random.Random(9)
+    for name in MOVIES:
+        mv = load_movie(name)
+        for _ in range(4):
+            mv = random_cancelling_insertion(mv, rng)
+            movies.append(mv)
+    return movies
+
+
+def test_chain_maps_match_generator_by_generator():
+    kinds = set()
+    for movie in _reference_movies():
+        for t in (0, 1):
+            for cm, ref in _elementary_chain_maps(movie, t):
+                assert cm.mats.keys() == ref.mats.keys()
+                for i, m in cm.mats.items():
+                    assert m.shape() == ref.mats[i].shape()
+                    assert m.data == ref.mats[i].data
+        kinds.update(rec.kind for rec in movie.records)
+    assert {"birth", "death", "saddle_merge", "saddle_split",
+            "r1_add", "r1_remove", "r2_add", "r2_remove"} <= kinds
+
+
+_CLOSED_NUMBERS = {"torus": 2, "sphere": 0, "genus2": 0}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_CLOSED_NUMBERS)), seed=st.integers(0, 2**32 - 1),
+       pairs=st.integers(1, 3))
+def test_kj_number_invariant_under_cancelling_r_moves(name, seed, pairs):
+    # each pair is an R1 or R2 addition and its removal, so both directions
+    # of the chain maps enter the composite
+    rng = random.Random(seed)
+    movie = load_movie(name)
+    for _ in range(pairs):
+        movie = random_cancelling_insertion(movie, rng)
+    assert kj_number(movie) == _CLOSED_NUMBERS[name]
