@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .canonical import lee_generator, verify_basis
 from .corpus import DIAGRAMS, bundled_path
@@ -56,25 +57,31 @@ def _ring_from_flag(text: str):
     raise PDValidationError(f"unknown ring {text!r}")
 
 
+def _read_text(path) -> str:
+    """The file's text; a directory or a file that is not UTF-8 is a parse error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PDSyntaxError(f"cannot read {path}: {exc}") from None
+
+
 def _read_diagram(source: str):
     if source in DIAGRAMS:
         return parse_pd(DIAGRAMS[source])
     ref = bundled_path(source)
     if ref is not None and source.endswith(".pd"):
-        return parse_pd(ref.read_text())
+        return parse_pd(_read_text(ref))
     if os.path.exists(source):
-        with open(source) as f:
-            return parse_pd(f.read())
+        return parse_pd(_read_text(Path(source)))
     raise PDSyntaxError(f"no such diagram file or corpus name: {source}")
 
 
 def _read_movie(source: str) -> Movie:
     if os.path.exists(source):
-        with open(source) as f:
-            return Movie.from_json(f.read())
+        return Movie.from_json(_read_text(Path(source)))
     ref = bundled_path(source)
     if ref is not None:
-        return Movie.from_json(ref.read_text())
+        return Movie.from_json(_read_text(ref))
     raise PDSyntaxError(f"no such movie file or corpus name: {source}")
 
 

@@ -380,8 +380,9 @@ class ChainComplex:
 
     def _int_columns(self, i: int) -> list[list[tuple[int, int]]]:
         """d_i as columns of (row, int) pairs."""
-        # every entry is one of the shared elements, looked up by identity,
-        # because hashing a Fraction costs more than checking its entry
+        # every entry is one of the shared elements, looked up by identity:
+        # over Z and Q an element is its own int, but F_p and Q(sqrt2)
+        # elements hash in Python code
         ints = {id(x): v for v, x in self._elements.items() if x is not None}
         m = self.diff[i]
         cols: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]

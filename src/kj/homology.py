@@ -198,7 +198,7 @@ def _eliminate(out: dict, inn: dict, ring: Ring) -> list[tuple]:
                 continue
             cancelled = True
             u = row.pop(y)
-            scale = -(one / u) if field else -u
+            scale = -ring.div(one, u) if field else -u
             del out[x]
             for target in row:
                 inn[target].discard(x)

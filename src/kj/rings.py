@@ -1,7 +1,10 @@
 """Exact coefficient rings: integers, rationals, Q(sqrt2), and odd prime fields.
 
-Elements are plain Python objects supporting ``+ - * /`` and ``==``; a small
-ring adapter carries the constants and coercions the matrix code needs.
+Elements are plain Python objects supporting ``+ - *`` and ``==``; a small
+ring adapter carries the constants, the coercion from the integers and the
+one field division (``Ring.div``) the matrix code needs. An element of Q is a
+plain ``int`` while it is an integer and a ``Fraction`` only once a division
+leaves Z; the two mix exactly and print alike.
 Q(sqrt2) is implemented as the quadratic field Q[t]/(t^2 - 2), never as a
 float, so half-integer powers of two are exact. kj itself computes over Q
 and carries powers of sqrt2 as integer exponents (``half_power_sign``);
@@ -10,6 +13,7 @@ Q(sqrt2) is there for ``--ring Qsqrt2`` and for library callers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,13 +209,16 @@ class GFElement:
 class Ring:
     """Adapter bundling the constants and coercions for one coefficient ring."""
 
-    def __init__(self, name: str, zero, one, from_int, is_field: bool, char: int):
+    def __init__(self, name: str, zero, one, from_int, is_field: bool, char: int,
+                 div=operator.truediv):
         self.name = name
         self.zero = zero
         self.one = one
         self.from_int = from_int
         self.is_field = is_field
         self.characteristic = char
+        # div(a, b) = a / b, the only division of field elements in kj
+        self.div = div
 
     def is_zero(self, x) -> bool:
         return x == self.zero
@@ -223,8 +230,20 @@ class Ring:
         return f"Ring({self.name})"
 
 
-ZZ = Ring("Z", 0, 1, lambda n: int(n), is_field=False, char=0)
-QQ = Ring("Q", Fraction(0), Fraction(1), lambda n: Fraction(n), is_field=True, char=0)
+def _q_div(a, b):
+    """a / b in Q, an ``int`` whenever the quotient is an integer."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    x = Fraction(a, b)
+    return x.numerator if x.denominator == 1 else x
+
+
+# Z is no field and has no division: int / int would be a float
+ZZ = Ring("Z", 0, 1, lambda n: int(n), is_field=False, char=0, div=None)
+# operator.index refuses a Fraction or a float instead of truncating it
+QQ = Ring("Q", 0, 1, operator.index, is_field=True, char=0, div=_q_div)
 QSQRT2 = Ring(
     "Q(sqrt2)",
     QSqrt2.of(0),

@@ -180,7 +180,7 @@ class _Echelon:
         combo = dict(combo)
         for prow, pvec, pcombo in self.pivots:
             if prow in vec:
-                factor = vec[prow] / pvec[prow]
+                factor = ring.div(vec[prow], pvec[prow])
                 vec = vec_sub(ring, vec, vec_scale(ring, factor, pvec))
                 combo = vec_sub(ring, combo, vec_scale(ring, factor, pcombo))
         return vec, combo

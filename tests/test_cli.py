@@ -87,6 +87,13 @@ def test_exit_codes(tmp_path, capsys):
     # the Khovanov-Jacobsson number is a t = 0 invariant
     code, out, err = run_cli(capsys, "movie", "torus.movie", "--theory", "lee")
     assert code == 2 and not out and err.count("\n") == 1 and "validation error" in err
+    # a directory or a file that is not UTF-8 is a parse error, not a traceback
+    binary = tmp_path / "binary.pd"
+    binary.write_bytes(b"PD[X(1,2,\xff\xfe)]")
+    for argv in (["homology", str(tmp_path)], ["movie", str(tmp_path)],
+                 ["homology", str(binary)], ["jones", str(binary)], ["movie", str(binary)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out and err.count("\n") == 1 and "parse error" in err
 
 
 def test_too_large_diagram_exits_before_building(tmp_path, capsys):

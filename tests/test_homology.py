@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +205,16 @@ def test_field_homology_matches_echelon_reference(name, t, ring):
         for o in all_orientations(d):
             i, vec = c.chain_to_vec(canonical_chain(c, o))
             assert fh.greedy_coordinates(i, fh.reduce(i, vec)) == ref.reduce(i, vec)
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_q_elimination_divides_out_of_z_only_where_it_must(t):
+    # an integral scale -1/u is an int, and the Fraction branch of QQ.div runs
+    # too: the reference tests above check what elimination makes of both
+    fh = FieldHomology(build_complex(parse_pd(torus_pd(5)), t, QQ))
+    scales = [step[2] for step in fh._steps]
+    assert all(type(s) is int or s.denominator != 1 for s in scales)
+    assert sum(type(s) is Fraction for s in scales) >= 1
 
 
 def test_lee_over_integers_keeps_invariant_factors():

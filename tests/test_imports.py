@@ -1,7 +1,7 @@
 """Every name a module of ``kj`` imports is used in it or listed in its
 ``__all__``, and every private module-level function and class is named
-somewhere in ``kj``. The standard library has no linter, so this walks the
-syntax trees."""
+somewhere in ``kj``, and no module but ``rings`` uses true division. The
+standard library has no linter, so this walks the syntax trees."""
 
 import ast
 from pathlib import Path
@@ -79,3 +79,16 @@ def test_private_definitions_are_referenced():
         and not named.get(node.name)
     ]
     assert orphans == []
+
+
+def test_only_rings_divides():
+    # int / int is a float, so a field element may be divided only through
+    # Ring.div, which keeps Q elements ints until a quotient leaves Z
+    divisions = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "rings.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == []

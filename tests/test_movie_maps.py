@@ -419,6 +419,20 @@ def test_chain_maps_match_generator_by_generator():
             "r1_add", "r1_remove", "r2_add", "r2_remove"} <= kinds
 
 
+def test_q_complexes_and_chain_maps_hold_ints():
+    # a Q element is an int until a division leaves Z, and building d or an
+    # elementary chain map never divides
+    movie = load_movie("torus-noise")
+    assert {"birth", "death", "saddle_merge", "saddle_split",
+            "r1_add", "r1_remove", "r2_add", "r2_remove"} <= {r.kind for r in movie.records}
+    types = []
+    for t in (0, 1):
+        for cm, _ in _elementary_chain_maps(movie, t):
+            for m in [*cm.mats.values(), *cm.src.diff.values(), *cm.dst.diff.values()]:
+                types.extend(type(v) for v in m.data.values())
+    assert types and set(types) == {int}
+
+
 _CLOSED_NUMBERS = {"torus": 2, "sphere": 0, "genus2": 0}
 
 

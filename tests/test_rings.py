@@ -87,3 +87,35 @@ def test_ring_adapters():
     assert ZZ.from_int(7) == 7 and not ZZ.is_field
     assert QQ.from_int(7) == Fraction(7) and QQ.is_field
     assert GF(3).characteristic == 3
+
+
+def test_qq_from_int_refuses_non_integers():
+    assert type(QQ.from_int(-3)) is int
+    # a bare int() would truncate 1/2 to 0
+    for x in (Fraction(1, 2), Fraction(4, 2), 2.0, 0.5):
+        with pytest.raises(TypeError):
+            QQ.from_int(x)
+
+
+def test_qq_div_stays_in_z_when_it_can():
+    two = QQ.div(4, 2)
+    assert two == 2 and type(two) is int
+    assert QQ.div(-6, 3) == -2 and type(QQ.div(-6, 3)) is int
+    assert QQ.div(3, 2) == Fraction(3, 2) and type(QQ.div(3, 2)) is Fraction
+    one = QQ.div(Fraction(1, 2), Fraction(1, 2))
+    assert one == 1 and type(one) is int
+    assert QQ.div(1, Fraction(1, 3)) == 3 and type(QQ.div(1, Fraction(1, 3))) is int
+    assert QQ.div(Fraction(3, 4), 3) == Fraction(1, 4)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def test_div_in_other_rings():
+    assert ZZ.div is None and not ZZ.is_field
+    f5 = GF(5)
+    q = f5.div(f5.from_int(3), f5.from_int(2))
+    assert isinstance(q, type(f5.one)) and q * f5.from_int(2) == f5.from_int(3)
+    with pytest.raises(ZeroDivisionError):
+        f5.div(f5.one, f5.zero)
+    x = QSqrt2.of(Fraction(3, 2), 1)
+    assert QSQRT2.div(x, x) == QSQRT2.one
