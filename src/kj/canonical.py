@@ -105,8 +105,7 @@ def lee_generator(
     res = resolve(d, bits)
     labels = []
     for i in range(res.circle_count):
-        along = res.traversal_matches_orientation(i, o)
-        color = res.left_color_along(i, along)
+        color = res.oriented_color(i, o)
         if flip_colors:
             color = 1 - color
         labels.append(LABEL_A if color == 1 else LABEL_B)

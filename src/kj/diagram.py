@@ -84,6 +84,12 @@ class PlanarDiagram:
         a, b = self.occurrences[edge]
         return b if dart == a else a
 
+    def slot(self, edge: int, crossing: int) -> int:
+        """The slot of ``crossing`` that ``edge`` occupies; the edge must meet
+        the crossing exactly once."""
+        (s,) = [s for c, s in self.occurrences[edge] if c == crossing]
+        return s
+
     # -- strand structure --------------------------------------------------
 
     @cached_property
@@ -224,6 +230,18 @@ class PlanarDiagram:
         for c in range(self.crossing_count):
             groups.setdefault(find(c), []).append(c)
         return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+
+    @cached_property
+    def outer_sectors(self) -> tuple[Dart, ...]:
+        """Per crossing component, a sector of its declared outer face: the
+        left side of its lowest edge at that edge's first crossing."""
+        out = []
+        for comp in self.crossing_components:
+            cset = set(comp)
+            e0 = min(e for e in self.crossing_edges if self.occurrences[e][0][0] in cset)
+            c, s = min(self.occurrences[e0])
+            out.append((c, (s - 1) % 4))
+        return tuple(out)
 
     def validate(self) -> None:
         """Check all structural invariants, raising PDValidationError."""
@@ -521,10 +539,6 @@ class Resolution:
         d = self.diagram
         face_color: dict[int, int] = {}
         outer: dict[int, int] = {}
-        comp_of_crossing = {}
-        for ci, comp in enumerate(d.crossing_components):
-            for c in comp:
-                comp_of_crossing[c] = ci
         # adjacency: each crossing circle separates its two side faces
         adj: dict[int, set[int]] = {}
         for i, circ in enumerate(self.circles):
@@ -533,13 +547,8 @@ class Resolution:
             l, r = self.circle_side_faces(i)
             adj.setdefault(l, set()).add(r)
             adj.setdefault(r, set()).add(l)
-        for ci, comp in enumerate(d.crossing_components):
-            comp_edges = [
-                e for e in d.crossing_edges if d.occurrences[e][0][0] in set(comp)
-            ]
-            e0 = min(comp_edges)
-            c, s = min(d.occurrences[e0])
-            out_face = self._resolved_face_at((c, (s - 1) % 4))
+        for ci, sector in enumerate(d.outer_sectors):
+            out_face = self._resolved_face_at(sector)
             outer[ci] = out_face
             stack = [out_face]
             face_color[out_face] = 0
@@ -568,28 +577,17 @@ class Resolution:
         left, _ = self.circle_side_faces(i)
         return face_color[left]
 
-    def left_color_along(self, i: int, along_reference: bool) -> int:
-        """Color on the left of circle i traversed with (or against) the
-        canonical trace direction. Free loops: canonical = counterclockwise,
-        whose left side is the bounded interior (color 1)."""
-        circ = self.circles[i]
-        if circ.is_free_loop:
-            return 1 if along_reference else 0
-        face_color, _ = self._coloring
-        left, right = self.circle_side_faces(i)
-        return face_color[left if along_reference else right]
-
-    def traversal_matches_orientation(self, i: int, d_orientation) -> bool:
-        """Whether the canonical trace of circle i runs along the edge
-        directions induced by the given link orientation. Raises if the
-        circle's edges are not coherently oriented (never happens for
-        oriented resolutions)."""
+    def oriented_color(self, i: int, orientation) -> int:
+        """Color on the left of circle i traversed along the direction the
+        link orientation induces on its edges. Free loops run
+        counterclockwise in their reference direction, with the bounded
+        interior (color 1) on the left. Raises if the circle's edges are not
+        coherently oriented (never so in the oriented resolution)."""
         d = self.diagram
-        o = _check_orientation(d, d_orientation)
+        o = _check_orientation(d, orientation)
         circ = self.circles[i]
         if circ.is_free_loop:
-            # free loop reference direction is counterclockwise
-            return o[d.component_map[circ.edges[0]]]
+            return 1 if o[d.component_map[circ.edges[0]]] else 0
         votes = set()
         for dart in circ.trace:
             e = d.edge_at(dart)
@@ -600,7 +598,9 @@ class Resolution:
             raise InternalInvariantError(
                 "circle is not coherently oriented by the link orientation"
             )
-        return votes.pop()
+        face_color, _ = self._coloring
+        left, right = self.circle_side_faces(i)
+        return face_color[left if votes.pop() else right]
 
 
 def resolve(d: PlanarDiagram, bits) -> Resolution:

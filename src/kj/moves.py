@@ -170,23 +170,9 @@ def _directed_occurrences(d: PlanarDiagram, edge: int, face: int):
     return None
 
 
-def _outer_faces(d: PlanarDiagram) -> set[int]:
-    """The designated outer face of each crossing component."""
-    out = set()
-    for comp in d.crossing_components:
-        comp_set = set(comp)
-        comp_edges = [
-            e for e in d.crossing_edges if d.occurrences[e][0][0] in comp_set
-        ]
-        e0 = min(comp_edges)
-        c, s = min(d.occurrences[e0])
-        out.add(d.face_of_sector[(c, (s - 1) % 4)])
-    return out
-
-
 def _outer_directed(d: PlanarDiagram, edge: int):
     """Directed occurrence of ``edge`` with the outer region on its left."""
-    outer = _outer_faces(d)
+    outer = {d.face_of_sector[sector] for sector in d.outer_sectors}
     for side in ("left", "right"):
         f = _edge_side_face(d, edge, side)
         if f in outer:
@@ -266,16 +252,11 @@ def _saddle(d: PlanarDiagram, move: Saddle):
 
     if loop1 and loop2:
         if e1 == e2:
-            # band from a free loop to itself: split off a fresh loop.
-            # side "left" = inside of the reference (counterclockwise) loop.
+            # band from a free loop to itself: split off a fresh loop
             (new,) = d.fresh_edges(1)
             d2 = PlanarDiagram(d.crossings, d.loops + (new,))
-            along = move.side == "left"
             rec = MoveRecord(
-                "saddle_split",
-                ident,
-                {"feet": (e1, e2), "kept": e1, "new_loop": new,
-                 "d1_ref": along, "d2_ref": along},
+                "saddle_split", ident, {"feet": (e1, e2), "kept": e1, "new_loop": new}
             )
             return d2, rec
         # merge two side-by-side loops through the outer region; the band
@@ -283,42 +264,27 @@ def _saddle(d: PlanarDiagram, move: Saddle):
         remaining = tuple(e for e in d.loops if e not in (e1, e2))
         (new,) = PlanarDiagram(d.crossings, remaining).fresh_edges(1)
         d2 = PlanarDiagram(d.crossings, remaining + (new,))
-        rec = MoveRecord(
-            "saddle_merge",
-            ident,
-            {"feet": (e1, e2), "new_loop": new, "d1_ref": False, "d2_ref": False},
-        )
+        rec = MoveRecord("saddle_merge", ident, {"feet": (e1, e2), "new_loop": new})
         return d2, rec
 
     if loop1 != loop2:
         # merge a free loop into a strand bordering the outer region
         loop, edge = (e1, e2) if loop1 else (e2, e1)
-        occ = _outer_directed(d, edge)
-        if occ is None:
+        if _outer_directed(d, edge) is None:
             raise IllegalMoveError(
                 f"edge {edge} does not border the outer region"
             )
         d2 = PlanarDiagram(d.crossings, tuple(e for e in d.loops if e != loop))
-        rec = MoveRecord(
-            "saddle_merge",
-            ident,
-            {"feet": (edge, loop), "absorbed": loop,
-             "d1_ref": occ[2], "d2_ref": False},
-        )
+        rec = MoveRecord("saddle_merge", ident, {"feet": (edge, loop)})
         return d2, rec
 
     # both feet on crossing edges
     if e1 == e2:
         # both feet on one edge, same side: split off a fresh loop
-        face = _edge_side_face(d, e1, move.side)
-        occ = _directed_occurrences(d, e1, face)
         (new,) = d.fresh_edges(1)
         d2 = PlanarDiagram(d.crossings, d.loops + (new,))
         rec = MoveRecord(
-            "saddle_split",
-            ident,
-            {"feet": (e1, e2), "kept": e1, "new_loop": new,
-             "d1_ref": occ[2], "d2_ref": occ[2]},
+            "saddle_split", ident, {"feet": (e1, e2), "kept": e1, "new_loop": new}
         )
         return d2, rec
 
@@ -339,8 +305,8 @@ def _saddle(d: PlanarDiagram, move: Saddle):
                 f"edges {e1} and {e2} lie in different pieces and do not "
                 "both border the outer region"
             )
-    tail1, head1, ref1 = got1
-    tail2, head2, ref2 = got2
+    tail1, head1, _ = got1
+    tail2, head2, _ = got2
     crossings = [list(t) for t in d.crossings]
     # reconnect: e1 runs tail1 -> head2, e2 runs tail2 -> head1
     _replace_occurrence(crossings, head2, e1)
@@ -350,11 +316,7 @@ def _saddle(d: PlanarDiagram, move: Saddle):
         d2.validate()
     except PDValidationError as exc:
         raise IllegalMoveError(f"saddle produced an invalid diagram: {exc}")
-    rec = MoveRecord(
-        "saddle_reconnect",
-        ident,
-        {"feet": (e1, e2), "d1_ref": ref1, "d2_ref": ref2},
-    )
+    rec = MoveRecord("saddle_reconnect", ident, {"feet": (e1, e2)})
     return d2, rec
 
 
@@ -378,8 +340,7 @@ def _r1_add(d: PlanarDiagram, move: R1Move):
         rec = MoveRecord(
             "r1_add",
             ident,
-            {"hand": move.hand, "crossing": n, "loop_edge": f1,
-             "anchor": (e, f2), "host_was_loop": True},
+            {"hand": move.hand, "crossing": n, "loop_edge": f1, "anchor": (e, f2)},
         )
         return d2, rec
     f1, f2 = d.fresh_edges(2)
@@ -393,8 +354,7 @@ def _r1_add(d: PlanarDiagram, move: R1Move):
     rec = MoveRecord(
         "r1_add",
         ident,
-        {"hand": move.hand, "crossing": n, "loop_edge": f1,
-         "anchor": (e, e), "host_was_loop": False},
+        {"hand": move.hand, "crossing": n, "loop_edge": f1, "anchor": (e, e)},
     )
     return d2, rec
 
@@ -509,8 +469,7 @@ def _r1_remove(d: PlanarDiagram, move: R1Move):
     rec = MoveRecord(
         "r1_remove",
         crossing_map,
-        {"hand": hand, "crossing": c, "loop_edge": move.edge,
-         "anchor": (keep, keep), "host_is_loop": bool(new_loops)},
+        {"hand": hand, "crossing": c, "loop_edge": move.edge, "anchor": (keep, keep)},
     )
     return d2, rec
 
@@ -709,14 +668,9 @@ def detect_r2_pattern(d: PlanarDiagram, m_edges: tuple[int, int]):
             f"edges {m_edges} do not join one pair of crossings"
         )
     k_first, k_second = ca
-
-    def slot(e, c):
-        (s,) = [s for (cc, s) in d.occurrences[e] if cc == c]
-        return s
-
     roles = {}
     for e in (ma, mb):
-        r1, r2 = slot(e, k_first) % 2, slot(e, k_second) % 2
+        r1, r2 = d.slot(e, k_first) % 2, d.slot(e, k_second) % 2
         if r1 != r2:
             raise IllegalMoveError(
                 f"edge {e} changes over/under role; not an R2 bigon"
@@ -729,7 +683,7 @@ def detect_r2_pattern(d: PlanarDiagram, m_edges: tuple[int, int]):
 
     def circled_bit(c):
         # bit whose smoothing glues the two middle slots to each other
-        s1, s2 = slot(m1, c), slot(m2, c)
+        s1, s2 = d.slot(m1, c), d.slot(m2, c)
         return 0 if smoothing_partner(s1, 0) == s2 else 1
 
     bits = {c: circled_bit(c) for c in (k_first, k_second)}
@@ -742,9 +696,9 @@ def detect_r2_pattern(d: PlanarDiagram, m_edges: tuple[int, int]):
     k2 = k_second if k1 == k_first else k_first
     # sanity: middle slots must be adjacent at both crossings
     for c in (k_first, k_second):
-        if slot(m1, c) not in (
-            smoothing_partner(slot(m2, c), 0),
-            smoothing_partner(slot(m2, c), 1),
+        if d.slot(m1, c) not in (
+            smoothing_partner(d.slot(m2, c), 0),
+            smoothing_partner(d.slot(m2, c), 1),
         ):
             raise IllegalMoveError("middle edges are not adjacent at a crossing")
     return k1, k2, m1, m2
@@ -755,8 +709,7 @@ def _r2_remove(d: PlanarDiagram, move: R2Move):
     removed = {k1, k2}
 
     def outer_dart(e, c):
-        (s,) = [s for (cc, s) in d.occurrences[e] if cc == c]
-        return (c, (s + 2) % 4)
+        return (c, (d.slot(e, c) + 2) % 4)
 
     pairs = [
         (outer_dart(m1, k1), outer_dart(m1, k2)),
@@ -774,7 +727,6 @@ def _r2_remove(d: PlanarDiagram, move: R2Move):
         crossing_map,
         {"k1": k1, "k2": k2, "m1": m1, "m2": m2,
          "anchors": {under_kept: under_kept, over_kept: over_kept},
-         "under_kept": under_kept, "over_kept": over_kept,
          "flip_components": [e for e in (under_kept, over_kept) if e in new_loops]},
     )
     return d2, rec
@@ -842,12 +794,8 @@ def _r3(d: PlanarDiagram, move: R3Move):
     if p is None:
         raise IllegalMoveError("triangle sides do not close up")
 
-    def slot(e, c):
-        (s,) = [s for (cc, s) in d.occurrences[e] if cc == c]
-        return s
-
     def opp_edge(e, c):
-        return d.crossings[c][(slot(e, c) + 2) % 4]
+        return d.crossings[c][(d.slot(e, c) + 2) % 4]
 
     m_outer_p = opp_edge(m_edge, p)   # strand M beyond P
     m_outer_r = opp_edge(m_edge, r)   # strand M beyond R
@@ -860,18 +808,18 @@ def _r3(d: PlanarDiagram, move: R3Move):
     crossings = [list(t) for t in d.crossings]
     # the crossing P slides along strand M past R; Q slides along B past R;
     # each physical slot keeps its role, only the incident edge changes
-    crossings[p][slot(m_edge, p)] = m_outer_r
-    crossings[p][(slot(m_edge, p) + 2) % 4] = m2
-    crossings[p][slot(t_edge, p)] = t_outer_q
-    crossings[p][(slot(t_edge, p) + 2) % 4] = t2
-    crossings[q][slot(b_edge, q)] = b_outer_r
-    crossings[q][(slot(b_edge, q) + 2) % 4] = b2
-    crossings[q][slot(t_edge, q)] = t_outer_p
-    crossings[q][(slot(t_edge, q) + 2) % 4] = t2
-    crossings[r][slot(m_edge, r)] = m_outer_p
-    crossings[r][(slot(m_edge, r) + 2) % 4] = m2
-    crossings[r][slot(b_edge, r)] = b_outer_q
-    crossings[r][(slot(b_edge, r) + 2) % 4] = b2
+    crossings[p][d.slot(m_edge, p)] = m_outer_r
+    crossings[p][(d.slot(m_edge, p) + 2) % 4] = m2
+    crossings[p][d.slot(t_edge, p)] = t_outer_q
+    crossings[p][(d.slot(t_edge, p) + 2) % 4] = t2
+    crossings[q][d.slot(b_edge, q)] = b_outer_r
+    crossings[q][(d.slot(b_edge, q) + 2) % 4] = b2
+    crossings[q][d.slot(t_edge, q)] = t_outer_p
+    crossings[q][(d.slot(t_edge, q) + 2) % 4] = t2
+    crossings[r][d.slot(m_edge, r)] = m_outer_p
+    crossings[r][(d.slot(m_edge, r) + 2) % 4] = m2
+    crossings[r][d.slot(b_edge, r)] = b_outer_q
+    crossings[r][(d.slot(b_edge, r) + 2) % 4] = b2
     d2 = PlanarDiagram(tuple(tuple(t) for t in crossings), d.loops)
     try:
         d2.validate()

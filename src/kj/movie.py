@@ -396,10 +396,7 @@ class Movie:
         d1, d2 = self.frames[k], self.frames[k + 1]
         rec = self.records[k]
         links = []
-        anchors = dict(rec.data.get("anchors", ()))
-        if "anchor" in rec.data:
-            a, b = rec.data["anchor"]
-            anchors[a] = b
+        anchors = _anchors(rec)
         for nc, new_comp in enumerate(d2.components):
             news = set(new_comp)
             for oc, old_comp in enumerate(d1.components):
@@ -469,6 +466,15 @@ class Movie:
         return len(self.surface_components()) <= 1
 
 
+def _anchors(rec: MoveRecord) -> dict[int, int]:
+    """Old edge -> new edge for the strands a Reidemeister move keeps."""
+    anchors = dict(rec.data.get("anchors", ()))
+    if "anchor" in rec.data:
+        a, b = rec.data["anchor"]
+        anchors[a] = b
+    return anchors
+
+
 def _direction_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord, e: int):
     """Whether edge e's reference direction flips across the move; None when
     undecidable from this edge."""
@@ -497,9 +503,7 @@ def _oriented_circle_color(d: PlanarDiagram, o, edge: int) -> int:
     """Color left of the oriented-resolution circle through ``edge``, along
     the direction the orientation induces on it."""
     res = resolve(d, oriented_resolution(d, o))
-    i = res.circle_index_of_edge(edge)
-    along = res.traversal_matches_orientation(i, o)
-    return res.left_color_along(i, along)
+    return res.oriented_color(res.circle_index_of_edge(edge), o)
 
 
 def propagate_orientation(
@@ -512,17 +516,11 @@ def propagate_orientation(
         res = resolve(d1, oriented_resolution(d1, o))
         i1 = res.circle_index_of_edge(e1)
         i2 = res.circle_index_of_edge(e2)
-        if i1 != i2:
-            # a merge of two circles survives only when their labels agree,
-            # i.e. when their left colors coincide
-            col1 = res.left_color_along(i1, res.traversal_matches_orientation(i1, o))
-            col2 = res.left_color_along(i2, res.traversal_matches_orientation(i2, o))
-            if col1 != col2:
-                return []
-    anchors = dict(rec.data.get("anchors", ()))
-    if "anchor" in rec.data:
-        a, b = rec.data["anchor"]
-        anchors[a] = b
+        # a merge of two circles survives only when their labels agree,
+        # i.e. when their left colors coincide
+        if i1 != i2 and res.oriented_color(i1, o) != res.oriented_color(i2, o):
+            return []
+    anchors = _anchors(rec)
     out: list[bool | None] = []
     branch_at = None
     for nc, new_comp in enumerate(d2.components):
@@ -708,21 +706,17 @@ class _R3Transport:
         self.beta1 = self._glue_bits(c1.diagram, *self.sides1)
         self.beta2 = self._glue_bits(c2.diagram, *self.sides2)
 
-    def _slot(self, d, e, c):
-        (s,) = [s for (cc, s) in d.occurrences[e] if cc == c]
-        return s
-
     def _open_bit(self, d, t, m, b):
         """Bit of the middle crossing that does not glue the two triangle
         sides to each other."""
-        sm, sb = self._slot(d, m, self.r), self._slot(d, b, self.r)
+        sm, sb = d.slot(m, self.r), d.slot(b, self.r)
         closed = 0 if smoothing_partner(sm, 0) == sb else 1
         return 1 - closed
 
     def _glue_bits(self, d, t, m, b):
         """(beta_p, beta_q): bits gluing t to the other side at p and q."""
-        st_p, sm_p = self._slot(d, t, self.p), self._slot(d, m, self.p)
-        st_q, sb_q = self._slot(d, t, self.q), self._slot(d, b, self.q)
+        st_p, sm_p = d.slot(t, self.p), d.slot(m, self.p)
+        st_q, sb_q = d.slot(t, self.q), d.slot(b, self.q)
         bp = 0 if smoothing_partner(st_p, 0) == sm_p else 1
         bq = 0 if smoothing_partner(st_q, 0) == sb_q else 1
         return bp, bq
@@ -983,19 +977,6 @@ class MovieMaps:
         for cm in self.chain_steps[1:]:
             total = cm.compose(total)
         return total
-
-    def apply_to_chain(self, chain: dict):
-        """Push a chain through the whole movie; chain-level when possible,
-        otherwise class coordinates in the final frame's homology."""
-        cm = self.chain_composite()
-        if cm is not None:
-            return "chain", cm.apply_chain(chain)
-        if not chain:
-            return "class", (0, {})
-        i, vec = self.complexes[0].chain_to_vec(chain)
-        coords = self.homologies[0].reduce(i, vec)
-        total = self.composite_step()
-        return "class", (i, total.apply_class(i, coords))
 
 
 def kj_number(movie: Movie) -> int:

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .canonical import canonical_chain, lee_generator
+from .canonical import canonical_chain
 from .cube import build_complex, graded_euler_characteristic, kauffman_bracket
-from .diagram import PlanarDiagram, all_orientations, parse_pd, render_pd
+from .diagram import (
+    PlanarDiagram,
+    all_orientations,
+    oriented_resolution,
+    parse_pd,
+    render_pd,
+    resolve,
+    writhe,
+)
 from .errors import IllegalMoveError
 from .homology import homology
 from .movie import (
@@ -73,7 +80,29 @@ def _plain(x):
 
 
 def _twice_exponent(d: PlanarDiagram, orientation) -> int:
-    return lee_generator(d, orientation).twice_exponent
+    """e = w - k: the writhe less the circle count of the oriented resolution."""
+    res = resolve(d, oriented_resolution(d, orientation))
+    return writhe(d, orientation) - res.circle_count
+
+
+def _canonical_coefficients(maps: MovieMaps, chain: dict, finals):
+    """Coefficients of the image of the cycle ``chain`` of the first frame
+    on the last frame's canonical cycles of ``finals``, by position in
+    ``finals``, with the level they were read at: "chain" when every move is
+    a chain map and the pushed chain expands on canonical chains, else
+    "class", from homology classes. The coefficients are None when the
+    image is outside the canonical span."""
+    c2 = maps.complexes[-1]
+    cm = maps.chain_composite()
+    if cm is not None:
+        coeffs = _expand_in_canonical_chains(c2, cm.apply_chain(chain), finals)
+        if coeffs is not None:
+            return "chain", coeffs
+    total = maps.composite_step()
+    i, vec = maps.complexes[0].chain_to_vec(chain)
+    coords = total.apply_class(i, maps.homologies[0].reduce(i, vec))
+    fh2 = maps.homologies[-1]
+    return "class", _expand_in_canonical_classes(c2, fh2, i + total.shift, coords, finals)
 
 
 def _expand_in_canonical_classes(complex_, fh, i, coords, orientations):
@@ -115,36 +144,33 @@ def verify_proposition(movie: Movie, orientation) -> CheckReport:
         return CheckReport(name, False, {"error": "movie has an empty frame"})
     if movie.has_closed_component():
         return CheckReport(name, False, {"error": "movie has a closed component"})
-    chi = movie.euler_characteristic
     maps = MovieMaps(movie, t=1)
-    c1, c2 = maps.complexes[0], maps.complexes[-1]
-    fh2 = maps.homologies[-1]
-    level, image = maps.apply_to_chain(canonical_chain(c1, orientation))
     flip = movie_total_flip(movie)
     compat = {
         effective_orientation(o, flip)
         for o in compatible_orientations(movie, orientation)
     }
     finals = all_orientations(movie.frames[-1])
-    # e_o' - e_o for each final orientation o'
-    e_in = _twice_exponent(c1.diagram, orientation)
-    shifts = [_twice_exponent(c2.diagram, o) - e_in for o in finals]
-    if level == "chain":
-        coeffs = _expand_in_canonical_chains(c2, image, finals)
-        if coeffs is not None:
-            return _judge_proposition(name, chi, finals, shifts, coeffs, compat, "chain")
-        # fall back to homology classes (the zero chain never gets here)
-        i, vec = c2.chain_to_vec(image)
-        image = (i, fh2.reduce(i, vec))
-    coeffs = _expand_in_canonical_classes(c2, fh2, *image, finals)
+    level, coeffs = _canonical_coefficients(
+        maps, canonical_chain(maps.complexes[0], orientation), finals
+    )
     if coeffs is None:
         return CheckReport(
             name, False, {"error": "image is not in the canonical span"}
         )
-    return _judge_proposition(name, chi, finals, shifts, coeffs, compat, "class")
+    shifts = _exponent_shifts(movie, orientation, finals)
+    return _judge_coefficients(
+        name, movie.euler_characteristic, finals, shifts, coeffs, compat, level
+    )
 
 
-def _judge_proposition(name, chi, finals, shifts, coeffs, compat, level) -> CheckReport:
+def _exponent_shifts(movie: Movie, orientation, finals) -> list[int]:
+    """e_o' - e_o for each final orientation o', o the initial one."""
+    e_in = _twice_exponent(movie.frames[0], orientation)
+    return [_twice_exponent(movie.frames[-1], o) - e_in for o in finals]
+
+
+def _judge_coefficients(name, chi, finals, shifts, coeffs, compat, level) -> CheckReport:
     """Each compatible coefficient must be +-2^(-chi/2) (the alternative
     hypothesis: +-2^(-chi)), every other one zero."""
     signs = {}
@@ -190,15 +216,9 @@ def verify_corollary(movie: Movie) -> CheckReport:
     shift = exps[1].pop() - exps[0].pop()
     chi = movie.euler_characteristic
     maps = MovieMaps(movie, t=1)
-    c1, c2 = maps.complexes[0], maps.complexes[-1]
-    fh2 = maps.homologies[-1]
+    c1 = maps.complexes[0]
     diff = vec_sub(QQ, canonical_chain(c1, (True,)), canonical_chain(c1, (False,)))
-    level, image = maps.apply_to_chain(diff)
-    finals = all_orientations(d2)
-    if level == "chain":
-        coeffs = _expand_in_canonical_chains(c2, image, finals)
-    else:
-        coeffs = _expand_in_canonical_classes(c2, fh2, *image, finals)
+    level, coeffs = _canonical_coefficients(maps, diff, all_orientations(d2))
     if coeffs is None:
         return CheckReport(name, False, {"error": "image not in canonical span"})
     c_a = coeffs.get(0, 0)
@@ -313,7 +333,7 @@ def final_computation_check(movie: Movie) -> CheckReport:
     bound = 1 + chi + 4
     gap_ok = all(
         q < bound
-        for (i, q), (rank, _) in homology(build_complex(movie.frames[-1], 0, QQ)).nonzero().items()
+        for (i, q), (rank, _) in homology(maps0.complexes[-1]).nonzero().items()
         if rank
     )
     return CheckReport(
@@ -368,35 +388,27 @@ def euler_oracle_suite(corpus=None) -> list[CheckReport]:
 def _canonical_transport_report(movie: Movie, label: str) -> CheckReport:
     """rho'([sbar_o]) = +-[sbar_otilde] for every orientation."""
     maps = MovieMaps(movie, t=1)
-    total = maps.composite_step()
     flip = movie_total_flip(movie)
-    c1, c2 = maps.complexes[0], maps.complexes[-1]
-    fh1, fh2 = maps.homologies[0], maps.homologies[-1]
+    finals = all_orientations(movie.frames[-1])
     signs = {}
     for o in all_orientations(movie.frames[0]):
         outs = compatible_orientations(movie, o)
         if len(outs) != 1:
             return CheckReport(label, False, {"error": f"transport of {o} branches"})
         o2 = effective_orientation(next(iter(outs)), flip)
-        i, vec = c1.chain_to_vec(canonical_chain(c1, o))
-        img = total.apply_class(i, fh1.reduce(i, vec))
-        j, evec = c2.chain_to_vec(canonical_chain(c2, o2))
-        if i != j:
-            return CheckReport(label, False, {"error": "degree mismatch"})
-        ecoords = fh2.reduce(j, evec)
-        # img must be +-2^(shift/2) * ecoords; R-moves keep e's parity
-        shift = _twice_exponent(c2.diagram, o2) - _twice_exponent(c1.diagram, o)
-        matched = None
-        for s in (1, -1):
-            scale = s * Fraction(2) ** (shift // 2)
-            if shift % 2 == 0 and {k: scale * v for k, v in ecoords.items()} == img:
-                matched = s
-                break
-        if matched is None:
+        level, coeffs = _canonical_coefficients(
+            maps, canonical_chain(maps.complexes[0], o), finals
+        )
+        # an R-move is an isotopy (chi = 0) and o2 its one compatible end
+        shifts = _exponent_shifts(movie, o, finals)
+        judged = coeffs is not None and _judge_coefficients(
+            label, 0, finals, shifts, coeffs, {o2}, level
+        )
+        if not (judged and judged.ok):
             return CheckReport(
                 label, False, {"error": f"image of {_otxt(o)} is not a signed canonical class"}
             )
-        signs[_otxt(o)] = matched
+        signs[_otxt(o)] = judged.details["signs"][_otxt(o2)]
     return CheckReport(label, True, {"signs": signs})
 
 
@@ -439,9 +451,7 @@ def rmoves_suite(seed: int = 0) -> list[CheckReport]:
     )
     instances.append(("r2-add-trefoil", Movie(trefoil, [R2Move("add", (1, 3))])))
     instances.append(("r2-add-hopf", Movie(hopf, [R2Move("add", (1, 3))])))
-    from .corpus import DIAGRAMS as _D
-
-    r3d = parse_pd(_D["r3-unknot"])
+    r3d = parse_pd(DIAGRAMS["r3-unknot"])
     instances.append(("r3-slide", Movie(r3d, [R3Move((0, 1, 2))])))
     for label, movie in instances:
         out.append(_canonical_transport_report(movie, f"rmoves[{label}]"))

@@ -170,3 +170,43 @@ def test_automatic_paths_never_use_qsqrt2(monkeypatch):
     plus, minus = mod4_types(parse_pd(TREFOIL))
     assert (plus - minus) % 4 == 2
     assert kj_number(load_movie("torus")) == 2
+
+
+def test_twice_exponent_is_writhe_less_circle_count():
+    """e = w - k from the writhe and the oriented resolution's circle count
+    matches the full canonical generator's rescaling."""
+    from kj.canonical import lee_generator
+    from kj.corpus import DIAGRAMS
+    from kj.diagram import all_orientations
+    from kj.verify import _twice_exponent
+
+    from diagrams import torus_pd
+
+    texts = list(DIAGRAMS.values())
+    texts += [torus_pd(n, mirror) for n in (3, 5) for mirror in (False, True)]
+    for text in texts:
+        d = parse_pd(text)
+        for o in all_orientations(d):
+            assert _twice_exponent(d, o) == lee_generator(d, o).twice_exponent, (text, o)
+
+
+def test_canonical_coefficients_fall_back_to_classes(monkeypatch):
+    """When no pushed chain expands on canonical chains, the proposition
+    and the corollary read the same signs off homology classes."""
+    import kj.verify as verify
+
+    saddle = Movie(parse_pd(TREFOIL), [Saddle((1, 3), "right")])
+
+    def reports():
+        out = [verify_proposition(saddle, o) for o in ((True,), (False,))]
+        return out + [verify_corollary(verify._genus_movie(1))]
+
+    chain_level = reports()
+    monkeypatch.setattr(verify, "_expand_in_canonical_chains", lambda *args: None)
+    class_level = reports()
+    for before, after in zip(chain_level, class_level):
+        assert before.ok and after.ok, (before.line(), after.line())
+        assert before.details.pop("level") == "chain"
+        assert after.details.pop("level") == "class"
+        assert after.details == before.details
+    assert chain_level[0].details["signs"] == {"++": 1}
