@@ -464,17 +464,20 @@ def carry_labels(
     return tuple(out)
 
 
-def carried_weights(src, dst, consumed, created, placed=None) -> tuple[int, ...]:
+def carried_weights(
+    src, dst, consumed, created, placed=None, skip: frozenset = frozenset()
+) -> tuple[int, ...]:
     """Where each target circle's label comes from, on label codes: entry p
     is what bit p of a source code (circle k - 1 - p) adds to the target
     code, the bit of the target circle ``carry_labels`` carries it to, or 0
     if it is ``consumed`` or loses its target to an earlier circle.
-    ``created`` target circles carry no label; ``placed`` is as there."""
+    ``created`` target circles carry no label; ``placed`` and ``skip`` are
+    as there."""
     k, tk = src.circle_count, dst.circle_count
     drop = dict.fromkeys(consumed)
     if placed:
         drop = {**placed, **drop}  # a consumed circle goes nowhere
-    source = carry_labels(src, dst, tuple(range(k)), drop, dict.fromkeys(created, k))
+    source = carry_labels(src, dst, tuple(range(k)), drop, dict.fromkeys(created, k), skip)
     weights = [0] * k
     for ti, si in enumerate(source):
         if si < k:
@@ -579,13 +582,11 @@ def mod4_split(complex_: ChainComplex):
     residues = sorted(parts)
     if len(residues) > 2:
         raise InternalInvariantError(f"knot complex hit residues {residues}")
-    for r, gens in parts.items():
-        for g in gens:
-            for target, _ in complex_.gen_differential(g):
-                if complex_.q_of(target) % 4 != r:
-                    raise InternalInvariantError(
-                        "differential escaped its mod-4 class"
-                    )
+    for i, m in complex_.diff.items():
+        q_src, q_tgt = complex_.qs[i], complex_.qs.get(i + 1)
+        for r, c in m.data:
+            if (q_tgt[r] - q_src[c]) % 4:
+                raise InternalInvariantError("differential escaped its mod-4 class")
     return residues, parts
 
 

@@ -250,15 +250,17 @@ def _saddle(d: PlanarDiagram, move: Saddle):
     ident = _identity_map(d)
     loop1, loop2 = _is_loop(d, e1), _is_loop(d, e2)
 
+    if e1 == e2:
+        # both feet on one free loop or one edge, same side: split off a
+        # fresh loop
+        (new,) = d.fresh_edges(1)
+        d2 = PlanarDiagram(d.crossings, d.loops + (new,))
+        rec = MoveRecord(
+            "saddle_split", ident, {"feet": (e1, e2), "kept": e1, "new_loop": new}
+        )
+        return d2, rec
+
     if loop1 and loop2:
-        if e1 == e2:
-            # band from a free loop to itself: split off a fresh loop
-            (new,) = d.fresh_edges(1)
-            d2 = PlanarDiagram(d.crossings, d.loops + (new,))
-            rec = MoveRecord(
-                "saddle_split", ident, {"feet": (e1, e2), "kept": e1, "new_loop": new}
-            )
-            return d2, rec
         # merge two side-by-side loops through the outer region; the band
         # face lies left of each loop traversed clockwise
         remaining = tuple(e for e in d.loops if e not in (e1, e2))
@@ -279,15 +281,6 @@ def _saddle(d: PlanarDiagram, move: Saddle):
         return d2, rec
 
     # both feet on crossing edges
-    if e1 == e2:
-        # both feet on one edge, same side: split off a fresh loop
-        (new,) = d.fresh_edges(1)
-        d2 = PlanarDiagram(d.crossings, d.loops + (new,))
-        rec = MoveRecord(
-            "saddle_split", ident, {"feet": (e1, e2), "kept": e1, "new_loop": new}
-        )
-        return d2, rec
-
     if _crossing_component_of_edge(d, e1) == _crossing_component_of_edge(d, e2):
         face = _edge_side_face(d, e1, move.side)
         got2 = _directed_occurrences(d, e2, face)

@@ -7,12 +7,15 @@ its frames (for both t = 0 and t = 1):
 * Morse moves and forward R1/R2 moves are honest chain maps, machine
   checked to commute with the differentials. Each is a table on the labels
   of the circles the move consumes and creates, and the identity on every
-  other circle, filled in one resolution pair at a time; the R2 map adds a
-  contraction correction through the circle part;
+  other circle, filled in one resolution pair at a time; the R2 map is the
+  inclusion plus a ``_fold`` table, the contraction through the circle
+  part;
 * R1/R2 removals invert the homology isomorphism of the matching forward
   move;
-* R3 acts at homology level by transporting representative cycles through
-  the resolution identifications of the slide.
+* R3 acts at homology level. Its pieces are tables on every generator: the
+  two resolution identifications of the slide and a ``_fold`` on each
+  side. Each degree's representatives are decomposed, modulo boundaries,
+  through one echelon form and carried by those tables.
 
 Composing the per-move maps yields the cobordism-induced map; for a closed
 movie (empty diagram to empty diagram) at t = 0 the image of the generator
@@ -34,7 +37,6 @@ from .cube import (
     carried_weights,
     carry_labels,
     counit,
-    edge_map_on_chain,
     merge_products,
     split_products,
     subset_sums,
@@ -58,7 +60,7 @@ from .moves import (
     move_to_json,
 )
 from .rings import QQ, Ring
-from .sparse import SparseMatrix, _Echelon, solve_in_image
+from .sparse import SparseMatrix, _Echelon, vec_add
 
 __all__ = ["Movie", "MovieMaps", "kj_number", "compatible_orientations"]
 
@@ -143,7 +145,10 @@ _DEATH = [[((), counit(x))] for x in (V_PLUS, V_MINUS)]
 _IDENTITY = [[((), 1)]]
 
 
-def _local_map(cm: ChainMap, bits, tbits, consumed, created, table, sign=1, placed=None):
+def _local_map(
+    cm: ChainMap, bits, tbits, consumed, created, table, sign=1, placed=None,
+    skip: frozenset = frozenset(),
+):
     """Fill ``cm`` from resolution ``bits`` of its source into ``tbits`` of
     its target by a local ``table`` on the labels of the ``consumed`` source
     circles and the ``created`` target circles, times ``sign``. Every other
@@ -151,7 +156,7 @@ def _local_map(cm: ChainMap, bits, tbits, consumed, created, table, sign=1, plac
     for it once for the pair."""
     src, dst = cm.src.resolutions[bits], cm.dst.resolutions[tbits]
     k, tk = src.circle_count, dst.circle_count
-    weights = carried_weights(src, dst, consumed, created, placed)
+    weights = carried_weights(src, dst, consumed, created, placed, skip)
     # the all-v+ labeling has code 0, so it sits at the resolution's offset
     i, col = cm.src.index[bits, (V_PLUS,) * k]
     j, row = cm.dst.index[tbits, (V_PLUS,) * tk]
@@ -175,12 +180,19 @@ def _local_map(cm: ChainMap, bits, tbits, consumed, created, table, sign=1, plac
             data[r + delta, c] = x
 
 
+def _edge_tables(t: int, born: tuple[int, ...] = ()):
+    """The merge and split tables at ``t``, each entry's labels followed by
+    ``born``, the labels of further created circles."""
+    labels = (V_PLUS, V_MINUS)
+    merge = [[((z, *born), c) for z, c in merge_products(x, y, t)]
+             for x in labels for y in labels]
+    split = [[(pair + born, c) for pair, c in split_products(x, t)] for x in labels]
+    return merge, split
+
+
 def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
     """Chain map of a birth, death, or saddle (same crossing set)."""
-    labels = (V_PLUS, V_MINUS)
-    merge = [[((z,), c) for z, c in merge_products(x, y, c1.t)]
-             for x in labels for y in labels]
-    split = [split_products(x, c1.t) for x in labels]
+    merge, split = _edge_tables(c1.t)
     # a reconnection can change reference crossing signs, shifting degrees
     cm = ChainMap(c1, c2, shift=c1.n_minus - c2.n_minus)
     for bits, res1 in c1.resolutions.items():
@@ -283,6 +295,7 @@ def r2_chain_map(
     k1 = rec_data["k1"]
     k2 = rec_data["k2"]
     anchors: dict[int, int] = rec_data["anchors"]
+    local = frozenset((rec_data["m1"], rec_data["m2"]))
     nbig = c_big.diagram.crossing_count
     # parallel part: k1 -> 0, k2 -> 1 (k1 is the crossing whose 1-smoothing
     # joins the middle edges, per detect_r2_pattern)
@@ -296,7 +309,8 @@ def r2_chain_map(
         }
         sign = _change_twist(tbits, {k2: 0})
         _local_map(cm, bits, tbits, (), (), _IDENTITY, sign, placed)
-    _r2_alpha(cm, k1, k2, rec_data["m1"], rec_data["m2"])
+        # the inclusion lands where k2 = 1, the correction where k2 = 0
+        _fold(cm, bits, tbits, k1, k2, local, sign, placed)
     cm.verify()
     return cm
 
@@ -308,25 +322,44 @@ def _spectator_parity_sign(bits, pattern_positions) -> int:
     return -1 if parity else 1
 
 
-def _r2_alpha(cm: ChainMap, k1, k2, m1, m2) -> None:
-    """Add (identify with the circle part) after (cube edge at k1), applied
-    to the image of the parallel inclusion, into ``cm``. The inclusion lands
-    where k2 = 1 and the correction where k2 = 0, so the entries read here
-    are the inclusion's alone."""
-    c_big = cm.dst
-    for i, m in cm.mats.items():
-        for (row, col), v in list(m.data.items()):
-            gen_small = cm.src.bases[i][col]
-            gen_big = c_big.bases[i][row]
-            tau = _spectator_parity_sign(gen_big[0], {k1, k2})
-            mid = edge_map_on_chain(c_big, {gen_big: v}, k1)
-            for gmid, coeff in mid.items():
-                target, tcoeff = _identify_with_local_circle(
-                    c_big, gmid, k2, frozenset((m1, m2))
-                )
-                cm.add_entry(
-                    gen_small, target, coeff * tcoeff * c_big.ring.from_int(tau)
-                )
+def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):
+    """Fill ``cm`` from resolution ``bits`` of its source with the contraction
+    through ``tbits`` of its target, into which ``placed`` sends source
+    circles as in ``_local_map``: the cube edge at ``flip``, then the fold at
+    ``other``, identified with the unfolded resolution plus the small circle
+    of the ``local`` edges, born v+. The pair has one sign: ``sign`` times
+    the edge's, the identification's and the parity of the other 1-bits."""
+    dst, src = cm.dst, cm.src.resolutions[bits]
+    res = dst.resolutions[tbits]
+    mid = tbits[:flip] + (1,) + tbits[flip + 1 :]
+    mres = dst.resolutions[mid]
+    # the source circle on each circle of tbits, and the mid circle, numbered
+    # from 1, on each folded one: the small circle reads V_PLUS = 0 (the
+    # identification's sign enters below as an int)
+    on_t = carry_labels(src, res, tuple(range(src.circle_count)), placed or {})
+    (fbits, on_f), _ = _identify_with_local_circle(
+        dst, (mid, tuple(range(1, mres.circle_count + 1))), other, local
+    )
+    folded = {m - 1: fi for fi, m in enumerate(on_f) if m}
+    # two ends for a merge, two new circles for a split
+    ends = tuple(dict.fromkeys(res.circle_of_dart[flip, s] for s in (0, 2)))
+    news = tuple(dict.fromkeys(mres.circle_of_dart[flip, s] for s in (0, 2)))
+    carried = {
+        on_t[res.circle_of_edge_set[mres.circle_edge_sets[m]]]: fi
+        for m, fi in folded.items()
+        if m not in news
+    }
+    sign *= (
+        (-1) ** sum(tbits[:flip])
+        * _change_twist(mid, {other: 0})
+        * _spectator_parity_sign(tbits, {flip, other})
+    )
+    merge, split = _edge_tables(dst.t, (V_PLUS,))
+    _local_map(
+        cm, bits, fbits, tuple(on_t[c] for c in ends),
+        tuple(folded[m] for m in news) + (on_f.index(V_PLUS),),
+        merge if len(ends) == 2 else split, sign, carried,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +718,18 @@ class StepMap:
 
 
 class _R3Transport:
-    """Homology map of a slide move, by rewriting representatives.
+    """Homology map of a slide move, read off tables on every generator.
 
-    Cycles supported where the middle crossing keeps the triangle open are
-    carried across the resolution identification; the rest is rewritten,
-    modulo boundaries, into the standard section of the folded part (the
-    poke contraction) and carried across the matching identification.
+    Where the middle crossing keeps the triangle open, generators are
+    carried across the resolution identification. The rest is rewritten,
+    modulo boundaries, into the straight section x + h(x) of the folded
+    part, h the poke contraction, and carried across the matching
+    identification, followed by the contraction on the other side.
     """
 
     def __init__(self, rec: MoveRecord, c1: ChainComplex, c2: ChainComplex):
         self.c1 = c1
         self.c2 = c2
-        self.rec = rec
         data = rec.data
         self.p, self.q, self.r = data["p"], data["q"], data["r"]
         self.sides1 = (data["t"], data["m"], data["b"])
@@ -705,6 +738,24 @@ class _R3Transport:
         self.sigma2 = self._open_bit(c2.diagram, *self.sides2)
         self.beta1 = self._glue_bits(c1.diagram, *self.sides1)
         self.beta2 = self._glue_bits(c2.diagram, *self.sides2)
+        self.x1, self.x2 = self._x_pattern(1), self._x_pattern(2)
+        self.fold1 = self._contraction(c1, self.x1, self.sides1)
+        self.fold2 = self._contraction(c2, self.x2, self.sides2)
+        # the identifications: on the open half p and q swap and r opens, on
+        # the straight section the pattern of one side becomes the other's;
+        # labels follow circles matched by edges away from the triangle sides
+        self.ident = ChainMap(c1, c2)
+        skip = frozenset(self.sides1 + self.sides2)
+        for bits in c1.resolutions:
+            if bits[self.r] == self.sigma1:
+                changes = {self.p: bits[self.q], self.q: bits[self.p], self.r: self.sigma2}
+            elif _matches(bits, self.x1):
+                changes = self.x2
+            else:
+                continue
+            tbits = tuple(changes.get(u, b) for u, b in enumerate(bits))
+            sign = _change_twist(bits, changes)
+            _local_map(self.ident, bits, tbits, (), (), _IDENTITY, sign, skip=skip)
 
     def _open_bit(self, d, t, m, b):
         """Bit of the middle crossing that does not glue the two triangle
@@ -721,163 +772,68 @@ class _R3Transport:
         bq = 0 if smoothing_partner(st_q, 0) == sb_q else 1
         return bp, bq
 
-    # -- identifications ---------------------------------------------------
-
-    def _transport_gen(self, gen: Gen, tbits_pattern: dict[int, int]):
-        """Carry one generator across a diagram identification given the new
-        bits at p, q, r; labels follow circles matched by shared edges away
-        from the triangle sides."""
-        bits, labels = gen
-        tbits = list(bits)
-        for pos, b in tbits_pattern.items():
-            tbits[pos] = b
-        tbits = tuple(tbits)
-        tlabels = carry_labels(
-            self.c1.resolutions[bits],
-            self.c2.resolutions[tbits],
-            labels,
-            skip=frozenset(self.sides1 + self.sides2),
-        )
-        return (tbits, tlabels)
-
-    def _sigma_image(self, gen: Gen):
-        bits, _ = gen
-        changes = {
-            self.p: bits[self.q],
-            self.q: bits[self.p],
-            self.r: self.sigma2,
-        }
-        sign = _change_twist(bits, changes)
-        return self._transport_gen(gen, changes), sign
-
     def _x_pattern(self, which: int):
         """(p, q, r) bits of the straight section of the folded part."""
         beta = self.beta1 if which == 1 else self.beta2
         sigma = self.sigma1 if which == 1 else self.sigma2
         return {self.p: 1 - beta[0], self.q: 1 - beta[1], self.r: 1 - sigma}
 
-    def _alpha(self, complex_: ChainComplex, chain: dict, which: int) -> dict:
-        """Contraction correction inside the folded part of one diagram."""
-        sides = self.sides1 if which == 1 else self.sides2
-        xpat = self._x_pattern(which)
-        flip_candidates = [
-            pos for pos, bit in ((self.p, xpat[self.p]), (self.q, xpat[self.q]))
-            if bit == 0
-        ]
-        ring = complex_.ring
-        for flip in flip_candidates:
-            other = self.q if flip == self.p else self.p
-            try:
-                out: dict = {}
-                for gen, coeff in chain.items():
-                    tau = _spectator_parity_sign(gen[0], {self.p, self.q})
-                    mid = edge_map_on_chain(complex_, {gen: coeff}, flip)
-                    for gmid, c in mid.items():
-                        tgt, tc = _identify_with_local_circle(
-                            complex_, gmid, other, frozenset(sides)
-                        )
-                        v = out.get(tgt, ring.zero) + c * tc * ring.from_int(tau)
-                        if ring.is_zero(v):
-                            out.pop(tgt, None)
-                        else:
-                            out[tgt] = v
-                return out
-            except InternalInvariantError:
-                continue
-        raise InternalInvariantError("slide fold admits no contraction corner")
+    def _contraction(self, c: ChainComplex, xpat, sides) -> ChainMap:
+        """The poke contraction of the folded part of one diagram, on its
+        straight section ``xpat``: the edge at the corner whose bit is 0,
+        then the fold at the other corner."""
+        if xpat[self.p] == xpat[self.q]:
+            raise InternalInvariantError("slide fold admits no contraction corner")
+        flip, other = (self.p, self.q) if xpat[self.p] == 0 else (self.q, self.p)
+        cm = ChainMap(c, c)
+        for bits in c.resolutions:
+            if _matches(bits, xpat):
+                _fold(cm, bits, bits, flip, other, frozenset(sides))
+        return cm
 
     def class_map(self, fh1: FieldHomology, fh2: FieldHomology):
+        ring = self.c1.ring
         mats = {}
         for i in sorted(fh1.reps):
             src = fh1.reps[i]
-            m = SparseMatrix(fh2.rank(i), len(src), self.c1.ring)
+            m = mats[i] = SparseMatrix(fh2.rank(i), len(src), ring)
+            if not src:
+                continue
+            # decompose: rep + d(w) = v_sigma + y + h(y), reading the
+            # coefficients of the sigma and section generators, by position
+            ech = _Echelon(ring)
+            if i - 1 in self.c1.diff:
+                for col in self.c1.diff[i - 1].columns():
+                    ech.insert(col)
+            basis = self.c1.bases[i]
+            fold = self.fold1.mats[i].columns()
+            for pos, (bits, _) in enumerate(basis):
+                if _matches(bits, self.x1):
+                    ech.insert({pos: ring.one, **fold[pos]}, label=pos)
+            for pos, (bits, _) in enumerate(basis):
+                if bits[self.r] == self.sigma1:
+                    ech.insert({pos: ring.one}, label=pos)
             for col, rep in enumerate(src):
-                chain = self.c1.vec_to_chain(i, rep)
-                image = self._map_cycle(chain, i)
-                if image:
-                    _, vec = self.c2.chain_to_vec(image)
-                    coords = fh2.reduce(i, vec)
-                    for r, v in coords.items():
-                        m.set(r, col, v)
-            mats[i] = m
+                sol = ech.membership(rep)
+                if sol is None:
+                    raise InternalInvariantError(
+                        "slide transport: no representative in the standard section"
+                    )
+                # the contraction of the other side vanishes off its section
+                moved = self.ident.mats[i].apply(sol)
+                image = vec_add(ring, moved, self.fold2.mats[i].apply(moved))
+                if not image:
+                    continue
+                # the transported representative must again be a cycle
+                if self.c2.diff[i].apply(image):
+                    raise InternalInvariantError("slide transport broke the cycle")
+                for r, v in fh2.reduce(i, image).items():
+                    m.set(r, col, v)
         return mats
 
-    def _map_cycle(self, chain: dict, i: int) -> dict:
-        ring = self.c1.ring
-        # decompose: chain + d(w) = v_sigma + y + alpha(y)
-        sigma_gens = [
-            g for g in self.c1.bases[i] if g[0][self.r] == self.sigma1
-        ]
-        xpat = self._x_pattern(1)
-        x_gens = [
-            g
-            for g in self.c1.bases[i]
-            if all(g[0][pos] == b for pos, b in xpat.items())
-        ]
-        cols: list[dict] = []
-        col_meta: list[tuple[str, object]] = []
-        if i - 1 in self.c1.bases:
-            d_prev = self.c1.diff[i - 1]
-            for j in range(self.c1.dim(i - 1)):
-                col = d_prev.column(j)
-                if col:
-                    cols.append(col)
-                    col_meta.append(("d", j))
-        for g in x_gens:
-            vec = {self.c1.index[g][1]: ring.one}
-            alpha = self._alpha(self.c1, {g: ring.one}, 1)
-            for tg, c in alpha.items():
-                pos = self.c1.index[tg][1]
-                vec[pos] = vec.get(pos, ring.zero) + c
-            cols.append({k: v for k, v in vec.items() if not ring.is_zero(v)})
-            col_meta.append(("x", g))
-        for g in sigma_gens:
-            cols.append({self.c1.index[g][1]: ring.one})
-            col_meta.append(("s", g))
-        m = SparseMatrix(self.c1.dim(i), len(cols), ring)
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                m.set(r, j, v)
-        _, target = self.c1.chain_to_vec(chain)
-        sol = solve_in_image(m, target)
-        if sol is None:
-            raise InternalInvariantError(
-                "slide transport: no representative in the standard section"
-            )
-        image: dict = {}
-        y_chain: dict = {}
-        for j, coeff in sol.items():
-            kind, meta = col_meta[j]
-            if kind == "d" or ring.is_zero(coeff):
-                continue
-            if kind == "s":
-                tgt, sign = self._sigma_image(meta)
-                image[tgt] = image.get(tgt, ring.zero) + coeff * ring.from_int(sign)
-            else:
-                y_chain[meta] = y_chain.get(meta, ring.zero) + coeff
-        if y_chain:
-            moved = self._transport_x(y_chain)
-            for tg, c in moved.items():
-                image[tg] = image.get(tg, ring.zero) + c
-            alpha2 = self._alpha(self.c2, moved, 2)
-            for tg, c in alpha2.items():
-                image[tg] = image.get(tg, ring.zero) + c
-        image = {g: v for g, v in image.items() if not ring.is_zero(v)}
-        # the transported representative must again be a cycle
-        if self.c2.apply_differential(image):
-            raise InternalInvariantError("slide transport broke the cycle")
-        return image
 
-    def _transport_x(self, y_chain: dict) -> dict:
-        xpat2 = self._x_pattern(2)
-        out: dict = {}
-        ring = self.c1.ring
-        for g, coeff in y_chain.items():
-            changes = dict(xpat2)
-            sign = _change_twist(g[0], changes)
-            tgt = self._transport_gen(g, changes)
-            out[tgt] = out.get(tgt, ring.zero) + coeff * ring.from_int(sign)
-        return out
+def _matches(bits, pattern: dict[int, int]) -> bool:
+    return all(bits[pos] == b for pos, b in pattern.items())
 
 
 def _identify_with_local_circle(complex_: ChainComplex, gen: Gen, pos, local_edges):
