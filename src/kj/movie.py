@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cube import (
     ChainComplex,
@@ -869,45 +870,62 @@ def _identify_with_local_circle(complex_: ChainComplex, gen: Gen, pos, local_edg
 
 class MovieMaps:
     """Per-frame complexes and the induced maps of every move, at one t,
-    over Q unless ``ring`` names another field."""
+    over Q unless ``ring`` names another field.
+
+    The chain maps are built and checked here. A frame's homology and a
+    chain map's class map are built on first use of ``homologies`` and
+    ``steps``, so the chain path builds no class at all; a slide or a
+    removal has no chain map, and its class map is built and checked to be
+    invertible here."""
 
     def __init__(self, movie: Movie, t: int, ring: Ring | None = None):
         self.movie = movie
         self.t = t
         self.ring = ring or QQ
         self.complexes = [build_complex(f, t, self.ring) for f in movie.frames]
-        self.homologies = [FieldHomology(c) for c in self.complexes]
         self.chain_steps: list[ChainMap | None] = []
-        self.steps: list[StepMap] = []
+        self._class_steps: dict[int, StepMap] = {}
         for k, rec in enumerate(movie.records):
-            cm, step = self._build_step(k, rec)
-            self.chain_steps.append(cm)
-            self.steps.append(step)
+            self.chain_steps.append(self._build_step(k, rec))
 
-    def _build_step(self, k: int, rec: MoveRecord):
+    @cached_property
+    def homologies(self) -> list[FieldHomology]:
+        return [FieldHomology(c) for c in self.complexes]
+
+    @cached_property
+    def steps(self) -> list[StepMap]:
+        fhs = self.homologies
+        return [
+            self._class_steps[k] if cm is None
+            else StepMap.from_chain_map(cm, fhs[k], fhs[k + 1])
+            for k, cm in enumerate(self.chain_steps)
+        ]
+
+    def _build_step(self, k: int, rec: MoveRecord) -> ChainMap | None:
+        """The chain map of move k, or None when the move has only a class
+        map, which goes to ``_class_steps``."""
         c1, c2 = self.complexes[k], self.complexes[k + 1]
-        fh1, fh2 = self.homologies[k], self.homologies[k + 1]
         kind = rec.kind
         if kind == "r3":
-            transport = _R3Transport(rec, c1, c2)
-            mats = transport.class_map(fh1, fh2)
-            step = StepMap(fh1, fh2, mats, 0)
+            fh1, fh2 = self.homologies[k], self.homologies[k + 1]
+            mats = _R3Transport(rec, c1, c2).class_map(fh1, fh2)
             _invert_degree_matrices(mats)  # must be an isomorphism
-            return None, step
+            self._class_steps[k] = StepMap(fh1, fh2, mats, 0)
+            return None
         if kind in ("r1_remove", "r2_remove"):
             # the inverse of the induced map of the matching addition
             forward = r1_chain_map if kind == "r1_remove" else r2_chain_map
             embed = {new: old for old, new in rec.crossing_map.items()}
             cm = forward(rec.data, c2, c1, embed)
-            return None, StepMap.from_chain_map(cm, fh2, fh1).inverse()
+            fh1, fh2 = self.homologies[k], self.homologies[k + 1]
+            self._class_steps[k] = StepMap.from_chain_map(cm, fh2, fh1).inverse()
+            return None
         if kind in ("r1_add", "r2_add"):
             forward = r1_chain_map if kind == "r1_add" else r2_chain_map
-            cm = forward(rec.data, c1, c2, dict(rec.crossing_map))
-        elif kind in ("birth", "death") or kind.startswith("saddle"):
-            cm = morse_chain_map(rec, c1, c2)
-        else:
-            raise InternalInvariantError(f"unknown record kind {kind}")
-        return cm, StepMap.from_chain_map(cm, fh1, fh2)
+            return forward(rec.data, c1, c2, dict(rec.crossing_map))
+        if kind in ("birth", "death") or kind.startswith("saddle"):
+            return morse_chain_map(rec, c1, c2)
+        raise InternalInvariantError(f"unknown record kind {kind}")
 
     # -- composites ----------------------------------------------------------
 

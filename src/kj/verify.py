@@ -10,7 +10,7 @@ than assumed away.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .canonical import canonical_chain
 from .cube import build_complex, graded_euler_characteristic, kauffman_bracket
@@ -34,7 +34,7 @@ from .movie import (
 )
 from .moves import Birth, Death, Move, R1Move, R2Move, R3Move, Saddle, apply_move
 from .rings import QQ, half_power_sign
-from .sparse import SparseMatrix, solve_in_image, vec_sub
+from .sparse import _Echelon, solve_in_image, vec_sub
 
 __all__ = [
     "verify_proposition",
@@ -85,89 +85,109 @@ def _twice_exponent(d: PlanarDiagram, orientation) -> int:
     return writhe(d, orientation) - res.circle_count
 
 
-def _canonical_coefficients(maps: MovieMaps, chain: dict, finals):
-    """Coefficients of the image of the cycle ``chain`` of the first frame
-    on the last frame's canonical cycles of ``finals``, by position in
-    ``finals``, with the level they were read at: "chain" when every move is
-    a chain map and the pushed chain expands on canonical chains, else
+def _canonical_coefficients(maps: MovieMaps, chains: list[dict], finals) -> list:
+    """For each cycle of ``chains`` on the first frame, the coefficients of
+    its image on the last frame's canonical cycles of ``finals``, by position
+    in ``finals``, with the level they were read at: "chain" when every move
+    is a chain map and the pushed chain expands on canonical chains, else
     "class", from homology classes. The coefficients are None when the
-    image is outside the canonical span."""
-    c2 = maps.complexes[-1]
+    image is outside the canonical span. The composite, the canonical
+    cycles and their echelon forms are built once for all the chains."""
+    c1, c2 = maps.complexes[0], maps.complexes[-1]
     cm = maps.chain_composite()
-    if cm is not None:
-        coeffs = _expand_in_canonical_chains(c2, cm.apply_chain(chain), finals)
-        if coeffs is not None:
-            return "chain", coeffs
-    total = maps.composite_step()
-    i, vec = maps.complexes[0].chain_to_vec(chain)
-    coords = total.apply_class(i, maps.homologies[0].reduce(i, vec))
-    fh2 = maps.homologies[-1]
-    return "class", _expand_in_canonical_classes(c2, fh2, i + total.shift, coords, finals)
+    canonical = [canonical_chain(c2, o) for o in finals]
+    span = None if cm is None else _canonical_span(c2.ring, canonical)
+    classes = None
+    out = []
+    for chain in chains:
+        if span is not None:
+            coeffs = _expand_in_canonical_chains(span, cm.apply_chain(chain))
+            if coeffs is not None:
+                out.append(("chain", coeffs))
+                continue
+        if classes is None:
+            fh2 = maps.homologies[-1]
+            classes = (maps.composite_step(),
+                       fh2.class_matrix([fh2.reduce_chain(c) for c in canonical]))
+        total, (m, offset) = classes
+        i, vec = c1.chain_to_vec(chain)
+        coords = total.apply_class(i, maps.homologies[0].reduce(i, vec))
+        # solve [class] = sum c_o * [canonical class]
+        target = {offset[i + total.shift] + r: v for r, v in coords.items()}
+        out.append(("class", solve_in_image(m, target)))
+    return out
 
 
-def _expand_in_canonical_classes(complex_, fh, i, coords, orientations):
-    """Solve [class] = sum c_o * [canonical class], or None; the class has
-    coordinates ``coords`` on the degree-i homology basis."""
-    m, offset = fh.class_matrix(
-        [fh.reduce_chain(canonical_chain(complex_, o)) for o in orientations]
-    )
-    target = {offset[i] + r: v for r, v in coords.items()} if coords else {}
-    return solve_in_image(m, target)
+def _canonical_span(ring, canonical: list[dict]):
+    """The chains of ``canonical`` as an echelon form labelled by position,
+    with the row number of each generator they meet."""
+    index: dict = {}
+    ech = _Echelon(ring)
+    for j, chain in enumerate(canonical):
+        ech.insert({index.setdefault(g, len(index)): v for g, v in chain.items()}, label=j)
+    return index, ech
 
 
-def _expand_in_canonical_chains(complex_, chain, orientations):
-    """Solve chain = sum c_o * canonical chain, or None."""
-    gens = sorted(set(chain))
-    index = {}
-    cols = []
-    for o in orientations:
-        col = {}
-        for g, v in canonical_chain(complex_, o).items():
-            index.setdefault(g, len(index))
-            col[index[g]] = v
-        cols.append(col)
-    for g in gens:
-        index.setdefault(g, len(index))
-    m = SparseMatrix(len(index), len(orientations), complex_.ring)
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            m.set(r, j, v)
-    target = {index[g]: v for g, v in chain.items()}
-    return solve_in_image(m, target)
+def _expand_in_canonical_chains(span, chain):
+    """Solve chain = sum c_o * canonical chain on a ``_canonical_span``, or
+    None."""
+    index, ech = span
+    if any(g not in index for g in chain):
+        return None
+    return ech.membership({index[g]: v for g, v in chain.items()})
 
 
 def verify_proposition(movie: Movie, orientation) -> CheckReport:
     """phi'(sbar_o) against sum over compatible orientations of
     +-2^(-chi/2) sbar, with the alternative exponent -chi also evaluated."""
-    name = f"proposition[{_movie_name(movie)}, o={_otxt(orientation)}]"
+    return _proposition_reports(movie, [orientation])[0]
+
+
+def _proposition_reports(movie: Movie, orientations) -> list[CheckReport]:
+    """``verify_proposition`` for each orientation of ``orientations``,
+    all judged against one build of the movie's maps."""
+    names = [f"proposition[{_movie_name(movie)}, o={_otxt(o)}]" for o in orientations]
+    error = None
     if any(f.is_empty() for f in movie.frames):
-        return CheckReport(name, False, {"error": "movie has an empty frame"})
-    if movie.has_closed_component():
-        return CheckReport(name, False, {"error": "movie has a closed component"})
+        error = "movie has an empty frame"
+    elif movie.has_closed_component():
+        error = "movie has a closed component"
+    if error:
+        return [CheckReport(name, False, {"error": error}) for name in names]
     maps = MovieMaps(movie, t=1)
     flip = movie_total_flip(movie)
-    compat = {
-        effective_orientation(o, flip)
-        for o in compatible_orientations(movie, orientation)
-    }
+    compats = [
+        {effective_orientation(o2, flip) for o2 in compatible_orientations(movie, o)}
+        for o in orientations
+    ]
     finals = all_orientations(movie.frames[-1])
-    level, coeffs = _canonical_coefficients(
-        maps, canonical_chain(maps.complexes[0], orientation), finals
+    results = _canonical_coefficients(
+        maps, [canonical_chain(maps.complexes[0], o) for o in orientations], finals
     )
-    if coeffs is None:
-        return CheckReport(
-            name, False, {"error": "image is not in the canonical span"}
-        )
-    shifts = _exponent_shifts(movie, orientation, finals)
-    return _judge_coefficients(
-        name, movie.euler_characteristic, finals, shifts, coeffs, compat, level
-    )
+    exponents = _final_exponents(movie, finals)
+    out = []
+    for name, o, compat, (level, coeffs) in zip(names, orientations, compats, results):
+        if coeffs is None:
+            out.append(CheckReport(
+                name, False, {"error": "image is not in the canonical span"}
+            ))
+            continue
+        shifts = _exponent_shifts(movie, o, exponents)
+        out.append(_judge_coefficients(
+            name, movie.euler_characteristic, finals, shifts, coeffs, compat, level
+        ))
+    return out
 
 
-def _exponent_shifts(movie: Movie, orientation, finals) -> list[int]:
-    """e_o' - e_o for each final orientation o', o the initial one."""
+def _final_exponents(movie: Movie, finals) -> list[int]:
+    """e_o' of each final orientation o'."""
+    return [_twice_exponent(movie.frames[-1], o) for o in finals]
+
+
+def _exponent_shifts(movie: Movie, orientation, exponents) -> list[int]:
+    """e_o' - e_o for each final exponent e_o', o the initial orientation."""
     e_in = _twice_exponent(movie.frames[0], orientation)
-    return [_twice_exponent(movie.frames[-1], o) - e_in for o in finals]
+    return [e - e_in for e in exponents]
 
 
 def _judge_coefficients(name, chi, finals, shifts, coeffs, compat, level) -> CheckReport:
@@ -218,7 +238,7 @@ def verify_corollary(movie: Movie) -> CheckReport:
     maps = MovieMaps(movie, t=1)
     c1 = maps.complexes[0]
     diff = vec_sub(QQ, canonical_chain(c1, (True,)), canonical_chain(c1, (False,)))
-    level, coeffs = _canonical_coefficients(maps, diff, all_orientations(d2))
+    [(level, coeffs)] = _canonical_coefficients(maps, [diff], all_orientations(d2))
     if coeffs is None:
         return CheckReport(name, False, {"error": "image not in canonical span"})
     c_a = coeffs.get(0, 0)
@@ -252,9 +272,12 @@ def leading_order_check(movie: Movie) -> CheckReport:
     """Per move, the t = 1 chain map minus the t = 0 one must raise the
     q-filtration strictly; for chain-level movies the composite difference
     must raise it by at least chi + 4."""
+    return _leading_order_report(movie, MovieMaps(movie, t=0), MovieMaps(movie, t=1))
+
+
+def _leading_order_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) -> CheckReport:
+    """``leading_order_check`` on the movie's maps at t = 0 and t = 1."""
     name = f"leading-order[{_movie_name(movie)}]"
-    maps0 = MovieMaps(movie, t=0)
-    maps1 = MovieMaps(movie, t=1)
     per_move = []
     all_ok = True
     for k, rec in enumerate(movie.records):
@@ -309,11 +332,14 @@ def _difference_filtration(c_src, c_dst, cm0, cm1, chi, minimum_extra=1):
 def final_computation_check(movie: Movie) -> CheckReport:
     """The genus-one calculation: phi'(v+) = +-2 v- and the vanishing of the
     correction term via the q >= 3 gap of the unknot's homology."""
+    return _final_computation_report(movie, MovieMaps(movie, t=0), MovieMaps(movie, t=1))
+
+
+def _final_computation_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) -> CheckReport:
+    """``final_computation_check`` on the movie's maps at t = 0 and t = 1."""
     from .cube import V_MINUS, V_PLUS
 
     name = f"final-computation[{_movie_name(movie)}]"
-    maps0 = MovieMaps(movie, t=0)
-    maps1 = MovieMaps(movie, t=1)
     comp0, comp1 = maps0.chain_composite(), maps1.chain_composite()
     if comp0 is None or comp1 is None:
         return CheckReport(name, False, {"error": "movie is not chain-level"})
@@ -390,17 +416,19 @@ def _canonical_transport_report(movie: Movie, label: str) -> CheckReport:
     maps = MovieMaps(movie, t=1)
     flip = movie_total_flip(movie)
     finals = all_orientations(movie.frames[-1])
+    exponents = _final_exponents(movie, finals)
+    origins = all_orientations(movie.frames[0])
+    results = _canonical_coefficients(
+        maps, [canonical_chain(maps.complexes[0], o) for o in origins], finals
+    )
     signs = {}
-    for o in all_orientations(movie.frames[0]):
+    for o, (level, coeffs) in zip(origins, results):
         outs = compatible_orientations(movie, o)
         if len(outs) != 1:
             return CheckReport(label, False, {"error": f"transport of {o} branches"})
         o2 = effective_orientation(next(iter(outs)), flip)
-        level, coeffs = _canonical_coefficients(
-            maps, canonical_chain(maps.complexes[0], o), finals
-        )
         # an R-move is an isotopy (chi = 0) and o2 its one compatible end
-        shifts = _exponent_shifts(movie, o, finals)
+        shifts = _exponent_shifts(movie, o, exponents)
         judged = coeffs is not None and _judge_coefficients(
             label, 0, finals, shifts, coeffs, {o2}, level
         )
@@ -458,18 +486,18 @@ def rmoves_suite(seed: int = 0) -> list[CheckReport]:
     return out
 
 
-def _elementary_morse_instances() -> list[tuple[str, Movie, tuple]]:
+def _elementary_morse_instances() -> list[tuple[str, Movie, list]]:
+    """(label, movie, orientations of its first frame), one movie each."""
     from .corpus import DIAGRAMS
 
     out = []
     for name in ("unknot", "unlink2", "curl", "trefoil", "hopf", "fig8"):
         d = parse_pd(DIAGRAMS[name])
-        for o in all_orientations(d):
-            out.append((f"birth-on-{name}", Movie(d, [Birth()]), o))
+        orientations = all_orientations(d)
+        out.append((f"birth-on-{name}", Movie(d, [Birth()]), orientations))
         for loop in d.loops[:1]:
             if d.component_count > 1:
-                for o in all_orientations(d):
-                    out.append((f"death-on-{name}", Movie(d, [Death(loop)]), o))
+                out.append((f"death-on-{name}", Movie(d, [Death(loop)]), orientations))
         saddles = []
         edges = list(d.edges)
         for e1 in edges:
@@ -484,9 +512,7 @@ def _elementary_morse_instances() -> list[tuple[str, Movie, tuple]]:
                     if any(f.is_empty() for f in mv.frames):
                         continue
                     saddles.append((f"saddle-{e1}-{e2}-{side}-{name}", mv))
-        for label, mv in saddles:
-            for o in all_orientations(d):
-                out.append((label, mv, o))
+        out.extend((label, mv, orientations) for label, mv in saddles)
     return out
 
 
@@ -549,19 +575,14 @@ def _legal_move_candidates(d: PlanarDiagram, rng: random.Random) -> list[Move]:
 
 
 def proposition_suite(seed: int = 0) -> list[CheckReport]:
+    instances = _elementary_morse_instances() + [
+        (f"seeded-{idx}", movie, all_orientations(movie.frames[0])[:2])
+        for idx, movie in enumerate(_random_composite_movies(seed))
+    ]
     out = []
-    for label, movie, o in _elementary_morse_instances():
-        out.append(
-            _rename(verify_proposition(movie, o), f"proposition[{label}, o={_otxt(o)}]")
-        )
-    for idx, movie in enumerate(_random_composite_movies(seed)):
-        for o in all_orientations(movie.frames[0])[:2]:
-            out.append(
-                _rename(
-                    verify_proposition(movie, o),
-                    f"proposition[seeded-{idx}, o={_otxt(o)}]",
-                )
-            )
+    for label, movie, orientations in instances:
+        for o, report in zip(orientations, _proposition_reports(movie, orientations)):
+            out.append(_rename(report, f"proposition[{label}, o={_otxt(o)}]"))
     # the printed exponent must fail somewhere (chi != 0 instances exist)
     alt_fails = any(
         not r.details.get("exponent_-chi", True) for r in out if r.ok
@@ -614,15 +635,18 @@ def leading_order_suite(seed: int = 0) -> list[CheckReport]:
         ("r2-fold", Movie(unknot, [R2Move("add", (1, 1))])),
         ("r2-unlink", Movie(unlink, [R2Move("add", (1, 2))])),
         ("saddle-trefoil", Movie(trefoil, [Saddle((1, 1))])),
-        ("genus-1", _genus_movie(1)),
     ]
     out = [
         _rename(leading_order_check(mv), f"leading-order[{label}]")
         for label, mv in movies
     ]
-    out.append(
-        _rename(final_computation_check(_genus_movie(1)), "leading-order[final-computation]")
-    )
+    # the genus-1 maps serve both of its checks
+    genus1 = _genus_movie(1)
+    maps = MovieMaps(genus1, t=0), MovieMaps(genus1, t=1)
+    out.append(_rename(_leading_order_report(genus1, *maps), "leading-order[genus-1]"))
+    out.append(_rename(
+        _final_computation_report(genus1, *maps), "leading-order[final-computation]"
+    ))
     return out
 
 
@@ -652,7 +676,10 @@ def run_suite(name: str, seed: int = 0) -> list[CheckReport]:
 
 
 def random_cancelling_insertion(movie: Movie, rng: random.Random) -> Movie:
-    """Insert one (add, remove) Reidemeister pair at a random legal spot."""
+    """Insert one (add, remove) Reidemeister pair at a random legal spot.
+    The pair may give the frame after it new edge labels (an R1 pair on a
+    free loop does), so the later moves are renamed to match, one frame at
+    a time."""
     for _ in range(200):
         k = rng.randrange(len(movie.moves) + 1)
         frame = movie.frames[k]
@@ -673,14 +700,43 @@ def random_cancelling_insertion(movie: Movie, rng: random.Random) -> Movie:
                 add = R2Move("add", (e1, e2), rng.choice((False, True)))
                 mid, rec = apply_move(frame, add)
                 remove = R2Move("remove", (rec.data["m1"], rec.data["m2"]))
-            apply_move(mid, remove)
+            after, _ = apply_move(mid, remove)
+            moves = [*movie.moves[:k], add, remove]
+            for before, mv in zip(movie.frames[k:], movie.moves[k:]):
+                mv = _relabelled(mv, _positional_map(before, after))
+                after, _ = apply_move(after, mv)
+                moves.append(mv)
         except IllegalMoveError:
             continue
-        moves = list(movie.moves)
-        moves[k:k] = [add, remove]
-        try:
-            return Movie(movie.initial, moves)
-        except IllegalMoveError:
-            # downstream moves may reference edges renamed by the insertion
-            continue
+        return Movie(movie.initial, moves)
     raise RuntimeError("found no legal cancelling insertion")
+
+
+def _positional_map(a: PlanarDiagram, b: PlanarDiagram) -> dict[int, int]:
+    """Edge relabelling that turns diagram ``a`` into ``b``, crossing slot by
+    crossing slot. A free loop keeps its label where ``b`` has it; the other
+    loops pair up in sorted order."""
+    if len(a.crossings) != len(b.crossings) or len(a.loops) != len(b.loops):
+        raise IllegalMoveError("the cancelling pair changed the frame")
+    m: dict[int, int] = {}
+    for ca, cb in zip(a.crossings, b.crossings):
+        for x, y in zip(ca, cb):
+            if m.setdefault(x, y) != y:
+                raise IllegalMoveError("the cancelling pair changed the frame")
+    kept = set(a.loops) & set(b.loops)
+    m.update((e, e) for e in kept)
+    m.update(zip(sorted(set(a.loops) - kept), sorted(set(b.loops) - kept)))
+    if len(set(m.values())) != len(m):
+        raise IllegalMoveError("the cancelling pair changed the frame")
+    return m
+
+
+def _relabelled(mv: Move, m: dict[int, int]) -> Move:
+    """``mv`` with its edges renamed by ``m``."""
+    if isinstance(mv, Death):
+        return Death(m[mv.edge])
+    if isinstance(mv, (Saddle, R2Move)):
+        return replace(mv, edges=(m[mv.edges[0]], m[mv.edges[1]]))
+    if isinstance(mv, R1Move):
+        return replace(mv, edge=m[mv.edge])
+    return mv
