@@ -116,8 +116,9 @@ def cmd_homology(args) -> int:
 
 def cmd_jones(args) -> int:
     d = _read_diagram(args.diagram)
-    bracket = kauffman_bracket(d)
-    chi_q = graded_euler_characteristic(build_complex(d, 0, QQ))
+    c = build_complex(d, 0, QQ)
+    bracket = kauffman_bracket(d, c.resolutions)
+    chi_q = graded_euler_characteristic(c)
     agree = bracket == chi_q
     text = "\n".join(
         [

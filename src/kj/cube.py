@@ -539,13 +539,17 @@ def graded_euler_characteristic(complex_: ChainComplex) -> Laurent:
     return Laurent(tally)
 
 
-def kauffman_bracket(d: PlanarDiagram) -> Laurent:
+def kauffman_bracket(
+    d: PlanarDiagram, resolutions: Mapping[tuple[int, ...], Resolution] | None = None
+) -> Laurent:
     """Unnormalized Jones polynomial as a state sum over all resolutions.
 
     Independent of the homological machinery: only circle counting enters,
     via  sum_v (-1)^(|v| + n-) q^(|v| + n+ - 2 n-) (q + 1/q)^(k(v)).
     The resolutions are tallied by (|v|, k(v)) first, so the polynomial
-    arithmetic runs once per distinct pair.
+    arithmetic runs once per distinct pair. ``resolutions``, such as a
+    complex's ``resolutions`` of ``d``, gives the traced resolutions by bit
+    vector; without it each is traced here.
     """
     _admit(d)
     o = (True,) * d.component_count
@@ -553,10 +557,12 @@ def kauffman_bracket(d: PlanarDiagram) -> Laurent:
         1 for c in range(d.crossing_count) if crossing_sign(d, o, c) == 1
     )
     n_minus = d.crossing_count - n_plus
-    tally = Counter(
-        (sum(bits), resolve(d, bits).circle_count)
-        for bits in itertools.product((0, 1), repeat=d.crossing_count)
-    )
+    every = itertools.product((0, 1), repeat=d.crossing_count)
+    if resolutions is None:
+        pairs = ((bits, resolve(d, bits)) for bits in every)
+    else:
+        pairs = ((bits, resolutions[bits]) for bits in every)
+    tally = Counter((sum(bits), res.circle_count) for bits, res in pairs)
     loop = Laurent({1: 1, -1: 1})
     out = Laurent.zero()
     for (weight, k), count in sorted(tally.items()):

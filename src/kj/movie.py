@@ -872,17 +872,24 @@ class MovieMaps:
     """Per-frame complexes and the induced maps of every move, at one t,
     over Q unless ``ring`` names another field.
 
-    The chain maps are built and checked here. A frame's homology and a
-    chain map's class map are built on first use of ``homologies`` and
-    ``steps``, so the chain path builds no class at all; a slide or a
-    removal has no chain map, and its class map is built and checked to be
-    invertible here."""
+    ``complexes`` and ``homologies`` hold one entry per frame, but frames
+    with equal diagrams share one object: each distinct frame's complex is
+    built and its d^2 = 0 checked once, and its ``FieldHomology`` built
+    once. The table of distinct frames lives in this instance only.
+
+    The chain maps, one per move, are built and checked here. A frame's
+    homology and a chain map's class map are built on first use of
+    ``homologies`` and ``steps``, so the chain path builds no class at all;
+    a slide or a removal has no chain map, and its class map is built and
+    checked to be invertible here."""
 
     def __init__(self, movie: Movie, t: int, ring: Ring | None = None):
         self.movie = movie
         self.t = t
         self.ring = ring or QQ
-        self.complexes = [build_complex(f, t, self.ring) for f in movie.frames]
+        # distinct frames in order of first appearance
+        built = {f: build_complex(f, t, self.ring) for f in dict.fromkeys(movie.frames)}
+        self.complexes = [built[f] for f in movie.frames]
         self.chain_steps: list[ChainMap | None] = []
         self._class_steps: dict[int, StepMap] = {}
         for k, rec in enumerate(movie.records):
@@ -890,7 +897,8 @@ class MovieMaps:
 
     @cached_property
     def homologies(self) -> list[FieldHomology]:
-        return [FieldHomology(c) for c in self.complexes]
+        built = {c: FieldHomology(c) for c in dict.fromkeys(self.complexes)}
+        return [built[c] for c in self.complexes]
 
     @cached_property
     def steps(self) -> list[StepMap]:

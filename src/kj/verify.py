@@ -399,8 +399,9 @@ def euler_oracle_suite(corpus=None) -> list[CheckReport]:
     out = []
     for name, text in (corpus or DIAGRAMS).items():
         d = parse_pd(text)
-        chi_q = graded_euler_characteristic(build_complex(d, 0, QQ))
-        bracket = kauffman_bracket(d)
+        c = build_complex(d, 0, QQ)
+        chi_q = graded_euler_characteristic(c)
+        bracket = kauffman_bracket(d, c.resolutions)
         out.append(
             CheckReport(
                 f"euler-oracle[{name}]",
