@@ -10,7 +10,6 @@ from .cube import (
     graded_euler_characteristic,
     kauffman_bracket,
     mod4_split,
-    q_grading,
 )
 from .diagram import (
     PlanarDiagram,
@@ -46,7 +45,6 @@ __all__ = [
     "checkerboard_nesting",
     "ChainComplex",
     "build_complex",
-    "q_grading",
     "filtration_level",
     "graded_euler_characteristic",
     "kauffman_bracket",

@@ -9,6 +9,11 @@ bitvector together with a circle labeling; gradings are
 
 Cube edges flip one bit 0 -> 1 and apply merge or split on the affected
 circles with the sign (-1)^(number of 1 bits below the flipped index).
+
+``LocalTables`` writes every map on the cube of resolutions: d, one cube
+edge at a time, and every chain map of a movie, one resolution pair at a
+time. Both share one table format (an entry per labeling of the consumed
+circles) and one routine that fills a matrix from those tables.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import itertools
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from itertools import repeat
+from operator import lshift
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .diagram import PlanarDiagram, Resolution, crossing_sign, resolve
 from .errors import DiagramTooLargeError, InternalInvariantError, PDValidationError
@@ -32,7 +37,8 @@ __all__ = [
     "Gen",
     "ChainComplex",
     "build_complex",
-    "q_grading",
+    "LocalTables",
+    "local_table",
     "filtration_level",
     "graded_euler_characteristic",
     "kauffman_bracket",
@@ -124,30 +130,108 @@ class _Index(Mapping):
         return sum(len(codes) for _, _, codes in self._where.values())
 
 
-class _Edge(NamedTuple):
-    """One cube edge out of a resolution, with its circle map worked out once
-    on label codes.
+def local_table(name: str, t: int) -> list:
+    """The local table ``name`` at t, indexed by the labels of the circles a
+    change consumes read as a code (first circle most significant,
+    V_PLUS = 0): entry x lists (labels of the created circles, coeff).
+    Merge and split read ``merge_products`` and ``split_products`` here."""
+    labels = (V_PLUS, V_MINUS)
+    if name == "merge":
+        return [[((z,), c) for z, c in merge_products(x, y, t)] for x in labels for y in labels]
+    if name == "split":
+        return [split_products(x, t) for x in labels]
+    if name == "birth":
+        return [[((V_PLUS,), 1)]]
+    if name == "death":
+        return [[((), counit(x))] for x in labels]
+    if name == "identity":
+        return [[((), 1)]]
+    if name == "split_minus_2x":
+        # a left curl: the split of the host circle minus
+        # 2 X(host) (x) v+(loop), X: v+ -> v-, v- -> t v+
+        return [[((V_PLUS, V_MINUS), 1), ((V_MINUS, V_PLUS), -1)],
+                [((V_MINUS, V_MINUS), 1), ((V_PLUS, V_PLUS), -t)]]
+    raise ValueError(f"no local table named {name!r}")
 
-    ``s1`` and ``s2`` are the bits of the source code that hold the labels of
-    the circles the change consumes (equal for a split). ``weights[p]`` is
-    what source bit p adds to the target code: the target bit of the circle
-    it is carried to, or 0 for a consumed circle. ``products[x << 1 | y]``
-    lists, for labels x and y of the consumed circles, (code of the new
-    circle(s) in the target, coeff), and ``entries[x << 1 | y]`` the same
-    with the edge's sign times coeff as a ring element, zeros left out.
+
+class LocalTables:
+    """The one way kj writes a map on the cube of resolutions: d and every
+    chain map of a movie, one resolution pair at a time, each change by a
+    ``local_table``. Every other circle keeps its label, on the target
+    circle ``carried_weights`` finds for it. A table is built on first use
+    and coded once per (new-circle bits, sign) into (target code delta,
+    ring element) pairs, zeros left out, so equal entries share one object.
     """
 
-    tbits: tuple[int, ...]
-    s1: int
-    s2: int
-    weights: tuple[int, ...]
-    products: list[list[tuple[int, int]]]
-    entries: list[list[tuple[int, object]]]
+    def __init__(self, t: int, ring: Ring):
+        self.t = t
+        self.ring = ring
+        # int -> its ring element (None if zero in the ring)
+        self.elements: dict[int, object] = {}
+        self._tables: dict[str, list] = {}  # by name, built on first use
+        # a coded table and its count of terms, by (table, new-circle bits, sign)
+        self._coded: dict[tuple, tuple[list, int]] = {}
+        self._keys: dict[tuple, list[int]] = {}  # by (circle count, consumed)
 
-    def carried(self, offset: int) -> list[int]:
-        """``offset`` plus the target code of the carried circles, for every
-        source code."""
-        return subset_sums(offset, self.weights)
+    def element(self, v: int):
+        """The shared ring element of the int ``v``, or None if it is zero."""
+        if v not in self.elements:
+            x = self.ring.from_int(v)
+            self.elements[v] = None if self.ring.is_zero(x) else x
+        return self.elements[v]
+
+    def piece(self, src, dst, row, consumed, created, table, sign=1, placed=None,
+              skip: frozenset = frozenset()):
+        """The map from resolution ``src`` into ``dst``, whose all-v+
+        generator is row ``row``, by ``table`` on the ``consumed`` and
+        ``created`` circles, times ``sign``; ``placed`` and ``skip`` are as in
+        ``carry_labels``. Created circles past the labels the table gives
+        are born v+, which adds nothing to a code.
+
+        Returns, per source code, its row before the new circles and the
+        table entry it reads; the coded table; and the count of its terms.
+        """
+        k, tk = src.circle_count, dst.circle_count
+        news = tuple([tk - 1 - ti for ti in created])  # their bits in a target code
+        coded = self._coded.get((table, news, sign))
+        if coded is None:
+            if table not in self._tables:
+                self._tables[table] = local_table(table, self.t)
+            entries = [
+                [(sum(map(lshift, labels, news)), x)
+                 for labels, coeff in terms
+                 if (x := self.element(sign * coeff)) is not None]
+                for terms in self._tables[table]
+            ]
+            coded = self._coded[table, news, sign] = entries, sum(map(len, entries))
+        keys = self._keys.get((k, consumed))
+        if keys is None:
+            # source bit p selects bit n of the key for the nth consumed circle
+            where = [0] * k
+            for n, si in enumerate(consumed):
+                where[k - 1 - si] = 1 << len(consumed) - 1 - n
+            keys = self._keys[k, consumed] = subset_sums(0, where)
+        rows = subset_sums(row, carried_weights(src, dst, consumed, created, placed, skip))
+        # each entry of the table is read by 2^(k - consumed) codes
+        return rows, keys, coded[0], (len(keys) >> len(consumed)) * coded[1]
+
+    @staticmethod
+    def fill(data: dict, col: int, size: int, pieces) -> None:
+        """Write the ``pieces`` out of one source resolution, whose ``size``
+        codes are the columns from ``col`` on, into the entries ``data`` of a
+        matrix: column by column, and in a column piece by piece, each in
+        table order. No two terms land on one entry; a collision raises
+        instead of overwriting."""
+        expected = len(data)
+        for piece in pieces:
+            expected += piece[3]
+        for c, code in enumerate(range(size), col):
+            for rows, keys, coded, _ in pieces:
+                r = rows[code]
+                for delta, x in coded[keys[code]]:
+                    data[r + delta, c] = x
+        if len(data) != expected:
+            raise InternalInvariantError("two terms of a cube map landed on one entry")
 
 
 class ChainComplex:
@@ -175,16 +259,8 @@ class ChainComplex:
         self._where: dict[tuple[int, ...], tuple[int, int, dict]] = {}
         self.index: Mapping[Gen, tuple[int, int]] = _Index(self._where)
         self.diff: dict[int, SparseMatrix] = {}
-        # products by x << 1 | y, the labels of the consumed circles
-        labels = (V_PLUS, V_MINUS)
-        self._merges = [merge_products(x, y, t) for x in labels for y in labels]
-        self._splits = [split_products(V_PLUS, t), [], [], split_products(V_MINUS, t)]
-        self._coded: dict[tuple, tuple] = {}  # _products by (news, sign)
-        # the cube edges edge_image has worked out, by (bits, flipped bit)
-        self._edges: dict[tuple[tuple[int, ...], int], _Edge] = {}
-        # int -> its ring element (None if zero in the ring); every entry of
-        # d is one of these shared objects
-        self._elements: dict[int, object] = {}
+        # every entry of d is one of its shared elements
+        self.local = LocalTables(t, ring)
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -219,91 +295,34 @@ class ChainComplex:
 
     def _differential(self, i: int, layer: list[tuple[int, ...]]) -> SparseMatrix:
         """d_i, one resolution at a time and one column at a time, in the
-        order of ``gen_differential``: by flipped bit, then by product.
-
-        Each edge's rows come from its carried codes plus the code of the new
-        circle(s), and each signed coefficient becomes a ring element once,
-        so equal entries share one object. No two terms of d land on one
-        entry; a collision raises instead of overwriting.
-        """
+        order of ``gen_differential``: by flipped bit, then by product. Each
+        cube edge is a merge or a split of ``local``."""
         where = self._where
         m = SparseMatrix(len(self.bases[i + 1]), len(self.bases[i]), self.ring)
-        data = m.data
-        terms = 0
         for bits in layer:
-            _, offset, codes = where[bits]
-            size = len(codes)
-            edges = []
+            src = self.resolutions[bits]
+            pieces = []
             for j, b in enumerate(bits):
                 if b:
                     continue
-                e = self._edge(bits, j)
-                # the codes holding labels x, y at s1, s2: a quarter each for
-                # a merge, half each of x = y for a split
-                share = size >> (1 if e.s1 == e.s2 else 2)
-                terms += share * sum(map(len, e.entries))
-                edges.append((e.carried(where[e.tbits][1]), e.entries, e.s1, e.s2))
-            for code in range(size):
-                c = offset + code
-                for rows, entries, s1, s2 in edges:
-                    r = rows[code]
-                    for delta, x in entries[(code >> s1 & 1) << 1 | code >> s2 & 1]:
-                        data[r + delta, c] = x
-        if len(data) != terms:
-            raise InternalInvariantError(f"two terms of d_{i} landed on one entry")
+                tbits = bits[:j] + (1,) + bits[j + 1 :]
+                tgt = self.resolutions[tbits]
+                c1, c2 = src.circle_of_dart[(j, 0)], src.circle_of_dart[(j, 2)]
+                t1, t2 = tgt.circle_of_dart[(j, 0)], tgt.circle_of_dart[(j, 2)]
+                if c1 != c2:
+                    # both source circles land on one target circle
+                    consumed, created, table = (c1, c2), (t1,), "merge"
+                elif t1 == t2:
+                    raise InternalInvariantError("cube edge changed no circle")
+                else:
+                    consumed, created, table = (c1,), (t1, t2), "split"
+                sign = (-1) ** sum(bits[:j])
+                pieces.append(self.local.piece(
+                    src, tgt, where[tbits][1], consumed, created, table, sign
+                ))
+            _, offset, codes = where[bits]
+            self.local.fill(m.data, offset, len(codes), pieces)
         return m
-
-    def _element(self, v: int):
-        """The shared ring element of the int ``v``, or None if it is zero."""
-        if v not in self._elements:
-            x = self.ring.from_int(v)
-            self._elements[v] = None if self.ring.is_zero(x) else x
-        return self._elements[v]
-
-    def _edge(self, bits: tuple[int, ...], j: int) -> _Edge:
-        src = self.resolutions[bits]
-        tbits = bits[:j] + (1,) + bits[j + 1 :]
-        tgt = self.resolutions[tbits]
-        c1 = src.circle_of_dart[(j, 0)]
-        c2 = src.circle_of_dart[(j, 2)]
-        t1 = tgt.circle_of_dart[(j, 0)]
-        t2 = tgt.circle_of_dart[(j, 2)]
-        k, tk = src.circle_count, tgt.circle_count
-        if c1 != c2:
-            # merge: both source circles land on one target circle
-            created, news = (t1,), (tk - 1 - t1,)
-        elif t1 == t2:
-            raise InternalInvariantError("cube edge changed no circle")
-        else:
-            created, news = (t1, t2), (tk - 1 - t1, tk - 1 - t2)
-        weights = carried_weights(src, tgt, (c1, c2), created)
-        products, entries = self._products(news, (-1) ** sum(bits[:j]))
-        return _Edge(tbits, k - 1 - c1, k - 1 - c2, weights, products, entries)
-
-    def _products(self, news: tuple[int, ...], sign: int):
-        """The products and entries of ``_Edge`` for an edge whose new
-        circle(s) hold target code bits ``news``; every such edge shares them.
-        """
-        key = (news, sign)
-        if key not in self._coded:
-            if len(news) == 1:
-                (m,) = news
-                products = [
-                    [(lab << m, coeff) for lab, coeff in ps] for ps in self._merges
-                ]
-            else:
-                m1, m2 = news
-                products = [
-                    [(l1 << m1 | l2 << m2, coeff) for (l1, l2), coeff in ps]
-                    for ps in self._splits
-                ]
-            entries = [
-                [(delta, x) for delta, coeff in ps
-                 if (x := self._element(sign * coeff)) is not None]
-                for ps in products
-            ]
-            self._coded[key] = products, entries
-        return self._coded[key]
 
     def gen_differential(self, gen: Gen):
         """Image of a single generator as [(generator, integer coeff)]."""
@@ -318,17 +337,23 @@ class ChainComplex:
         return out
 
     def edge_image(self, gen: Gen, j: int):
-        """Unsigned merge/split across the cube edge flipping bit j."""
+        """Unsigned merge/split across the cube edge flipping bit j, worked
+        out on the labels of ``gen`` alone: the reference d is checked
+        against."""
         bits, labels = gen
-        e = self._edges.get((bits, j))
-        if e is None:
-            e = self._edges[bits, j] = self._edge(bits, j)
-        code = self._where[bits][2][labels]
-        ti, row, _ = self._where[e.tbits]
-        row += sum(w for p, w in enumerate(e.weights) if code >> p & 1)
+        tbits = bits[:j] + (1,) + bits[j + 1 :]
+        src, tgt = self.resolutions[bits], self.resolutions[tbits]
+        c1, c2 = src.circle_of_dart[(j, 0)], src.circle_of_dart[(j, 2)]
+        t1, t2 = tgt.circle_of_dart[(j, 0)], tgt.circle_of_dart[(j, 2)]
+        if c1 != c2:
+            products = [((z,), c) for z, c in merge_products(labels[c1], labels[c2], self.t)]
+            dropped, created = {c1: None, c2: None}, (t1,)
+        else:
+            products = split_products(labels[c1], self.t)
+            dropped, created = {c1: None}, (t1, t2)
         return [
-            (self.bases[ti][row + delta], coeff)
-            for delta, coeff in e.products[(code >> e.s1 & 1) << 1 | code >> e.s2 & 1]
+            ((tbits, carry_labels(src, tgt, labels, dropped, dict(zip(created, new)))), coeff)
+            for new, coeff in products
         ]
 
     # -- gradings -------------------------------------------------------------
@@ -383,7 +408,7 @@ class ChainComplex:
         # every entry is one of the shared elements, looked up by identity:
         # over Z and Q an element is its own int, but F_p and Q(sqrt2)
         # elements hash in Python code
-        ints = {id(x): v for v, x in self._elements.items() if x is not None}
+        ints = {id(x): v for v, x in self.local.elements.items() if x is not None}
         m = self.diff[i]
         cols: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
         for (r, c), x in m.data.items():
@@ -515,10 +540,6 @@ def _admit(diagram: PlanarDiagram) -> None:
         raise DiagramTooLargeError(
             f"{diagram.crossing_count} crossings; kj computes at most {MAX_CROSSINGS}"
         )
-
-
-def q_grading(complex_: ChainComplex, gen: Gen) -> int:
-    return complex_.q_of(gen)
 
 
 def filtration_level(complex_: ChainComplex, chain: dict):

@@ -279,9 +279,9 @@ class PlanarDiagram:
     def is_empty(self) -> bool:
         return not self.crossings and not self.loops
 
-    def fresh_edges(self, n: int, also_avoid=()) -> list[int]:
+    def fresh_edges(self, n: int) -> list[int]:
         """The n lowest unused positive edge identifiers."""
-        used = set(self.occurrences) | set(also_avoid)
+        used = set(self.occurrences)
         out: list[int] = []
         e = 1
         while len(out) < n:

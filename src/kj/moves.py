@@ -80,6 +80,14 @@ class R3Move:
 Move = Birth | Death | Saddle | R1Move | R2Move | R3Move
 
 
+def _strict(x, kind: type):
+    """``x`` if its type is exactly ``kind``: a JSON integer for an edge or
+    a crossing (not a float, a string or a bool), a JSON bool for a flag."""
+    if type(x) is not kind:
+        raise TypeError(f"{x!r} is not a {kind.__name__}")
+    return x
+
+
 def move_from_json(obj: dict) -> Move:
     if not isinstance(obj, dict):
         raise PDSyntaxError(f"a move must be a JSON object, not {obj!r}")
@@ -88,21 +96,22 @@ def move_from_json(obj: dict) -> Move:
         if t == "birth":
             return Birth()
         if t == "death":
-            return Death(int(obj["edge"]))
+            return Death(_strict(obj["edge"], int))
         if t == "saddle":
             e1, e2 = obj["edges"]
-            return Saddle((int(e1), int(e2)), obj.get("side", "left"))
+            return Saddle((_strict(e1, int), _strict(e2, int)), obj.get("side", "left"))
         if t == "r1":
-            return R1Move(obj["action"], int(obj["edge"]), obj.get("hand", "left"))
+            return R1Move(obj["action"], _strict(obj["edge"], int), obj.get("hand", "left"))
         if t == "r2":
             e1, e2 = obj["edges"]
             return R2Move(
-                obj["action"], (int(e1), int(e2)), bool(obj.get("over", False))
+                obj["action"], (_strict(e1, int), _strict(e2, int)),
+                _strict(obj.get("over", False), bool),
             )
         if t == "r3":
             c1, c2, c3 = obj["crossings"]
-            return R3Move((int(c1), int(c2), int(c3)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return R3Move((_strict(c1, int), _strict(c2, int), _strict(c3, int)))
+    except (KeyError, TypeError, ValueError) as exc:
         raise PDSyntaxError(f"malformed {t} move {obj}") from exc
     raise IllegalMoveError(f"unknown move type {t!r}")
 

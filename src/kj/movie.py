@@ -7,9 +7,10 @@ its frames (for both t = 0 and t = 1):
 * Morse moves and forward R1/R2 moves are honest chain maps, machine
   checked to commute with the differentials. Each is a table on the labels
   of the circles the move consumes and creates, and the identity on every
-  other circle, filled in one resolution pair at a time; the R2 map is the
-  inclusion plus a ``_fold`` table, the contraction through the circle
-  part;
+  other circle, filled in one resolution pair at a time by
+  ``cube.LocalTables``, the routine and table format d is written with;
+  the R2 map is the inclusion plus a ``_fold`` table, the contraction
+  through the circle part;
 * R1/R2 removals invert the homology isomorphism of the matching forward
   move;
 * R3 acts at homology level. Its pieces are tables on every generator: the
@@ -32,15 +33,10 @@ from functools import cached_property
 from .cube import (
     ChainComplex,
     Gen,
-    V_MINUS,
+    LocalTables,
     V_PLUS,
     build_complex,
-    carried_weights,
     carry_labels,
-    counit,
-    merge_products,
-    split_products,
-    subset_sums,
 )
 from .diagram import (
     PlanarDiagram,
@@ -86,6 +82,12 @@ class ChainMap:
         self.mats: dict[int, SparseMatrix] = {}
         for i in src.degrees():
             self.mats[i] = SparseMatrix(dst.dim(i + shift), src.dim(i), src.ring)
+
+    @cached_property
+    def local(self) -> LocalTables:
+        """The routine the map is written through, with its memos; made on
+        first use."""
+        return LocalTables(self.src.t, self.src.ring)
 
     def add_entry(self, gen_src: Gen, gen_dst: Gen, coeff) -> None:
         i, col = self.src.index[gen_src]
@@ -139,77 +141,44 @@ class ChainMap:
         return out
 
 
-# local tables: entry x lists (labels of the created circles, coeff) for the
-# labels of the consumed circles read as a code x (v+ = 0, first circle first)
-_BIRTH = [[((V_PLUS,), 1)]]
-_DEATH = [[((), counit(x))] for x in (V_PLUS, V_MINUS)]
-_IDENTITY = [[((), 1)]]
-
-
 def _local_map(
     cm: ChainMap, bits, tbits, consumed, created, table, sign=1, placed=None,
     skip: frozenset = frozenset(),
 ):
     """Fill ``cm`` from resolution ``bits`` of its source into ``tbits`` of
-    its target by a local ``table`` on the labels of the ``consumed`` source
-    circles and the ``created`` target circles, times ``sign``. Every other
-    circle keeps its label, on the target circle ``carried_weights`` finds
-    for it once for the pair."""
+    its target by the ``local_table`` named ``table`` on the ``consumed``
+    source circles and the ``created`` target circles, times ``sign``, as
+    ``LocalTables.piece`` describes."""
     src, dst = cm.src.resolutions[bits], cm.dst.resolutions[tbits]
-    k, tk = src.circle_count, dst.circle_count
-    weights = carried_weights(src, dst, consumed, created, placed, skip)
     # the all-v+ labeling has code 0, so it sits at the resolution's offset
-    i, col = cm.src.index[bits, (V_PLUS,) * k]
-    j, row = cm.dst.index[tbits, (V_PLUS,) * tk]
+    i, col = cm.src.index[bits, (V_PLUS,) * src.circle_count]
+    j, row = cm.dst.index[tbits, (V_PLUS,) * dst.circle_count]
     if j != i + cm.shift:
         raise InternalInvariantError(
             f"chain map entry shifts degree by {j - i}, expected {cm.shift}"
         )
-    ring = cm.src.ring
-    coded = [
-        [(sum(lab << tk - 1 - ti for lab, ti in zip(labels, created)), x)
-         for labels, coeff in entries
-         if not ring.is_zero(x := ring.from_int(sign * coeff))]
-        for entries in table
-    ]
-    # the entry of ``table`` each source code reads
-    where = {k - 1 - si: 1 << len(consumed) - 1 - n for n, si in enumerate(consumed)}
-    keys = subset_sums(0, [where.get(p, 0) for p in range(k)])
-    data = cm.mats[i].data
-    for c, (r, key) in enumerate(zip(subset_sums(row, weights), keys), col):
-        for delta, x in coded[key]:
-            data[r + delta, c] = x
-
-
-def _edge_tables(t: int, born: tuple[int, ...] = ()):
-    """The merge and split tables at ``t``, each entry's labels followed by
-    ``born``, the labels of further created circles."""
-    labels = (V_PLUS, V_MINUS)
-    merge = [[((z, *born), c) for z, c in merge_products(x, y, t)]
-             for x in labels for y in labels]
-    split = [[(pair + born, c) for pair, c in split_products(x, t)] for x in labels]
-    return merge, split
+    piece = cm.local.piece(src, dst, row, consumed, created, table, sign, placed, skip)
+    cm.local.fill(cm.mats[i].data, col, 1 << src.circle_count, [piece])
 
 
 def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
     """Chain map of a birth, death, or saddle (same crossing set)."""
-    merge, split = _edge_tables(c1.t)
     # a reconnection can change reference crossing signs, shifting degrees
     cm = ChainMap(c1, c2, shift=c1.n_minus - c2.n_minus)
     for bits, res1 in c1.resolutions.items():
         res2 = c2.resolutions[bits]
         if rec.kind == "birth":
             lidx = res2.circle_index_of_edge(rec.data["loop"])
-            _local_map(cm, bits, bits, (), (lidx,), _BIRTH)
+            _local_map(cm, bits, bits, (), (lidx,), "birth")
         elif rec.kind == "death":
             lidx = res1.circle_index_of_edge(rec.data["loop"])
-            _local_map(cm, bits, bits, (lidx,), (), _DEATH)
+            _local_map(cm, bits, bits, (lidx,), (), "death")
         else:
             i1, i2 = map(res1.circle_index_of_edge, rec.data["feet"])
             if i1 != i2:
-                _local_map(cm, bits, bits, (i1, i2), _saddle_targets(rec, res2, 1), merge)
+                _local_map(cm, bits, bits, (i1, i2), _saddle_targets(rec, res2, 1), "merge")
             else:
-                _local_map(cm, bits, bits, (i1,), _saddle_targets(rec, res2, 2), split)
+                _local_map(cm, bits, bits, (i1,), _saddle_targets(rec, res2, 2), "split")
     cm.verify()
     return cm
 
@@ -255,12 +224,7 @@ def r1_chain_map(
     f1 = rec_data["loop_edge"]
     a_small, a_big = rec_data["anchor"]
     nbig = c_big.diagram.crossing_count
-    # a right curl is a birth of the loop; a left curl is the split of the
-    # host circle minus 2 X(host) (x) v+(loop), X: v+ -> v-, v- -> t v+
-    split_minus_2x = [
-        [((V_PLUS, V_MINUS), 1), ((V_MINUS, V_PLUS), -1)],
-        [((V_MINUS, V_MINUS), 1), ((V_PLUS, V_PLUS), -c_small.t)],
-    ]
+    # a right curl is a birth of the loop, a left curl split_minus_2x
     cm = ChainMap(c_small, c_big)
     for bits, res1 in c_small.resolutions.items():
         host = res1.circle_index_of_edge(a_small)
@@ -269,10 +233,10 @@ def r1_chain_map(
         lidx = res2.circle_index_of_edge(f1)
         midx = res2.circle_index_of_edge(a_big)
         if hand == "left":
-            _local_map(cm, bits, tbits, (host,), (midx, lidx), split_minus_2x)
+            _local_map(cm, bits, tbits, (host,), (midx, lidx), "split_minus_2x")
         else:
             sign = _change_twist(tbits, {cstar: 0})
-            _local_map(cm, bits, tbits, (), (lidx,), _BIRTH, sign, {host: midx})
+            _local_map(cm, bits, tbits, (), (lidx,), "birth", sign, {host: midx})
     cm.verify()
     return cm
 
@@ -309,7 +273,7 @@ def r2_chain_map(
             for small_edge, big_edge in anchors.items()
         }
         sign = _change_twist(tbits, {k2: 0})
-        _local_map(cm, bits, tbits, (), (), _IDENTITY, sign, placed)
+        _local_map(cm, bits, tbits, (), (), "identity", sign, placed)
         # the inclusion lands where k2 = 1, the correction where k2 = 0
         _fold(cm, bits, tbits, k1, k2, local, sign, placed)
     cm.verify()
@@ -355,11 +319,11 @@ def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):
         * _change_twist(mid, {other: 0})
         * _spectator_parity_sign(tbits, {flip, other})
     )
-    merge, split = _edge_tables(dst.t, (V_PLUS,))
+    # the small circle, created last, is born v+
     _local_map(
         cm, bits, fbits, tuple(on_t[c] for c in ends),
         tuple(folded[m] for m in news) + (on_f.index(V_PLUS),),
-        merge if len(ends) == 2 else split, sign, carried,
+        "merge" if len(ends) == 2 else "split", sign, carried,
     )
 
 
@@ -756,7 +720,7 @@ class _R3Transport:
                 continue
             tbits = tuple(changes.get(u, b) for u, b in enumerate(bits))
             sign = _change_twist(bits, changes)
-            _local_map(self.ident, bits, tbits, (), (), _IDENTITY, sign, skip=skip)
+            _local_map(self.ident, bits, tbits, (), (), "identity", sign, skip=skip)
 
     def _open_bit(self, d, t, m, b):
         """Bit of the middle crossing that does not glue the two triangle

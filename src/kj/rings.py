@@ -241,14 +241,14 @@ def _q_div(a, b):
 
 
 # Z is no field and has no division: int / int would be a float
-ZZ = Ring("Z", 0, 1, lambda n: int(n), is_field=False, char=0, div=None)
 # operator.index refuses a Fraction or a float instead of truncating it
+ZZ = Ring("Z", 0, 1, operator.index, is_field=False, char=0, div=None)
 QQ = Ring("Q", 0, 1, operator.index, is_field=True, char=0, div=_q_div)
 QSQRT2 = Ring(
     "Q(sqrt2)",
     QSqrt2.of(0),
     QSqrt2.of(1),
-    lambda n: QSqrt2.of(n),
+    lambda n: QSqrt2.of(operator.index(n)),
     is_field=True,
     char=0,
 )
@@ -283,7 +283,7 @@ def GF(p: int) -> Ring:
         f"F{p}",
         GFElement(0, p),
         GFElement(1, p),
-        lambda n, p=p: GFElement(n, p),
+        lambda n, p=p: GFElement(operator.index(n), p),
         is_field=True,
         char=p,
     )

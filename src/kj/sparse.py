@@ -92,15 +92,6 @@ class SparseMatrix:
                 m.add_to(r, c, v * w)
         return m
 
-    def scale(self, s) -> "SparseMatrix":
-        m = SparseMatrix(self.rows, self.cols, self.ring)
-        for (r, c), v in self.data.items():
-            m.set(r, c, s * v)
-        return m
-
-    def __neg__(self) -> "SparseMatrix":
-        return self.scale(self.ring.from_int(-1))
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)

@@ -663,8 +663,8 @@ SUITES = {
 def run_suite(name: str, seed: int = 0) -> list[CheckReport]:
     if name == "all":
         out = []
-        for key in ("euler-oracle", "rmoves", "proposition", "corollary", "leading-order"):
-            out.extend(SUITES[key](seed))
+        for suite in SUITES.values():
+            out.extend(suite(seed))
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")

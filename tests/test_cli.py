@@ -73,6 +73,19 @@ def test_exit_codes(tmp_path, capsys):
                     "moves": [{"type": "birth"}, {"type": "death", "edge": "x"}]}),
         # JSON's Infinity is a float that no int holds
         json.dumps({"initial": "empty", "moves": [{"type": "death", "edge": float("inf")}]}),
+        # an edge or a crossing is a JSON integer, and over a JSON bool
+        *(json.dumps({"initial": "empty", "moves": [{"type": "birth"}, move]}) for move in (
+            {"type": "death", "edge": 1.5},
+            {"type": "death", "edge": "1"},
+            {"type": "death", "edge": 1.0},
+            {"type": "saddle", "edges": [True, 1]},
+            {"type": "r1", "action": "add", "edge": "1"},
+        )),
+        json.dumps({"initial": DIAGRAMS["trefoil"],
+                    "moves": [{"type": "r2", "action": "add", "edges": [1, 3], "over": "false"}]}),
+        json.dumps({"initial": DIAGRAMS["trefoil"],
+                    "moves": [{"type": "r2", "action": "add", "edges": [1, 3], "over": 0}]}),
+        json.dumps({"initial": DIAGRAMS["trefoil"], "moves": [{"type": "r3", "crossings": [0, 1, 2.0]}]}),
     ]
     for k, text in enumerate(malformed):
         path = tmp_path / f"malformed{k}.movie"

@@ -22,7 +22,7 @@ from kj.cube import (
     merge_products,
     split_products,
 )
-from kj.diagram import all_orientations, parse_pd, smoothing_partner
+from kj.diagram import PlanarDiagram, all_orientations, parse_pd, smoothing_partner
 from kj.errors import IllegalMoveError, InternalInvariantError
 from kj.homology import FieldHomology
 from kj.moves import Birth, Death, R1Move, R2Move, R3Move, Saddle, apply_move
@@ -250,6 +250,27 @@ def test_chain_map_check_catches_every_flipped_r2_entry():
                     cm.verify()
                 m.data[key] = v
             cm.verify()
+
+
+def test_chain_maps_refuse_two_terms_on_one_entry(monkeypatch):
+    # d and the chain maps are written by one routine, which refuses a table
+    # putting two terms on one entry; the frames are built before the patch
+    saddle = Movie(PlanarDiagram(), [Birth(), Saddle((1, 1))])
+    poke = Movie(parse_pd(UNKNOT), [R2Move("add", (1, 1))])
+    frames = {t: [[build_complex(f, t, QQ) for f in mv.frames[-2:]] for mv in (saddle, poke)]
+              for t in (0, 1)}
+    merge, split = kj.cube.merge_products, kj.cube.split_products
+    monkeypatch.setattr(kj.cube, "merge_products", lambda x, y, t: merge(x, y, t)[:1] * 2)
+    monkeypatch.setattr(kj.cube, "split_products", lambda x, t: split(x, t)[:1] * 2)
+    rec = poke.records[0]
+    assert saddle.records[1].kind == "saddle_split"
+    for t in (0, 1):
+        (s1, s2), (p1, p2) = frames[t]
+        with pytest.raises(InternalInvariantError, match="landed on one entry"):
+            morse_chain_map(saddle.records[1], s1, s2)
+        # the R2 correction folds through a merge or a split
+        with pytest.raises(InternalInvariantError, match="landed on one entry"):
+            r2_chain_map(rec.data, p1, p2, dict(rec.crossing_map))
 
 
 # -- the elementary chain maps against a generator-by-generator reference -----

@@ -27,6 +27,15 @@ def test_qsqrt2_field_ops():
         QSQRT2.zero.inverse()
 
 
+def test_integer_coercions_refuse_non_integers():
+    # a coefficient that is no integer is an error, never truncated
+    for ring in (ZZ, QQ, GF(5), QSQRT2):
+        assert ring.from_int(7) == 7
+        for x in (Fraction(1, 2), 2.5, "3"):
+            with pytest.raises(TypeError):
+                ring.from_int(x)
+
+
 def test_half_power_of_two():
     assert half_power_of_two(0) == QSqrt2.of(1)
     assert half_power_of_two(2) == QSqrt2.of(2)
