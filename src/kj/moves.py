@@ -10,6 +10,31 @@ crossing list (this keeps the cube signs of untouched crossings stable).
 Free loops live side by side in the unbounded region: a death or a saddle
 foot on a loop is legal there, and a saddle or poke between a loop and a
 crossing edge requires that edge to border the outer face.
+
+An R1 or R2 addition cuts each strand it touches into a tail piece and a
+head piece. A crossing edge keeps its id on the tail piece and gives its
+head occurrence to a fresh head piece. A free loop becomes one fresh piece,
+which is both tail and head. A strand poked across itself shares its middle
+piece: the under head is the over tail. A curl on e is X(f1, f1, f2, e_in)
+(left) or X(e_in, f1, f1, f2) (right), with f1 its loop edge, f2 the head
+piece and e_in the tail piece: e on an edge, f2 on a loop.
+
+The two crossings of a poke are wired from the under strand's pieces ut and
+uh, the over strand's ot and oh, and the fresh middles m1 (under) and m2
+(over). The wiring is keyed by whether the region the strands share lies
+left of the under and of the over strand's reference direction (always so
+for a loop); that region is a face both border when they are crossing edges
+of one crossing component, and the outer region otherwise:
+
+    (T, T): K1 = X(ut, m2, m1, oh),  K2 = X(m1, m2, uh, ot)
+    (T, F): K1 = X(ut, m2, m1, ot),  K2 = X(m1, m2, uh, oh)
+    (F, T): K1 = X(ut, ot, m1, m2),  K2 = X(m1, oh, uh, m2)
+    (F, F): K1 = X(ut, oh, m1, m2),  K2 = X(m1, ot, uh, m2)
+
+A poke's four fresh ids are drawn from the diagram without its poked loops,
+in the order (uh, m1, m2, oh) with one loop or none, (ut, ot, m1, m2) for
+two loops, (ut, m1, m2, uh) for a loop poked across itself and
+(m1, m2, uh, oh) for an edge folded across itself.
 """
 
 from __future__ import annotations
@@ -27,6 +52,7 @@ __all__ = [
     "R2Move",
     "R3Move",
     "Move",
+    "MOVE_JSON",
     "MoveRecord",
     "apply_move",
     "move_from_json",
@@ -79,10 +105,28 @@ class R3Move:
 
 Move = Birth | Death | Saddle | R1Move | R2Move | R3Move
 
+# Each move type's class and JSON keys with their JSON types; a tuple of
+# types is a list of that many entries. A key is optional when its field has
+# a default, and a key the table does not list is an error.
+MOVE_JSON = {
+    "birth": (Birth, {}),
+    "death": (Death, {"edge": int}),
+    "saddle": (Saddle, {"edges": (int, int), "side": str}),
+    "r1": (R1Move, {"action": str, "edge": int, "hand": str}),
+    "r2": (R2Move, {"action": str, "edges": (int, int), "over": bool}),
+    "r3": (R3Move, {"crossings": (int, int, int)}),
+}
 
-def _strict(x, kind: type):
+
+def _from_json(x, kind):
     """``x`` if its type is exactly ``kind``: a JSON integer for an edge or
-    a crossing (not a float, a string or a bool), a JSON bool for a flag."""
+    a crossing (not a float, a string or a bool), a JSON bool for a flag; a
+    tuple of types is a list of that many entries."""
+    if isinstance(kind, tuple):
+        x = tuple(x)
+        if len(x) != len(kind):
+            raise ValueError(f"{x!r} does not have {len(kind)} entries")
+        return tuple(map(_from_json, x, kind))
     if type(x) is not kind:
         raise TypeError(f"{x!r} is not a {kind.__name__}")
     return x
@@ -92,46 +136,28 @@ def move_from_json(obj: dict) -> Move:
     if not isinstance(obj, dict):
         raise PDSyntaxError(f"a move must be a JSON object, not {obj!r}")
     t = obj.get("type")
+    if not isinstance(t, str) or t not in MOVE_JSON:
+        raise IllegalMoveError(f"unknown move type {t!r}")
+    cls, keys = MOVE_JSON[t]
+    for key in obj:
+        if key != "type" and key not in keys:
+            raise PDSyntaxError(f"malformed {t} move {obj}: unknown key {key!r}")
     try:
-        if t == "birth":
-            return Birth()
-        if t == "death":
-            return Death(_strict(obj["edge"], int))
-        if t == "saddle":
-            e1, e2 = obj["edges"]
-            return Saddle((_strict(e1, int), _strict(e2, int)), obj.get("side", "left"))
-        if t == "r1":
-            return R1Move(obj["action"], _strict(obj["edge"], int), obj.get("hand", "left"))
-        if t == "r2":
-            e1, e2 = obj["edges"]
-            return R2Move(
-                obj["action"], (_strict(e1, int), _strict(e2, int)),
-                _strict(obj.get("over", False), bool),
-            )
-        if t == "r3":
-            c1, c2, c3 = obj["crossings"]
-            return R3Move((_strict(c1, int), _strict(c2, int), _strict(c3, int)))
-    except (KeyError, TypeError, ValueError) as exc:
+        return cls(**{key: _from_json(obj[key], kind) for key, kind in keys.items() if key in obj})
+    except (TypeError, ValueError) as exc:
         raise PDSyntaxError(f"malformed {t} move {obj}") from exc
-    raise IllegalMoveError(f"unknown move type {t!r}")
 
 
 def move_to_json(m: Move) -> dict:
-    if isinstance(m, Birth):
-        return {"type": "birth"}
-    if isinstance(m, Death):
-        return {"type": "death", "edge": m.edge}
-    if isinstance(m, Saddle):
-        return {"type": "saddle", "edges": list(m.edges), "side": m.side}
-    if isinstance(m, R1Move):
-        return {"type": "r1", "action": m.action, "edge": m.edge, "hand": m.hand}
-    if isinstance(m, R2Move):
-        out = {"type": "r2", "action": m.action, "edges": list(m.edges)}
-        if m.action == "add":
-            out["over"] = m.over
-        return out
-    if isinstance(m, R3Move):
-        return {"type": "r3", "crossings": list(m.crossings)}
+    for t, (cls, keys) in MOVE_JSON.items():
+        if isinstance(m, cls):
+            out = {"type": t}
+            for key in keys:
+                value = getattr(m, key)
+                out[key] = list(value) if isinstance(value, tuple) else value
+            if t == "r2" and m.action != "add":
+                del out["over"]
+            return out
     raise IllegalMoveError(f"unknown move {m!r}")
 
 
@@ -142,12 +168,22 @@ class MoveRecord:
     kind: birth, death, saddle_merge, saddle_split, saddle_reconnect,
           r1_add, r1_remove, r2_add, r2_remove, r3.
     crossing_map: surviving old crossing index -> new index.
-    data: per-kind location details (see the builders in movie.py).
+    data: per-kind location details (see the builders in movie.py); an R1
+          or R2 record's "anchors" send each old strand edge to a new edge
+          of the same strand.
     """
 
     kind: str
     crossing_map: dict[int, int] = field(default_factory=dict)
     data: dict = field(default_factory=dict)
+
+    @property
+    def chi(self) -> int:
+        """Euler characteristic of the move's cobordism: +1 for a birth or
+        a death, -1 for a saddle, 0 for a Reidemeister move."""
+        if self.kind.startswith("saddle"):
+            return -1
+        return 1 if self.kind in ("birth", "death") else 0
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -189,16 +225,55 @@ def _outer_directed(d: PlanarDiagram, edge: int):
     return None
 
 
-def _is_loop(d: PlanarDiagram, e: int) -> bool:
-    return e in d.loops
-
-
 def _crossing_component_of_edge(d: PlanarDiagram, e: int) -> int:
     c = d.occurrences[e][0][0]
     for i, comp in enumerate(d.crossing_components):
         if c in comp:
             return i
     raise KeyError(e)
+
+
+def _shared_region(d: PlanarDiagram, a: int, b: int, sides=("left", "right"), where=""):
+    """Edges ``a`` and ``b`` directed with one region on their left, as
+    ``_directed_occurrences`` gives them; a free loop, which lies in the
+    outer region, is (None, None, True). The region is a face both border,
+    tried on ``sides`` of ``a``, when they are crossing edges of one
+    crossing component, and the outer region otherwise."""
+    if a in d.loops or b in d.loops:
+        got = [(None, None, True) if e in d.loops else _outer_directed(d, e) for e in (a, b)]
+        for e, g in zip((a, b), got):
+            if g is None:
+                raise IllegalMoveError(f"edge {e} does not border the outer region")
+        return got
+    if _crossing_component_of_edge(d, a) == _crossing_component_of_edge(d, b):
+        for side in sides:
+            face = _edge_side_face(d, a, side)
+            got_b = _directed_occurrences(d, b, face)
+            if got_b is not None:
+                return _directed_occurrences(d, a, face), got_b
+        raise IllegalMoveError(f"edges {a} and {b} do not border a common face{where}")
+    got = _outer_directed(d, a), _outer_directed(d, b)
+    if None in got:
+        raise IllegalMoveError(
+            f"edges {a} and {b} lie in different pieces and do not both "
+            "border the outer region"
+        )
+    return got
+
+
+def _without_loops(d: PlanarDiagram, edges) -> PlanarDiagram:
+    """``d`` with the free loops among ``edges`` taken out."""
+    return PlanarDiagram(d.crossings, tuple(e for e in d.loops if e not in edges))
+
+
+def _cut(d: PlanarDiagram, heads: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The crossings of ``d`` with the head occurrence of each crossing edge
+    in ``heads`` handed to its head piece ``heads[e]``."""
+    crossings = [list(t) for t in d.crossings]
+    for e, piece in heads.items():
+        if e not in d.loops:
+            _replace_occurrence(crossings, d.edge_head[e], piece)
+    return tuple(map(tuple, crossings))
 
 
 def _identity_map(d: PlanarDiagram) -> dict[int, int]:
@@ -241,13 +316,12 @@ def _birth(d: PlanarDiagram):
 
 
 def _death(d: PlanarDiagram, move: Death):
-    if not _is_loop(d, move.edge):
+    if move.edge not in d.loops:
         raise IllegalMoveError(
             f"death needs a crossingless circle; edge {move.edge} is not one"
         )
-    d2 = PlanarDiagram(d.crossings, tuple(e for e in d.loops if e != move.edge))
     rec = MoveRecord("death", _identity_map(d), {"loop": move.edge})
-    return d2, rec
+    return _without_loops(d, (move.edge,)), rec
 
 
 def _saddle(d: PlanarDiagram, move: Saddle):
@@ -257,7 +331,6 @@ def _saddle(d: PlanarDiagram, move: Saddle):
     if move.side not in ("left", "right"):
         raise IllegalMoveError(f"unknown saddle side {move.side!r}")
     ident = _identity_map(d)
-    loop1, loop2 = _is_loop(d, e1), _is_loop(d, e2)
 
     if e1 == e2:
         # both feet on one free loop or one edge, same side: split off a
@@ -269,48 +342,26 @@ def _saddle(d: PlanarDiagram, move: Saddle):
         )
         return d2, rec
 
-    if loop1 and loop2:
+    (tail1, head1, _), (tail2, head2, _) = _shared_region(
+        d, e1, e2, (move.side,), f" (side {move.side} of {e1})"
+    )
+    if e1 in d.loops and e2 in d.loops:
         # merge two side-by-side loops through the outer region; the band
         # face lies left of each loop traversed clockwise
-        remaining = tuple(e for e in d.loops if e not in (e1, e2))
-        (new,) = PlanarDiagram(d.crossings, remaining).fresh_edges(1)
-        d2 = PlanarDiagram(d.crossings, remaining + (new,))
+        base = _without_loops(d, (e1, e2))
+        (new,) = base.fresh_edges(1)
+        d2 = PlanarDiagram(d.crossings, base.loops + (new,))
         rec = MoveRecord("saddle_merge", ident, {"feet": (e1, e2), "new_loop": new})
         return d2, rec
-
-    if loop1 != loop2:
+    if e1 in d.loops or e2 in d.loops:
         # merge a free loop into a strand bordering the outer region
-        loop, edge = (e1, e2) if loop1 else (e2, e1)
-        if _outer_directed(d, edge) is None:
-            raise IllegalMoveError(
-                f"edge {edge} does not border the outer region"
-            )
-        d2 = PlanarDiagram(d.crossings, tuple(e for e in d.loops if e != loop))
+        loop, edge = (e1, e2) if e1 in d.loops else (e2, e1)
         rec = MoveRecord("saddle_merge", ident, {"feet": (edge, loop)})
-        return d2, rec
+        return _without_loops(d, (loop,)), rec
 
-    # both feet on crossing edges
-    if _crossing_component_of_edge(d, e1) == _crossing_component_of_edge(d, e2):
-        face = _edge_side_face(d, e1, move.side)
-        got2 = _directed_occurrences(d, e2, face)
-        if got2 is None:
-            raise IllegalMoveError(
-                f"edges {e1} and {e2} do not border a common face "
-                f"(side {move.side} of {e1})"
-            )
-        got1 = _directed_occurrences(d, e1, face)
-    else:
-        got1 = _outer_directed(d, e1)
-        got2 = _outer_directed(d, e2)
-        if got1 is None or got2 is None:
-            raise IllegalMoveError(
-                f"edges {e1} and {e2} lie in different pieces and do not "
-                "both border the outer region"
-            )
-    tail1, head1, _ = got1
-    tail2, head2, _ = got2
+    # both feet on crossing edges; reconnect: e1 runs tail1 -> head2, e2
+    # runs tail2 -> head1
     crossings = [list(t) for t in d.crossings]
-    # reconnect: e1 runs tail1 -> head2, e2 runs tail2 -> head1
     _replace_occurrence(crossings, head2, e1)
     _replace_occurrence(crossings, head1, e2)
     d2 = PlanarDiagram(tuple(tuple(t) for t in crossings), d.loops)
@@ -331,32 +382,18 @@ def _r1_add(d: PlanarDiagram, move: R1Move):
     e = move.edge
     if e not in d.occurrences:
         raise IllegalMoveError(f"r1 add: edge {e} not in the diagram")
-    n = d.crossing_count
-    ident = _identity_map(d)
-    if _is_loop(d, e):
-        remaining = tuple(x for x in d.loops if x != e)
-        f1, f2 = PlanarDiagram(d.crossings, remaining).fresh_edges(2)
-        cross = (f1, f1, f2, f2) if move.hand == "left" else (f2, f1, f1, f2)
-        d2 = PlanarDiagram(d.crossings + (cross,), remaining)
-        d2.validate()
-        rec = MoveRecord(
-            "r1_add",
-            ident,
-            {"hand": move.hand, "crossing": n, "loop_edge": f1, "anchor": (e, f2)},
-        )
-        return d2, rec
-    f1, f2 = d.fresh_edges(2)
-    head = d.edge_head[e]
-    crossings = [list(t) for t in d.crossings]
-    _replace_occurrence(crossings, head, f2)
+    base = _without_loops(d, (e,))
+    f1, f2 = base.fresh_edges(2)
+    e_in = f2 if e in d.loops else e
     # left curl: X(f1, f1, e_out, e_in); right curl: X(e_in, f1, f1, e_out)
-    cross = (f1, f1, f2, e) if move.hand == "left" else (e, f1, f1, f2)
-    d2 = PlanarDiagram(tuple(tuple(t) for t in crossings) + (cross,), d.loops)
+    cross = (f1, f1, f2, e_in) if move.hand == "left" else (e_in, f1, f1, f2)
+    d2 = PlanarDiagram(_cut(d, {e: f2}) + (cross,), base.loops)
     d2.validate()
     rec = MoveRecord(
         "r1_add",
-        ident,
-        {"hand": move.hand, "crossing": n, "loop_edge": f1, "anchor": (e, e)},
+        _identity_map(d),
+        {"hand": move.hand, "crossing": d.crossing_count, "loop_edge": f1,
+         "anchors": {e: e_in}},
     )
     return d2, rec
 
@@ -471,7 +508,7 @@ def _r1_remove(d: PlanarDiagram, move: R1Move):
     rec = MoveRecord(
         "r1_remove",
         crossing_map,
-        {"hand": hand, "crossing": c, "loop_edge": move.edge, "anchor": (keep, keep)},
+        {"hand": hand, "crossing": c, "loop_edge": move.edge, "anchors": {keep: keep}},
     )
     return d2, rec
 
@@ -482,174 +519,60 @@ def _r1_remove(d: PlanarDiagram, move: R1Move):
 def _r2_add(d: PlanarDiagram, move: R2Move):
     """Poke one strand across another.
 
-    Writing u for the strand passing under at both new crossings and o for
-    the one passing over, the local result is always
+    u is the strand passing under at both new crossings and o the one
+    passing over. Each is cut into a tail piece (ut, ot) and a head piece
+    (uh, oh): a crossing edge keeps its id on the tail piece, a free loop is
+    one fresh piece serving as both, and a strand poked across itself shares
+    its middle piece (uh = ot). With m1 the under middle and m2 the over
+    middle, the wiring is keyed by whether the shared region lies left of
+    u and of o along their reference directions (always so for a loop):
 
-        K1 = X(u_in, m2, m1, o_out),   K2 = X(m1, m2, u_out, o_in)
+        (T, T): K1 = X(ut, m2, m1, oh),  K2 = X(m1, m2, uh, ot)
+        (T, F): K1 = X(ut, m2, m1, ot),  K2 = X(m1, m2, uh, oh)
+        (F, T): K1 = X(ut, ot, m1, m2),  K2 = X(m1, oh, uh, m2)
+        (F, F): K1 = X(ut, oh, m1, m2),  K2 = X(m1, ot, uh, m2)
 
-    with m1 the under middle and m2 the over middle. Strand pieces keep the
-    original edge id on their tail side; free loops contribute one circular
-    piece each.
+    The fresh ids come from the diagram without the poked loops, in the
+    order (uh, m1, m2, oh) with one loop or none, (ut, ot, m1, m2) for two
+    loops, (ut, m1, m2, uh) for a loop poked across itself and
+    (m1, m2, uh, oh) for an edge folded across itself.
     """
     e1, e2 = move.edges
     if e1 not in d.occurrences or e2 not in d.occurrences:
         raise IllegalMoveError(f"r2 add: edges {move.edges} not in the diagram")
     under, over = (e2, e1) if move.over else (e1, e2)
-    n = d.crossing_count
-    ident = _identity_map(d)
-    u_loop, o_loop = _is_loop(d, under), _is_loop(d, over)
-
-    if under == over:
-        if u_loop:
-            # poke a free loop across itself
-            remaining = tuple(x for x in d.loops if x != under)
-            u, m1, m2, p = PlanarDiagram(d.crossings, remaining).fresh_edges(4)
-            k1 = (u, m2, m1, u)
-            k2 = (m1, m2, p, p)
-            d2 = PlanarDiagram(d.crossings + (k1, k2), remaining)
-            d2.validate()
-            nk1, nk2, nm1, nm2 = detect_r2_pattern(d2, (m1, m2))
-            rec = MoveRecord(
-                "r2_add",
-                ident,
-                {"k1": nk1, "k2": nk2, "m1": nm1, "m2": nm2,
-                 "anchors": {under: u}, "flip_components": [under]},
-            )
-            return d2, rec
-        # fold a crossing edge across itself
-        m1, m2, p, a2 = d.fresh_edges(4)
-        head = d.edge_head[under]
-        crossings = [list(t) for t in d.crossings]
-        _replace_occurrence(crossings, head, a2)
-        k1 = (under, m2, m1, a2)
-        k2 = (m1, m2, p, p)
-        d2 = PlanarDiagram(
-            tuple(tuple(t) for t in crossings) + (k1, k2), d.loops
-        )
-        d2.validate()
-        nk1, nk2, nm1, nm2 = detect_r2_pattern(d2, (m1, m2))
-        rec = MoveRecord(
-            "r2_add",
-            ident,
-            {"k1": nk1, "k2": nk2, "m1": nm1, "m2": nm2,
-             "anchors": {under: under}},
-        )
-        return d2, rec
-
-    if u_loop and o_loop:
-        remaining = tuple(x for x in d.loops if x not in (under, over))
-        u, v, m1, m2 = PlanarDiagram(d.crossings, remaining).fresh_edges(4)
-        k1 = (u, m2, m1, v)
-        k2 = (m1, m2, u, v)
-        d2 = PlanarDiagram(d.crossings + (k1, k2), remaining)
-        d2.validate()
-        nk1, nk2, nm1, nm2 = detect_r2_pattern(d2, (m1, m2))
-        rec = MoveRecord(
-            "r2_add",
-            ident,
-            {"k1": nk1, "k2": nk2, "m1": nm1, "m2": nm2,
-             "anchors": {under: u, over: v},
-             "flip_components": [under, over]},
-        )
-        return d2, rec
-
-    if u_loop or o_loop:
-        loop, edge = (under, over) if u_loop else (over, under)
-        got = _outer_directed(d, edge)
-        if got is None:
-            raise IllegalMoveError(
-                f"edge {edge} does not border the outer region"
-            )
-        along_ref = got[2]
-        remaining = tuple(x for x in d.loops if x != loop)
-        base = PlanarDiagram(d.crossings, remaining)
-        head = d.edge_head[edge]
-        crossings = [list(t) for t in d.crossings]
-        if u_loop:
-            # under strand is the loop (single piece u); over strand splits
-            # into (edge, m2, e2b) with direction determined by its side
-            u, m1, m2, e2b = base.fresh_edges(4)
-            _replace_occurrence(crossings, head, e2b)
-            if along_ref:
-                k1 = (u, m2, m1, e2b)
-                k2 = (m1, m2, u, edge)
-            else:
-                k1 = (u, m2, m1, edge)
-                k2 = (m1, m2, u, e2b)
-            anchors = {under: u, over: edge}
-        else:
-            # over strand is the loop (single piece v); under strand splits
-            u1b, m1, m2, v = base.fresh_edges(4)
-            _replace_occurrence(crossings, head, u1b)
-            if along_ref:
-                k1 = (edge, m2, m1, v)
-                k2 = (m1, m2, u1b, v)
-            else:
-                k1 = (edge, v, m1, m2)
-                k2 = (m1, v, u1b, m2)
-            anchors = {under: edge, over: v}
-        d2 = PlanarDiagram(
-            tuple(tuple(t) for t in crossings) + (k1, k2), remaining
-        )
-        d2.validate()
-        nk1, nk2, nm1, nm2 = detect_r2_pattern(d2, (m1, m2))
-        rec = MoveRecord(
-            "r2_add",
-            ident,
-            {"k1": nk1, "k2": nk2, "m1": nm1, "m2": nm2, "anchors": anchors},
-        )
-        return d2, rec
-
-    # both crossing edges
-    if _crossing_component_of_edge(d, under) == _crossing_component_of_edge(d, over):
-        face = None
-        for side in ("left", "right"):
-            f = _edge_side_face(d, under, side)
-            if _directed_occurrences(d, over, f) is not None:
-                face = f
-                break
-        if face is None:
-            raise IllegalMoveError(
-                f"edges {under} and {over} do not border a common face"
-            )
-        got_u = _directed_occurrences(d, under, face)
-        got_o = _directed_occurrences(d, over, face)
+    (_, _, fu), (_, _, fo) = _shared_region(d, under, over)
+    u_loop, o_loop = under in d.loops, over in d.loops
+    base = _without_loops(d, (under, over))
+    fresh = base.fresh_edges(4)
+    if under == over and u_loop:
+        oh, m1, m2, uh = fresh
+    elif under == over:
+        m1, m2, uh, oh = fresh
+    elif u_loop and o_loop:
+        uh, oh, m1, m2 = fresh
     else:
-        got_u = _outer_directed(d, under)
-        got_o = _outer_directed(d, over)
-        if got_u is None or got_o is None:
-            raise IllegalMoveError(
-                f"edges {under} and {over} lie in different pieces and do "
-                "not both border the outer region"
-            )
-    fu, fo = got_u[2], got_o[2]
-    u1b, m1, m2, o2b = d.fresh_edges(4)
-    crossings = [list(t) for t in d.crossings]
-    _replace_occurrence(crossings, d.edge_head[under], u1b)
-    _replace_occurrence(crossings, d.edge_head[over], o2b)
-    # the under strand enters the first crossing along its own direction; the
-    # over strand's wiring depends on which side of each strand the common
-    # face lies (reference direction on the left or not)
-    if fu and fo:
-        k1, k2 = (under, m2, m1, o2b), (m1, m2, u1b, over)
-    elif fu and not fo:
-        k1, k2 = (under, m2, m1, over), (m1, m2, u1b, o2b)
-    elif not fu and fo:
-        k1, k2 = (under, over, m1, m2), (m1, o2b, u1b, m2)
-    else:
-        k1, k2 = (under, o2b, m1, m2), (m1, over, u1b, m2)
-    d2 = PlanarDiagram(
-        tuple(tuple(t) for t in crossings) + (k1, k2), d.loops
-    )
+        uh, m1, m2, oh = fresh
+    # a loop's one piece is its tail and its head; a strand poked across
+    # itself runs ut -> uh = ot -> oh
+    ut = under if not u_loop else oh if under == over else uh
+    ot = uh if under == over else oh if o_loop else over
+    k1, k2 = {
+        (True, True): ((ut, m2, m1, oh), (m1, m2, uh, ot)),
+        (True, False): ((ut, m2, m1, ot), (m1, m2, uh, oh)),
+        (False, True): ((ut, ot, m1, m2), (m1, oh, uh, m2)),
+        (False, False): ((ut, oh, m1, m2), (m1, ot, uh, m2)),
+    }[fu, fo]
+    # a strand poked across itself hands its head occurrence to oh
+    d2 = PlanarDiagram(_cut(d, {under: uh, over: oh}) + (k1, k2), base.loops)
     d2.validate()
     nk1, nk2, nm1, nm2 = detect_r2_pattern(d2, (m1, m2))
-    rec = MoveRecord(
-        "r2_add",
-        ident,
-        {"k1": nk1, "k2": nk2, "m1": nm1, "m2": nm2,
-         "anchors": {under: under, over: over}},
-    )
-    return d2, rec
+    anchors = {under: ut}
+    anchors.setdefault(over, ot)  # a strand poked across itself: its tail
+    data = {"k1": nk1, "k2": nk2, "m1": nm1, "m2": nm2, "anchors": anchors}
+    if u_loop and o_loop:
+        data["flip_components"] = list(anchors)
+    return d2, MoveRecord("r2_add", _identity_map(d), data)
 
 
 def detect_r2_pattern(d: PlanarDiagram, m_edges: tuple[int, int]):

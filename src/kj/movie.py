@@ -222,7 +222,7 @@ def r1_chain_map(
     hand = rec_data["hand"]
     cstar = rec_data["crossing"]
     f1 = rec_data["loop_edge"]
-    a_small, a_big = rec_data["anchor"]
+    ((a_small, a_big),) = rec_data["anchors"].items()
     nbig = c_big.diagram.crossing_count
     # a right curl is a birth of the loop, a left curl split_minus_2x
     cm = ChainMap(c_small, c_big)
@@ -360,6 +360,11 @@ class Movie:
             raise PDSyntaxError(f"movie is not JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise PDSyntaxError("a movie must be a JSON object")
+        for key in obj:
+            if key not in ("initial", "moves"):
+                raise PDSyntaxError(
+                    f"unknown movie key {key!r}: a movie has only initial and moves"
+                )
         init = obj.get("initial", "empty")
         moves = obj.get("moves", [])
         if not isinstance(init, str) or not isinstance(moves, list):
@@ -375,13 +380,7 @@ class Movie:
 
     @property
     def euler_characteristic(self) -> int:
-        chi = 0
-        for rec in self.records:
-            if rec.kind in ("birth", "death"):
-                chi += 1
-            elif rec.kind.startswith("saddle"):
-                chi -= 1
-        return chi
+        return sum(rec.chi for rec in self.records)
 
     @property
     def is_closed(self) -> bool:
@@ -394,7 +393,7 @@ class Movie:
         d1, d2 = self.frames[k], self.frames[k + 1]
         rec = self.records[k]
         links = []
-        anchors = _anchors(rec)
+        anchors = rec.data.get("anchors", {})
         for nc, new_comp in enumerate(d2.components):
             news = set(new_comp)
             for oc, old_comp in enumerate(d1.components):
@@ -464,15 +463,6 @@ class Movie:
         return len(self.surface_components()) <= 1
 
 
-def _anchors(rec: MoveRecord) -> dict[int, int]:
-    """Old edge -> new edge for the strands a Reidemeister move keeps."""
-    anchors = dict(rec.data.get("anchors", ()))
-    if "anchor" in rec.data:
-        a, b = rec.data["anchor"]
-        anchors[a] = b
-    return anchors
-
-
 def _direction_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord, e: int):
     """Whether edge e's reference direction flips across the move; None when
     undecidable from this edge."""
@@ -518,7 +508,7 @@ def propagate_orientation(
         # i.e. when their left colors coincide
         if i1 != i2 and res.oriented_color(i1, o) != res.oriented_color(i2, o):
             return []
-    anchors = _anchors(rec)
+    anchors = rec.data.get("anchors", {})
     out: list[bool | None] = []
     branch_at = None
     for nc, new_comp in enumerate(d2.components):

@@ -32,7 +32,7 @@ from .movie import (
     effective_orientation,
     movie_total_flip,
 )
-from .moves import Birth, Death, Move, R1Move, R2Move, R3Move, Saddle, apply_move
+from .moves import MOVE_JSON, Birth, Death, Move, R1Move, R2Move, R3Move, Saddle, apply_move
 from .rings import QQ, half_power_sign
 from .sparse import _Echelon, solve_in_image, vec_sub
 
@@ -285,9 +285,7 @@ def _leading_order_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) -> C
         if cm0 is None or cm1 is None:
             per_move.append({"move": rec.kind, "checked": False})
             continue
-        chi_move = {"birth": 1, "death": 1}.get(
-            rec.kind, -1 if rec.kind.startswith("saddle") else 0
-        )
+        chi_move = rec.chi
         ok, min_shift = _difference_filtration(
             maps0.complexes[k], maps0.complexes[k + 1], cm0, cm1, chi_move
         )
@@ -733,11 +731,11 @@ def _positional_map(a: PlanarDiagram, b: PlanarDiagram) -> dict[int, int]:
 
 
 def _relabelled(mv: Move, m: dict[int, int]) -> Move:
-    """``mv`` with its edges renamed by ``m``."""
-    if isinstance(mv, Death):
-        return Death(m[mv.edge])
-    if isinstance(mv, (Saddle, R2Move)):
-        return replace(mv, edges=(m[mv.edges[0]], m[mv.edges[1]]))
-    if isinstance(mv, R1Move):
+    """``mv`` with its edges renamed by ``m``: its ``edge`` or ``edges``
+    key in the move table."""
+    keys = MOVE_JSON[mv.kind][1]
+    if "edge" in keys:
         return replace(mv, edge=m[mv.edge])
+    if "edges" in keys:
+        return replace(mv, edges=tuple(m[e] for e in mv.edges))
     return mv

@@ -80,7 +80,15 @@ def test_exit_codes(tmp_path, capsys):
             {"type": "death", "edge": 1.0},
             {"type": "saddle", "edges": [True, 1]},
             {"type": "r1", "action": "add", "edge": "1"},
+            # a key its move type does not list, and a string key holding a number
+            {"type": "r1", "action": "add", "edge": 1, "hnad": "right"},
+            {"type": "saddle", "edges": [1, 1], "sdie": "right"},
+            {"type": "r1", "action": "add", "edge": 1, "hand": 1},
         )),
+        json.dumps({"initial": DIAGRAMS["trefoil"],
+                    "moves": [{"type": "r2", "action": "add", "edges": [1, 3], "ovre": True}]}),
+        # a movie has only initial and moves
+        json.dumps({"intial": DIAGRAMS["trefoil"], "moves": []}),
         json.dumps({"initial": DIAGRAMS["trefoil"],
                     "moves": [{"type": "r2", "action": "add", "edges": [1, 3], "over": "false"}]}),
         json.dumps({"initial": DIAGRAMS["trefoil"],

@@ -4,7 +4,8 @@ from fractions import Fraction
 from kj.cube import V_MINUS, V_PLUS, build_complex
 from kj.diagram import PlanarDiagram, parse_pd, render_pd
 from kj.errors import IllegalMoveError
-from kj.moves import Birth, Death, R1Move, R2Move, R3Move, Saddle, apply_move
+from kj.moves import (Birth, Death, R1Move, R2Move, R3Move, Saddle, apply_move,
+                      move_from_json, move_to_json)
 from kj.movie import Movie, MovieMaps, compatible_orientations, kj_number
 from kj.rings import QQ
 
@@ -88,6 +89,63 @@ def test_r2_add_trefoil_edges():
     assert d2.crossing_count == 5
     d3, _ = apply_move(d2, R2Move("remove", (rec.data["m1"], rec.data["m2"])))
     assert sorted(d3.crossings) == sorted(d.crossings)
+
+
+CURL_AND_LOOP = "PD[X(1,1,2,2), O]"
+TREFOIL_AND_LOOP = "PD[X(1,5,2,4), X(3,1,4,6), X(5,3,6,2), O]"
+
+
+@pytest.mark.parametrize("pd, edges, over, crossings, loops, m1, m2", [
+    pytest.param(CURL_AND_LOOP, (3, 3), False,
+                 ((1, 1, 2, 2), (3, 5, 4, 3), (4, 5, 6, 6)), (), 4, 5, id="loop-self-poke"),
+    pytest.param(CURL_AND_LOOP, (1, 1), False,
+                 ((7, 1, 2, 2), (1, 5, 4, 7), (4, 5, 6, 6)), (3,), 4, 5, id="edge-self-fold"),
+    pytest.param("PD[O, O]", (1, 2), False,
+                 ((1, 4, 3, 2), (3, 4, 1, 2)), (), 3, 4, id="two-loops"),
+    pytest.param(CURL_AND_LOOP, (1, 3), True,
+                 ((6, 1, 2, 2), (3, 5, 4, 6), (4, 5, 3, 1)), (), 4, 5, id="loop-under-edge-along"),
+    pytest.param(CURL_AND_LOOP, (2, 3), True,
+                 ((1, 1, 2, 6), (3, 5, 4, 2), (4, 5, 3, 6)), (), 4, 5, id="loop-under-edge-against"),
+    pytest.param(CURL_AND_LOOP, (1, 3), False,
+                 ((3, 1, 2, 2), (1, 5, 4, 6), (4, 5, 3, 6)), (), 4, 5, id="edge-along-under-loop"),
+    pytest.param(CURL_AND_LOOP, (2, 3), False,
+                 ((1, 1, 2, 3), (2, 6, 4, 5), (4, 6, 3, 5)), (), 4, 5, id="edge-against-under-loop"),
+    pytest.param(TREFOIL_AND_LOOP, (2, 4), False,
+                 ((1, 5, 2, 11), (3, 1, 4, 6), (5, 3, 6, 8), (2, 10, 9, 11), (9, 10, 8, 4)),
+                 (7,), 9, 10, id="edges-TT"),
+    pytest.param(CURL_AND_LOOP, (1, 2), False,
+                 ((4, 1, 2, 7), (1, 6, 5, 2), (5, 6, 4, 7)), (3,), 5, 6, id="edges-TF"),
+    pytest.param(CURL_AND_LOOP, (1, 2), True,
+                 ((7, 1, 2, 4), (2, 1, 5, 6), (5, 7, 4, 6)), (3,), 5, 6, id="edges-FT"),
+    pytest.param(TREFOIL_AND_LOOP, (1, 3), False,
+                 ((8, 5, 2, 4), (11, 1, 4, 6), (5, 3, 6, 2), (1, 11, 9, 10), (9, 3, 8, 10)),
+                 (7,), 9, 10, id="edges-FF"),
+])
+def test_r2_add_wiring_and_fresh_ids(pd, edges, over, crossings, loops, m1, m2):
+    d2, rec = apply_move(parse_pd(pd), R2Move("add", edges, over))
+    assert d2.crossings == crossings and d2.loops == loops
+    assert (rec.data["m1"], rec.data["m2"]) == (m1, m2)
+
+
+@pytest.mark.parametrize("pd, edge, hand, crossings, loop_edge", [
+    ("PD[O]", 1, "left", ((1, 1, 2, 2),), 1),
+    ("PD[O]", 1, "right", ((2, 1, 1, 2),), 1),
+    (TREFOIL, 2, "left", ((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 8), (7, 7, 8, 2)), 7),
+    (TREFOIL, 2, "right", ((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 8), (2, 7, 7, 8)), 7),
+])
+def test_r1_add_curl_crossings(pd, edge, hand, crossings, loop_edge):
+    d2, rec = apply_move(parse_pd(pd), R1Move("add", edge, hand))
+    assert d2.crossings == crossings and d2.loops == ()
+    assert rec.data["loop_edge"] == loop_edge
+
+
+@pytest.mark.parametrize("move", [
+    Birth(), Death(3), Saddle((1, 2)), Saddle((2, 2), "right"),
+    R1Move("add", 1, "right"), R1Move("remove", 4), R2Move("add", (1, 3), True),
+    R2Move("remove", (5, 6)), R3Move((0, 1, 2)),
+])
+def test_move_json_round_trip(move):
+    assert move_from_json(move_to_json(move)) == move
 
 
 def test_r3_applies_and_is_involutive():

@@ -341,7 +341,7 @@ def _ref_morse(rec, c1, c2):
 
 def _ref_r1(rec_data, c_small, c_big, cross_embed):
     hand, cstar, f1 = rec_data["hand"], rec_data["crossing"], rec_data["loop_edge"]
-    a_small, a_big = rec_data["anchor"]
+    ((a_small, a_big),) = rec_data["anchors"].items()
     t, ring = c_small.t, c_small.ring
     nbig = c_big.diagram.crossing_count
     cm = ChainMap(c_small, c_big)
