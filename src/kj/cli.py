@@ -4,7 +4,8 @@ Subcommands: homology, jones, generators, movie, verify. Inputs are PD
 files, movie JSON files, or bundled corpus names. Output is deterministic
 text or JSON (schema 1). Exit codes: 1 parse error, 2 validation error,
 3 internal invariant failure, 4 illegal move, 5 diagram too large (more
-crossings than ``kj.cube.MAX_CROSSINGS``), 10 verification failure.
+crossings and free loops than ``kj.cube.MAX_CROSSINGS``, in a diagram or in
+any frame of a movie), 10 verification failure.
 """
 
 from __future__ import annotations

@@ -64,7 +64,8 @@ _NOTHING: Mapping = MappingProxyType({})
 # 41 MiB for Khovanov homology over Z, and 0.6 to 1.0 s and 50 MiB for Lee
 # homology over Q; on T(2,11) (177150 generators) it takes 4.9 to 5.8 s and
 # 246 MiB, and 9.2 to 10.1 s and 355 MiB. Each further crossing roughly
-# triples the generators, and memory grows with them.
+# triples the generators, and memory grows with them. A free loop doubles
+# the generators, so loops count against the bound with crossings.
 MAX_CROSSINGS = 12
 
 
@@ -535,11 +536,20 @@ def build_complex(diagram: PlanarDiagram, t: int, ring: Ring) -> ChainComplex:
 
 
 def _admit(diagram: PlanarDiagram) -> None:
-    """Refuse a diagram whose 2^n resolutions are too many to trace."""
-    if diagram.crossing_count > MAX_CROSSINGS:
+    """Refuse a diagram whose generators are too many to build: each
+    crossing doubles the resolutions, and each free loop the generators of
+    every resolution, so both count against ``MAX_CROSSINGS``."""
+    n, loops = diagram.crossing_count, len(diagram.loops)
+    if n + loops <= MAX_CROSSINGS:
+        return
+    if not loops:
         raise DiagramTooLargeError(
-            f"{diagram.crossing_count} crossings; kj computes at most {MAX_CROSSINGS}"
+            f"{n} crossings; kj computes at most {MAX_CROSSINGS}"
         )
+    raise DiagramTooLargeError(
+        f"{n} crossings and {loops} free loops; kj computes at most {MAX_CROSSINGS}"
+        " of the two together"
+    )
 
 
 def filtration_level(complex_: ChainComplex, chain: dict):

@@ -215,21 +215,10 @@ class PlanarDiagram:
     @cached_property
     def crossing_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the four-valent graph (crossing indices)."""
-        parent = list(range(self.crossing_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.crossing_edges:
-            (c1, _), (c2, _) = self.occurrences[e]
-            parent[find(c1)] = find(c2)
-        groups: dict[int, list[int]] = {}
-        for c in range(self.crossing_count):
-            groups.setdefault(find(c), []).append(c)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+        occ = self.occurrences
+        ends = ((occ[e][0][0], occ[e][1][0]) for e in self.crossing_edges)
+        classes = union_classes(range(self.crossing_count), ends)
+        return tuple(map(tuple, sorted(classes)))
 
     @cached_property
     def outer_sectors(self) -> tuple[Dart, ...]:
@@ -340,6 +329,25 @@ def render_pd(d: PlanarDiagram) -> str:
     parts = [f"X({a},{b},{c},{e})" for (a, b, c, e) in d.crossings]
     parts.extend("O" for _ in d.loops)
     return "PD[" + ", ".join(parts) + "]"
+
+
+def union_classes(nodes, pairs) -> list[list]:
+    """Classes of ``nodes`` under the equivalence the ``pairs`` generate,
+    each listing its members in node order, in order of first member."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    classes: dict = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
 
 
 # -- orientations and crossing signs ------------------------------------------
@@ -494,25 +502,12 @@ class Resolution:
     @cached_property
     def _face_merge(self) -> dict[int, int]:
         """Map face index -> representative after merging across smoothings."""
-        d = self.diagram
-        parent: dict[int, int] = {i: i for i in range(len(d.faces))}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c, bit in enumerate(self.bits):
-            # the smoothing arcs absorb the two sectors they do not hug
-            if bit == 0:
-                merged = ((c, 1), (c, 3))
-            else:
-                merged = ((c, 0), (c, 2))
-            f1 = find(d.face_of_sector[merged[0]])
-            f2 = find(d.face_of_sector[merged[1]])
-            parent[f1] = f2
-        return {i: find(i) for i in parent}
+        face = self.diagram.face_of_sector
+        # the smoothing arcs absorb the two sectors they do not hug: (c, 1)
+        # and (c, 3) at bit 0, (c, 0) and (c, 2) at bit 1
+        pairs = ((face[c, 1 - b], face[c, 3 - b]) for c, b in enumerate(self.bits))
+        classes = union_classes(range(len(self.diagram.faces)), pairs)
+        return {f: cls[0] for cls in classes for f in cls}
 
     def _resolved_face_at(self, sector: Dart) -> int:
         return self._face_merge[self.diagram.face_of_sector[sector]]

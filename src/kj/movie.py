@@ -21,6 +21,14 @@ its frames (for both t = 0 and t = 1):
 Composing the per-move maps yields the cobordism-induced map; for a closed
 movie (empty diagram to empty diagram) at t = 0 the image of the generator
 is the Khovanov-Jacobsson number up to sign.
+
+One strand correspondence per move says which link component continues
+which: ``strand_links`` lists, for each component of the later frame, the
+components of the earlier frame it continues, each with whether its
+direction reverses, best evidence first, and ``Movie.links`` keeps it per
+move. The surface's components join every link; an orientation is carried
+by the first link whose reversal is decided, else it branches at a birth or
+takes the colour of a saddle's fresh loop.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .cube import (
     Gen,
     LocalTables,
     V_PLUS,
+    _admit,
     build_complex,
     carry_labels,
 )
@@ -46,6 +55,7 @@ from .diagram import (
     render_pd,
     resolve,
     smoothing_partner,
+    union_classes,
 )
 from .errors import IllegalMoveError, InternalInvariantError, PDSyntaxError
 from .homology import FieldHomology
@@ -386,71 +396,27 @@ class Movie:
     def is_closed(self) -> bool:
         return self.frames[0].is_empty() and self.frames[-1].is_empty()
 
-    # -- surface components -------------------------------------------------
-
-    def _component_links(self, k: int) -> list[tuple[int, int]]:
-        """(old component, new component) adjacencies across move k."""
-        d1, d2 = self.frames[k], self.frames[k + 1]
-        rec = self.records[k]
-        links = []
-        anchors = rec.data.get("anchors", {})
-        for nc, new_comp in enumerate(d2.components):
-            news = set(new_comp)
-            for oc, old_comp in enumerate(d1.components):
-                olds = set(old_comp)
-                shared = olds & news
-                linked = bool(shared)
-                if not linked:
-                    for a, b in anchors.items():
-                        if a in olds and b in news:
-                            linked = True
-                            break
-                if linked:
-                    links.append((oc, nc))
-        if rec.kind == "saddle_merge":
-            e1, e2 = rec.data["feet"]
-            target = rec.data.get("new_loop", e1)
-            nc = d2.component_map[target if target in d2.component_map else e1]
-            for e in rec.data["feet"]:
-                links.append((d1.component_map[e], nc))
-        elif rec.kind == "saddle_split" and "new_loop" in rec.data:
-            e1 = rec.data["feet"][0]
-            links.append(
-                (d1.component_map[e1], d2.component_map[rec.data["new_loop"]])
-            )
-        elif rec.kind == "saddle_reconnect":
-            e1, e2 = rec.data["feet"]
-            for e_old in (e1, e2):
-                for e_new in (e1, e2):
-                    links.append((d1.component_map[e_old], d2.component_map[e_new]))
-        return sorted(set(links))
+    @cached_property
+    def links(self) -> list[list[list[tuple[int, bool | None]]]]:
+        """``strand_links`` of every move, computed once."""
+        return [
+            strand_links(d1, d2, rec)
+            for d1, d2, rec in zip(self.frames, self.frames[1:], self.records)
+        ]
 
     def surface_components(self):
-        """Union-find classes of (frame, component) nodes; a class not
-        meeting either boundary frame is a closed component."""
-        parent: dict = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent[find(x)] = find(y)
-
-        for k, frame in enumerate(self.frames):
-            for ci in range(frame.component_count):
-                find((k, ci))
-        for k in range(len(self.records)):
-            for oc, nc in self._component_links(k):
-                union((k, oc), (k + 1, nc))
-        classes: dict = {}
-        for k, frame in enumerate(self.frames):
-            for ci in range(frame.component_count):
-                classes.setdefault(find((k, ci)), set()).add((k, ci))
-        return list(classes.values())
+        """Classes of (frame, component) nodes joined by every strand link;
+        a class not meeting either boundary frame is a closed component."""
+        nodes = [
+            (k, c) for k, f in enumerate(self.frames) for c in range(f.component_count)
+        ]
+        pairs = (
+            ((k, oc), (k + 1, nc))
+            for k, move in enumerate(self.links)
+            for nc, cands in enumerate(move)
+            for oc, _ in cands
+        )
+        return [set(cls) for cls in union_classes(nodes, pairs)]
 
     def has_closed_component(self) -> bool:
         last = len(self.frames) - 1
@@ -487,6 +453,48 @@ def _direction_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord, e: in
     return None
 
 
+def strand_links(
+    d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord
+) -> list[list[tuple[int, bool | None]]]:
+    """Per component of d2, the components of d1 it continues across the
+    move, as (old component, flip) in order of preference: an old component
+    sharing an edge whose ``_direction_flip`` is decided, with that flip;
+    the old end of an anchor, flipped when ``flip_components`` names it; an
+    old component sharing only undecided edges (all their ends moved, but
+    the strand keeps its course), not flipped; a saddle's foot, whose flip
+    is None (the move alone does not fix it)."""
+    cmap1, cmap2 = d1.component_map, d2.component_map
+    flip_set = set(rec.data.get("flip_components", ()))
+    out: list[list[tuple[int, bool | None]]] = []
+    for new_comp in d2.components:
+        shared: dict[int, list[int]] = {}
+        for e in sorted(new_comp):
+            if e in cmap1:
+                shared.setdefault(cmap1[e], []).append(e)
+        decided, undecided = [], []
+        for oc, edges in sorted(shared.items()):
+            flips = (_direction_flip(d1, d2, rec, e) for e in edges)
+            flip = next((f for f in flips if f is not None), None)
+            (undecided if flip is None else decided).append((oc, bool(flip)))
+        anchored = [
+            (cmap1[a], a in flip_set or b in flip_set)
+            for a, b in rec.data.get("anchors", {}).items()
+            if b in new_comp and a in cmap1
+        ]
+        out.append(decided + anchored + undecided)
+    feet = rec.data.get("feet", ())
+    if rec.kind == "saddle_merge":
+        target = rec.data.get("new_loop", feet[0])
+        nc = cmap2[target if target in cmap2 else feet[0]]
+        out[nc] += [(cmap1[e], None) for e in feet]
+    elif rec.kind == "saddle_split" and "new_loop" in rec.data:
+        out[cmap2[rec.data["new_loop"]]].append((cmap1[feet[0]], None))
+    elif rec.kind == "saddle_reconnect":
+        for e in feet:
+            out[cmap2[e]] += [(cmap1[e_old], None) for e_old in feet]
+    return out
+
+
 def _oriented_circle_color(d: PlanarDiagram, o, edge: int) -> int:
     """Color left of the oriented-resolution circle through ``edge``, along
     the direction the orientation induces on it."""
@@ -495,10 +503,11 @@ def _oriented_circle_color(d: PlanarDiagram, o, edge: int) -> int:
 
 
 def propagate_orientation(
-    d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord, o: tuple[bool, ...]
+    d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord, links, o: tuple[bool, ...]
 ) -> list[tuple[bool, ...]]:
-    """Orientations on d2 induced by o across the move; empty when the move
-    is not orientation-compatible, two entries after a birth."""
+    """Orientations on d2 induced by o across the move, whose
+    ``strand_links`` are ``links``; empty when the move is not
+    orientation-compatible, two entries after a birth."""
     if rec.kind in ("saddle_merge", "saddle_split", "saddle_reconnect"):
         e1, e2 = rec.data["feet"]
         res = resolve(d1, oriented_resolution(d1, o))
@@ -508,72 +517,36 @@ def propagate_orientation(
         # i.e. when their left colors coincide
         if i1 != i2 and res.oriented_color(i1, o) != res.oriented_color(i2, o):
             return []
-    anchors = rec.data.get("anchors", {})
     out: list[bool | None] = []
     branch_at = None
-    for nc, new_comp in enumerate(d2.components):
-        news = set(new_comp)
-        val = None
-        # prefer a shared edge whose direction is comparable
-        for oc, old_comp in enumerate(d1.components):
-            shared = sorted(set(old_comp) & news)
-            for e in shared:
-                flip = _direction_flip(d1, d2, rec, e)
-                if flip is not None:
-                    val = o[oc] != flip
-                    break
-            if val is not None:
-                break
-        if val is None:
-            flip_set = set(rec.data.get("flip_components", ()))
-            for a, b in anchors.items():
-                if b in news and a in d1.component_map:
-                    val = o[d1.component_map[a]]
-                    if a in flip_set or b in flip_set:
-                        val = not val
-                    break
-        if val is None:
-            # shared edges exist but none has a comparable direction (all
-            # their ends moved): strands keep their courses, so keep the bool
-            for oc, old_comp in enumerate(d1.components):
-                if set(old_comp) & news:
-                    val = o[oc]
-                    break
-        if val is None and rec.kind == "birth" and rec.data["loop"] in news:
+    born = d2.component_map[rec.data["loop"]] if rec.kind == "birth" else None
+    for nc, cands in enumerate(links):
+        val = next((o[oc] != flip for oc, flip in cands if flip is not None), None)
+        if val is None and nc == born:
             branch_at = nc
         if val is None and rec.kind in ("saddle_merge", "saddle_split"):
             # a fresh loop carries its circle's color across the saddle: the
             # canonical label is preserved by merges and squared by splits,
             # and for a free loop color 1 means the reference sense
-            e1 = rec.data["feet"][0]
-            val = _oriented_circle_color(d1, o, e1) == 1
+            val = _oriented_circle_color(d1, o, rec.data["feet"][0]) == 1
         out.append(val)
-    if branch_at is None and any(v is None for v in out):
-        raise InternalInvariantError("orientation transport left a component")
+    outs = [out]
     if branch_at is not None:
-        res = []
-        for b in (True, False):
-            cand = list(out)
-            cand[branch_at] = b
-            if any(v is None for v in cand):
-                raise InternalInvariantError("orientation transport incomplete")
-            res.append(tuple(cand))
-        return res
-    return [tuple(out)]
+        outs = [out[:branch_at] + [b] + out[branch_at + 1 :] for b in (True, False)]
+    if any(v is None for cand in outs for v in cand):
+        raise InternalInvariantError("orientation transport left a component")
+    return [tuple(cand) for cand in outs]
 
 
 def compatible_orientations(movie: Movie, o_in) -> set[tuple[bool, ...]]:
     """All orientations of the final frame compatible with o_in through the
     movie's cobordism."""
     states = {tuple(o_in)}
-    for k in range(len(movie.records)):
-        nxt: set = set()
-        for o in states:
-            for o2 in propagate_orientation(
-                movie.frames[k], movie.frames[k + 1], movie.records[k], o
-            ):
-                nxt.add(o2)
-        states = nxt
+    for k, links in enumerate(movie.links):
+        d1, d2, rec = movie.frames[k], movie.frames[k + 1], movie.records[k]
+        states = {
+            o2 for o in states for o2 in propagate_orientation(d1, d2, rec, links, o)
+        }
     return states
 
 
@@ -841,8 +814,12 @@ class MovieMaps:
         self.movie = movie
         self.t = t
         self.ring = ring or QQ
-        # distinct frames in order of first appearance
-        built = {f: build_complex(f, t, self.ring) for f in dict.fromkeys(movie.frames)}
+        # distinct frames in order of first appearance, all admitted before
+        # any is built
+        distinct = dict.fromkeys(movie.frames)
+        for f in distinct:
+            _admit(f)
+        built = {f: build_complex(f, t, self.ring) for f in distinct}
         self.complexes = [built[f] for f in movie.frames]
         self.chain_steps: list[ChainMap | None] = []
         self._class_steps: dict[int, StepMap] = {}
@@ -936,7 +913,7 @@ def kj_number(movie: Movie) -> int:
 # ---------------------------------------------------------------------------
 
 
-def coloring_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord) -> bool:
+def coloring_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord, links) -> bool:
     """Whether the outer-face convention flips across a move.
 
     The checkerboard color to the left of a strand is preserved by every
@@ -950,7 +927,7 @@ def coloring_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord) -> bool
     if not shared:
         return False
     for o1 in all_orientations(d1):
-        outs = propagate_orientation(d1, d2, rec, o1)
+        outs = propagate_orientation(d1, d2, rec, links, o1)
         if not outs:
             continue
         o2 = outs[0]
@@ -966,8 +943,8 @@ def coloring_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord) -> bool
 def movie_convention_flips(movie: Movie) -> list[bool]:
     """Per-move outer-face convention flips along the movie."""
     return [
-        coloring_flip(movie.frames[k], movie.frames[k + 1], movie.records[k])
-        for k in range(len(movie.records))
+        coloring_flip(movie.frames[k], movie.frames[k + 1], movie.records[k], links)
+        for k, links in enumerate(movie.links)
     ]
 
 

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kj.movie
 from kj.cli import EXIT_TOO_LARGE, main
 from kj.corpus import DIAGRAMS
 from kj.cube import MAX_CROSSINGS
@@ -128,6 +129,34 @@ def test_too_large_diagram_exits_before_building(tmp_path, capsys):
         assert time.perf_counter() - start < 1
         assert code == EXIT_TOO_LARGE == 5
         assert not out and err.count("\n") == 1 and "diagram too large" in err
+
+
+def test_too_large_movie_and_free_loops_exit_before_building(
+    tmp_path, capsys, monkeypatch
+):
+    """Free loops count against the bound with crossings, and a movie, open
+    or closed, is refused before any of its frames is built, however late
+    the large frame comes."""
+    curl = {"type": "r1", "action": "add", "edge": 1, "hand": "left"}
+    movie = tmp_path / "curls.movie"
+    movie.write_text(json.dumps({"initial": "PD[O]", "moves": [curl] * 13}))
+    uncurls = [{"type": "r1", "action": "remove", "edge": e, "hand": "left"}
+               for e in range(25, 0, -2)]
+    closed = tmp_path / "closed.movie"
+    closed.write_text(json.dumps({"initial": "empty", "moves": [
+        {"type": "birth"}, *[curl] * 13, *uncurls, {"type": "death", "edge": 2}]}))
+    loops = tmp_path / "loops.pd"
+    loops.write_text("PD[" + ", ".join(["O"] * 40) + "]")
+    built = []
+    monkeypatch.setattr(kj.movie, "build_complex", lambda *args: built.append(args))
+    for argv in (["movie", str(movie)], ["movie", str(movie), "--theory", "lee"],
+                 ["movie", str(closed)], ["homology", str(loops)], ["jones", str(loops)]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_TOO_LARGE
+        assert not out and err.count("\n") == 1 and "diagram too large" in err
+    assert built == []
 
 
 def test_lee_rejects_characteristic_two(capsys):

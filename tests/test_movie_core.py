@@ -237,3 +237,35 @@ def test_surface_components_and_closedness():
     assert torus.is_connected_surface()
     strip = Movie(parse_pd("PD[O]"), [Saddle((1, 1)), Saddle((1, 2))])
     assert not strip.has_closed_component()
+
+
+T, F = True, False
+ANNULI = [[(0, 0), (1, 0)], [(0, 1), (1, 1)]]
+
+
+@pytest.mark.parametrize(
+    "pd, move, o, compatible, surface",
+    [
+        # a birth branches: the new loop takes either orientation
+        ("PD[O]", Birth(), (F,), {(F, F), (F, T)}, [[(0, 0), (1, 0)], [(1, 1)]]),
+        # the fresh loop of a split takes its circle's colour
+        ("PD[X(1,1,2,2)]", Saddle((2, 2)), (F,), {(F, F)}, [[(0, 0), (1, 0), (1, 1)]]),
+        ("PD[O, O]", Saddle((1, 2)), (T, T), {(T,)}, [[(0, 0), (0, 1), (1, 0)]]),
+        # flip_components reverses both loops an R2 joins
+        ("PD[O, O]", R2Move("add", (1, 2)), (T, F), {(F, T)}, ANNULI),
+        ("PD[X(1,4,3,2), X(3,4,1,2)]", R2Move("remove", (3, 4)), (T, F), {(F, T)},
+         ANNULI),
+        ("PD[O]", R1Move("add", 1, "left"), (F,), {(F,)}, [[(0, 0), (1, 0)]]),
+        (TREFOIL, Saddle((1, 3), "right"), (F,), {(F, F)}, [[(0, 0), (1, 0), (1, 1)]]),
+        # a merge of circles whose colours differ has no compatible orientation
+        ("PD[O, O]", Saddle((1, 2)), (T, F), set(), [[(0, 0), (0, 1), (1, 0)]]),
+    ],
+    ids=["birth", "split-loop", "merge-loops", "r2-loops",
+         "r2-remove-loops", "r1-loop", "reconnect", "incompatible-merge"],
+)
+def test_orientation_transport_per_branch(pd, move, o, compatible, surface):
+    """One move per branch of the orientation transport, and the surface
+    components the same strand links give."""
+    mv = Movie(parse_pd(pd), [move])
+    assert compatible_orientations(mv, o) == compatible
+    assert sorted(sorted(c) for c in mv.surface_components()) == surface
