@@ -14,6 +14,14 @@ circles with the sign (-1)^(number of 1 bits below the flipped index).
 edge at a time, and every chain map of a movie, one resolution pair at a
 time. Both share one table format (an entry per labeling of the consumed
 circles) and one routine that fills a matrix from those tables.
+
+Khovanov proves d^2 = 0 one square of the cube at a time, and
+``ChainComplex.validate`` checks it that way. Relative to the offsets of
+its two resolutions, a cube edge's entries are fixed by its shape: the
+weights that carry the untouched circles, the table entry each source code
+reads, and the coded table. A square's block of d^2 is fixed by the shapes
+of its four edges, so each distinct 4-tuple of shapes is summed once, on
+every source code, and squares of a shape already checked are skipped.
 """
 
 from __future__ import annotations
@@ -60,10 +68,10 @@ Gen = tuple[tuple[int, ...], tuple[int, ...]]
 _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
-# machine, `kj homology` on T(2,9) (19686 generators) takes 0.5 to 0.6 s and
-# 41 MiB for Khovanov homology over Z, and 0.6 to 1.0 s and 50 MiB for Lee
-# homology over Q; on T(2,11) (177150 generators) it takes 4.9 to 5.8 s and
-# 246 MiB, and 9.2 to 10.1 s and 355 MiB. Each further crossing roughly
+# machine, `kj homology` on T(2,9) (19686 generators) takes 0.3 to 0.4 s and
+# 41 MiB for Khovanov homology over Z, and 0.35 to 0.4 s and 50 MiB for Lee
+# homology over Q; on T(2,11) (177150 generators) it takes 4.2 to 4.4 s and
+# 247 MiB, and 4.7 to 5.1 s and 356 MiB. Each further crossing roughly
 # triples the generators, and memory grows with them. A free loop doubles
 # the generators, so loops count against the bound with crossings.
 MAX_CROSSINGS = 12
@@ -161,7 +169,9 @@ class LocalTables:
     ``local_table``. Every other circle keeps its label, on the target
     circle ``carried_weights`` finds for it. A table is built on first use
     and coded once per (new-circle bits, sign) into (target code delta,
-    ring element) pairs, zeros left out, so equal entries share one object.
+    ring element) pairs, zeros left out, so equal entries share one object;
+    beside it the same table keeps (target code delta, int) pairs. Each
+    distinct shape of a piece gets an id in ``shapes``.
     """
 
     def __init__(self, t: int, ring: Ring):
@@ -170,9 +180,14 @@ class LocalTables:
         # int -> its ring element (None if zero in the ring)
         self.elements: dict[int, object] = {}
         self._tables: dict[str, list] = {}  # by name, built on first use
-        # a coded table and its count of terms, by (table, new-circle bits, sign)
-        self._coded: dict[tuple, tuple[list, int]] = {}
+        # a coded table, its count of terms and the int of each term beside
+        # it, by (table, new-circle bits, sign)
+        self._coded: dict[tuple, tuple[list, int, list]] = {}
         self._keys: dict[tuple, list[int]] = {}  # by (circle count, consumed)
+        # (row of each source code relative to the target's offset, keys,
+        # coded table, count of terms) by shape id, and the id of each shape
+        self.shapes: list[tuple[list[int], list[int], tuple, int]] = []
+        self._shape_ids: dict[tuple, int] = {}
 
     def element(self, v: int):
         """The shared ring element of the int ``v``, or None if it is zero."""
@@ -190,7 +205,10 @@ class LocalTables:
         are born v+, which adds nothing to a code.
 
         Returns, per source code, its row before the new circles and the
-        table entry it reads; the coded table; and the count of its terms.
+        table entry it reads; the coded table; the count of its terms; and
+        the id of its shape in ``shapes``. Relative to the two resolutions'
+        offsets, the shape (carried weights, keys, coded table) fixes every
+        entry the piece writes.
         """
         k, tk = src.circle_count, dst.circle_count
         news = tuple([tk - 1 - ti for ti in created])  # their bits in a target code
@@ -198,13 +216,13 @@ class LocalTables:
         if coded is None:
             if table not in self._tables:
                 self._tables[table] = local_table(table, self.t)
-            entries = [
-                [(sum(map(lshift, labels, news)), x)
-                 for labels, coeff in terms
-                 if (x := self.element(sign * coeff)) is not None]
-                for terms in self._tables[table]
-            ]
-            coded = self._coded[table, news, sign] = entries, sum(map(len, entries))
+            entries, ints = [], []
+            for terms in self._tables[table]:
+                terms = [(sum(map(lshift, labels, news)), sign * coeff)
+                         for labels, coeff in terms if self.element(sign * coeff) is not None]
+                entries.append([(delta, self.elements[v]) for delta, v in terms])
+                ints.append(terms)
+            coded = self._coded[table, news, sign] = entries, sum(map(len, entries)), ints
         keys = self._keys.get((k, consumed))
         if keys is None:
             # source bit p selects bit n of the key for the nth consumed circle
@@ -212,9 +230,16 @@ class LocalTables:
             for n, si in enumerate(consumed):
                 where[k - 1 - si] = 1 << len(consumed) - 1 - n
             keys = self._keys[k, consumed] = subset_sums(0, where)
-        rows = subset_sums(row, carried_weights(src, dst, consumed, created, placed, skip))
-        # each entry of the table is read by 2^(k - consumed) codes
-        return rows, keys, coded[0], (len(keys) >> len(consumed)) * coded[1]
+        weights = carried_weights(src, dst, consumed, created, placed, skip)
+        shape = weights, consumed, table, news, sign
+        sid = self._shape_ids.get(shape)
+        if sid is None:
+            sid = self._shape_ids[shape] = len(self.shapes)
+            # each entry of the table is read by 2^(k - consumed) codes
+            count = (len(keys) >> len(consumed)) * coded[1]
+            self.shapes.append((subset_sums(0, weights), keys, coded, count))
+        rel, _, _, count = self.shapes[sid]
+        return [row + r for r in rel], keys, coded[0], count, sid
 
     @staticmethod
     def fill(data: dict, col: int, size: int, pieces) -> None:
@@ -227,7 +252,7 @@ class LocalTables:
         for piece in pieces:
             expected += piece[3]
         for c, code in enumerate(range(size), col):
-            for rows, keys, coded, _ in pieces:
+            for rows, keys, coded, _, _ in pieces:
                 r = rows[code]
                 for delta, x in coded[keys[code]]:
                     data[r + delta, c] = x
@@ -262,6 +287,10 @@ class ChainComplex:
         self.diff: dict[int, SparseMatrix] = {}
         # every entry of d is one of its shared elements
         self.local = LocalTables(t, ring)
+        # the shape id (in ``local.shapes``) of each cube edge out of a
+        # resolution, in order of the flipped bit, by the resolution's index
+        # (its bits read as a binary number), in the order of d's columns
+        self._edge_shapes: dict[int, list[int]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -269,11 +298,11 @@ class ChainComplex:
     def _build(self):
         d = self.diagram
         n = d.crossing_count
-        layers: dict[int, list[tuple[int, ...]]] = {}
+        layers: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         tables: dict[int, tuple] = {}  # shared by every resolution with k circles
         # bits and labels both run in lexicographic order, so each degree's
         # generators come out sorted
-        for bits in itertools.product((0, 1), repeat=n):
+        for index, bits in enumerate(itertools.product((0, 1), repeat=n)):
             res = resolve(d, bits)
             self.resolutions[bits] = res
             weight = sum(bits)
@@ -284,7 +313,7 @@ class ChainComplex:
             labelings, codes, degrees = tables[k]
             gens = self.bases.setdefault(i, [])
             self._where[bits] = (i, len(gens), codes)
-            layers.setdefault(i, []).append(bits)
+            layers.setdefault(i, []).append((index, bits))
             gens.extend(zip(repeat(bits), labelings))
             shift = weight + self.n_plus - 2 * self.n_minus
             self.qs.setdefault(i, []).extend(map(shift.__add__, degrees))
@@ -294,13 +323,13 @@ class ChainComplex:
             else:
                 self.diff[i] = SparseMatrix(0, len(self.bases[i]), self.ring)
 
-    def _differential(self, i: int, layer: list[tuple[int, ...]]) -> SparseMatrix:
+    def _differential(self, i: int, layer: list[tuple[int, tuple[int, ...]]]) -> SparseMatrix:
         """d_i, one resolution at a time and one column at a time, in the
         order of ``gen_differential``: by flipped bit, then by product. Each
         cube edge is a merge or a split of ``local``."""
         where = self._where
         m = SparseMatrix(len(self.bases[i + 1]), len(self.bases[i]), self.ring)
-        for bits in layer:
+        for index, bits in layer:
             src = self.resolutions[bits]
             pieces = []
             for j, b in enumerate(bits):
@@ -323,6 +352,7 @@ class ChainComplex:
                 ))
             _, offset, codes = where[bits]
             self.local.fill(m.data, offset, len(codes), pieces)
+            self._edge_shapes[index] = [piece[4] for piece in pieces]
         return m
 
     def gen_differential(self, gen: Gen):
@@ -373,48 +403,100 @@ class ChainComplex:
         return len(self.bases.get(i, ()))
 
     def validate(self) -> None:
-        """d^2 = 0, and the q behavior expected of the theory.
+        """d^2 = 0, and the q behavior expected of the theory, checked once
+        per distinct cube square and once per distinct cube edge; every call
+        checks in full.
 
-        Both run on the integers that the entries of d stand for, one column
-        at a time: d_{i+1}(d_i e_c) is summed in a dict of ints and must
-        vanish over Z, hence in the ring. At most two degrees of d are held
-        as ints at once.
+        ``LocalTables.fill`` is the only writer of d, and it writes each cube
+        edge from its piece. Relative to the offsets of the edge's two
+        resolutions, the piece's entries are fixed by its shape: its carried
+        weights, its keys and its coded table (``LocalTables.shapes``). The
+        block of d_{i+1} d_i on a square v -> v + e_j + e_k is the sum over
+        its two paths, so the shapes of its four edges fix it; an edge's q
+        shifts are fixed by its shape and the q difference of the first
+        generators of its two resolutions. So each new 4-tuple of edge shapes
+        is checked on every source code, summed in a dict of the ints the
+        tables stand for, and must vanish over Z, hence in the ring; each new
+        (edge shape, q offset) is checked on every entry, and there the
+        entries of d are read back and must be the elements the shape codes.
+        Repeats are skipped.
+
+        Resolutions are visited from the top degree down, so that every edge
+        above a square has been read back before the square is summed. Of
+        all the failures, the one raised is the one a column-by-column check
+        in the order of d's columns would meet first, a column's q before its
+        d^2: a failing shape is checked again wherever it recurs.
         """
         shifts = {0} if self.t == 0 else {0, 4}
-        later = None  # d_i as int columns, kept from the previous degree
-        for i in self.degrees():
-            if i + 1 not in self.bases:
-                continue
-            cols = later if later is not None else self._int_columns(i)
-            later = self._int_columns(i + 1) if i + 2 in self.bases else None
-            q_src, q_tgt = self.qs[i], self.qs[i + 1]
-            for c, col in enumerate(cols):
-                image: dict[int, int] = {}
-                for r, v in col:
-                    dq = q_tgt[r] - q_src[c]
-                    if dq not in shifts:
-                        if self.t == 0:
-                            raise InternalInvariantError("graded differential broke q")
-                        raise InternalInvariantError(
-                            f"filtered differential shifted q by {dq}"
-                        )
-                    if later is not None:
-                        for r2, w in later[r]:
-                            image[r2] = image.get(r2, 0) + v * w
-                if any(image.values()):
-                    raise InternalInvariantError(f"d^2 != 0 at degree {i}")
+        n = self.diagram.crossing_count
+        flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
+        spans = [(offset, len(codes)) for _, offset, codes in self._where.values()]
+        shapes, qs, pieces = self._edge_shapes, self.qs, self.local.shapes
+        seen_q: set[tuple[int, int]] = set()
+        seen_squares: set[tuple[int, int, int, int]] = set()
+        first = None  # (degree, column, message) of the first bad column
+        # from the top degree down, so that every edge out of the resolutions
+        # above v has been read back before v's squares are checked
+        for v, ids in reversed(shapes.items()):
+            i = v.bit_count() - self.n_minus
+            col = spans[v][0]
+            q_src, q_tgt = qs[i], qs[i + 1]
+            ups = [v | f for f in flips if not v & f]
+            bad = None  # (code, message) of the first bad column of v
+            for sid, u in zip(ids, ups):
+                row = spans[u][0]
+                key = sid, q_tgt[row] - q_src[col]
+                if key in seen_q:
+                    continue
+                fault = self._read_back(i, col, row, sid, shifts)
+                if fault is None:
+                    seen_q.add(key)
+                elif bad is None or fault[0] < bad[0]:
+                    if self.t == 0:
+                        bad = fault[0], "graded differential broke q"
+                    else:
+                        bad = fault[0], f"filtered differential shifted q by {fault[1]}"
+            new, paths = set(), []  # new squares out of v, and both paths of each
+            for b in range(1, len(ids)):
+                for a in range(b):
+                    # v -> ups[a] -> w and v -> ups[b] -> w
+                    key = ids[a], shapes[ups[a]][b - 1], ids[b], shapes[ups[b]][a]
+                    if key in seen_squares or key in new:
+                        continue
+                    new.add(key)
+                    w = spans[ups[a] | ups[b]][0]
+                    for e1, e2 in ((pieces[key[0]], pieces[key[1]]), (pieces[key[2]], pieces[key[3]])):
+                        paths.append((e1[0], e1[1], e1[2][2], e2[0], e2[1], e2[2][2], w))
+            fault = _square_fault(paths, spans[v][1]) if paths else None
+            if fault is None:
+                seen_squares |= new
+            elif bad is None or fault < bad[0]:
+                bad = fault, f"d^2 != 0 at degree {i}"
+            if bad is not None and (first is None or (i, col + bad[0]) < first[:2]):
+                first = i, col + bad[0], bad[1]
+        if first is not None:
+            raise InternalInvariantError(first[2])
 
-    def _int_columns(self, i: int) -> list[list[tuple[int, int]]]:
-        """d_i as columns of (row, int) pairs."""
-        # every entry is one of the shared elements, looked up by identity:
-        # over Z and Q an element is its own int, but F_p and Q(sqrt2)
-        # elements hash in Python code
-        ints = {id(x): v for v, x in self.local.elements.items() if x is not None}
-        m = self.diff[i]
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(m.cols)]
-        for (r, c), x in m.data.items():
-            cols[c].append((r, ints[id(x)]))
-        return cols
+    def _read_back(self, i: int, col: int, row: int, sid: int, shifts) -> tuple | None:
+        """Check that d_i holds, on the cube edge whose resolutions start at
+        column ``col`` and row ``row``, the entries of edge shape ``sid``, and
+        that each shifts q by one of ``shifts``; (source code, shift) of the
+        first that does not, or None."""
+        rows, keys, (entries, _, _), _ = self.local.shapes[sid]
+        data = self.diff[i].data
+        q_src, q_tgt = self.qs[i], self.qs[i + 1]
+        fault = None
+        for c, (r, key) in enumerate(zip(rows, keys), col):
+            r += row
+            q = q_src[c]
+            for delta, x in entries[key]:
+                if data.get((r + delta, c)) is not x:
+                    raise InternalInvariantError(
+                        f"d_{i} does not hold the entries its cube edges wrote"
+                    )
+                if fault is None and (dq := q_tgt[r + delta] - q) not in shifts:
+                    fault = c - col, dq
+        return fault
 
     # -- chains as dicts Gen -> scalar -----------------------------------------
 
@@ -509,6 +591,25 @@ def carried_weights(
         if si < k:
             weights[k - 1 - si] = 1 << tk - 1 - ti
     return tuple(weights)
+
+
+def _square_fault(paths, size: int) -> int | None:
+    """The first of ``size`` source codes on which the given cube squares
+    out of one resolution do not vanish, or None. Each square is its two
+    paths, each path two edge shapes as in ``LocalTables.shapes`` and the
+    offset of the last resolution; summed on the ints of the tables."""
+    for code in range(size):
+        image: dict[int, int] = {}
+        for rows1, keys1, ints1, rows2, keys2, ints2, w in paths:
+            for delta, x in ints1[keys1[code]]:
+                r = rows1[code] + delta
+                at = w + rows2[r]
+                for delta2, y in ints2[keys2[r]]:
+                    k = at + delta2
+                    image[k] = image.get(k, 0) + x * y
+        if any(image.values()):
+            return code
+    return None
 
 
 def subset_sums(start: int, weights) -> list[int]:

@@ -458,18 +458,22 @@ def strand_links(
 ) -> list[list[tuple[int, bool | None]]]:
     """Per component of d2, the components of d1 it continues across the
     move, as (old component, flip) in order of preference: an old component
-    sharing an edge whose ``_direction_flip`` is decided, with that flip;
+    sharing an edge whose ``_direction_flip`` is decided, with that flip (a
+    label that the anchors send to another edge is not shared: the move
+    gave it to a new strand);
     the old end of an anchor, flipped when ``flip_components`` names it; an
     old component sharing only undecided edges (all their ends moved, but
     the strand keeps its course), not flipped; a saddle's foot, whose flip
     is None (the move alone does not fix it)."""
     cmap1, cmap2 = d1.component_map, d2.component_map
     flip_set = set(rec.data.get("flip_components", ()))
+    anchors = rec.data.get("anchors", {})
     out: list[list[tuple[int, bool | None]]] = []
     for new_comp in d2.components:
         shared: dict[int, list[int]] = {}
         for e in sorted(new_comp):
-            if e in cmap1:
+            # a label the anchors send to another edge names a new strand
+            if e in cmap1 and anchors.get(e, e) == e:
                 shared.setdefault(cmap1[e], []).append(e)
         decided, undecided = [], []
         for oc, edges in sorted(shared.items()):
@@ -478,7 +482,7 @@ def strand_links(
             (undecided if flip is None else decided).append((oc, bool(flip)))
         anchored = [
             (cmap1[a], a in flip_set or b in flip_set)
-            for a, b in rec.data.get("anchors", {}).items()
+            for a, b in anchors.items()
             if b in new_comp and a in cmap1
         ]
         out.append(decided + anchored + undecided)

@@ -264,3 +264,113 @@ def test_built_complex_is_freed_by_reference_counting():
             assert ref() is None
     finally:
         gc.enable()
+
+
+def _reference_validate(c) -> None:
+    """The column-by-column check that ``validate`` replaced: every length-2
+    path of d, on the ints of d's entries, read back by identity from the
+    complex's shared elements."""
+    ints = {id(x): v for v, x in c.local.elements.items() if x is not None}
+
+    def int_columns(i):
+        cols = [[] for _ in range(c.diff[i].cols)]
+        for (r, col), x in c.diff[i].data.items():
+            cols[col].append((r, ints[id(x)]))
+        return cols
+
+    shifts = {0} if c.t == 0 else {0, 4}
+    for i in c.degrees():
+        if i + 1 not in c.bases:
+            continue
+        later = int_columns(i + 1) if i + 2 in c.bases else None
+        q_src, q_tgt = c.qs[i], c.qs[i + 1]
+        for col, entries in enumerate(int_columns(i)):
+            image: dict[int, int] = {}
+            for r, v in entries:
+                dq = q_tgt[r] - q_src[col]
+                if dq not in shifts:
+                    if c.t == 0:
+                        raise InternalInvariantError("graded differential broke q")
+                    raise InternalInvariantError(f"filtered differential shifted q by {dq}")
+                if later is not None:
+                    for r2, w in later[r]:
+                        image[r2] = image.get(r2, 0) + v * w
+            if any(image.values()):
+                raise InternalInvariantError(f"d^2 != 0 at degree {i}")
+
+
+def _raised(check) -> str | None:
+    try:
+        check()
+    except InternalInvariantError as exc:
+        return str(exc)
+    return None
+
+
+def _mutate(monkeypatch, kind: str, rng: random.Random, edges: int) -> None:
+    """Break the next build of d one way: flip the sign of one cube edge,
+    swap where two carried circles land on one edge, drop a split term, or
+    use the t = 1 products at t = 0."""
+    target, calls = rng.randrange(max(edges, 1)), [0]
+    if kind == "sign":
+        piece = cube.LocalTables.piece
+
+        def flipped(self, src, dst, row, consumed, created, table, sign=1, *rest):
+            calls[0] += 1
+            if calls[0] - 1 == target:
+                sign = -sign
+            return piece(self, src, dst, row, consumed, created, table, sign, *rest)
+
+        monkeypatch.setattr(cube.LocalTables, "piece", flipped)
+    elif kind == "swap":
+        weights = cube.carried_weights
+
+        def swapped(*args, **kwargs):
+            out = list(weights(*args, **kwargs))
+            calls[0] += 1
+            if calls[0] - 1 == target and len(out) > 1:
+                p, q = rng.sample(range(len(out)), 2)
+                out[p], out[q] = out[q], out[p]
+            return tuple(out)
+
+        monkeypatch.setattr(cube, "carried_weights", swapped)
+    elif kind == "drop":
+        split = cube.split_products
+        monkeypatch.setattr(cube, "split_products", lambda x, t: split(x, t)[1:])
+    else:
+        merge, split = cube.merge_products, cube.split_products
+        monkeypatch.setattr(cube, "merge_products", lambda x, y, t: merge(x, y, 1))
+        monkeypatch.setattr(cube, "split_products", lambda x, t: split(x, 1))
+
+
+@pytest.mark.parametrize("t, ring", [(0, ZZ), (0, QQ), (0, GF(5)), (1, ZZ), (1, QQ), (1, GF(5))])
+def test_validate_raises_exactly_when_the_column_check_does(t, ring):
+    rng = random.Random(1931 + 10 * t + ring.characteristic)
+    raised = 0
+    for text in [*DIAGRAMS.values(), *TORI]:
+        d = parse_pd(text)
+        edges = d.crossing_count * 2 ** (d.crossing_count - 1) if d.crossing_count else 0
+        for kind in ("sign", "swap", "drop", "products"):
+            with pytest.MonkeyPatch.context() as mp:
+                _mutate(mp, kind, rng, edges)
+                try:
+                    c = cube.ChainComplex(d, t, ring)
+                except InternalInvariantError as exc:
+                    assert "landed on one entry" in str(exc)
+                    continue
+            expected = _raised(lambda: _reference_validate(c))
+            assert _raised(c.validate) == expected, (text, kind)
+            raised += expected is not None
+    assert raised >= 15  # the check is not vacuous
+
+
+def test_validate_checks_in_full_on_every_call(monkeypatch):
+    good = cube.ChainComplex(parse_pd(torus_pd(5)), 1, QQ)
+    good.validate()
+    good.validate()
+    split = cube.split_products
+    monkeypatch.setattr(cube, "split_products", lambda x, t: split(x, t)[1:])
+    bad = cube.ChainComplex(parse_pd(torus_pd(5)), 1, QQ)
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="d\\^2 != 0"):
+            bad.validate()

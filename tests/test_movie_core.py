@@ -269,3 +269,17 @@ def test_orientation_transport_per_branch(pd, move, o, compatible, surface):
     mv = Movie(parse_pd(pd), [move])
     assert compatible_orientations(mv, o) == compatible
     assert sorted(sorted(c) for c in mv.surface_components()) == surface
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_r2_poke_between_two_loops_keeps_two_annuli(over):
+    # with over=True the anchors send old loop 2 to new edge 1, so the label
+    # 1 that old loop 1 shares with the new frame names another strand
+    mv = Movie(parse_pd("PD[O, O]"), [R2Move("add", (1, 2), over)])
+    classes = sorted(sorted(c) for c in mv.surface_components())
+    assert len(classes) == 2
+    assert all({k for k, _ in c} == {0, 1} for c in classes)
+    assert not mv.is_connected_surface()
+    # the old loop that the new component through edge 1 continues
+    old = 1 if over else 0
+    assert {oc for oc, _ in mv.links[0][mv.frames[1].component_map[1]]} == {old}
