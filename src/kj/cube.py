@@ -465,9 +465,10 @@ class ChainComplex:
                         continue
                     new.add(key)
                     w = spans[ups[a] | ups[b]][0]
-                    for e1, e2 in ((pieces[key[0]], pieces[key[1]]), (pieces[key[2]], pieces[key[3]])):
+                    for e1, e2 in ((pieces[key[0]], pieces[key[1]]),
+                                   (pieces[key[2]], pieces[key[3]])):
                         paths.append((e1[0], e1[1], e1[2][2], e2[0], e2[1], e2[2][2], w))
-            fault = _square_fault(paths, spans[v][1]) if paths else None
+            fault = _square_fault(paths, spans[v][1], len(qs[i + 2])) if paths else None
             if fault is None:
                 seen_squares |= new
             elif bad is None or fault < bad[0]:
@@ -593,22 +594,24 @@ def carried_weights(
     return tuple(weights)
 
 
-def _square_fault(paths, size: int) -> int | None:
+def _square_fault(paths, size: int, stride: int) -> int | None:
     """The first of ``size`` source codes on which the given cube squares
     out of one resolution do not vanish, or None. Each square is its two
     paths, each path two edge shapes as in ``LocalTables.shapes`` and the
-    offset of the last resolution; summed on the ints of the tables."""
-    for code in range(size):
-        image: dict[int, int] = {}
-        for rows1, keys1, ints1, rows2, keys2, ints2, w in paths:
+    offset of the last resolution, whose degree has ``stride`` generators;
+    summed on the ints of the tables."""
+    image: dict[int, int] = {}  # by source code * stride + row in its degree
+    for rows1, keys1, ints1, rows2, keys2, ints2, w in paths:
+        for code in range(size):
+            at1 = code * stride + w
             for delta, x in ints1[keys1[code]]:
                 r = rows1[code] + delta
-                at = w + rows2[r]
+                at = at1 + rows2[r]
                 for delta2, y in ints2[keys2[r]]:
                     k = at + delta2
                     image[k] = image.get(k, 0) + x * y
-        if any(image.values()):
-            return code
+    if any(image.values()):
+        return min(k for k, x in image.items() if x) // stride
     return None
 
 
