@@ -17,11 +17,15 @@ circles) and one routine that fills a matrix from those tables.
 
 Khovanov proves d^2 = 0 one square of the cube at a time, and
 ``ChainComplex.validate`` checks it that way. Relative to the offsets of
-its two resolutions, a cube edge's entries are fixed by its shape: the
+its two resolutions, a cube edge's entries are fixed by its shape (the
 weights that carry the untouched circles, the table entry each source code
-reads, and the coded table. A square's block of d^2 is fixed by the shapes
-of its four edges, so each distinct 4-tuple of shapes is summed once, on
-every source code, and squares of a shape already checked are skipped.
+reads, and the coded table) and its sign. A square's block of d^2 is the
+product of two edge signs times P + s P', where P and P' are its two paths
+with every sign +1 and s is the product of its four signs; so it is fixed
+by its four shapes and s. Each distinct such key is summed once, on every
+source code, and squares of a key already checked are skipped, also in
+the other complexes that share the ``LocalTables``. Every entry of d is
+read back first.
 """
 
 from __future__ import annotations
@@ -68,10 +72,10 @@ Gen = tuple[tuple[int, ...], tuple[int, ...]]
 _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
-# machine, `kj homology` on T(2,9) (19686 generators) takes 0.3 to 0.4 s and
-# 41 MiB for Khovanov homology over Z, and 0.35 to 0.4 s and 50 MiB for Lee
-# homology over Q; on T(2,11) (177150 generators) it takes 4.2 to 4.4 s and
-# 247 MiB, and 4.7 to 5.1 s and 356 MiB. Each further crossing roughly
+# machine, `kj homology` on T(2,9) (19686 generators) takes about 0.36 s and
+# 42 MiB for Khovanov homology over Z, and 0.39 s and 50 MiB for Lee
+# homology over Q; on T(2,11) (177150 generators) it takes 4.1 s and
+# 251 MiB, and 4.7 to 6.4 s and 360 MiB. Each further crossing roughly
 # triples the generators, and memory grows with them. A free loop doubles
 # the generators, so loops count against the bound with crossings.
 MAX_CROSSINGS = 12
@@ -168,10 +172,19 @@ class LocalTables:
     chain map of a movie, one resolution pair at a time, each change by a
     ``local_table``. Every other circle keeps its label, on the target
     circle ``carried_weights`` finds for it. A table is built on first use
-    and coded once per (new-circle bits, sign) into (target code delta,
-    ring element) pairs, zeros left out, so equal entries share one object;
-    beside it the same table keeps (target code delta, int) pairs. Each
-    distinct shape of a piece gets an id in ``shapes``.
+    and coded once per new-circle bits into (target code delta, int) pairs,
+    zeros left out, and once more per sign into (target code delta, ring
+    element) pairs, so equal entries share one object.
+
+    Relative to the offsets of its two resolutions, a piece's entries are
+    fixed by its shape and its sign. The shape is its carried weights and
+    its coded table, read at its consumed circles; each distinct one is
+    laid out once, in ``shapes``, where its id is its place.
+
+    One instance may serve many complexes and chain maps over one ring at
+    one t, such as the frames of a movie: ``ChainComplex.validate`` records
+    here the cube squares and edges it has checked, by shape, and skips
+    them wherever they recur.
     """
 
     def __init__(self, t: int, ring: Ring):
@@ -180,14 +193,24 @@ class LocalTables:
         # int -> its ring element (None if zero in the ring)
         self.elements: dict[int, object] = {}
         self._tables: dict[str, list] = {}  # by name, built on first use
-        # a coded table, its count of terms and the int of each term beside
-        # it, by (table, new-circle bits, sign)
-        self._coded: dict[tuple, tuple[list, int, list]] = {}
+        # by (table, new-circle bits): the coded table on ints, its count of
+        # terms, the shapes that read it by (carried weights, consumed
+        # circles), and the coded table on ring elements by sign
+        self._coded: dict[tuple, tuple[list, int, dict, dict]] = {}
         self._keys: dict[tuple, list[int]] = {}  # by (circle count, consumed)
-        # (row of each source code relative to the target's offset, keys,
-        # coded table, count of terms) by shape id, and the id of each shape
-        self.shapes: list[tuple[list[int], list[int], tuple, int]] = []
-        self._shape_ids: dict[tuple, int] = {}
+        # by shape id: the row of each source code before the new circles,
+        # relative to the target's offset; the table entry each reads; the
+        # coded table on ints; the count of terms; the id; the coded table
+        # on ring elements by sign
+        self.shapes: list[tuple[list[int], list[int], list, int, int, dict]] = []
+        # (4 edge shapes, whether their signs multiply to -1) of the squares
+        # that vanish, and (edge shape, q offset) of the edges whose q
+        # shifts hold
+        self.checked_squares: set[tuple[int, int, int, int, int]] = set()
+        self.checked_q: set[tuple[int, int]] = set()
+        # laid out by ``terms``
+        self._terms: dict[int, list[tuple[int, int, int]]] = {}
+        self._values: dict[int, list] = {}
 
     def element(self, v: int):
         """The shared ring element of the int ``v``, or None if it is zero."""
@@ -204,42 +227,62 @@ class LocalTables:
         ``carry_labels``. Created circles past the labels the table gives
         are born v+, which adds nothing to a code.
 
-        Returns, per source code, its row before the new circles and the
-        table entry it reads; the coded table; the count of its terms; and
-        the id of its shape in ``shapes``. Relative to the two resolutions'
-        offsets, the shape (carried weights, keys, coded table) fixes every
-        entry the piece writes.
+        Returns its shape, as in ``shapes``; its coded table on ring
+        elements; ``row``; and ``sign``.
         """
-        k, tk = src.circle_count, dst.circle_count
-        news = tuple([tk - 1 - ti for ti in created])  # their bits in a target code
-        coded = self._coded.get((table, news, sign))
+        news = tuple([dst.circle_count - 1 - ti for ti in created])  # their bits in a target code
+        coded = self._coded.get((table, news))
         if coded is None:
             if table not in self._tables:
                 self._tables[table] = local_table(table, self.t)
-            entries, ints = [], []
-            for terms in self._tables[table]:
-                terms = [(sum(map(lshift, labels, news)), sign * coeff)
-                         for labels, coeff in terms if self.element(sign * coeff) is not None]
-                entries.append([(delta, self.elements[v]) for delta, v in terms])
-                ints.append(terms)
-            coded = self._coded[table, news, sign] = entries, sum(map(len, entries)), ints
-        keys = self._keys.get((k, consumed))
-        if keys is None:
-            # source bit p selects bit n of the key for the nth consumed circle
-            where = [0] * k
-            for n, si in enumerate(consumed):
-                where[k - 1 - si] = 1 << len(consumed) - 1 - n
-            keys = self._keys[k, consumed] = subset_sums(0, where)
+            ints = [[(sum(map(lshift, labels, news)), coeff)
+                     for labels, coeff in terms if self.element(coeff) is not None]
+                    for terms in self._tables[table]]
+            coded = self._coded[table, news] = ints, sum(map(len, ints)), {}, {}
+        entries = coded[3].get(sign)
+        if entries is None:
+            if sign == 1 and all(self.elements[v] is v for terms in coded[0] for _, v in terms):
+                entries = coded[0]  # each element is its own int, as over Z and Q
+            else:
+                entries = [[(delta, self.element(sign * v)) for delta, v in terms]
+                           for terms in coded[0]]
+            coded[3][sign] = entries
         weights = carried_weights(src, dst, consumed, created, placed, skip)
-        shape = weights, consumed, table, news, sign
-        sid = self._shape_ids.get(shape)
-        if sid is None:
-            sid = self._shape_ids[shape] = len(self.shapes)
+        shape = coded[2].get((weights, consumed))
+        if shape is None:
+            k = len(weights)
+            keys = self._keys.get((k, consumed))
+            if keys is None:
+                # source bit p selects bit n of the key for the nth consumed circle
+                where = [0] * k
+                for n, si in enumerate(consumed):
+                    where[k - 1 - si] = 1 << len(consumed) - 1 - n
+                keys = self._keys[k, consumed] = subset_sums(0, where)
             # each entry of the table is read by 2^(k - consumed) codes
             count = (len(keys) >> len(consumed)) * coded[1]
-            self.shapes.append((subset_sums(0, weights), keys, coded, count))
-        rel, _, _, count = self.shapes[sid]
-        return [row + r for r in rel], keys, coded[0], count, sid
+            shape = coded[2][weights, consumed] = (
+                subset_sums(0, weights), keys, coded[0], count, len(self.shapes), coded[3]
+            )
+            self.shapes.append(shape)
+        return shape, entries, row, sign
+
+    def terms(self, edges) -> tuple[dict, dict]:
+        """For cube edges given as 2 * (shape id) + 1 if their sign is -1:
+        the terms of their shapes as (source code, row, int), rows relative
+        to the target's offset, in the order ``fill`` writes them, by shape
+        id; and the ring element of each term, by edge. Each is laid out on
+        first use."""
+        terms, values = self._terms, self._values
+        for e in edges:
+            if e in values:
+                continue
+            rows, keys, ints, _, sid, signed = self.shapes[e >> 1]
+            if sid not in terms:
+                terms[sid] = [(c, r + delta, v) for c, (r, key) in enumerate(zip(rows, keys))
+                              for delta, v in ints[key]]
+            entries = signed[-1 if e & 1 else 1]
+            values[e] = [x for key in keys for _, x in entries[key]]
+        return terms, values
 
     @staticmethod
     def fill(data: dict, col: int, size: int, pieces) -> None:
@@ -249,12 +292,12 @@ class LocalTables:
         table order. No two terms land on one entry; a collision raises
         instead of overwriting."""
         expected = len(data)
-        for piece in pieces:
-            expected += piece[3]
+        for shape, _, _, _ in pieces:
+            expected += shape[3]
         for c, code in enumerate(range(size), col):
-            for rows, keys, coded, _, _ in pieces:
-                r = rows[code]
-                for delta, x in coded[keys[code]]:
+            for (rows, keys, _, _, _, _), entries, row, _ in pieces:
+                r = row + rows[code]
+                for delta, x in entries[keys[code]]:
                     data[r + delta, c] = x
         if len(data) != expected:
             raise InternalInvariantError("two terms of a cube map landed on one entry")
@@ -266,9 +309,14 @@ class ChainComplex:
     ``qs[i]`` is the q-grading of each generator of ``bases[i]``, in order.
     A resolution's generators sit together in its degree, in code order, so
     ``index`` is offset arithmetic rather than a table of generators.
+
+    d is written through ``local``, a ``LocalTables`` at the same t over the
+    same ring; complexes that share one, such as a movie's frames, share
+    its coded tables and the squares ``validate`` has checked.
     """
 
-    def __init__(self, diagram: PlanarDiagram, t: int, ring: Ring):
+    def __init__(self, diagram: PlanarDiagram, t: int, ring: Ring,
+                 local: LocalTables | None = None):
         self.diagram = diagram
         self.t = t
         self.ring = ring
@@ -285,12 +333,20 @@ class ChainComplex:
         self._where: dict[tuple[int, ...], tuple[int, int, dict]] = {}
         self.index: Mapping[Gen, tuple[int, int]] = _Index(self._where)
         self.diff: dict[int, SparseMatrix] = {}
-        # every entry of d is one of its shared elements
-        self.local = LocalTables(t, ring)
-        # the shape id (in ``local.shapes``) of each cube edge out of a
-        # resolution, in order of the flipped bit, by the resolution's index
-        # (its bits read as a binary number), in the order of d's columns
+        # every entry of d is one of its shared elements; ``local`` may be
+        # shared with other complexes at the same t over the same ring
+        if local is None:
+            local = LocalTables(t, ring)
+        elif local.t != t or local.ring is not ring:
+            raise ValueError("shared local tables must have the complex's t and ring")
+        self.local = local
+        # each cube edge out of a resolution as 2 * (its shape id in
+        # ``local.shapes``) + 1 if its sign is -1, in order of the flipped
+        # bit, by the resolution's index (its bits read as a binary number),
+        # in the order of d's columns
         self._edge_shapes: dict[int, list[int]] = {}
+        # (offset, size) of each resolution in its degree, by index
+        self._spans: list[tuple[int, int]] = []
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -298,7 +354,8 @@ class ChainComplex:
     def _build(self):
         d = self.diagram
         n = d.crossing_count
-        layers: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        layers: dict[int, list[int]] = {}  # resolution indices by degree
+        at: list[tuple[Resolution, int, int]] = []  # (resolution, offset, size) by index
         tables: dict[int, tuple] = {}  # shared by every resolution with k circles
         # bits and labels both run in lexicographic order, so each degree's
         # generators come out sorted
@@ -313,30 +370,37 @@ class ChainComplex:
             labelings, codes, degrees = tables[k]
             gens = self.bases.setdefault(i, [])
             self._where[bits] = (i, len(gens), codes)
-            layers.setdefault(i, []).append((index, bits))
+            at.append((res, len(gens), len(codes)))
+            self._spans.append((len(gens), len(codes)))
+            layers.setdefault(i, []).append(index)
             gens.extend(zip(repeat(bits), labelings))
             shift = weight + self.n_plus - 2 * self.n_minus
             self.qs.setdefault(i, []).extend(map(shift.__add__, degrees))
         for i in sorted(self.bases):
             if i + 1 in self.bases:
-                self.diff[i] = self._differential(i, layers[i])
+                self.diff[i] = self._differential(i, layers[i], at)
             else:
                 self.diff[i] = SparseMatrix(0, len(self.bases[i]), self.ring)
 
-    def _differential(self, i: int, layer: list[tuple[int, tuple[int, ...]]]) -> SparseMatrix:
+    def _differential(self, i: int, layer: list[int], at: list) -> SparseMatrix:
         """d_i, one resolution at a time and one column at a time, in the
         order of ``gen_differential``: by flipped bit, then by product. Each
-        cube edge is a merge or a split of ``local``."""
-        where = self._where
+        cube edge is a merge or a split of ``local``. ``layer`` lists the
+        indices of degree i's resolutions (their bits read as a binary
+        number) and ``at`` gives each index's (resolution, offset, size)."""
+        n = self.diagram.crossing_count
+        flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
+        piece = self.local.piece
         m = SparseMatrix(len(self.bases[i + 1]), len(self.bases[i]), self.ring)
-        for index, bits in layer:
-            src = self.resolutions[bits]
+        for index in layer:
+            src, col, size = at[index]
             pieces = []
-            for j, b in enumerate(bits):
-                if b:
+            ones = 0  # 1 bits below the flipped one
+            for j, flip in enumerate(flips):
+                if index & flip:
+                    ones += 1
                     continue
-                tbits = bits[:j] + (1,) + bits[j + 1 :]
-                tgt = self.resolutions[tbits]
+                tgt, row, _ = at[index | flip]
                 c1, c2 = src.circle_of_dart[(j, 0)], src.circle_of_dart[(j, 2)]
                 t1, t2 = tgt.circle_of_dart[(j, 0)], tgt.circle_of_dart[(j, 2)]
                 if c1 != c2:
@@ -346,13 +410,11 @@ class ChainComplex:
                     raise InternalInvariantError("cube edge changed no circle")
                 else:
                     consumed, created, table = (c1,), (t1, t2), "split"
-                sign = (-1) ** sum(bits[:j])
-                pieces.append(self.local.piece(
-                    src, tgt, where[tbits][1], consumed, created, table, sign
+                pieces.append(piece(
+                    src, tgt, row, consumed, created, table, -1 if ones & 1 else 1
                 ))
-            _, offset, codes = where[bits]
-            self.local.fill(m.data, offset, len(codes), pieces)
-            self._edge_shapes[index] = [piece[4] for piece in pieces]
+            self.local.fill(m.data, col, size, pieces)
+            self._edge_shapes[index] = [2 * shape[4] + (sign < 0) for shape, _, _, sign in pieces]
         return m
 
     def gen_differential(self, gen: Gen):
@@ -403,101 +465,123 @@ class ChainComplex:
         return len(self.bases.get(i, ()))
 
     def validate(self) -> None:
-        """d^2 = 0, and the q behavior expected of the theory, checked once
-        per distinct cube square and once per distinct cube edge; every call
-        checks in full.
+        """d^2 = 0, and the q behavior expected of the theory: every entry of
+        d is read back, and each cube square and edge is checked once per
+        shape.
 
         ``LocalTables.fill`` is the only writer of d, and it writes each cube
         edge from its piece. Relative to the offsets of the edge's two
-        resolutions, the piece's entries are fixed by its shape: its carried
-        weights, its keys and its coded table (``LocalTables.shapes``). The
-        block of d_{i+1} d_i on a square v -> v + e_j + e_k is the sum over
-        its two paths, so the shapes of its four edges fix it; an edge's q
-        shifts are fixed by its shape and the q difference of the first
-        generators of its two resolutions. So each new 4-tuple of edge shapes
-        is checked on every source code, summed in a dict of the ints the
-        tables stand for, and must vanish over Z, hence in the ring; each new
-        (edge shape, q offset) is checked on every entry, and there the
-        entries of d are read back and must be the elements the shape codes.
-        Repeats are skipped.
+        resolutions, the piece's entries are fixed by its shape
+        (``LocalTables.shapes``) and its sign. So d is read back: at the
+        first edge of each (edge shape, q offset) every entry, and at every
+        other edge the entries of its first source code, must be the very
+        elements its shape and sign write, and d_i must hold as many
+        entries as its edges write. That catches an edge written at the
+        wrong offsets, with the wrong shape or sign, and a missing or extra
+        entry; an entry changed in place at a later code of an edge whose
+        shape recurs is not read. The block of
+        d_{i+1} d_i on a square v -> v + e_j + e_k is then
+        s1 s2 (P12 + s P34): P12 and P34 are its two paths with every sign
+        +1, fixed by the shapes of their edges, and s = s1 s2 s3 s4. An
+        edge's q shifts are fixed by its shape and the q difference of the
+        first generators of its two resolutions. So each (4 edge shapes, s)
+        has P12 + s P34 summed on every source code, in a dict of the ints
+        the elements stand for, and it must vanish over Z, hence in the
+        ring; each (edge shape, q offset) has the q shift of every entry
+        checked. Those that hold are recorded in ``local`` and skipped
+        wherever they recur, in this complex or in another that shares
+        ``local``; every call reads all of d back.
 
-        Resolutions are visited from the top degree down, so that every edge
-        above a square has been read back before the square is summed. Of
-        all the failures, the one raised is the one a column-by-column check
-        in the order of d's columns would meet first, a column's q before its
-        d^2: a failing shape is checked again wherever it recurs.
+        Of the q and d^2 failures, the one raised is the one a
+        column-by-column check in the order of d's columns would meet first,
+        a column's q before its d^2: a failing shape is never recorded, so
+        it is checked wherever it occurs.
         """
         shifts = {0} if self.t == 0 else {0, 4}
         n = self.diagram.crossing_count
         flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
-        spans = [(offset, len(codes)) for _, offset, codes in self._where.values()]
-        shapes, qs, pieces = self._edge_shapes, self.qs, self.local.shapes
-        seen_q: set[tuple[int, int]] = set()
-        seen_squares: set[tuple[int, int, int, int]] = set()
+        spans, edges, qs, shapes = self._spans, self._edge_shapes, self.qs, self.local.shapes
+        # an edge is 2 * (its shape id) + 1 if its sign is -1
+        every = set().union(*edges.values())
+        terms, values = self.local.terms(every)
+        heads: dict[int, int] = {}  # count of a shape's terms at its first code with any
+        checked_q, checked_squares = self.local.checked_q, self.local.checked_squares
+        written = dict.fromkeys(self.diff, 0)  # entries the edges wrote, by degree
         first = None  # (degree, column, message) of the first bad column
-        # from the top degree down, so that every edge out of the resolutions
-        # above v has been read back before v's squares are checked
-        for v, ids in reversed(shapes.items()):
+        for v, ids in edges.items():
             i = v.bit_count() - self.n_minus
             col = spans[v][0]
             q_src, q_tgt = qs[i], qs[i + 1]
             ups = [v | f for f in flips if not v & f]
             bad = None  # (code, message) of the first bad column of v
-            for sid, u in zip(ids, ups):
-                row = spans[u][0]
-                key = sid, q_tgt[row] - q_src[col]
-                if key in seen_q:
-                    continue
-                fault = self._read_back(i, col, row, sid, shifts)
-                if fault is None:
-                    seen_q.add(key)
-                elif bad is None or fault[0] < bad[0]:
-                    if self.t == 0:
-                        bad = fault[0], "graded differential broke q"
-                    else:
-                        bad = fault[0], f"filtered differential shifted q by {fault[1]}"
+            rows = [spans[u][0] for u in ups]
+            keys = [(e >> 1, q_tgt[row] - q_src[col]) for e, row in zip(ids, rows)]
+            # read back every entry of an edge whose (shape, q offset) is
+            # new, and the entries of another at its first source code
+            reads = []
+            for e, row, key in zip(ids, rows, keys):
+                t, x = terms[e >> 1], values[e]
+                if key in checked_q:
+                    k = heads.get(e >> 1)
+                    if k is None:
+                        k = heads[e >> 1] = next(
+                            (k for k, (c, _, _) in enumerate(t) if c != t[0][0]), len(t)
+                        )
+                    t, x = t[:k], x[:k]
+                reads.append((row, t, x))
+            get = self.diff[i].data.get
+            if [get((row + r, col + c)) for row, t, _ in reads for c, r, _ in t] \
+                    != [y for _, _, x in reads for y in x]:
+                raise InternalInvariantError(
+                    f"d_{i} does not hold the entries its cube edges wrote"
+                )
+            written[i] += sum(shapes[e >> 1][3] for e in ids)
+            if not checked_q.issuperset(keys):
+                if {q_tgt[row + r] - q_src[col + c] for e, row in zip(ids, rows)
+                        for c, r, _ in terms[e >> 1]} <= shifts:
+                    checked_q.update(keys)
+                else:
+                    for e, row, key in zip(ids, rows, keys):
+                        c, dq = next(((c, dq) for c, r, _ in terms[e >> 1]
+                                      if (dq := q_tgt[row + r] - q_src[col + c]) not in shifts),
+                                     (None, None))
+                        if c is None:
+                            checked_q.add(key)
+                        elif bad is None or c < bad[0]:
+                            if self.t == 0:
+                                bad = c, "graded differential broke q"
+                            else:
+                                bad = c, f"filtered differential shifted q by {dq}"
             new, paths = set(), []  # new squares out of v, and both paths of each
             for b in range(1, len(ids)):
                 for a in range(b):
                     # v -> ups[a] -> w and v -> ups[b] -> w
-                    key = ids[a], shapes[ups[a]][b - 1], ids[b], shapes[ups[b]][a]
-                    if key in seen_squares or key in new:
+                    e1, e2, e3, e4 = ids[a], edges[ups[a]][b - 1], ids[b], edges[ups[b]][a]
+                    # the square is s1 s2 (P12 + s1 s2 s3 s4 P34), P the
+                    # paths with every sign +1
+                    odd = (e1 ^ e2 ^ e3 ^ e4) & 1
+                    key = e1 >> 1, e2 >> 1, e3 >> 1, e4 >> 1, odd
+                    if key in checked_squares or key in new:
                         continue
                     new.add(key)
                     w = spans[ups[a] | ups[b]][0]
-                    for e1, e2 in ((pieces[key[0]], pieces[key[1]]),
-                                   (pieces[key[2]], pieces[key[3]])):
-                        paths.append((e1[0], e1[1], e1[2][2], e2[0], e2[1], e2[2][2], w))
-            fault = _square_fault(paths, spans[v][1], len(qs[i + 2])) if paths else None
-            if fault is None:
-                seen_squares |= new
-            elif bad is None or fault < bad[0]:
-                bad = fault, f"d^2 != 0 at degree {i}"
+                    paths.append((terms[key[0]], shapes[key[1]], w, 1))
+                    paths.append((terms[key[2]], shapes[key[3]], w, -1 if odd else 1))
+            if paths:
+                fault = _square_fault(paths, len(qs[i + 2]))
+                if fault is None:
+                    checked_squares |= new
+                elif bad is None or fault < bad[0]:
+                    bad = fault, f"d^2 != 0 at degree {i}"
             if bad is not None and (first is None or (i, col + bad[0]) < first[:2]):
                 first = i, col + bad[0], bad[1]
+        for i, m in self.diff.items():
+            if len(m.data) != written[i]:
+                raise InternalInvariantError(
+                    f"d_{i} does not hold the entries its cube edges wrote"
+                )
         if first is not None:
             raise InternalInvariantError(first[2])
-
-    def _read_back(self, i: int, col: int, row: int, sid: int, shifts) -> tuple | None:
-        """Check that d_i holds, on the cube edge whose resolutions start at
-        column ``col`` and row ``row``, the entries of edge shape ``sid``, and
-        that each shifts q by one of ``shifts``; (source code, shift) of the
-        first that does not, or None."""
-        rows, keys, (entries, _, _), _ = self.local.shapes[sid]
-        data = self.diff[i].data
-        q_src, q_tgt = self.qs[i], self.qs[i + 1]
-        fault = None
-        for c, (r, key) in enumerate(zip(rows, keys), col):
-            r += row
-            q = q_src[c]
-            for delta, x in entries[key]:
-                if data.get((r + delta, c)) is not x:
-                    raise InternalInvariantError(
-                        f"d_{i} does not hold the entries its cube edges wrote"
-                    )
-                if fault is None and (dq := q_tgt[r + delta] - q) not in shifts:
-                    fault = c - col, dq
-        return fault
 
     # -- chains as dicts Gen -> scalar -----------------------------------------
 
@@ -594,22 +678,21 @@ def carried_weights(
     return tuple(weights)
 
 
-def _square_fault(paths, size: int, stride: int) -> int | None:
-    """The first of ``size`` source codes on which the given cube squares
-    out of one resolution do not vanish, or None. Each square is its two
-    paths, each path two edge shapes as in ``LocalTables.shapes`` and the
-    offset of the last resolution, whose degree has ``stride`` generators;
-    summed on the ints of the tables."""
+def _square_fault(paths, stride: int) -> int | None:
+    """The first source code on which the given cube squares out of one
+    resolution do not vanish, or None. Each square is its two paths, each
+    path the terms of its first edge (as ``LocalTables.terms`` gives them),
+    the shape of its second edge (as in ``LocalTables.shapes``), the offset
+    of its last resolution, whose degree has ``stride`` generators, and a
+    sign."""
     image: dict[int, int] = {}  # by source code * stride + row in its degree
-    for rows1, keys1, ints1, rows2, keys2, ints2, w in paths:
-        for code in range(size):
-            at1 = code * stride + w
-            for delta, x in ints1[keys1[code]]:
-                r = rows1[code] + delta
-                at = at1 + rows2[r]
-                for delta2, y in ints2[keys2[r]]:
-                    k = at + delta2
-                    image[k] = image.get(k, 0) + x * y
+    for terms, (rows, keys, ints, _, _, _), w, sign in paths:
+        for code, r, x in terms:
+            at = code * stride + w + rows[r]
+            x *= sign
+            for delta, y in ints[keys[r]]:
+                k = at + delta
+                image[k] = image.get(k, 0) + x * y
     if any(image.values()):
         return min(k for k, x in image.items() if x) // stride
     return None
@@ -624,9 +707,11 @@ def subset_sums(start: int, weights) -> list[int]:
     return out
 
 
-def build_complex(diagram: PlanarDiagram, t: int, ring: Ring) -> ChainComplex:
+def build_complex(
+    diagram: PlanarDiagram, t: int, ring: Ring, local: LocalTables | None = None
+) -> ChainComplex:
     """Build the t = 0 (graded) or t = 1 (filtered) complex over ``ring``,
-    and check d^2 = 0 and its q shift."""
+    and check d^2 = 0 and its q shift; ``local`` is as in ``ChainComplex``."""
     _admit(diagram)
     if t not in (0, 1):
         raise ValueError("t must be 0 or 1")
@@ -634,7 +719,7 @@ def build_complex(diagram: PlanarDiagram, t: int, ring: Ring) -> ChainComplex:
         raise PDValidationError(
             "the filtered theory requires characteristic different from 2"
         )
-    c = ChainComplex(diagram, t, ring)
+    c = ChainComplex(diagram, t, ring, local)
     c.validate()
     return c
 

@@ -411,6 +411,10 @@ def smoothing_partner(slot: int, bit: int) -> int:
     return 3 - slot
 
 
+# smoothing_partner as a table, by bit and then slot
+_PARTNERS = tuple(tuple(smoothing_partner(s, b) for s in range(4)) for b in (0, 1))
+
+
 @dataclass(frozen=True)
 class Circle:
     """One circle of a complete resolution.
@@ -443,10 +447,12 @@ class Resolution:
     @cached_property
     def circles(self) -> tuple[Circle, ...]:
         d = self.diagram
+        crossings, occurrences = d.crossings, d.occurrences
+        partners = [_PARTNERS[b] for b in self.bits]  # by crossing, then slot
         circles: list[Circle] = []
         seen: set[Dart] = set()
         for e in d.crossing_edges:
-            start = min(d.occurrences[e])
+            start = min(occurrences[e])
             if start in seen:
                 continue
             trace: list[Dart] = []
@@ -455,11 +461,13 @@ class Resolution:
             while True:
                 trace.append(cur)
                 seen.add(cur)
-                edges.append(d.edge_at(cur))
                 c, s = cur
-                exit_dart = (c, smoothing_partner(s, self.bits[c]))
+                edges.append(crossings[c][s])
+                s = partners[c][s]
+                exit_dart = (c, s)
                 seen.add(exit_dart)
-                cur = d.other_end(d.edge_at(exit_dart), exit_dart)
+                a, b = occurrences[crossings[c][s]]  # the other end of the exit edge
+                cur = b if exit_dart == a else a
                 if cur == start:
                     break
             circles.append(Circle(tuple(edges), tuple(trace)))
@@ -490,11 +498,12 @@ class Resolution:
     def circle_of_dart(self) -> dict[Dart, int]:
         """Arrival or exit dart -> circle index (crossing circles only)."""
         out: dict[Dart, int] = {}
+        bits = self.bits
         for i, circ in enumerate(self.circles):
             for dart in circ.trace:
                 c, s = dart
                 out[dart] = i
-                out[(c, smoothing_partner(s, self.bits[c]))] = i
+                out[(c, _PARTNERS[bits[c]][s])] = i
         return out
 
     # -- resolved faces and the two-coloring --------------------------------
@@ -600,12 +609,12 @@ class Resolution:
 
 def resolve(d: PlanarDiagram, bits) -> Resolution:
     """Resolve every crossing (bit 0 or 1) and trace the resulting circles."""
-    b = tuple(int(x) for x in bits)
+    b = tuple(map(int, bits))
     if len(b) != d.crossing_count:
         raise PDValidationError(
             f"bitvector length {len(b)} != crossing count {d.crossing_count}"
         )
-    if any(x not in (0, 1) for x in b):
+    if not {0, 1}.issuperset(b):
         raise PDValidationError("bits must be 0 or 1")
     return Resolution(d, b)
 

@@ -93,11 +93,11 @@ class ChainMap:
         for i in src.degrees():
             self.mats[i] = SparseMatrix(dst.dim(i + shift), src.dim(i), src.ring)
 
-    @cached_property
+    @property
     def local(self) -> LocalTables:
-        """The routine the map is written through, with its memos; made on
-        first use."""
-        return LocalTables(self.src.t, self.src.ring)
+        """The routine the map is written through, with its memos: the
+        source complex's."""
+        return self.src.local
 
     def add_entry(self, gen_src: Gen, gen_dst: Gen, coeff) -> None:
         i, col = self.src.index[gen_src]
@@ -823,7 +823,10 @@ class MovieMaps:
         distinct = dict.fromkeys(movie.frames)
         for f in distinct:
             _admit(f)
-        built = {f: build_complex(f, t, self.ring) for f in distinct}
+        # one set of local tables for every frame and chain map, so that a
+        # cube square or edge shape is coded and checked once per movie
+        local = LocalTables(t, self.ring)
+        built = {f: build_complex(f, t, self.ring, local) for f in distinct}
         self.complexes = [built[f] for f in movie.frames]
         self.chain_steps: list[ChainMap | None] = []
         self._class_steps: dict[int, StepMap] = {}

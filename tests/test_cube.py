@@ -374,3 +374,73 @@ def test_validate_checks_in_full_on_every_call(monkeypatch):
     for _ in range(2):
         with pytest.raises(InternalInvariantError, match="d\\^2 != 0"):
             bad.validate()
+
+
+def _repeated_edge(c):
+    """(degree, source offset, target offset, shape id) of a cube edge whose
+    shape an earlier edge of ``c`` already has, with the same sign."""
+    n = c.diagram.crossing_count
+    spans = [offset for _, offset, _ in c._where.values()]
+    seen = set()
+    for v, ids in c._edge_shapes.items():
+        ups = [v | 1 << n - 1 - j for j in range(n) if not v & 1 << n - 1 - j]
+        for sid, u in zip(ids, ups):
+            if sid in seen:
+                return v.bit_count() - c.n_minus, spans[v], spans[u], sid
+            seen.add(sid)
+    raise AssertionError("no shape repeats")
+
+
+@pytest.mark.parametrize("whole", [False, True])
+def test_validate_reads_back_an_edge_whose_shape_repeats(whole):
+    c = cube.ChainComplex(parse_pd(torus_pd(5)), 1, QQ)
+    c.validate()
+    i, col, row, edge = _repeated_edge(c)
+    data = c.diff[i].data
+    terms = c.local.terms([edge])[0][edge >> 1]
+    places = [(row + r, col + code) for code, r, _ in terms]
+    if not whole:
+        places = places[:1]
+    # move the edge's entries to rows past every row of d_i, in their columns
+    for k, (r, col_) in enumerate(places):
+        data[c.diff[i].rows + k, col_] = data.pop((r, col_))
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="does not hold the entries"):
+            c.validate()
+
+
+def test_validate_refuses_an_entry_no_edge_wrote():
+    c = cube.ChainComplex(parse_pd(TREFOIL), 0, QQ)
+    i = next(i for i in c.degrees() if c.diff[i].data)
+    free = next((r, col) for r in range(c.diff[i].rows) for col in range(c.diff[i].cols)
+                if (r, col) not in c.diff[i].data)
+    c.diff[i].data[free] = QQ.one
+    with pytest.raises(InternalInvariantError, match="does not hold the entries"):
+        c.validate()
+
+
+def test_shared_local_tables_check_each_square_shape_once(monkeypatch):
+    local = cube.LocalTables(1, QQ)
+    first = build_complex(parse_pd(torus_pd(5)), 1, QQ, local)
+    checked = len(local.checked_squares)
+    assert checked > 0
+    # a second complex through the same tables sums no square again
+    again = build_complex(parse_pd(torus_pd(5)), 1, QQ, local)
+    assert again.local is first.local
+    assert len(local.checked_squares) == checked
+    assert again.diff == first.diff
+    # a build through the same tables with one edge's sign flipped has a
+    # shape no square was checked with, and fails on every call
+    _mutate(monkeypatch, "sign", random.Random(5), 80)
+    bad = cube.ChainComplex(parse_pd(torus_pd(5)), 1, QQ, local)
+    expected = _raised(lambda: _reference_validate(bad))
+    assert expected is not None
+    for _ in range(2):
+        assert _raised(bad.validate) == expected
+
+
+def test_shared_local_tables_must_match_t_and_ring():
+    with pytest.raises(ValueError, match="t and ring"):
+        cube.ChainComplex(parse_pd(TREFOIL), 0, QQ, cube.LocalTables(1, QQ))
+    with pytest.raises(ValueError, match="t and ring"):
+        cube.ChainComplex(parse_pd(TREFOIL), 1, QQ, cube.LocalTables(1, ZZ))

@@ -234,6 +234,20 @@ def test_every_frame_complex_is_validated(monkeypatch):
         assert [id(c) for c in checked] == [id(c) for c in distinct]
 
 
+def test_frames_and_chain_maps_share_one_set_of_local_tables():
+    for t in (0, 1):
+        maps = MovieMaps(load_movie("torus-noise"), t)
+        local = maps.complexes[0].local
+        assert all(c.local is local for c in maps.complexes)
+        assert all(cm.local is local for cm in maps.chain_steps if cm is not None)
+        # the frames' squares are summed once per shape, over the movie
+        squares = sum(
+            len(ids) * (len(ids) - 1) // 2
+            for c in dict.fromkeys(maps.complexes) for ids in c._edge_shapes.values()
+        )
+        assert 0 < len(local.checked_squares) <= squares
+
+
 def test_chain_map_check_catches_every_flipped_r2_entry():
     # the check runs at every degree of the source, the top one included,
     # where f_{i+1} is zero and d_j f_i alone must vanish

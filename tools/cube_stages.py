@@ -9,6 +9,7 @@ subprocess, so that its RSS is its own. Standard library only.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import resource
 import subprocess
@@ -16,16 +17,17 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 THEORIES = (("Kh", 0, "Z"), ("Lee", 1, "Q"))
 
 
 def torus_pd(n: int) -> str:
-    """T(2,n): X(w(2i), w(2i+n+1), w(2i+1), w(2i+n)) for i = 1..n, with
-    w(x) = (x-1) mod 2n + 1."""
-    w = lambda x: (x - 1) % (2 * n) + 1  # noqa: E731
-    xs = [(w(2 * i), w(2 * i + n + 1), w(2 * i + 1), w(2 * i + n)) for i in range(1, n + 1)]
-    return "PD[" + ", ".join("X(%d,%d,%d,%d)" % x for x in xs) + "]"
+    """T(2,n) by the formula the test suite uses (tests/diagrams.py)."""
+    spec = importlib.util.spec_from_file_location("diagrams", ROOT / "tests" / "diagrams.py")
+    diagrams = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(diagrams)
+    return diagrams.torus_pd(n)
 
 
 def _rss_mib() -> float:
