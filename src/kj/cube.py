@@ -13,7 +13,7 @@ circles with the sign (-1)^(number of 1 bits below the flipped index).
 ``LocalTables`` writes every map on the cube of resolutions: d, one cube
 edge at a time, and every chain map of a movie, one resolution pair at a
 time. Both share one table format (an entry per labeling of the consumed
-circles) and one routine that fills a matrix from those tables.
+circles) and one routine that appends a map's columns from those tables.
 
 Khovanov proves d^2 = 0 one square of the cube at a time, and
 ``ChainComplex.validate`` checks it that way. Relative to the offsets of
@@ -24,13 +24,14 @@ product of two edge signs times P + s P', where P and P' are its two paths
 with every sign +1 and s is the product of its four signs; so it is fixed
 by its four shapes and s. Each distinct such key is summed once, on every
 source code, and squares of a key already checked are skipped, also in
-the other complexes that share the ``LocalTables``. Every entry of d is
-read back first.
+the other complexes that share the ``LocalTables``. d is read back from
+its arrays first, in part, as ``validate`` says.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from itertools import repeat
@@ -72,10 +73,10 @@ Gen = tuple[tuple[int, ...], tuple[int, ...]]
 _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
-# machine, `kj homology` on T(2,9) (19686 generators) takes about 0.36 s and
-# 42 MiB for Khovanov homology over Z, and 0.39 s and 50 MiB for Lee
-# homology over Q; on T(2,11) (177150 generators) it takes 4.1 s and
-# 251 MiB, and 4.7 to 6.4 s and 360 MiB. Each further crossing roughly
+# machine, `kj homology` on T(2,9) (19686 generators) takes about 0.22 s and
+# 30 MiB for Khovanov homology over Z, and 0.38 s and 36 MiB for Lee
+# homology over Q; on T(2,11) (177150 generators) it takes 2.7 to 2.9 s and
+# 124 MiB, and 3.1 to 3.8 s and 198 MiB. Each further crossing roughly
 # triples the generators, and memory grows with them. A free loop doubles
 # the generators, so loops count against the bound with crossings.
 MAX_CROSSINGS = 12
@@ -210,7 +211,6 @@ class LocalTables:
         self.checked_q: set[tuple[int, int]] = set()
         # laid out by ``terms``
         self._terms: dict[int, list[tuple[int, int, int]]] = {}
-        self._values: dict[int, list] = {}
 
     def element(self, v: int):
         """The shared ring element of the int ``v``, or None if it is zero."""
@@ -238,6 +238,9 @@ class LocalTables:
             ints = [[(sum(map(lshift, labels, news)), coeff)
                      for labels, coeff in terms if self.element(coeff) is not None]
                     for terms in self._tables[table]]
+            # ``fill`` appends, so two terms of one entry would both stay
+            if any(len({delta for delta, _ in terms}) < len(terms) for terms in ints):
+                raise InternalInvariantError("two terms of a cube map landed on one entry")
             coded = self._coded[table, news] = ints, sum(map(len, ints)), {}, {}
         entries = coded[3].get(sign)
         if entries is None:
@@ -266,41 +269,34 @@ class LocalTables:
             self.shapes.append(shape)
         return shape, entries, row, sign
 
-    def terms(self, edges) -> tuple[dict, dict]:
+    def terms(self, edges) -> dict:
         """For cube edges given as 2 * (shape id) + 1 if their sign is -1:
         the terms of their shapes as (source code, row, int), rows relative
         to the target's offset, in the order ``fill`` writes them, by shape
-        id; and the ring element of each term, by edge. Each is laid out on
-        first use."""
-        terms, values = self._terms, self._values
+        id. Each is laid out on first use."""
+        terms = self._terms
         for e in edges:
-            if e in values:
-                continue
-            rows, keys, ints, _, sid, signed = self.shapes[e >> 1]
+            rows, keys, ints, _, sid, _ = self.shapes[e >> 1]
             if sid not in terms:
                 terms[sid] = [(c, r + delta, v) for c, (r, key) in enumerate(zip(rows, keys))
                               for delta, v in ints[key]]
-            entries = signed[-1 if e & 1 else 1]
-            values[e] = [x for key in keys for _, x in entries[key]]
-        return terms, values
+        return terms
 
     @staticmethod
-    def fill(data: dict, col: int, size: int, pieces) -> None:
-        """Write the ``pieces`` out of one source resolution, whose ``size``
-        codes are the columns from ``col`` on, into the entries ``data`` of a
-        matrix: column by column, and in a column piece by piece, each in
-        table order. No two terms land on one entry; a collision raises
-        instead of overwriting."""
-        expected = len(data)
-        for shape, _, _, _ in pieces:
-            expected += shape[3]
-        for c, code in enumerate(range(size), col):
-            for (rows, keys, _, _, _, _), entries, row, _ in pieces:
-                r = row + rows[code]
-                for delta, x in entries[keys[code]]:
-                    data[r + delta, c] = x
-        if len(data) != expected:
-            raise InternalInvariantError("two terms of a cube map landed on one entry")
+    def fill(ptr, targets, values, size: int, pieces) -> None:
+        """Append the ``pieces`` out of one source resolution, one column per
+        each of its ``size`` codes, to a column-major triple: rows to
+        ``targets``, entries to ``values`` and the end of each column to
+        ``ptr``. In a column the pieces come in order, each in table order,
+        at rows from the piece's ``row`` on."""
+        add_target, add_value, end = targets.append, values.append, ptr.append
+        for code in range(size):
+            for shape, entries, row, _ in pieces:
+                r = row + shape[0][code]
+                for delta, x in entries[shape[1][code]]:
+                    add_target(r + delta)
+                    add_value(x)
+            end(len(values))
 
 
 class ChainComplex:
@@ -309,6 +305,15 @@ class ChainComplex:
     ``qs[i]`` is the q-grading of each generator of ``bases[i]``, in order.
     A resolution's generators sit together in its degree, in code order, so
     ``index`` is offset arithmetic rather than a table of generators.
+
+    d is stored once, column-major, over generator ids numbered degree by
+    degree (``first[i]`` is the id of degree i's first generator): column g
+    holds rows ``targets[ptr[g]:ptr[g + 1]]`` with entries at the same
+    places of ``values``, in the order ``LocalTables.fill`` appends them.
+    ``targets`` and ``ptr`` are int arrays and ``values`` a list of the
+    shared ring elements, about 18 bytes per entry. ``columns`` and
+    ``apply`` read d_i from them, and ``diff`` builds d_i as a
+    ``SparseMatrix`` on each access.
 
     d is written through ``local``, a ``LocalTables`` at the same t over the
     same ring; complexes that share one, such as a movie's frames, share
@@ -320,19 +325,15 @@ class ChainComplex:
         self.diagram = diagram
         self.t = t
         self.ring = ring
-        ref = (True,) * diagram.component_count
-        self.n_plus = sum(
-            1
-            for c in range(diagram.crossing_count)
-            if crossing_sign(diagram, ref, c) == 1
-        )
-        self.n_minus = diagram.crossing_count - self.n_plus
+        self.n_plus, self.n_minus = _sign_counts(diagram)
         self.resolutions: dict[tuple[int, ...], Resolution] = {}
         self.bases: dict[int, list[Gen]] = {}
         self.qs: dict[int, list[int]] = {}
         self._where: dict[tuple[int, ...], tuple[int, int, dict]] = {}
         self.index: Mapping[Gen, tuple[int, int]] = _Index(self._where)
-        self.diff: dict[int, SparseMatrix] = {}
+        self.ptr = array("l", [0])
+        self.targets = array("l")
+        self.values: list = []
         # every entry of d is one of its shared elements; ``local`` may be
         # shared with other complexes at the same t over the same ring
         if local is None:
@@ -376,24 +377,28 @@ class ChainComplex:
             gens.extend(zip(repeat(bits), labelings))
             shift = weight + self.n_plus - 2 * self.n_minus
             self.qs.setdefault(i, []).extend(map(shift.__add__, degrees))
-        for i in sorted(self.bases):
+        degrees = self.degrees()
+        # degree -> id of its first generator
+        self.first = dict(zip(degrees, itertools.accumulate(map(self.dim, degrees), initial=0)))
+        for i in degrees:
             if i + 1 in self.bases:
-                self.diff[i] = self._differential(i, layers[i], at)
+                self._differential(i, layers[i], at)
             else:
-                self.diff[i] = SparseMatrix(0, len(self.bases[i]), self.ring)
+                self.ptr.extend(repeat(len(self.values), len(self.bases[i])))
 
-    def _differential(self, i: int, layer: list[int], at: list) -> SparseMatrix:
-        """d_i, one resolution at a time and one column at a time, in the
-        order of ``gen_differential``: by flipped bit, then by product. Each
-        cube edge is a merge or a split of ``local``. ``layer`` lists the
-        indices of degree i's resolutions (their bits read as a binary
-        number) and ``at`` gives each index's (resolution, offset, size)."""
+    def _differential(self, i: int, layer: list[int], at: list) -> None:
+        """Append d_i's columns, one resolution at a time and one column at a
+        time, in the order of ``gen_differential``: by flipped bit, then by
+        product. Each cube edge is a merge or a split of ``local``.
+        ``layer`` lists the indices of degree i's resolutions (their bits
+        read as a binary number) and ``at`` gives each index's (resolution,
+        offset, size)."""
         n = self.diagram.crossing_count
         flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
-        piece = self.local.piece
-        m = SparseMatrix(len(self.bases[i + 1]), len(self.bases[i]), self.ring)
+        piece, fill = self.local.piece, self.local.fill
+        top = self.first[i + 1]
         for index in layer:
-            src, col, size = at[index]
+            src, _, size = at[index]
             pieces = []
             ones = 0  # 1 bits below the flipped one
             for j, flip in enumerate(flips):
@@ -411,11 +416,37 @@ class ChainComplex:
                 else:
                     consumed, created, table = (c1,), (t1, t2), "split"
                 pieces.append(piece(
-                    src, tgt, row, consumed, created, table, -1 if ones & 1 else 1
+                    src, tgt, top + row, consumed, created, table, -1 if ones & 1 else 1
                 ))
-            self.local.fill(m.data, col, size, pieces)
+            fill(self.ptr, self.targets, self.values, size, pieces)
             self._edge_shapes[index] = [2 * shape[4] + (sign < 0) for shape, _, _, sign in pieces]
-        return m
+
+    def columns(self, i: int) -> list[dict]:
+        """Every column of d_i as a dict row -> entry, rows counted in degree
+        i + 1, in the order of d's entries; none if there is no degree i."""
+        g, base = self.first.get(i, 0), self.first.get(i + 1, 0)
+        ptr, targets, values = self.ptr, self.targets, self.values
+        return [{targets[k] - base: values[k] for k in range(ptr[c], ptr[c + 1])}
+                for c in range(g, g + self.dim(i))]
+
+    def apply(self, i: int, vec: dict) -> dict:
+        """d_i times a vector (dict col -> scalar), reading only vec's columns."""
+        g, base = self.first.get(i, 0), self.first.get(i + 1, 0)
+        ptr, targets, values, zero = self.ptr, self.targets, self.values, self.ring.zero
+        out: dict = {}
+        for c in sorted(vec):
+            for k in range(ptr[g + c], ptr[g + c + 1]):
+                r = targets[k] - base
+                out[r] = out.get(r, zero) + values[k] * vec[c]
+        return {r: v for r, v in out.items() if not self.ring.is_zero(v)}
+
+    @property
+    def diff(self) -> dict[int, SparseMatrix]:
+        """d_i as a ``SparseMatrix`` for every degree i, built from the
+        arrays on each access, its entries in their order."""
+        return {i: SparseMatrix(self.dim(i + 1), self.dim(i), self.ring, {
+            (r, c): v for c, col in enumerate(self.columns(i)) for r, v in col.items()
+        }) for i in self.degrees()}
 
     def gen_differential(self, gen: Gen):
         """Image of a single generator as [(generator, integer coeff)]."""
@@ -472,11 +503,12 @@ class ChainComplex:
         ``LocalTables.fill`` is the only writer of d, and it writes each cube
         edge from its piece. Relative to the offsets of the edge's two
         resolutions, the piece's entries are fixed by its shape
-        (``LocalTables.shapes``) and its sign. So d is read back: at the
-        first edge of each (edge shape, q offset) every entry, and at every
-        other edge the entries of its first source code, must be the very
-        elements its shape and sign write, and d_i must hold as many
-        entries as its edges write. That catches an edge written at the
+        (``LocalTables.shapes``) and its sign. So d is read back from its
+        arrays: every column out of a resolution with an edge of a new
+        (edge shape, q offset), and the column of the first source code out
+        of every other resolution, must hold the very rows and elements its
+        edges' shapes and signs write, and d_i must hold as many entries as
+        its edges write. That catches an edge written at the
         wrong offsets, with the wrong shape or sign, and a missing or extra
         entry; an entry changed in place at a later code of an edge whose
         shape recurs is not read. The block of
@@ -501,37 +533,41 @@ class ChainComplex:
         n = self.diagram.crossing_count
         flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
         spans, edges, qs, shapes = self._spans, self._edge_shapes, self.qs, self.local.shapes
+        ptr, targets, values = self.ptr, self.targets, self.values
         # an edge is 2 * (its shape id) + 1 if its sign is -1
         every = set().union(*edges.values())
-        terms, values = self.local.terms(every)
-        heads: dict[int, int] = {}  # count of a shape's terms at its first code with any
+        terms = self.local.terms(every)
+        # each edge's coded table on ring elements
+        signed = {e: shapes[e >> 1][5][-1 if e & 1 else 1] for e in every}
         checked_q, checked_squares = self.local.checked_q, self.local.checked_squares
-        written = dict.fromkeys(self.diff, 0)  # entries the edges wrote, by degree
+        written = dict.fromkeys(self.bases, 0)  # entries the edges wrote, by degree
         first = None  # (degree, column, message) of the first bad column
         for v, ids in edges.items():
             i = v.bit_count() - self.n_minus
-            col = spans[v][0]
+            col, size = spans[v]
             q_src, q_tgt = qs[i], qs[i + 1]
             ups = [v | f for f in flips if not v & f]
             bad = None  # (code, message) of the first bad column of v
             rows = [spans[u][0] for u in ups]
             keys = [(e >> 1, q_tgt[row] - q_src[col]) for e, row in zip(ids, rows)]
-            # read back every entry of an edge whose (shape, q offset) is
-            # new, and the entries of another at its first source code
-            reads = []
-            for e, row, key in zip(ids, rows, keys):
-                t, x = terms[e >> 1], values[e]
-                if key in checked_q:
-                    k = heads.get(e >> 1)
-                    if k is None:
-                        k = heads[e >> 1] = next(
-                            (k for k, (c, _, _) in enumerate(t) if c != t[0][0]), len(t)
-                        )
-                    t, x = t[:k], x[:k]
-                reads.append((row, t, x))
-            get = self.diff[i].data.get
-            if [get((row + r, col + c)) for row, t, _ in reads for c, r, _ in t] \
-                    != [y for _, _, x in reads for y in x]:
+            # read back every column out of v if an edge's (shape, q offset)
+            # is new, else the column of its first source code: they must
+            # be what its edges' shapes and signs write at its offsets
+            top, g = self.first[i + 1], self.first[i] + col
+            if checked_q.issuperset(keys):
+                # code 0 reads table entry 0 at row 0 of every edge
+                start, end = ptr[g], ptr[g + 1]
+                held = list(zip(targets[start:end], values[start:end]))
+                wrote = [(top + row + delta, x) for e, row in zip(ids, rows)
+                         for delta, x in signed[e][0]]
+            else:
+                start, end = ptr[g], ptr[g + size]
+                held = ([p - start for p in ptr[g:g + size + 1]],
+                        targets[start:end].tolist(), values[start:end])
+                wrote = [0], [], []
+                self.local.fill(*wrote, size, [(shapes[e >> 1], signed[e], top + row, 0)
+                                               for e, row in zip(ids, rows)])
+            if held != wrote:
                 raise InternalInvariantError(
                     f"d_{i} does not hold the entries its cube edges wrote"
                 )
@@ -575,8 +611,8 @@ class ChainComplex:
                     bad = fault, f"d^2 != 0 at degree {i}"
             if bad is not None and (first is None or (i, col + bad[0]) < first[:2]):
                 first = i, col + bad[0], bad[1]
-        for i, m in self.diff.items():
-            if len(m.data) != written[i]:
+        for i, g in self.first.items():
+            if ptr[g + self.dim(i)] - ptr[g] != written[i]:
                 raise InternalInvariantError(
                     f"d_{i} does not hold the entries its cube edges wrote"
                 )
@@ -609,7 +645,7 @@ class ChainComplex:
         i, vec = self.chain_to_vec(chain)
         if i + 1 not in self.bases:
             return {}
-        return self.vec_to_chain(i + 1, self.diff[i].apply(vec))
+        return self.vec_to_chain(i + 1, self.apply(i, vec))
 
 
 def carry_labels(
@@ -724,6 +760,14 @@ def build_complex(
     return c
 
 
+def _sign_counts(d: PlanarDiagram) -> tuple[int, int]:
+    """(n_plus, n_minus): the crossings of sign +1 and -1 when every
+    component keeps its reference orientation."""
+    ref = (True,) * d.component_count
+    n_plus = sum(crossing_sign(d, ref, c) == 1 for c in range(d.crossing_count))
+    return n_plus, d.crossing_count - n_plus
+
+
 def _admit(diagram: PlanarDiagram) -> None:
     """Refuse a diagram whose generators are too many to build: each
     crossing doubles the resolutions, and each free loop the generators of
@@ -772,11 +816,7 @@ def kauffman_bracket(
     vector; without it each is traced here.
     """
     _admit(d)
-    o = (True,) * d.component_count
-    n_plus = sum(
-        1 for c in range(d.crossing_count) if crossing_sign(d, o, c) == 1
-    )
-    n_minus = d.crossing_count - n_plus
+    n_plus, n_minus = _sign_counts(d)
     every = itertools.product((0, 1), repeat=d.crossing_count)
     if resolutions is None:
         pairs = ((bits, resolve(d, bits)) for bits in every)
@@ -808,11 +848,10 @@ def mod4_split(complex_: ChainComplex):
     residues = sorted(parts)
     if len(residues) > 2:
         raise InternalInvariantError(f"knot complex hit residues {residues}")
-    for i, m in complex_.diff.items():
-        q_src, q_tgt = complex_.qs[i], complex_.qs.get(i + 1)
-        for r, c in m.data:
-            if (q_tgt[r] - q_src[c]) % 4:
-                raise InternalInvariantError("differential escaped its mod-4 class")
+    qs = [q % 4 for i in complex_.degrees() for q in complex_.qs[i]]  # by generator id
+    for g, q in enumerate(qs):
+        if any(qs[y] != q for y in complex_.targets[complex_.ptr[g]:complex_.ptr[g + 1]]):
+            raise InternalInvariantError("differential escaped its mod-4 class")
     return residues, parts
 
 

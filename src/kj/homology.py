@@ -3,7 +3,9 @@
 ``homology`` reports free ranks, and torsion over the integers, per (i, q)
 for the graded theory and per i for the filtered one. It splits the
 complex into direct-summand blocks (q, or q mod 4 for the filtered
-differential, which shifts q by 0 or 4), cancels unit entries of the
+differential, which shifts q by 0 or 4), each cut straight from the
+column arrays that hold d (``ChainComplex.ptr``, ``targets`` and
+``values``) when its turn comes, cancels unit entries of the
 differential block by block (Gaussian elimination), and then takes the Smith
 normal form over Z, or the rank over a field, of only what is left. Torsion
 is attributed to the q of its target block.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .cube import ChainComplex
 from .errors import InternalInvariantError
@@ -58,13 +61,13 @@ class HomologySummary:
     def nonzero(self):
         return {k: v for k, v in self.groups.items() if v[0] or v[1]}
 
+    def _shown(self) -> list:
+        """The nonzero groups as ((i, q), (rank, torsion)), by i, then q."""
+        return sorted(self.nonzero().items(), key=lambda kv: (kv[0][0], kv[0][1] or 0))
+
     def to_json(self):
         items = []
-        for (i, q), (rank, tors) in sorted(
-            self.groups.items(), key=lambda kv: (kv[0][0], kv[0][1] if kv[0][1] is not None else 0)
-        ):
-            if rank == 0 and not tors:
-                continue
+        for (i, q), (rank, tors) in self._shown():
             entry = {"i": i, "rank": rank, "torsion": tors}
             if q is not None:
                 entry["q"] = q
@@ -72,14 +75,8 @@ class HomologySummary:
         return {"ring": self.ring_name, "t": self.t, "groups": items}
 
     def to_text(self) -> str:
-        lines = []
-        header = f"homology over {self.ring_name} (t = {self.t})"
-        lines.append(header)
-        for (i, q), (rank, tors) in sorted(
-            self.groups.items(), key=lambda kv: (kv[0][0], kv[0][1] if kv[0][1] is not None else 0)
-        ):
-            if rank == 0 and not tors:
-                continue
+        lines = [f"homology over {self.ring_name} (t = {self.t})"]
+        for (i, q), (rank, tors) in self._shown():
             qtxt = "" if q is None else f", q = {q:>3}"
             ttxt = "" if not tors else "  torsion " + " ".join(
                 f"Z/{n}" for n in tors
@@ -96,11 +93,11 @@ def homology(complex_: ChainComplex) -> HomologySummary:
     ring = complex_.ring
     summary = HomologySummary(ring.name, complex_.t)
     graded = complex_.t == 0
-    first, degree, labels = _numbering(complex_)
+    degree, labels = _numbering(complex_)
     # (i, q) or (i, None) -> leftover generator ids, and their rows of d
     leftover: dict[tuple, list[int]] = {}
     rows: dict[int, dict] = {}
-    for out, inn in _blocks(complex_, first, labels):
+    for out, inn in _summands(complex_, labels):
         _eliminate(out, inn, ring)
         for x, row in out.items():
             leftover.setdefault((degree[x], labels[x] if graded else None), []).append(x)
@@ -115,48 +112,40 @@ def homology(complex_: ChainComplex) -> HomologySummary:
 
 
 def _numbering(complex_: ChainComplex):
-    """Generator ids, degree by degree: the first id of each degree, and per
-    id its degree i and its block label, q at t = 0 and q mod 4 at t = 1."""
+    """Per generator id, numbered degree by degree, its degree i and its
+    block label, q at t = 0 and q mod 4 at t = 1."""
     graded = complex_.t == 0
-    first = {}  # degree -> id of its first generator
     degree: list[int] = []  # generator id -> i
     labels: list[int] = []  # generator id -> q (t = 0) or q mod 4 (t = 1)
     for i in complex_.degrees():
-        first[i] = len(labels)
         qs = complex_.qs[i]
         degree.extend([i] * len(qs))
         labels.extend(qs if graded else [q % 4 for q in qs])
-    return first, degree, labels
+    return degree, labels
 
 
-def _blocks(complex_: ChainComplex, first: dict[int, int], labels: list[int]):
+def _summands(complex_: ChainComplex, labels: list[int]):
     """The differential split into direct summands by generator label, one
     block at a time, as adjacency: source -> {target: coeff} and target ->
     {sources}. Every generator of the block is a key of both maps.
 
-    Generators are numbered degree by degree from ``first``. The entries of
-    d are sorted into blocks in one pass, and a block's maps are built only
-    when its turn comes, so at most one block's adjacency is alive.
+    A block's rows are cut straight from the complex's column arrays when
+    its turn comes, in the order of d's entries, so at most one block's
+    adjacency is alive.
     """
     ids = list(range(len(labels)))  # one int object per generator, shared
     members: dict[int, list[int]] = {}
     for x in ids:
         members.setdefault(labels[x], []).append(x)
-    entries: dict[int, dict[int, list]] = {b: {} for b in members}
-    for i, m in complex_.diff.items():
-        if i + 1 in first:
-            src = first[i]
-            for rc in m.data:
-                entries[labels[src + rc[1]]].setdefault(i, []).append(rc)
+    ptr, targets, values = complex_.ptr, complex_.targets, complex_.values
     for b in sorted(members):
         out = {x: {} for x in members[b]}
         inn = {x: set() for x in members[b]}
-        for i, keys in entries.pop(b).items():
-            data = complex_.diff[i].data
-            src, tgt = first[i], first[i + 1]
-            for rc in keys:
-                x, y = ids[src + rc[1]], ids[tgt + rc[0]]
-                out[x][y] = data[rc]
+        for x in members[b]:
+            row = out[x]
+            for k in range(ptr[x], ptr[x + 1]):
+                y = ids[targets[k]]
+                row[y] = values[k]
                 inn[y].add(x)
         yield out, inn
 
@@ -279,13 +268,13 @@ class FieldHomology:
             raise ValueError("FieldHomology requires field coefficients")
         self.complex = complex_
         self.ring = complex_.ring
-        first, degree, labels = _numbering(complex_)
-        self._first = first
+        degree, labels = _numbering(complex_)
+        first = self._first = complex_.first
         self._steps: list[tuple] = []  # the cancellations, in order
         self._step_of: dict[int, int] = {}  # cancelled id -> its step
         self._g_of: dict[int, list] = {}  # id w -> [(step, gcol[w])]
         leftover: dict[int, list[int]] = {i: [] for i in first}
-        for out, inn in _blocks(complex_, first, labels):
+        for out, inn in _summands(complex_, labels):
             for step in _eliminate(out, inn, self.ring):
                 k = len(self._steps)
                 self._steps.append(step)
@@ -316,7 +305,7 @@ class FieldHomology:
 
         Raises if the vector is not in the cycle space.
         """
-        if self.complex.diff[i].apply(vec):
+        if self.complex.apply(i, vec):
             raise InternalInvariantError("vector is not a cycle of the complex")
         return self._project(i, vec)
 
@@ -329,12 +318,9 @@ class FieldHomology:
     def class_matrix(self, classes: list[tuple[int, dict]]) -> tuple[SparseMatrix, dict[int, int]]:
         """Classes given as (degree, coordinates) as the columns of one matrix
         on the homology basis of all degrees, with each degree's first row."""
-        offset: dict[int, int] = {}
-        run = 0
-        for i in sorted(self.reps):
-            offset[i] = run
-            run += self.rank(i)
-        m = SparseMatrix(run, len(classes), self.ring)
+        degrees = sorted(self.reps)
+        offset = dict(zip(degrees, accumulate(map(self.rank, degrees), initial=0)))
+        m = SparseMatrix(self.total_rank(), len(classes), self.ring)
         for j, (i, coords) in enumerate(classes):
             for k, v in coords.items():
                 m.set(offset[i] + k, j, v)
@@ -358,7 +344,7 @@ class FieldHomology:
             reps: list[dict] = []
             ech = _Echelon(self.ring)  # labelled by position in reps
             if self.rank(i):
-                for vec in kernel_basis(self.complex.diff[i]):
+                for vec in kernel_basis(self.ring, self.complex.columns(i)):
                     if ech.insert(self._project(i, vec), label=len(reps)) is None:
                         reps.append(vec)
                         if len(reps) == self.rank(i):

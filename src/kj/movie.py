@@ -121,20 +121,25 @@ class ChainMap:
         time: for every generator e_c of degree i, f_{i+1}(d_i e_c) and
         d_j(f_i e_c), j = i + shift, are summed in one dict and must cancel."""
         f_cols = {i: m.columns() for i, m in self.mats.items()}
-        for i in self.src.degrees():
+        src, dst = self.src, self.dst
+        for i in src.degrees():
             j = i + self.shift
             # f_i has no rows when degree j of the target is empty, and at the
-            # top degree of the source d_i has none
-            d_dst = self.dst.diff[j].columns() if j in self.dst.diff else []
+            # top degree of the source d_i has none; d is read in place, its
+            # rows global ids
             f_next, f_here = f_cols.get(i + 1), f_cols[i]
-            for c, col in enumerate(self.src.diff[i].columns()):
+            g, h = src.first[i], dst.first.get(j, 0)
+            top, low = src.first.get(i + 1, 0), dst.first.get(j + 1, 0)
+            for c in range(src.dim(i)):
                 acc: dict = {}
-                for r, v in col.items():
-                    for r2, w in f_next[r].items():
+                for k in range(src.ptr[g + c], src.ptr[g + c + 1]):
+                    v = src.values[k]
+                    for r2, w in f_next[src.targets[k] - top].items():
                         s = acc.get(r2)
                         acc[r2] = v * w if s is None else s + v * w
                 for r, v in f_here[c].items():
-                    for r2, w in d_dst[r].items():
+                    for k in range(dst.ptr[h + r], dst.ptr[h + r + 1]):
+                        r2, w = dst.targets[k] - low, dst.values[k]
                         s = acc.get(r2)
                         acc[r2] = -(v * w) if s is None else s - v * w
                 if any(acc.values()):
@@ -168,7 +173,14 @@ def _local_map(
             f"chain map entry shifts degree by {j - i}, expected {cm.shift}"
         )
     piece = cm.local.piece(src, dst, row, consumed, created, table, sign, placed, skip)
-    cm.local.fill(cm.mats[i].data, col, 1 << src.circle_count, [piece])
+    ptr, targets, values = [0], [], []
+    cm.local.fill(ptr, targets, values, 1 << src.circle_count, [piece])
+    data = cm.mats[i].data
+    size = len(data) + len(values)
+    cols = [c for c, (a, b) in enumerate(zip(ptr, ptr[1:]), col) for _ in range(a, b)]
+    data.update(zip(zip(targets, cols), values))
+    if len(data) != size:
+        raise InternalInvariantError("two terms of a cube map landed on one entry")
 
 
 def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
@@ -734,9 +746,8 @@ class _R3Transport:
             # decompose: rep + d(w) = v_sigma + y + h(y), reading the
             # coefficients of the sigma and section generators, by position
             ech = _Echelon(ring)
-            if i - 1 in self.c1.diff:
-                for col in self.c1.diff[i - 1].columns():
-                    ech.insert(col)
+            for col in self.c1.columns(i - 1):
+                ech.insert(col)
             basis = self.c1.bases[i]
             fold = self.fold1.mats[i].columns()
             for pos, (bits, _) in enumerate(basis):
@@ -757,7 +768,7 @@ class _R3Transport:
                 if not image:
                     continue
                 # the transported representative must again be a cycle
-                if self.c2.diff[i].apply(image):
+                if self.c2.apply(i, image):
                     raise InternalInvariantError("slide transport broke the cycle")
                 for r, v in fh2.reduce(i, image).items():
                     m.set(r, col, v)
@@ -889,9 +900,7 @@ class MovieMaps:
         return total
 
     def chain_composite(self) -> ChainMap | None:
-        if any(cm is None for cm in self.chain_steps):
-            return None
-        if not self.chain_steps:
+        if not self.chain_steps or None in self.chain_steps:
             return None
         total = self.chain_steps[0]
         for cm in self.chain_steps[1:]:
@@ -956,10 +965,7 @@ def movie_convention_flips(movie: Movie) -> list[bool]:
 
 
 def movie_total_flip(movie: Movie) -> bool:
-    total = False
-    for f in movie_convention_flips(movie):
-        total ^= f
-    return total
+    return sum(movie_convention_flips(movie)) % 2 == 1
 
 
 def effective_orientation(o, flip: bool):

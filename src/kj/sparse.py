@@ -204,18 +204,21 @@ def rank(m: SparseMatrix) -> int:
     return len(ech.pivots)
 
 
-def kernel_basis(m: SparseMatrix) -> list[dict]:
-    """A basis of ker(m) over a field, one vector per non-pivot column."""
-    if not m.ring.is_field:
+def kernel_basis(m, columns=None) -> list[dict]:
+    """A basis of ker(m) over a field, one vector per non-pivot column. m is
+    a SparseMatrix, or the ring of a matrix whose ``columns`` (dicts row ->
+    scalar, read one at a time) are given."""
+    ring, columns = (m.ring, m.columns()) if columns is None else (m, columns)
+    if not ring.is_field:
         raise ValueError("kernel_basis requires field coefficients")
-    ech = _Echelon(m.ring)
+    ech = _Echelon(ring)
     out = []
-    for j, col in enumerate(m.columns()):
+    for j, col in enumerate(columns):
         combo = ech.insert(col, label=j)
         if combo is not None:
             # col_j = sum(combo[k] * col_k), so e_j - combo spans the kernel
             vec = {k: -v for k, v in combo.items()}
-            vec[j] = m.ring.one
+            vec[j] = ring.one
             out.append(vec)
     return out
 

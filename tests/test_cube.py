@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -228,6 +229,40 @@ def test_differential_keeps_entry_order(t, ring):
             assert list(c.diff[i].data.items()) == list(slow.data.items()), (text, i)
 
 
+@pytest.mark.parametrize("t, ring", [(0, ZZ), (0, QQ), (0, GF(5)), (1, ZZ), (1, QQ), (1, GF(5))])
+def test_columns_and_apply_read_the_arrays_as_the_view_does(t, ring):
+    rng = random.Random(2100 + 10 * t + ring.characteristic)
+    for text in [*DIAGRAMS.values(), torus_pd(3), torus_pd(5)]:
+        c = build_complex(parse_pd(text), t, ring)
+        view = c.diff
+        assert c.columns(max(c.degrees()) + 1) == []
+        for i in c.degrees():
+            assert [list(col.items()) for col in c.columns(i)] \
+                == [list(col.items()) for col in view[i].columns()], (text, i)
+            for _ in range(4):
+                picked = rng.sample(range(c.dim(i)), min(c.dim(i), rng.randint(1, 5)))
+                vec = {k: ring.from_int(rng.choice((-2, -1, 1, 3))) for k in picked}
+                assert list(c.apply(i, vec).items()) == list(view[i].apply(vec).items())
+
+
+def test_stored_differential_takes_at_most_32_bytes_an_entry():
+    # d lives in two int arrays and a list of shared ring elements; a dict
+    # keyed by (row, col) tuples took 90 to 110 bytes an entry here
+    d = parse_pd(torus_pd(7))
+    for t, ring in ((0, ZZ), (1, QQ)):
+        tracemalloc.start()
+        try:
+            c = cube.ChainComplex(d, t, ring)
+            held = tracemalloc.get_traced_memory()[0]
+            entries = len(c.values)
+            del c.ptr, c.targets, c.values
+            stored = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert entries > 5000
+        assert 8 * entries <= stored <= 32 * entries, (t, stored / entries)
+
+
 @pytest.mark.parametrize("t", [0, 1])
 def test_index_is_position_in_degree(t):
     for text in [*DIAGRAMS.values(), *TORI, *map(_mirror, TORI)]:
@@ -396,14 +431,17 @@ def test_validate_reads_back_an_edge_whose_shape_repeats(whole):
     c = cube.ChainComplex(parse_pd(torus_pd(5)), 1, QQ)
     c.validate()
     i, col, row, edge = _repeated_edge(c)
-    data = c.diff[i].data
-    terms = c.local.terms([edge])[0][edge >> 1]
-    places = [(row + r, col + code) for code, r, _ in terms]
+    top = c.first[i + 1]
+    places = []  # where the edge's entries sit in the arrays of d
+    for code, r, _ in c.local.terms([edge])[edge >> 1]:
+        g = c.first[i] + col + code
+        places.append(next(k for k in range(c.ptr[g], c.ptr[g + 1])
+                           if c.targets[k] == top + row + r))
     if not whole:
         places = places[:1]
     # move the edge's entries to rows past every row of d_i, in their columns
-    for k, (r, col_) in enumerate(places):
-        data[c.diff[i].rows + k, col_] = data.pop((r, col_))
+    for k, place in enumerate(places):
+        c.targets[place] = top + c.dim(i + 1) + k
     for _ in range(2):
         with pytest.raises(InternalInvariantError, match="does not hold the entries"):
             c.validate()
@@ -412,11 +450,18 @@ def test_validate_reads_back_an_edge_whose_shape_repeats(whole):
 def test_validate_refuses_an_entry_no_edge_wrote():
     c = cube.ChainComplex(parse_pd(TREFOIL), 0, QQ)
     i = next(i for i in c.degrees() if c.diff[i].data)
-    free = next((r, col) for r in range(c.diff[i].rows) for col in range(c.diff[i].cols)
-                if (r, col) not in c.diff[i].data)
-    c.diff[i].data[free] = QQ.one
-    with pytest.raises(InternalInvariantError, match="does not hold the entries"):
-        c.validate()
+    d_i = c.diff[i]
+    r, col = next((r, col) for r in range(d_i.rows) for col in range(d_i.cols)
+                  if (r, col) not in d_i.data)
+    # append the entry to its column of the arrays
+    g = c.first[i] + col
+    c.targets.insert(c.ptr[g + 1], c.first[i + 1] + r)
+    c.values.insert(c.ptr[g + 1], QQ.one)
+    for k in range(g + 1, len(c.ptr)):
+        c.ptr[k] += 1
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="does not hold the entries"):
+            c.validate()
 
 
 def test_shared_local_tables_check_each_square_shape_once(monkeypatch):

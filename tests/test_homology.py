@@ -77,7 +77,7 @@ def test_acyclic_two_term_complex():
     c = build_complex(d, 0, QQ)
     fh = FieldHomology(c)
     assert fh.total_rank() == 2  # sanity on the unknot itself
-    from kj.sparse import SparseMatrix
+    from array import array
 
     class TwoTerm:
         ring = QQ
@@ -86,10 +86,10 @@ def test_acyclic_two_term_complex():
         def __init__(self):
             self.bases = {0: ["x"], 1: ["y"]}
             self.qs = {0: [0], 1: [0]}
-            self.diff = {
-                0: SparseMatrix(1, 1, QQ, {(0, 0): QQ.one}),
-                1: SparseMatrix(0, 1, QQ),
-            }
+            # d as column-major arrays over ids x = 0, y = 1: d x = y
+            self.ptr = array("l", [0, 1, 1])
+            self.targets = array("l", [1])
+            self.values = [QQ.one]
 
         def degrees(self):
             return [0, 1]

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -21,3 +22,23 @@ def test_cube_stages_row_on_the_trefoil():
         assert row["rss_before_mib"] <= row["rss_built_mib"] <= row["rss_end_mib"]
     table = tool.main(["3"])
     assert table == 0
+
+
+def test_answers_digest_on_a_few_invocations(tmp_path, capsys):
+    tool = _tool("answers_digest")
+    names = [name for name, _ in tool.invocations(tmp_path)]
+    assert len(names) == len(set(names))
+    assert {"homology T2_11 lee Fp:5 json", "jones trefoil text", "generators T2_3 json",
+            "verify all 9 json",
+            "movie sphere lee text", "movie r3-r2 kh json"} <= set(names)
+    first = tool.digest(["jones", "trefoil"])
+    assert re.fullmatch("[0-9a-f]{64}", first)
+    assert tool.digest(["jones", "trefoil"]) == first
+    assert tool.digest(["jones", "hopf"]) != first
+    assert tool.main(["jones trefoil", "movie sphere lee"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit("  ", 1)[0] for line in lines] == [
+        "jones trefoil text", "jones trefoil json",
+        "movie sphere lee text", "movie sphere lee json", "all",
+    ]
+    assert lines[0] == f"jones trefoil text  {tool.digest(['--format', 'text', 'jones', 'trefoil'])}"

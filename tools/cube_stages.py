@@ -55,7 +55,7 @@ def stages(n: int, t: int, ring_name: str) -> dict:
     homology(c)
     row["homology_s"] = time.perf_counter() - start
     row["generators"] = sum(c.dim(i) for i in c.degrees())
-    row["entries"] = sum(len(m.data) for m in c.diff.values())
+    row["entries"] = len(c.values)  # from the arrays: the SparseMatrix view would add to the RSS
     row["rss_end_mib"] = _rss_mib()
     return row
 
