@@ -29,8 +29,7 @@ def test_answers_digest_on_a_few_invocations(tmp_path, capsys):
     names = [name for name, _ in tool.invocations(tmp_path)]
     assert len(names) == len(set(names))
     assert {"homology T2_11 lee Fp:5 json", "jones trefoil text", "generators T2_3 json",
-            "verify all 9 json",
-            "movie sphere lee text", "movie r3-r2 kh json"} <= set(names)
+            "verify all 9 json", "movie sphere lee text", "movie r3-r2 kh json"} <= set(names)
     first = tool.digest(["jones", "trefoil"])
     assert re.fullmatch("[0-9a-f]{64}", first)
     assert tool.digest(["jones", "trefoil"]) == first
