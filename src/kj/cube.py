@@ -13,7 +13,11 @@ circles with the sign (-1)^(number of 1 bits below the flipped index).
 ``LocalTables`` writes every map on the cube of resolutions: d, one cube
 edge at a time, and every chain map of a movie, one resolution pair at a
 time. Both share one table format (an entry per labeling of the consumed
-circles) and one routine that appends a map's columns from those tables.
+circles) and one routine that appends a map's columns from those tables,
+and one stored form: a column-major triple over generator ids, which
+``columns`` and ``apply`` read in place. ``ChainComplex.diff`` and
+``ChainMap.mats`` build ``SparseMatrix`` views of it, kept for tests and
+tools. No other module reads the triple.
 
 Khovanov proves d^2 = 0 one square of the cube at a time, and
 ``ChainComplex.validate`` checks it that way. Relative to the offsets of
@@ -49,6 +53,7 @@ __all__ = [
     "V_MINUS",
     "Gen",
     "ChainComplex",
+    "ChainMap",
     "build_complex",
     "LocalTables",
     "local_table",
@@ -285,10 +290,11 @@ class LocalTables:
     @staticmethod
     def fill(ptr, targets, values, size: int, pieces) -> None:
         """Append the ``pieces`` out of one source resolution, one column per
-        each of its ``size`` codes, to a column-major triple: rows to
-        ``targets``, entries to ``values`` and the end of each column to
-        ``ptr``. In a column the pieces come in order, each in table order,
-        at rows from the piece's ``row`` on."""
+        each of its ``size`` codes, to a map's own column-major triple (as
+        ``_Stored`` lays it out): rows to ``targets``, entries to ``values``
+        and the end of each column to ``ptr``. In a column the pieces come
+        in order, each in table order, at rows from the piece's ``row`` on.
+        This is the one writer of d and of every chain map's entries."""
         add_target, add_value, end = targets.append, values.append, ptr.append
         for code in range(size):
             for shape, entries, row, _ in pieces:
@@ -299,21 +305,76 @@ class LocalTables:
             end(len(values))
 
 
-class ChainComplex:
+class _Stored:
+    """A map between chain complexes, stored once, column-major, over
+    generator ids numbered degree by degree (``first[i]`` is the id of
+    degree i's first generator): column g of the source holds rows
+    ``targets[ptr[g]:ptr[g + 1]]`` of the target with entries at the same
+    places of ``values``, in the order they were appended. ``targets`` and
+    ``ptr`` are int arrays and ``values`` a list of shared ring elements,
+    about 20 bytes per entry. d and every chain map are stored so; each
+    subclass gives ``_ends()``: its source, its target and the degree the
+    map adds."""
+
+    def columns(self, i: int) -> list[dict]:
+        """Every column out of degree i as a dict row -> entry, rows counted
+        in the target's degree, in the order of the entries; none if the
+        source has no degree i."""
+        src, dst, step = self._ends()
+        g, base = src.first.get(i, 0), dst.first.get(i + step, 0)
+        ptr, targets, values = self.ptr, self.targets, self.values
+        return [{targets[k] - base: values[k] for k in range(ptr[c], ptr[c + 1])}
+                for c in range(g, g + src.dim(i))]
+
+    def apply(self, i: int, vec: dict) -> dict:
+        """The map out of degree i times a vector (dict col -> scalar),
+        reading only vec's columns."""
+        src, dst, step = self._ends()
+        g, base = src.first.get(i, 0), dst.first.get(i + step, 0)
+        ptr, targets, values, ring = self.ptr, self.targets, self.values, src.ring
+        out: dict = {}
+        for c in sorted(vec):
+            for k in range(ptr[g + c], ptr[g + c + 1]):
+                r = targets[k] - base
+                out[r] = out.get(r, ring.zero) + values[k] * vec[c]
+        return {r: v for r, v in out.items() if not ring.is_zero(v)}
+
+    def _add_times(self, acc: dict, other: "_Stored", g: int, negate: bool = False) -> dict:
+        """Add this map times column g of ``other``, a map into this map's
+        source, negated if ``negate``, to ``acc`` (a dict row -> entry by
+        generator ids), and return it."""
+        ptr, targets, values = self.ptr, self.targets, self.values
+        for k in range(other.ptr[g], other.ptr[g + 1]):
+            r, w = other.targets[k], other.values[k]
+            if negate:
+                w = -w
+            for k2 in range(ptr[r], ptr[r + 1]):
+                r2, x = targets[k2], values[k2] * w
+                s = acc.get(r2)
+                acc[r2] = x if s is None else s + x
+        return acc
+
+    def _view(self) -> dict[int, SparseMatrix]:
+        """The map out of every degree i of the source as a ``SparseMatrix``,
+        built from the arrays, its entries in their order."""
+        src, dst, step = self._ends()
+        return {i: SparseMatrix(dst.dim(i + step), src.dim(i), src.ring, {
+            (r, c): v for c, col in enumerate(self.columns(i)) for r, v in col.items()
+        }) for i in src.degrees()}
+
+
+class ChainComplex(_Stored):
     """Basis-indexed chain groups with sparse differentials d_i: C^i -> C^{i+1}.
 
     ``qs[i]`` is the q-grading of each generator of ``bases[i]``, in order.
     A resolution's generators sit together in its degree, in code order, so
     ``index`` is offset arithmetic rather than a table of generators.
 
-    d is stored once, column-major, over generator ids numbered degree by
-    degree (``first[i]`` is the id of degree i's first generator): column g
-    holds rows ``targets[ptr[g]:ptr[g + 1]]`` with entries at the same
-    places of ``values``, in the order ``LocalTables.fill`` appends them.
-    ``targets`` and ``ptr`` are int arrays and ``values`` a list of the
-    shared ring elements, about 18 bytes per entry. ``columns`` and
-    ``apply`` read d_i from them, and ``diff`` builds d_i as a
-    ``SparseMatrix`` on each access.
+    d is stored once in ``ptr``, ``targets`` and ``values``, in the one form
+    chain maps share (``_Stored``), in the order ``LocalTables.fill``
+    appends it. ``columns`` and ``apply`` read d_i in place; ``diff`` builds
+    every d_i as a ``SparseMatrix`` on each access, a view kept for tests
+    and tools.
 
     d is written through ``local``, a ``LocalTables`` at the same t over the
     same ring; complexes that share one, such as a movie's frames, share
@@ -421,32 +482,13 @@ class ChainComplex:
             fill(self.ptr, self.targets, self.values, size, pieces)
             self._edge_shapes[index] = [2 * shape[4] + (sign < 0) for shape, _, _, sign in pieces]
 
-    def columns(self, i: int) -> list[dict]:
-        """Every column of d_i as a dict row -> entry, rows counted in degree
-        i + 1, in the order of d's entries; none if there is no degree i."""
-        g, base = self.first.get(i, 0), self.first.get(i + 1, 0)
-        ptr, targets, values = self.ptr, self.targets, self.values
-        return [{targets[k] - base: values[k] for k in range(ptr[c], ptr[c + 1])}
-                for c in range(g, g + self.dim(i))]
-
-    def apply(self, i: int, vec: dict) -> dict:
-        """d_i times a vector (dict col -> scalar), reading only vec's columns."""
-        g, base = self.first.get(i, 0), self.first.get(i + 1, 0)
-        ptr, targets, values, zero = self.ptr, self.targets, self.values, self.ring.zero
-        out: dict = {}
-        for c in sorted(vec):
-            for k in range(ptr[g + c], ptr[g + c + 1]):
-                r = targets[k] - base
-                out[r] = out.get(r, zero) + values[k] * vec[c]
-        return {r: v for r, v in out.items() if not self.ring.is_zero(v)}
+    def _ends(self):
+        return self, self, 1
 
     @property
     def diff(self) -> dict[int, SparseMatrix]:
-        """d_i as a ``SparseMatrix`` for every degree i, built from the
-        arrays on each access, its entries in their order."""
-        return {i: SparseMatrix(self.dim(i + 1), self.dim(i), self.ring, {
-            (r, c): v for c, col in enumerate(self.columns(i)) for r, v in col.items()
-        }) for i in self.degrees()}
+        """d_i as a ``SparseMatrix`` for every degree i, built on each access."""
+        return self._view()
 
     def gen_differential(self, gen: Gen):
         """Image of a single generator as [(generator, integer coeff)]."""
@@ -646,6 +688,100 @@ class ChainComplex:
         if i + 1 not in self.bases:
             return {}
         return self.vec_to_chain(i + 1, self.apply(i, vec))
+
+
+class ChainMap(_Stored):
+    """A map of chain complexes, homogeneous of a fixed homological shift,
+    stored as d is (``_Stored``): columns over the source's generator ids,
+    rows over the target's. Degree i maps into degree i + shift of the
+    target (reference orientations of the two diagrams need not assign
+    crossings the same signs, so saddles may shift degrees).
+
+    ``fill`` writes it through the source's ``LocalTables``, and
+    ``compose`` writes a product; ``mats`` builds every f_i as a
+    ``SparseMatrix`` on each access, a view kept for tests and tools.
+    """
+
+    def __init__(self, src: ChainComplex, dst: ChainComplex, shift: int = 0):
+        self.src, self.dst, self.shift = src, dst, shift
+        self.ptr = array("l", [0])
+        self.targets = array("l")
+        self.values: list = []
+
+    def _ends(self):
+        return self.src, self.dst, self.shift
+
+    @property
+    def local(self) -> LocalTables:
+        """The routine the map is written through, with its memos: the
+        source complex's."""
+        return self.src.local
+
+    @property
+    def mats(self) -> dict[int, SparseMatrix]:
+        """f_i as a ``SparseMatrix`` for every source degree i, built on
+        each access."""
+        return self._view()
+
+    def piece(self, bits, tbits, consumed, created, table, sign=1, placed=None,
+              skip: frozenset = frozenset()):
+        """The piece from resolution ``bits`` of the source into ``tbits`` of
+        the target by the ``local_table`` named ``table`` on the ``consumed``
+        source circles and the ``created`` target circles, times ``sign``, as
+        ``LocalTables.piece`` describes."""
+        i = self.src._where[bits][0]
+        j, offset, _ = self.dst._where[tbits]
+        if j != i + self.shift:
+            raise InternalInvariantError(
+                f"chain map entry shifts degree by {j - i}, expected {self.shift}"
+            )
+        return self.local.piece(
+            self.src.resolutions[bits], self.dst.resolutions[tbits],
+            self.dst.first[j] + offset, consumed, created, table, sign, placed, skip,
+        )
+
+    def fill(self, pieces: Mapping) -> None:
+        """Append every column, one source resolution at a time in column
+        order, from the pieces (as ``piece`` gives them) that ``pieces``
+        lists under the resolution's bits; a resolution it does not list
+        gets empty columns."""
+        src, fill = self.src, self.local.fill
+        for bits in sorted(src.resolutions, key=sum):  # degree by degree
+            size = 1 << src.resolutions[bits].circle_count
+            fill(self.ptr, self.targets, self.values, size, pieces.get(bits, ()))
+
+    def apply_chain(self, chain: dict) -> dict:
+        if not chain:
+            return {}
+        i, vec = self.src.chain_to_vec(chain)
+        image = self.apply(i, vec)
+        return self.dst.vec_to_chain(i + self.shift, image) if image else {}
+
+    def verify(self) -> None:
+        """Commutation with both differentials, exactly, one column at a
+        time and by generator ids: for every generator e_g of the source,
+        f(d e_g) - d(f e_g) is summed in one dict and must vanish."""
+        src, dst = self.src, self.dst
+        for i in src.degrees():
+            for g in range(src.first[i], src.first[i] + src.dim(i)):
+                if any(dst._add_times(self._add_times({}, src, g), self, g, True).values()):
+                    raise InternalInvariantError(
+                        f"chain map does not commute with d at degree {i}"
+                    )
+
+    def compose(self, earlier: "ChainMap") -> "ChainMap":
+        """This map after ``earlier``, whose target is this map's source,
+        one column of ``earlier`` at a time."""
+        if earlier.dst is not self.src:
+            raise ValueError("composed chain maps must meet at one complex")
+        out = ChainMap(earlier.src, self.dst, earlier.shift + self.shift)
+        for g in range(len(earlier.ptr) - 1):
+            for r, x in self._add_times({}, earlier, g).items():
+                if x:
+                    out.targets.append(r)
+                    out.values.append(x)
+            out.ptr.append(len(out.values))
+        return out
 
 
 def carry_labels(

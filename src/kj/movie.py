@@ -7,10 +7,12 @@ its frames (for both t = 0 and t = 1):
 * Morse moves and forward R1/R2 moves are honest chain maps, machine
   checked to commute with the differentials. Each is a table on the labels
   of the circles the move consumes and creates, and the identity on every
-  other circle, filled in one resolution pair at a time by
-  ``cube.LocalTables``, the routine and table format d is written with;
-  the R2 map is the inclusion plus a ``_fold`` table, the contraction
-  through the circle part;
+  other circle, filled in one source resolution at a time by
+  ``cube.LocalTables``, the routine and table format d is written with,
+  into a ``cube.ChainMap``, stored in the one form d is stored in (its
+  ``mats`` is a view kept for tests and tools); the R2 map is the
+  inclusion plus a ``_fold`` table, the contraction through the circle
+  part, both pieces written in one call;
 * R1/R2 removals invert the homology isomorphism of the matching forward
   move;
 * R3 acts at homology level. Its pieces are tables on every generator: the
@@ -40,6 +42,7 @@ from functools import cached_property
 
 from .cube import (
     ChainComplex,
+    ChainMap,
     Gen,
     LocalTables,
     V_PLUS,
@@ -77,132 +80,44 @@ __all__ = ["Movie", "MovieMaps", "kj_number", "compatible_orientations"]
 # ---------------------------------------------------------------------------
 
 
-class ChainMap:
-    """A map of chain complexes, homogeneous of a fixed homological shift.
-
-    Matrices are keyed by source degree i and map into degree i + shift of
-    the target (reference orientations of the two diagrams need not assign
-    crossings the same signs, so saddles may shift degrees).
-    """
-
-    def __init__(self, src: ChainComplex, dst: ChainComplex, shift: int = 0):
-        self.src = src
-        self.dst = dst
-        self.shift = shift
-        self.mats: dict[int, SparseMatrix] = {}
-        for i in src.degrees():
-            self.mats[i] = SparseMatrix(dst.dim(i + shift), src.dim(i), src.ring)
-
-    @property
-    def local(self) -> LocalTables:
-        """The routine the map is written through, with its memos: the
-        source complex's."""
-        return self.src.local
-
-    def add_entry(self, gen_src: Gen, gen_dst: Gen, coeff) -> None:
-        i, col = self.src.index[gen_src]
-        j, row = self.dst.index[gen_dst]
-        if j != i + self.shift:
-            raise InternalInvariantError(
-                f"chain map entry shifts degree by {j - i}, expected {self.shift}"
-            )
-        self.mats[i].add_to(row, col, coeff)
-
-    def apply_chain(self, chain: dict) -> dict:
-        if not chain:
-            return {}
-        i, vec = self.src.chain_to_vec(chain)
-        if i not in self.mats:
-            return {}
-        return self.dst.vec_to_chain(i + self.shift, self.mats[i].apply(vec))
-
-    def verify(self) -> None:
-        """Commutation with both differentials, exactly, one column at a
-        time: for every generator e_c of degree i, f_{i+1}(d_i e_c) and
-        d_j(f_i e_c), j = i + shift, are summed in one dict and must cancel."""
-        f_cols = {i: m.columns() for i, m in self.mats.items()}
-        src, dst = self.src, self.dst
-        for i in src.degrees():
-            j = i + self.shift
-            # f_i has no rows when degree j of the target is empty, and at the
-            # top degree of the source d_i has none; d is read in place, its
-            # rows global ids
-            f_next, f_here = f_cols.get(i + 1), f_cols[i]
-            g, h = src.first[i], dst.first.get(j, 0)
-            top, low = src.first.get(i + 1, 0), dst.first.get(j + 1, 0)
-            for c in range(src.dim(i)):
-                acc: dict = {}
-                for k in range(src.ptr[g + c], src.ptr[g + c + 1]):
-                    v = src.values[k]
-                    for r2, w in f_next[src.targets[k] - top].items():
-                        s = acc.get(r2)
-                        acc[r2] = v * w if s is None else s + v * w
-                for r, v in f_here[c].items():
-                    for k in range(dst.ptr[h + r], dst.ptr[h + r + 1]):
-                        r2, w = dst.targets[k] - low, dst.values[k]
-                        s = acc.get(r2)
-                        acc[r2] = -(v * w) if s is None else s - v * w
-                if any(acc.values()):
-                    raise InternalInvariantError(
-                        f"chain map does not commute with d at degree {i}"
-                    )
-
-    def compose(self, earlier: "ChainMap") -> "ChainMap":
-        out = ChainMap(earlier.src, self.dst, earlier.shift + self.shift)
-        for i in out.mats:
-            j = i + earlier.shift
-            if i in earlier.mats and j in self.mats:
-                out.mats[i] = self.mats[j] * earlier.mats[i]
-        return out
-
-
-def _local_map(
-    cm: ChainMap, bits, tbits, consumed, created, table, sign=1, placed=None,
-    skip: frozenset = frozenset(),
-):
-    """Fill ``cm`` from resolution ``bits`` of its source into ``tbits`` of
-    its target by the ``local_table`` named ``table`` on the ``consumed``
-    source circles and the ``created`` target circles, times ``sign``, as
-    ``LocalTables.piece`` describes."""
-    src, dst = cm.src.resolutions[bits], cm.dst.resolutions[tbits]
-    # the all-v+ labeling has code 0, so it sits at the resolution's offset
-    i, col = cm.src.index[bits, (V_PLUS,) * src.circle_count]
-    j, row = cm.dst.index[tbits, (V_PLUS,) * dst.circle_count]
-    if j != i + cm.shift:
-        raise InternalInvariantError(
-            f"chain map entry shifts degree by {j - i}, expected {cm.shift}"
-        )
-    piece = cm.local.piece(src, dst, row, consumed, created, table, sign, placed, skip)
-    ptr, targets, values = [0], [], []
-    cm.local.fill(ptr, targets, values, 1 << src.circle_count, [piece])
-    data = cm.mats[i].data
-    size = len(data) + len(values)
-    cols = [c for c, (a, b) in enumerate(zip(ptr, ptr[1:]), col) for _ in range(a, b)]
-    data.update(zip(zip(targets, cols), values))
-    if len(data) != size:
-        raise InternalInvariantError("two terms of a cube map landed on one entry")
-
-
 def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
     """Chain map of a birth, death, or saddle (same crossing set)."""
     # a reconnection can change reference crossing signs, shifting degrees
     cm = ChainMap(c1, c2, shift=c1.n_minus - c2.n_minus)
+    pieces = {}
     for bits, res1 in c1.resolutions.items():
         res2 = c2.resolutions[bits]
         if rec.kind == "birth":
             lidx = res2.circle_index_of_edge(rec.data["loop"])
-            _local_map(cm, bits, bits, (), (lidx,), "birth")
+            piece = cm.piece(bits, bits, (), (lidx,), "birth")
         elif rec.kind == "death":
             lidx = res1.circle_index_of_edge(rec.data["loop"])
-            _local_map(cm, bits, bits, (lidx,), (), "death")
+            piece = cm.piece(bits, bits, (lidx,), (), "death")
         else:
             i1, i2 = map(res1.circle_index_of_edge, rec.data["feet"])
             if i1 != i2:
-                _local_map(cm, bits, bits, (i1, i2), _saddle_targets(rec, res2, 1), "merge")
+                piece = cm.piece(bits, bits, (i1, i2), _saddle_targets(rec, res2, 1), "merge")
             else:
-                _local_map(cm, bits, bits, (i1,), _saddle_targets(rec, res2, 2), "split")
+                piece = cm.piece(bits, bits, (i1,), _saddle_targets(rec, res2, 2), "split")
+        pieces[bits] = [piece]
+    cm.fill(pieces)
     cm.verify()
     return cm
+
+
+def elementary_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
+    """The checked chain map of a move other than a slide, from the complex
+    ``c1`` of its first frame to ``c2`` of its second; for an R1 or R2
+    removal, that of the matching addition, from ``c2`` to ``c1``."""
+    kind = rec.kind
+    if kind in ("birth", "death") or kind.startswith("saddle"):
+        return morse_chain_map(rec, c1, c2)
+    if kind not in ("r1_add", "r2_add", "r1_remove", "r2_remove"):
+        raise InternalInvariantError(f"no chain map for record kind {kind}")
+    forward = r1_chain_map if kind[:2] == "r1" else r2_chain_map
+    if kind.endswith("_remove"):
+        return forward(rec.data, c2, c1, {new: old for old, new in rec.crossing_map.items()})
+    return forward(rec.data, c1, c2, dict(rec.crossing_map))
 
 
 def _saddle_targets(rec: MoveRecord, res2, count: int) -> tuple[int, ...]:
@@ -248,6 +163,7 @@ def r1_chain_map(
     nbig = c_big.diagram.crossing_count
     # a right curl is a birth of the loop, a left curl split_minus_2x
     cm = ChainMap(c_small, c_big)
+    pieces = {}
     for bits, res1 in c_small.resolutions.items():
         host = res1.circle_index_of_edge(a_small)
         tbits = _embed_bits(bits, cross_embed, nbig, {cstar: 0 if hand == "left" else 1})
@@ -255,10 +171,12 @@ def r1_chain_map(
         lidx = res2.circle_index_of_edge(f1)
         midx = res2.circle_index_of_edge(a_big)
         if hand == "left":
-            _local_map(cm, bits, tbits, (host,), (midx, lidx), "split_minus_2x")
+            piece = cm.piece(bits, tbits, (host,), (midx, lidx), "split_minus_2x")
         else:
             sign = _change_twist(tbits, {cstar: 0})
-            _local_map(cm, bits, tbits, (), (lidx,), "birth", sign, {host: midx})
+            piece = cm.piece(bits, tbits, (), (lidx,), "birth", sign, {host: midx})
+        pieces[bits] = [piece]
+    cm.fill(pieces)
     cm.verify()
     return cm
 
@@ -287,6 +205,7 @@ def r2_chain_map(
     # parallel part: k1 -> 0, k2 -> 1 (k1 is the crossing whose 1-smoothing
     # joins the middle edges, per detect_r2_pattern)
     cm = ChainMap(c_small, c_big)
+    pieces = {}
     for bits, res1 in c_small.resolutions.items():
         tbits = _embed_bits(bits, cross_embed, nbig, {k1: 0, k2: 1})
         res2 = c_big.resolutions[tbits]
@@ -295,9 +214,10 @@ def r2_chain_map(
             for small_edge, big_edge in anchors.items()
         }
         sign = _change_twist(tbits, {k2: 0})
-        _local_map(cm, bits, tbits, (), (), "identity", sign, placed)
         # the inclusion lands where k2 = 1, the correction where k2 = 0
-        _fold(cm, bits, tbits, k1, k2, local, sign, placed)
+        pieces[bits] = [cm.piece(bits, tbits, (), (), "identity", sign, placed),
+                        _fold(cm, bits, tbits, k1, k2, local, sign, placed)]
+    cm.fill(pieces)
     cm.verify()
     return cm
 
@@ -310,12 +230,13 @@ def _spectator_parity_sign(bits, pattern_positions) -> int:
 
 
 def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):
-    """Fill ``cm`` from resolution ``bits`` of its source with the contraction
-    through ``tbits`` of its target, into which ``placed`` sends source
-    circles as in ``_local_map``: the cube edge at ``flip``, then the fold at
-    ``other``, identified with the unfolded resolution plus the small circle
-    of the ``local`` edges, born v+. The pair has one sign: ``sign`` times
-    the edge's, the identification's and the parity of the other 1-bits."""
+    """The piece of ``cm`` out of resolution ``bits`` of its source that is
+    the contraction through ``tbits`` of its target, into which ``placed``
+    sends source circles as in ``ChainMap.piece``: the cube edge at
+    ``flip``, then the fold at ``other``, identified with the unfolded
+    resolution plus the small circle of the ``local`` edges, born v+. The
+    pair has one sign: ``sign`` times the edge's, the identification's and
+    the parity of the other 1-bits."""
     dst, src = cm.dst, cm.src.resolutions[bits]
     res = dst.resolutions[tbits]
     mid = tbits[:flip] + (1,) + tbits[flip + 1 :]
@@ -342,8 +263,8 @@ def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):
         * _spectator_parity_sign(tbits, {flip, other})
     )
     # the small circle, created last, is born v+
-    _local_map(
-        cm, bits, fbits, tuple(on_t[c] for c in ends),
+    return cm.piece(
+        bits, fbits, tuple(on_t[c] for c in ends),
         tuple(folded[m] for m in news) + (on_f.index(V_PLUS),),
         "merge" if len(ends) == 2 else "split", sign, carried,
     )
@@ -608,16 +529,12 @@ class StepMap:
     def from_chain_map(cm: ChainMap, fh_src, fh_dst) -> "StepMap":
         mats = {}
         for i in sorted(fh_src.reps):
-            src_rank = fh_src.rank(i)
-            dst_rank = fh_dst.rank(i + cm.shift)
-            m = SparseMatrix(dst_rank, src_rank, cm.src.ring)
+            m = mats[i] = SparseMatrix(fh_dst.rank(i + cm.shift), fh_src.rank(i), cm.src.ring)
             for col, rep in enumerate(fh_src.reps[i]):
-                img = cm.mats[i].apply(rep) if i in cm.mats else {}
+                img = cm.apply(i, rep)
                 if img:
-                    coords = fh_dst.reduce(i + cm.shift, img)
-                    for r, v in coords.items():
+                    for r, v in fh_dst.reduce(i + cm.shift, img).items():
                         m.set(r, col, v)
-            mats[i] = m
         return StepMap(fh_src, fh_dst, mats, cm.shift)
 
     def inverse(self) -> "StepMap":
@@ -690,6 +607,7 @@ class _R3Transport:
         # labels follow circles matched by edges away from the triangle sides
         self.ident = ChainMap(c1, c2)
         skip = frozenset(self.sides1 + self.sides2)
+        pieces = {}
         for bits in c1.resolutions:
             if bits[self.r] == self.sigma1:
                 changes = {self.p: bits[self.q], self.q: bits[self.p], self.r: self.sigma2}
@@ -699,7 +617,8 @@ class _R3Transport:
                 continue
             tbits = tuple(changes.get(u, b) for u, b in enumerate(bits))
             sign = _change_twist(bits, changes)
-            _local_map(self.ident, bits, tbits, (), (), "identity", sign, skip=skip)
+            pieces[bits] = [self.ident.piece(bits, tbits, (), (), "identity", sign, skip=skip)]
+        self.ident.fill(pieces)
 
     def _open_bit(self, d, t, m, b):
         """Bit of the middle crossing that does not glue the two triangle
@@ -730,9 +649,8 @@ class _R3Transport:
             raise InternalInvariantError("slide fold admits no contraction corner")
         flip, other = (self.p, self.q) if xpat[self.p] == 0 else (self.q, self.p)
         cm = ChainMap(c, c)
-        for bits in c.resolutions:
-            if _matches(bits, xpat):
-                _fold(cm, bits, bits, flip, other, frozenset(sides))
+        cm.fill({bits: [_fold(cm, bits, bits, flip, other, frozenset(sides))]
+                 for bits in c.resolutions if _matches(bits, xpat)})
         return cm
 
     def class_map(self, fh1: FieldHomology, fh2: FieldHomology):
@@ -749,7 +667,7 @@ class _R3Transport:
             for col in self.c1.columns(i - 1):
                 ech.insert(col)
             basis = self.c1.bases[i]
-            fold = self.fold1.mats[i].columns()
+            fold = self.fold1.columns(i)
             for pos, (bits, _) in enumerate(basis):
                 if _matches(bits, self.x1):
                     ech.insert({pos: ring.one, **fold[pos]}, label=pos)
@@ -763,8 +681,8 @@ class _R3Transport:
                         "slide transport: no representative in the standard section"
                     )
                 # the contraction of the other side vanishes off its section
-                moved = self.ident.mats[i].apply(sol)
-                image = vec_add(ring, moved, self.fold2.mats[i].apply(moved))
+                moved = self.ident.apply(i, sol)
+                image = vec_add(ring, moved, self.fold2.apply(i, moved))
                 if not image:
                     continue
                 # the transported representative must again be a cycle
@@ -869,20 +787,13 @@ class MovieMaps:
             _invert_degree_matrices(mats)  # must be an isomorphism
             self._class_steps[k] = StepMap(fh1, fh2, mats, 0)
             return None
+        cm = elementary_chain_map(rec, c1, c2)
         if kind in ("r1_remove", "r2_remove"):
             # the inverse of the induced map of the matching addition
-            forward = r1_chain_map if kind == "r1_remove" else r2_chain_map
-            embed = {new: old for old, new in rec.crossing_map.items()}
-            cm = forward(rec.data, c2, c1, embed)
             fh1, fh2 = self.homologies[k], self.homologies[k + 1]
             self._class_steps[k] = StepMap.from_chain_map(cm, fh2, fh1).inverse()
             return None
-        if kind in ("r1_add", "r2_add"):
-            forward = r1_chain_map if kind == "r1_add" else r2_chain_map
-            return forward(rec.data, c1, c2, dict(rec.crossing_map))
-        if kind in ("birth", "death") or kind.startswith("saddle"):
-            return morse_chain_map(rec, c1, c2)
-        raise InternalInvariantError(f"unknown record kind {kind}")
+        return cm
 
     # -- composites ----------------------------------------------------------
 

@@ -64,20 +64,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.data
 
-    def copy(self) -> "SparseMatrix":
-        return SparseMatrix(self.rows, self.cols, self.ring, self.data)
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._check_shape(other)
-        m = self.copy()
-        for (r, c), v in other.data.items():
-            m.add_to(r, c, -v)
-        return m
-
-    def _check_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if not isinstance(other, SparseMatrix):
             return NotImplemented

@@ -309,21 +309,26 @@ def _leading_order_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) -> C
 
 
 def _difference_filtration(c_src, c_dst, cm0, cm1, chi, minimum_extra=1):
+    """Whether the t = 0 map is pure of q degree chi and the t = 1 map less
+    the t = 0 one raises q by at least chi + ``minimum_extra``, and the
+    least extra shift of that difference. Degree i of the source maps into
+    degree i + shift of the target, where each map's q is read."""
     ok = True
     min_shift = None
-    for i in cm0.mats:
-        # the t = 0 map must be pure of degree chi
-        for (r, c), _ in cm0.mats[i].data.items():
-            dq = c_dst.qs[i][r] - c_src.qs[i][c]
-            if dq != chi:
+    is_zero, zero = cm1.src.ring.is_zero, cm1.src.ring.zero
+    for i in c_src.degrees():
+        q_src, q_dst = c_src.qs[i], c_dst.qs.get(i + cm0.shift)
+        for c, (f0, f1) in enumerate(zip(cm0.columns(i), cm1.columns(i))):
+            # the t = 0 map must be pure of degree chi
+            if any(q_dst[r] - q_src[c] != chi for r in f0):
                 ok = False
-        delta = cm1.mats[i] - cm0.mats[i]
-        for (r, c), _ in delta.data.items():
-            dq = c_dst.qs[i][r] - c_src.qs[i][c]
-            extra = dq - chi
-            min_shift = extra if min_shift is None else min(min_shift, extra)
-            if extra < minimum_extra:
-                ok = False
+            for r in f0.keys() | f1.keys():
+                if is_zero(f1.get(r, zero) - f0.get(r, zero)):
+                    continue
+                extra = q_dst[r] - q_src[c] - chi
+                min_shift = extra if min_shift is None else min(min_shift, extra)
+                if extra < minimum_extra:
+                    ok = False
     return ok, min_shift
 
 

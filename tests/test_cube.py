@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from kj import cube
-from kj.corpus import DIAGRAMS
+from kj.corpus import DIAGRAMS, load_movie
 from kj.cube import (
     V_MINUS,
     V_PLUS,
@@ -22,6 +22,8 @@ from kj.cube import (
 from kj.diagram import parse_pd, resolve
 from kj.errors import InternalInvariantError, PDValidationError
 from kj.laurent import Laurent
+from kj.moves import R1Move, R2Move
+from kj.movie import Movie, elementary_chain_map
 from kj.rings import GF, QQ, ZZ
 from kj.sparse import SparseMatrix
 
@@ -94,8 +96,9 @@ def test_lee_differential_is_graded_plus_degree_four():
         for i in c1.degrees():
             if i + 1 not in c1.bases:
                 continue
-            delta = c1.diff[i] - c0.diff[i]
-            for (r, col), _ in delta.data.items():
+            d0, d1 = c0.diff[i].data, c1.diff[i].data
+            delta = [key for key in d0.keys() | d1.keys() if d1.get(key, 0) != d0.get(key, 0)]
+            for r, col in delta:
                 dq = c1.q_of(c1.bases[i + 1][r]) - c1.q_of(c1.bases[i][col])
                 assert dq == 4
 
@@ -234,15 +237,32 @@ def test_columns_and_apply_read_the_arrays_as_the_view_does(t, ring):
     rng = random.Random(2100 + 10 * t + ring.characteristic)
     for text in [*DIAGRAMS.values(), torus_pd(3), torus_pd(5)]:
         c = build_complex(parse_pd(text), t, ring)
-        view = c.diff
-        assert c.columns(max(c.degrees()) + 1) == []
-        for i in c.degrees():
-            assert [list(col.items()) for col in c.columns(i)] \
-                == [list(col.items()) for col in view[i].columns()], (text, i)
-            for _ in range(4):
-                picked = rng.sample(range(c.dim(i)), min(c.dim(i), rng.randint(1, 5)))
-                vec = {k: ring.from_int(rng.choice((-2, -1, 1, 3))) for k in picked}
-                assert list(c.apply(i, vec).items()) == list(view[i].apply(vec).items())
+        _assert_reads_as_view(c, c.diff, rng, text)
+    # d and the chain maps share one stored form and its readers: every
+    # elementary chain map of a movie with each kind of move
+    movie = load_movie("torus-noise")
+    local = cube.LocalTables(t, ring)
+    frames = [build_complex(f, t, ring, local) for f in movie.frames]
+    maps = [elementary_chain_map(rec, c1, c2)
+            for rec, c1, c2 in zip(movie.records, frames, frames[1:])]
+    assert {"birth", "death", "saddle_merge", "saddle_split", "r1_add", "r1_remove",
+            "r2_add", "r2_remove"} == {rec.kind for rec in movie.records}
+    for rec, cm in zip(movie.records, maps):
+        assert cm.values
+        _assert_reads_as_view(cm, cm.mats, rng, rec.kind)
+
+
+def _assert_reads_as_view(stored, view, rng, label):
+    """``columns`` and ``apply`` of a stored map (d or a chain map) read as
+    its ``SparseMatrix`` view does, entry order included."""
+    assert stored.columns(max(view) + 1) == []
+    for i, m in view.items():
+        assert [list(col.items()) for col in stored.columns(i)] \
+            == [list(col.items()) for col in m.columns()], (label, i)
+        for _ in range(4):
+            picked = rng.sample(range(m.cols), min(m.cols, rng.randint(1, 5)))
+            vec = {k: m.ring.from_int(rng.choice((-2, -1, 1, 3))) for k in picked}
+            assert list(stored.apply(i, vec).items()) == list(m.apply(vec).items()), (label, i)
 
 
 def test_stored_differential_takes_at_most_32_bytes_an_entry():
@@ -261,6 +281,27 @@ def test_stored_differential_takes_at_most_32_bytes_an_entry():
             tracemalloc.stop()
         assert entries > 5000
         assert 8 * entries <= stored <= 32 * entries, (t, stored / entries)
+    # chain maps are stored as d is: R1 and R2 maps on T(2,5), built on
+    # frames built beforehand; a dict per degree took 40 to 120 bytes an
+    # entry here
+    d = parse_pd(torus_pd(5))
+    for move in (R1Move("add", 1, "left"), R1Move("add", 1, "right"), R2Move("add", (1, 3)),
+                 R2Move("add", (1, 6), True)):
+        movie = Movie(d, [move])
+        for t, ring in ((0, ZZ), (1, QQ)):
+            local = cube.LocalTables(t, ring)
+            c1, c2 = (build_complex(f, t, ring, local) for f in movie.frames)
+            tracemalloc.start()
+            try:
+                cm = elementary_chain_map(movie.records[0], c1, c2)
+                held = tracemalloc.get_traced_memory()[0]
+                entries = len(cm.values)
+                del cm.ptr, cm.targets, cm.values
+                stored = held - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert entries > 200
+            assert 8 * entries <= stored <= 32 * entries, (move, t, stored / entries)
 
 
 @pytest.mark.parametrize("t", [0, 1])

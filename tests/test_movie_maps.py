@@ -240,6 +240,9 @@ def test_frames_and_chain_maps_share_one_set_of_local_tables():
         local = maps.complexes[0].local
         assert all(c.local is local for c in maps.complexes)
         assert all(cm.local is local for cm in maps.chain_steps if cm is not None)
+        # the chain maps are stored as d is, by the class kj.movie re-exports
+        assert ChainMap is kj.cube.ChainMap
+        assert all(type(cm) is ChainMap for cm in maps.chain_steps if cm is not None)
         # the frames' squares are summed once per shape, over the movie
         squares = sum(
             len(ids) * (len(ids) - 1) // 2
@@ -255,14 +258,13 @@ def test_chain_map_check_catches_every_flipped_r2_entry():
         mv = Movie(parse_pd(text), [R2Move("add", edges)])
         for t in (0, 1):
             cm = MovieMaps(mv, t=t).chain_steps[0]
-            entries = [(m, key) for m in cm.mats.values() for key in list(m.data)]
-            assert entries
-            for m, key in entries:
-                v = m.data[key]
-                m.data[key] = -v
+            # every stored value, flipped in place
+            assert cm.values
+            for k, v in enumerate(cm.values):
+                cm.values[k] = -v
                 with pytest.raises(InternalInvariantError):
                     cm.verify()
-                m.data[key] = v
+                cm.values[k] = v
             cm.verify()
 
 
@@ -312,9 +314,25 @@ def _saddle_split_targets(rec, res2):
     return res2.circle_index_of_edge(e1), res2.circle_index_of_edge(e2)
 
 
+class _RefMap:
+    """A reference chain map, collected entry by entry into its own
+    ``SparseMatrix`` per source degree."""
+
+    def __init__(self, src, dst, shift=0):
+        self.src, self.dst, self.shift = src, dst, shift
+        self.mats = {i: SparseMatrix(dst.dim(i + shift), src.dim(i), src.ring)
+                     for i in src.degrees()}
+
+    def add_entry(self, gen_src, gen_dst, coeff):
+        i, col = self.src.index[gen_src]
+        j, row = self.dst.index[gen_dst]
+        assert j == i + self.shift
+        self.mats[i].add_to(row, col, coeff)
+
+
 def _ref_morse(rec, c1, c2):
     t, ring = c1.t, c1.ring
-    cm = ChainMap(c1, c2, shift=c1.n_minus - c2.n_minus)
+    cm = _RefMap(c1, c2, shift=c1.n_minus - c2.n_minus)
     for bits, res1 in c1.resolutions.items():
         res2 = c2.resolutions[bits]
         if rec.kind == "birth":
@@ -358,7 +376,7 @@ def _ref_r1(rec_data, c_small, c_big, cross_embed):
     ((a_small, a_big),) = rec_data["anchors"].items()
     t, ring = c_small.t, c_small.ring
     nbig = c_big.diagram.crossing_count
-    cm = ChainMap(c_small, c_big)
+    cm = _RefMap(c_small, c_big)
     for bits, res1 in c_small.resolutions.items():
         host = res1.circle_index_of_edge(a_small)
         tbits = _embed_bits(bits, cross_embed, nbig, {cstar: 0 if hand == "left" else 1})
@@ -388,7 +406,7 @@ def _ref_r2(rec_data, c_small, c_big, cross_embed):
     k1, k2, m1, m2 = (rec_data[key] for key in ("k1", "k2", "m1", "m2"))
     ring = c_small.ring
     nbig = c_big.diagram.crossing_count
-    incl = ChainMap(c_small, c_big)
+    incl = _RefMap(c_small, c_big)
     for bits, res1 in c_small.resolutions.items():
         tbits = _embed_bits(bits, cross_embed, nbig, {k1: 0, k2: 1})
         res2 = c_big.resolutions[tbits]
@@ -400,7 +418,7 @@ def _ref_r2(rec_data, c_small, c_big, cross_embed):
         for gen in _ref_gens_at(c_small, bits):
             tlabels = carry_labels(res1, res2, gen[1], placed)
             incl.add_entry(gen, (tbits, tlabels), ring.from_int(sign))
-    alpha = ChainMap(c_small, c_big)
+    alpha = _RefMap(c_small, c_big)
     for i, m in incl.mats.items():
         for (row, col), v in m.data.items():
             gen_big = c_big.bases[i][row]
@@ -455,13 +473,30 @@ def test_chain_maps_match_generator_by_generator():
     for movie in _reference_movies():
         for t in (0, 1):
             for cm, ref in _elementary_chain_maps(movie, t):
-                assert cm.mats.keys() == ref.mats.keys()
-                for i, m in cm.mats.items():
+                mats = cm.mats
+                assert mats.keys() == ref.mats.keys()
+                for i, m in mats.items():
                     assert m.shape() == ref.mats[i].shape()
                     assert m.data == ref.mats[i].data
         kinds.update(rec.kind for rec in movie.records)
     assert {"birth", "death", "saddle_merge", "saddle_split",
             "r1_add", "r1_remove", "r2_add", "r2_remove"} <= kinds
+
+
+def test_composite_is_the_product_of_the_views():
+    # compose multiplies the stored columns in place; the views' product is
+    # the reference, and no zero is stored
+    for name in ("torus", "genus2", "sphere"):
+        for t in (0, 1):
+            steps = MovieMaps(load_movie(name), t).chain_steps
+            total, want = steps[0], steps[0].mats
+            for cm in steps[1:]:
+                total = cm.compose(total)
+                want = {i: cm.mats[i + total.shift - cm.shift] * m for i, m in want.items()}
+                assert (total.src, total.dst) == (steps[0].src, cm.dst)
+                got = total.mats
+                assert {i: m.data for i, m in got.items()} == {i: m.data for i, m in want.items()}
+                assert len(total.values) == sum(len(m.data) for m in got.values())
 
 
 def test_q_complexes_and_chain_maps_hold_ints():

@@ -12,6 +12,7 @@ from kj.sparse import solve_in_image
 from kj.verify import (
     corollary_suite,
     euler_oracle_suite,
+    leading_order_check,
     leading_order_suite,
     random_cancelling_insertion,
     rmoves_suite,
@@ -20,7 +21,7 @@ from kj.verify import (
     verify_proposition,
 )
 
-from diagrams import R3_UNKNOT, TREFOIL, UNKNOT, UNLINK2
+from diagrams import CURL, R3_UNKNOT, TREFOIL, UNKNOT, UNLINK2
 
 
 def test_birth_proposition_example():
@@ -116,6 +117,21 @@ def test_suites_all_green():
         leading_order_suite(),
     ):
         assert all(r.ok for r in reports), [r.line() for r in reports if not r.ok]
+
+
+def test_leading_order_reads_q_at_the_target_degree_of_a_shifting_saddle():
+    # these saddles change the reference crossing signs, so their chain maps
+    # send degree i to i - 1: the check reads the target's q at i - 1 and
+    # gives a report (the t = 0 map has q degree -4 where chi = -1)
+    for text, saddle in ((CURL, Saddle((1, 2), "left")), (CURL, Saddle((2, 1), "right")),
+                         (R3_UNKNOT, Saddle((2, 6), "left"))):
+        mv = Movie(parse_pd(text), [saddle])
+        assert MovieMaps(mv, t=0).chain_steps[0].shift == -1
+        report = leading_order_check(mv)
+        assert not report.ok
+        (move,) = report.details["moves"]
+        assert (move["checked"], move["chi"], move["min_extra_shift"]) == (True, -1, 1)
+        assert report.details["composite_min_extra"] == 1
 
 
 def test_insertion_invariance_nonclosed():

@@ -1,8 +1,12 @@
 """Print the stage table of ROADMAP.md's Baseline: for T(2,n), the time of
 ``ChainComplex(...)``, of ``validate()`` and of ``homology()``, the entries
 of d, and the peak RSS before the build, after it and at the end, under
-Khovanov homology over Z and Lee homology over Q. Each row runs in a fresh
-subprocess, so that its RSS is its own. Standard library only.
+Khovanov homology over Z and Lee homology over Q. Then, for the
+``torus-noise`` movie at t = 0 and 1 over Q, the time to build and verify
+its elementary chain maps (Morse, R1 and R2, a removal's by its forward
+map) on frames built beforehand, their stored entries, and the peak RSS
+before and after. Each row runs in a fresh subprocess, so that its RSS is
+its own. Standard library only.
 
     python3 tools/cube_stages.py [n ...]    (default: 9 11)
 """
@@ -20,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 THEORIES = (("Kh", 0, "Z"), ("Lee", 1, "Q"))
+MOVIE = "torus-noise"
 
 
 def torus_pd(n: int) -> str:
@@ -60,20 +65,49 @@ def stages(n: int, t: int, ring_name: str) -> dict:
     return row
 
 
+def chain_map_stages(name: str, t: int) -> dict:
+    """One chain-map row, measured in this process."""
+    from kj.corpus import load_movie
+    from kj.cube import LocalTables, build_complex
+    from kj.movie import elementary_chain_map
+    from kj.rings import QQ
+
+    movie = load_movie(name)
+    local = LocalTables(t, QQ)  # shared by the frames and maps, as in MovieMaps
+    built = {f: build_complex(f, t, QQ, local) for f in dict.fromkeys(movie.frames)}
+    frames = [built[f] for f in movie.frames]
+    row = {"rss_before_mib": _rss_mib()}
+    start = time.perf_counter()
+    maps = [elementary_chain_map(rec, c1, c2)
+            for rec, c1, c2 in zip(movie.records, frames, frames[1:]) if rec.kind != "r3"]
+    row["maps_s"] = time.perf_counter() - start
+    row["maps"] = len(maps)
+    row["entries"] = sum(len(cm.values) for cm in maps)
+    row["rss_end_mib"] = _rss_mib()
+    return row
+
+
+def _run_row(*args) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, "--row", *map(str, args)],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out)
+
+
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--row"]:  # one row, in a subprocess of the table below
+    if argv[:1] == ["--row"]:  # one row, in a subprocess of the tables below
         sys.path.insert(0, str(SRC))
-        print(json.dumps(stages(int(argv[1]), int(argv[2]), argv[3])))
+        if len(argv) == 3:
+            print(json.dumps(chain_map_stages(argv[1], int(argv[2]))))
+        else:
+            print(json.dumps(stages(int(argv[1]), int(argv[2]), argv[3])))
         return 0
     print("| workload | `ChainComplex` | `validate` | `homology()` | entries of d | RSS |")
     print("|---|---|---|---|---|---|")
     for n in map(int, argv or ["9", "11"]):
         for theory, t, ring in THEORIES:
-            out = subprocess.run(
-                [sys.executable, __file__, "--row", str(n), str(t), ring],
-                check=True, capture_output=True, text=True,
-            ).stdout
-            r = json.loads(out)
+            r = _run_row(n, t, ring)
             print(
                 f"| T(2,{n}) {theory} over {ring} ({r['generators']:,} gens) "
                 f"| {r['complex_s']:.3f} s | {r['validate_s']:.3f} s "
@@ -82,6 +116,16 @@ def main(argv: list[str]) -> int:
                 f"{r['rss_end_mib']:.0f} MiB |",
                 flush=True,
             )
+    print()
+    print("| movie | chain maps, built and verified | stored entries | RSS |")
+    print("|---|---|---|---|")
+    for t in (0, 1):
+        r = _run_row(MOVIE, t)
+        print(
+            f"| {MOVIE} at t = {t} over Q ({r['maps']} maps) | {r['maps_s'] * 1000:.2f} ms "
+            f"| {r['entries']:,} | {r['rss_before_mib']:.0f} → {r['rss_end_mib']:.0f} MiB |",
+            flush=True,
+        )
     return 0
 
 
