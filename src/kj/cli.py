@@ -201,17 +201,15 @@ def cmd_movie(args) -> int:
         lines.append(f"n = {n}")
     else:
         t = 0 if args.theory == "kh" else 1
-        maps = MovieMaps(movie, t=t)
-        total = maps.composite_step().in_greedy_bases()
-        mats = {
-            str(i): m.to_json() for i, m in sorted(total.mats.items()) if m.rows or m.cols
+        shift, mats = MovieMaps(movie, t=t).induced_map()
+        blocks = {i: m for i, m in sorted(mats.items()) if m.rows or m.cols}
+        payload["induced_map"] = {
+            "t": t, "shift": shift,
+            "matrices": {str(i): m.to_json() for i, m in blocks.items()},
         }
-        payload["induced_map"] = {"t": t, "shift": total.shift, "matrices": mats}
         lines.append(f"induced map on homology (t = {t}):")
-        for i, m in sorted(total.mats.items()):
-            if not (m.rows or m.cols):
-                continue
-            lines.append(f"  degree {i} -> {i + total.shift}: "
+        for i, m in blocks.items():
+            lines.append(f"  degree {i} -> {i + shift}: "
                          f"{m.rows}x{m.cols} matrix")
             for (r, c), v in sorted(m.data.items()):
                 lines.append(f"    [{r},{c}] = {v}")

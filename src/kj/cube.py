@@ -17,7 +17,8 @@ circles) and one routine that appends a map's columns from those tables,
 and one stored form: a column-major triple over generator ids, which
 ``columns`` and ``apply`` read in place. ``ChainComplex.diff`` and
 ``ChainMap.mats`` build ``SparseMatrix`` views of it, kept for tests and
-tools. No other module reads the triple.
+tools. Elsewhere in kj only ``homology._summands`` reads the triple,
+to cut d's blocks from it.
 
 Khovanov proves d^2 = 0 one square of the cube at a time, and
 ``ChainComplex.validate`` checks it that way. Relative to the offsets of

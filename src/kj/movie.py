@@ -20,9 +20,12 @@ its frames (for both t = 0 and t = 1):
   side. Each degree's representatives are decomposed, modulo boundaries,
   through one echelon form and carried by those tables.
 
-Composing the per-move maps yields the cobordism-induced map; for a closed
-movie (empty diagram to empty diagram) at t = 0 the image of the generator
-is the Khovanov-Jacobsson number up to sign.
+The cobordism-induced map is read one way, by ``MovieMaps.push``: a cycle
+of the first frame is carried through the moves one at a time, by a move's
+chain map where it has one, else reduced to its class, sent by the class
+map and lifted back to a cycle. For a closed movie (empty diagram to empty
+diagram) at t = 0 the image of the generator is the Khovanov-Jacobsson
+number up to sign.
 
 One strand correspondence per move says which link component continues
 which: ``strand_links`` lists, for each component of the later frame, the
@@ -70,7 +73,7 @@ from .moves import (
     move_to_json,
 )
 from .rings import QQ, Ring
-from .sparse import SparseMatrix, _Echelon, vec_add
+from .sparse import SparseMatrix, _Echelon, vec_add, vec_scale
 
 __all__ = ["Movie", "MovieMaps", "kj_number", "compatible_orientations"]
 
@@ -488,36 +491,14 @@ def compatible_orientations(movie: Movie, o_in) -> set[tuple[bool, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# homology-level steps and composition
+# homology-level steps
 # ---------------------------------------------------------------------------
 
 
-def _invert_degree_matrices(mats: dict[int, SparseMatrix]) -> dict[int, SparseMatrix]:
-    out = {}
-    for i, m in mats.items():
-        if m.rows != m.cols:
-            raise InternalInvariantError(
-                f"induced map at degree {i} is not square ({m.rows}x{m.cols})"
-            )
-        ech = _Echelon(m.ring)
-        for j, col in enumerate(m.columns()):
-            ech.insert(col, label=j)
-        inv = SparseMatrix(m.cols, m.rows, m.ring)
-        for col in range(m.rows):
-            sol = ech.membership({col: m.ring.one})
-            if sol is None:
-                raise InternalInvariantError(
-                    f"induced map at degree {i} is not invertible"
-                )
-            for r, v in sol.items():
-                inv.set(r, col, v)
-        out[i] = inv
-    return out
-
-
 class StepMap:
-    """Homology-level map of one move: matrices keyed by source degree,
-    mapping into degree i + shift of the target."""
+    """Homology-level map of one move with no chain map (an R1/R2 removal or
+    an R3): matrices keyed by source degree, mapping into degree i + shift
+    of the target."""
 
     def __init__(self, fh_src: FieldHomology, fh_dst: FieldHomology, mats, shift: int = 0):
         self.fh_src = fh_src
@@ -538,11 +519,29 @@ class StepMap:
         return StepMap(fh_src, fh_dst, mats, cm.shift)
 
     def inverse(self) -> "StepMap":
-        inverted = _invert_degree_matrices(self.mats)
-        mats = {i + self.shift: m for i, m in inverted.items()}
+        """The inverse map; raises unless every matrix is invertible."""
+        mats = {}
+        for i, m in self.mats.items():
+            if m.rows != m.cols:
+                raise InternalInvariantError(
+                    f"induced map at degree {i} is not square ({m.rows}x{m.cols})"
+                )
+            ech = _Echelon(m.ring)
+            for j, col in enumerate(m.columns()):
+                ech.insert(col, label=j)
+            inv = mats[i + self.shift] = SparseMatrix(m.cols, m.rows, m.ring)
+            for col in range(m.rows):
+                sol = ech.membership({col: m.ring.one})
+                if sol is None:
+                    raise InternalInvariantError(
+                        f"induced map at degree {i} is not invertible"
+                    )
+                for r, v in sol.items():
+                    inv.set(r, col, v)
         return StepMap(self.fh_dst, self.fh_src, mats, -self.shift)
 
     def compose_after(self, earlier: "StepMap") -> "StepMap":
+        # only push's reference test calls this; the benchmark tracer names it
         mats = {}
         for i, m in earlier.mats.items():
             j = i + earlier.shift
@@ -553,26 +552,6 @@ class StepMap:
         return StepMap(
             earlier.fh_src, self.fh_dst, mats, earlier.shift + self.shift
         )
-
-    def apply_class(self, i: int, coords: dict) -> dict:
-        if i not in self.mats:
-            return {}
-        return self.mats[i].apply(coords)
-
-    def in_greedy_bases(self) -> "StepMap":
-        """The same map written on the greedy bases of both ends
-        (``FieldHomology.greedy_coordinates``), as ``kj movie`` prints it."""
-        mats = {}
-        for i, m in self.mats.items():
-            out = SparseMatrix(m.rows, m.cols, m.ring)
-            if m.data:
-                for col, rep in enumerate(self.fh_src.greedy_reps(i)):
-                    img = m.apply(self.fh_src.reduce(i, rep))
-                    coords = self.fh_dst.greedy_coordinates(i + self.shift, img)
-                    for r, v in coords.items():
-                        out.set(r, col, v)
-            mats[i] = out
-        return StepMap(self.fh_src, self.fh_dst, mats, self.shift)
 
 
 # -- R3 transport ---------------------------------------------------------------
@@ -737,11 +716,12 @@ class MovieMaps:
     built and its d^2 = 0 checked once, and its ``FieldHomology`` built
     once. The table of distinct frames lives in this instance only.
 
-    The chain maps, one per move, are built and checked here. A frame's
-    homology and a chain map's class map are built on first use of
-    ``homologies`` and ``steps``, so the chain path builds no class at all;
-    a slide or a removal has no chain map, and its class map is built and
-    checked to be invertible here."""
+    The chain maps, one per move, are built and checked here. A slide or a
+    removal has no chain map: its class map is built here, on the frames'
+    homologies, and checked to be invertible. ``homologies`` is otherwise
+    built on first use. ``push`` carries a vector of the first frame through
+    every move, and is how every reader reads the movie's map, so a movie of
+    chain maps alone builds no homology unless a reader asks for a class."""
 
     def __init__(self, movie: Movie, t: int, ring: Ring | None = None):
         self.movie = movie
@@ -767,14 +747,10 @@ class MovieMaps:
         built = {c: FieldHomology(c) for c in dict.fromkeys(self.complexes)}
         return [built[c] for c in self.complexes]
 
-    @cached_property
-    def steps(self) -> list[StepMap]:
-        fhs = self.homologies
-        return [
-            self._class_steps[k] if cm is None
-            else StepMap.from_chain_map(cm, fhs[k], fhs[k + 1])
-            for k, cm in enumerate(self.chain_steps)
-        ]
+    @property
+    def chain_level(self) -> bool:
+        """Whether the movie has a move and every move a chain map."""
+        return bool(self.chain_steps) and None not in self.chain_steps
 
     def _build_step(self, k: int, rec: MoveRecord) -> ChainMap | None:
         """The chain map of move k, or None when the move has only a class
@@ -783,9 +759,9 @@ class MovieMaps:
         kind = rec.kind
         if kind == "r3":
             fh1, fh2 = self.homologies[k], self.homologies[k + 1]
-            mats = _R3Transport(rec, c1, c2).class_map(fh1, fh2)
-            _invert_degree_matrices(mats)  # must be an isomorphism
-            self._class_steps[k] = StepMap(fh1, fh2, mats, 0)
+            step = StepMap(fh1, fh2, _R3Transport(rec, c1, c2).class_map(fh1, fh2))
+            step.inverse()  # must be an isomorphism
+            self._class_steps[k] = step
             return None
         cm = elementary_chain_map(rec, c1, c2)
         if kind in ("r1_remove", "r2_remove"):
@@ -795,23 +771,52 @@ class MovieMaps:
             return None
         return cm
 
-    # -- composites ----------------------------------------------------------
+    # -- reading the movie's map ---------------------------------------------
 
-    def composite_step(self) -> StepMap:
-        if not self.steps:
-            fh = self.homologies[0]
-            mats = {
-                i: SparseMatrix.identity(fh.rank(i), self.ring)
-                for i in sorted(fh.reps)
-            }
-            return StepMap(fh, fh, mats, 0)
-        total = self.steps[0]
-        for step in self.steps[1:]:
-            total = step.compose_after(total)
-        return total
+    def push(self, i: int, vec: dict) -> tuple[int, dict]:
+        """A degree-i vector of the first frame's complex carried to the last
+        frame, as (degree, vector). A move with a chain map applies it; a move
+        with only a class map reduces the cycle on its source frame, applies
+        its matrix and lifts the class by the target frame's ``reps``."""
+        ring = self.ring
+        for k, cm in enumerate(self.chain_steps):
+            if cm is not None:
+                vec, i = cm.apply(i, vec), i + cm.shift
+                continue
+            step = self._class_steps[k]
+            m = step.mats.get(i)
+            coords = m.apply(step.fh_src.reduce(i, vec)) if vec and m else {}
+            i += step.shift
+            vec = {}
+            for r, x in coords.items():
+                vec = vec_add(ring, vec, vec_scale(ring, x, step.fh_dst.reps[i][r]))
+        return i, vec
+
+    def induced_map(self) -> tuple[int, dict[int, SparseMatrix]]:
+        """The map on homology from the first frame to the last, as (shift,
+        {degree i: matrix into degree i + shift}) for every degree of the
+        first frame's complex, on the greedy bases of both ends
+        (``FieldHomology.greedy_coordinates``), as ``kj movie`` prints it. A
+        degree whose leftover representatives all map to zero builds no
+        greedy basis."""
+        fh0, fh1 = self.homologies[0], self.homologies[-1]
+        shift = self.push(0, {})[0]  # the zero vector carries only its degree
+
+        def image(i, rep):
+            j, vec = self.push(i, rep)
+            return fh1.reduce(j, vec) if vec else {}
+
+        mats = {}
+        for i in sorted(fh0.reps):
+            m = mats[i] = SparseMatrix(fh1.rank(i + shift), fh0.rank(i), self.ring)
+            if any(image(i, rep) for rep in fh0.reps[i]):
+                for col, rep in enumerate(fh0.greedy_reps(i)):
+                    for r, v in fh1.greedy_coordinates(i + shift, image(i, rep)).items():
+                        m.set(r, col, v)
+        return shift, mats
 
     def chain_composite(self) -> ChainMap | None:
-        if not self.chain_steps or None in self.chain_steps:
+        if not self.chain_level:
             return None
         total = self.chain_steps[0]
         for cm in self.chain_steps[1:]:
@@ -824,12 +829,10 @@ def kj_number(movie: Movie) -> int:
     if not movie.is_closed:
         raise IllegalMoveError("the movie is not closed (empty to empty)")
     maps = MovieMaps(movie, t=0)
-    total = maps.composite_step()
-    m = total.mats.get(0)
-    if m is None or m.rows != 1 or m.cols != 1:
-        raise InternalInvariantError("empty-diagram homology is not rank one")
-    val = m.get(0, 0)
-    frac = Fraction(val)
+    i, image = maps.push(0, {0: maps.ring.one})
+    if i != 0:
+        raise InternalInvariantError(f"the generator maps into degree {i}, not 0")
+    frac = Fraction(image.get(0, 0))
     if frac.denominator != 1:
         raise InternalInvariantError(f"induced map is not integral: {frac}")
     return abs(frac.numerator)

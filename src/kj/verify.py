@@ -34,7 +34,7 @@ from .movie import (
 )
 from .moves import MOVE_JSON, Birth, Death, Move, R1Move, R2Move, R3Move, Saddle, apply_move
 from .rings import QQ, half_power_sign
-from .sparse import _Echelon, solve_in_image, vec_sub
+from .sparse import _Echelon, vec_sub
 
 __all__ = [
     "verify_proposition",
@@ -87,54 +87,57 @@ def _twice_exponent(d: PlanarDiagram, orientation) -> int:
 
 def _canonical_coefficients(maps: MovieMaps, chains: list[dict], finals) -> list:
     """For each cycle of ``chains`` on the first frame, the coefficients of
-    its image on the last frame's canonical cycles of ``finals``, by position
-    in ``finals``, with the level they were read at: "chain" when every move
-    is a chain map and the pushed chain expands on canonical chains, else
-    "class", from homology classes. The coefficients are None when the
-    image is outside the canonical span. The composite, the canonical
-    cycles and their echelon forms are built once for all the chains."""
+    its image (``MovieMaps.push``) on the last frame's canonical cycles of
+    ``finals``, by position in ``finals``, with the level they were read at:
+    "chain" when the movie has a move, every move is a chain map and the
+    image expands on the canonical chains, else "class", from homology
+    classes on the last frame. The coefficients are None when the image is
+    outside the canonical span. The canonical cycles and their echelon forms
+    are built once for all the chains."""
     c1, c2 = maps.complexes[0], maps.complexes[-1]
-    cm = maps.chain_composite()
-    canonical = [canonical_chain(c2, o) for o in finals]
-    span = None if cm is None else _canonical_span(c2.ring, canonical)
-    classes = None
+    canonical = [c2.chain_to_vec(canonical_chain(c2, o)) for o in finals]
+    chain_span = _canonical_span(c2.ring, canonical) if maps.chain_level else None
+    class_span = None
     out = []
     for chain in chains:
-        if span is not None:
-            coeffs = _expand_in_canonical_chains(span, cm.apply_chain(chain))
+        image = maps.push(*c1.chain_to_vec(chain))
+        if chain_span is not None:
+            coeffs = _expand_in_span(chain_span, image)
             if coeffs is not None:
                 out.append(("chain", coeffs))
                 continue
-        if classes is None:
-            fh2 = maps.homologies[-1]
-            classes = (maps.composite_step(),
-                       fh2.class_matrix([fh2.reduce_chain(c) for c in canonical]))
-        total, (m, offset) = classes
-        i, vec = c1.chain_to_vec(chain)
-        coords = total.apply_class(i, maps.homologies[0].reduce(i, vec))
-        # solve [class] = sum c_o * [canonical class]
-        target = {offset[i + total.shift] + r: v for r, v in coords.items()}
-        out.append(("class", solve_in_image(m, target)))
+        fh = maps.homologies[-1]
+        if class_span is None:
+            class_span = _canonical_span(c2.ring, [_class_of(fh, v) for v in canonical])
+        out.append(("class", _expand_in_span(class_span, _class_of(fh, image))))
     return out
 
 
-def _canonical_span(ring, canonical: list[dict]):
-    """The chains of ``canonical`` as an echelon form labelled by position,
-    with the row number of each generator they meet."""
+def _class_of(fh, image):
+    """A (degree, cycle) as (degree, its coordinates on ``fh``'s leftover
+    basis)."""
+    i, vec = image
+    return i, fh.reduce(i, vec) if vec else {}
+
+
+def _canonical_span(ring, vectors):
+    """``vectors``, each (degree, vector), as an echelon form labelled by
+    position, with the row number of each (degree, position) they meet."""
     index: dict = {}
     ech = _Echelon(ring)
-    for j, chain in enumerate(canonical):
-        ech.insert({index.setdefault(g, len(index)): v for g, v in chain.items()}, label=j)
+    for j, (i, vec) in enumerate(vectors):
+        ech.insert({index.setdefault((i, p), len(index)): v for p, v in vec.items()}, label=j)
     return index, ech
 
 
-def _expand_in_canonical_chains(span, chain):
-    """Solve chain = sum c_o * canonical chain on a ``_canonical_span``, or
-    None."""
+def _expand_in_span(span, image):
+    """Solve image = sum c_o * vector o on a ``_canonical_span``, image a
+    (degree, vector), or None."""
     index, ech = span
-    if any(g not in index for g in chain):
+    i, vec = image
+    if any((i, p) not in index for p in vec):
         return None
-    return ech.membership({index[g]: v for g, v in chain.items()})
+    return ech.membership({index[i, p]: v for p, v in vec.items()})
 
 
 def verify_proposition(movie: Movie, orientation) -> CheckReport:
@@ -343,21 +346,19 @@ def _final_computation_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) 
     from .cube import V_MINUS, V_PLUS
 
     name = f"final-computation[{_movie_name(movie)}]"
-    comp0, comp1 = maps0.chain_composite(), maps1.chain_composite()
-    if comp0 is None or comp1 is None:
+    if not (maps0.chain_level and maps1.chain_level):
         return CheckReport(name, False, {"error": "movie is not chain-level"})
     c_in, c_out = maps1.complexes[0], maps1.complexes[-1]
     plus = next(
         g for g in c_in.bases[0] if g[1] == (V_PLUS,) * len(g[1]) and not g[0]
     )
-    one = QQ.one
-    img1 = comp1.apply_chain({plus: one})
-    img0 = comp0.apply_chain({plus: one})
+    source = c_in.chain_to_vec({plus: QQ.one})
+    img1, img0 = maps1.push(*source), maps0.push(*source)
     minus_gen = next(g for g in c_out.bases[0] if g[1] == (V_MINUS,))
-    expect = {minus_gen: QQ.from_int(2)}
-    neg = {minus_gen: QQ.from_int(-2)}
+    expect = c_out.chain_to_vec({minus_gen: QQ.from_int(2)})
+    neg = c_out.chain_to_vec({minus_gen: QQ.from_int(-2)})
     phi_ok = img1 in (expect, neg)
-    psi = vec_sub(QQ, img1, img0)
+    psi = vec_sub(QQ, img1[1], img0[1])
     chi = movie.euler_characteristic
     bound = 1 + chi + 4
     gap_ok = all(

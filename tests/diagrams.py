@@ -24,3 +24,47 @@ def torus_pd(n: int, mirror: bool = False) -> str:
     if mirror:
         xs = [(a, d, c, b) for a, b, c, d in xs]
     return "PD[" + ", ".join("X(%d,%d,%d,%d)" % x for x in xs) + "]"
+
+# an open movie that opens with an R2 removal: frame 0 has chains in degree
+# -1 but no homology there, and the last frame has rank 2 in degree 0
+REMOVAL_FIRST_MOVIE = {
+    "initial": "PD[X(1,4,3,2), X(3,4,1,2)]",
+    "moves": [{"type": "r2", "action": "remove", "edges": [3, 4]},
+              {"type": "saddle", "edges": [1, 2], "side": "right"},
+              {"type": "r2", "action": "add", "edges": [1, 1], "over": True},
+              {"type": "saddle", "edges": [3, 1], "side": "left"}],
+}
+
+
+def slide_sweep():
+    """Every R2 addition on the small corpus diagrams that apply_move
+    accepts, then every crossing triple of the result that R3Move accepts,
+    one movie per distinct JSON: 126 movies."""
+    import itertools
+    import json
+
+    from kj.corpus import DIAGRAMS
+    from kj.diagram import parse_pd
+    from kj.errors import IllegalMoveError
+    from kj.movie import Movie
+    from kj.moves import R2Move, R3Move, apply_move
+
+    movies = {}
+    for name in ("unknot", "unlink2", "curl", "trefoil", "mirror-trefoil", "hopf",
+                 "fig8", "r3-unknot"):
+        d = parse_pd(DIAGRAMS[name])
+        for edges in itertools.product(sorted(d.occurrences), repeat=2):
+            for over in (False, True):
+                r2 = R2Move("add", edges, over)
+                try:
+                    d2, _ = apply_move(d, r2)
+                except IllegalMoveError:
+                    continue
+                for triple in itertools.combinations(range(d2.crossing_count), 3):
+                    try:
+                        apply_move(d2, R3Move(triple))
+                    except IllegalMoveError:
+                        continue
+                    mv = Movie(d, [r2, R3Move(triple)])
+                    movies.setdefault(json.dumps(mv.to_json()), mv)
+    return list(movies.values())

@@ -15,7 +15,7 @@ from kj.diagram import parse_pd
 from kj.errors import IllegalMoveError, PDSyntaxError
 from kj.moves import apply_move, move_from_json
 
-from diagrams import torus_pd
+from diagrams import REMOVAL_FIRST_MOVIE, torus_pd
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +206,21 @@ def test_open_movie_prints_matrix(capsys):
         assert "euler characteristic: -2" in out
     finally:
         os.unlink(path)
+
+
+def test_open_movie_that_opens_with_a_removal_prints_every_degree(tmp_path, capsys):
+    # frame 0 has chains but no homology in degree -1; the last frame has
+    # rank 2 in degree 0
+    path = tmp_path / "removal-first.movie"
+    path.write_text(json.dumps(REMOVAL_FIRST_MOVIE))
+    code, out, _ = run_cli(capsys, "movie", str(path), "--theory", "kh")
+    assert code == 0
+    assert out.endswith(
+        "euler characteristic: -2\n"
+        "induced map on homology (t = 0):\n"
+        "  degree -1 -> 0: 2x0 matrix\n"
+        "  degree 0 -> 1: 0x4 matrix\n"
+    )
 
 
 # -- fuzzed inputs: every bad input ends in a documented exit code ------------

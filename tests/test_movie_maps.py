@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import kj.cube
 import kj.movie
 from kj.canonical import canonical_chain, lee_generator
-from kj.corpus import DIAGRAMS, MOVIES, load_movie
+from kj.corpus import MOVIES, load_movie
 from kj.cube import (
     V_MINUS,
     V_PLUS,
@@ -23,13 +22,14 @@ from kj.cube import (
     split_products,
 )
 from kj.diagram import PlanarDiagram, all_orientations, parse_pd, smoothing_partner
-from kj.errors import IllegalMoveError, InternalInvariantError
+from kj.errors import InternalInvariantError
 from kj.homology import FieldHomology
-from kj.moves import Birth, Death, R1Move, R2Move, R3Move, Saddle, apply_move
+from kj.moves import Birth, Death, R1Move, R2Move, R3Move, Saddle
 from kj.movie import (
     ChainMap,
     Movie,
     MovieMaps,
+    StepMap,
     _R3Transport,
     _change_twist,
     _embed_bits,
@@ -48,7 +48,7 @@ from kj.verify import (
     random_cancelling_insertion,
 )
 
-from diagrams import HOPF, R3_UNKNOT, TREFOIL, UNKNOT, UNLINK2
+from diagrams import HOPF, R3_UNKNOT, TREFOIL, UNKNOT, UNLINK2, slide_sweep
 
 
 def _canonical_class(maps: MovieMaps, frame: int, orientation, rescaled=True):
@@ -78,18 +78,18 @@ def _assert_canonical_transport(movie: Movie, check_signs=None):
     from kj.movie import compatible_orientations, effective_orientation, movie_total_flip
 
     maps = MovieMaps(movie, t=1, ring=QSQRT2)
-    d1 = movie.frames[0]
-    total = maps.composite_step()
+    d1, c1 = movie.frames[0], maps.complexes[0]
     flip = movie_total_flip(movie)
     signs = {}
     for o in all_orientations(d1):
         outs = compatible_orientations(movie, o)
         assert len(outs) == 1, "R-moves must transport orientations uniquely"
         o2 = effective_orientation(next(iter(outs)), flip)
-        i, coords = _canonical_class(maps, 0, o)
-        image = total.apply_class(i, coords)
+        i, vec = c1.chain_to_vec(canonical_chain(c1, o, rescaled=True))
+        degree, pushed = maps.push(i, vec)
+        image = maps.homologies[-1].reduce(degree, pushed)
         j, expect = _canonical_class(maps, len(movie.frames) - 1, o2)
-        assert i == j
+        assert i == j == degree
         matched = None
         for s in (1, -1):
             scaled = {k: maps.ring.from_int(s) * v for k, v in expect.items()}
@@ -165,10 +165,10 @@ def test_r2_add_remove_composite_is_identity_up_to_sign():
         ],
     )
     maps = MovieMaps(mv, t=0, ring=QQ)
-    total = maps.composite_step()
-    for i, m in total.mats.items():
+    for m in maps.induced_map()[1].values():
         ident = SparseMatrix.identity(m.rows, QQ)
-        assert m == ident or m == ident.scale(Fraction(-1))
+        negated = SparseMatrix(m.rows, m.rows, QQ, {k: -v for k, v in ident.data.items()})
+        assert m in (ident, negated)
 
 
 def test_r3_canonical_classes():
@@ -180,17 +180,16 @@ def test_r3_double_application_is_identity_up_to_sign():
     mv = Movie(parse_pd(R3_UNKNOT), [R3Move((0, 1, 2)), R3Move((0, 1, 2))])
     # the slide back restores the original diagram's complex dimensions
     maps = MovieMaps(mv, t=0, ring=QQ)
-    total = maps.composite_step()
-    for i, m in total.mats.items():
+    for m in maps.induced_map()[1].values():
         ident = SparseMatrix.identity(m.rows, QQ)
-        assert m == ident or m == ident.scale(Fraction(-1))
+        negated = SparseMatrix(m.rows, m.rows, QQ, {k: -v for k, v in ident.data.items()})
+        assert m in (ident, negated)
 
 
 def test_r3_khovanov_iso():
     mv = Movie(parse_pd(R3_UNKNOT), [R3Move((0, 1, 2))])
     maps = MovieMaps(mv, t=0, ring=QQ)
-    step = maps.steps[0]
-    for i, m in step.mats.items():
+    for m in maps.induced_map()[1].values():
         assert m.rows == m.cols
     # ranks agree frame to frame
     assert maps.homologies[0].total_rank() == maps.homologies[1].total_rank() == 2
@@ -659,31 +658,6 @@ class _RefSlide:
         return image
 
 
-def _slide_sweep():
-    """Every R2 addition on the small corpus diagrams that apply_move
-    accepts, then every crossing triple of the result that R3Move accepts,
-    one movie per distinct JSON."""
-    movies = {}
-    for name in ("unknot", "unlink2", "curl", "trefoil", "mirror-trefoil", "hopf",
-                 "fig8", "r3-unknot"):
-        d = parse_pd(DIAGRAMS[name])
-        for edges in itertools.product(sorted(d.occurrences), repeat=2):
-            for over in (False, True):
-                r2 = R2Move("add", edges, over)
-                try:
-                    d2, _ = apply_move(d, r2)
-                except IllegalMoveError:
-                    continue
-                for triple in itertools.combinations(range(d2.crossing_count), 3):
-                    try:
-                        apply_move(d2, R3Move(triple))
-                    except IllegalMoveError:
-                        continue
-                    mv = Movie(d, [r2, R3Move(triple)])
-                    movies.setdefault(json.dumps(mv.to_json()), mv)
-    return list(movies.values())
-
-
 def _slide_outcome(cls, rec, fh1, fh2):
     try:
         return "map", cls(rec, fh1.complex, fh2.complex).class_map(fh1, fh2)
@@ -696,7 +670,7 @@ def test_slide_matches_representative_by_representative():
     movies = [Movie.from_json((golden / f"{name}.movie").read_text())
               for name in ("r3-r1", "r3-r2")]
     movies.append(Movie(parse_pd(R3_UNKNOT), [R3Move((0, 1, 2)), R3Move((0, 1, 2))]))
-    sweep = _slide_sweep()
+    sweep = slide_sweep()
     assert len(sweep) == 126
     movies += sweep[::5]
     slides = raised = 0
@@ -718,6 +692,41 @@ def test_slide_matches_representative_by_representative():
                 slides += 1
                 raised += kind == "raises"
     assert slides >= 2 * 23 and raised >= 4
+
+
+def test_push_matches_the_composite_of_class_maps():
+    """Each leftover representative of the first frame, pushed through the
+    movie and reduced on the last frame, gives its column of the product of
+    the moves' class maps: ``StepMap.from_chain_map`` of a chain step, the
+    class map of a removal or a slide, composed by ``compose_after``."""
+    golden = Path(__file__).parent / "golden"
+    movies = [load_movie(name) for name in MOVIES]
+    movies += [Movie.from_json(p.read_text()) for p in sorted(golden.glob("*.movie"))]
+    movies += slide_sweep()[::5]
+    through_class_steps = 0
+    for movie in movies:
+        for t in (0, 1):
+            try:
+                maps = MovieMaps(movie, t)
+            except InternalInvariantError:
+                continue  # a slide that breaks the cycle
+            fhs = maps.homologies
+            steps = [
+                maps._class_steps[k] if cm is None
+                else StepMap.from_chain_map(cm, fhs[k], fhs[k + 1])
+                for k, cm in enumerate(maps.chain_steps)
+            ]
+            total = steps[0]
+            for step in steps[1:]:
+                total = step.compose_after(total)
+            for i, reps in fhs[0].reps.items():
+                for col, rep in enumerate(reps):
+                    j, image = maps.push(i, rep)
+                    assert j == i + total.shift
+                    column = total.mats[i].column(col)
+                    assert (fhs[-1].reduce(j, image) if image else {}) == column
+                    through_class_steps += bool(column) and None in maps.chain_steps
+    assert through_class_steps >= 40
 
 
 # In every sweep movie both frames of the slide have the same Kh over Z and

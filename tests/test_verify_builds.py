@@ -1,7 +1,8 @@
 """The verify suites build each movie's maps once, keep none of them past
 their movie, and read chain-level checks without building a homology
-class; ``MovieMaps`` builds classes only when asked for them. Cancelling
-insertions let R1 pairs through."""
+class, and neither does ``kj_number`` on a closed movie with no removal
+and no slide; ``MovieMaps`` builds classes only when asked for them.
+Cancelling insertions let R1 pairs through."""
 
 import gc
 import json
@@ -9,16 +10,14 @@ import random
 import sys
 import weakref
 from collections import Counter
-from pathlib import Path
 
 import kj.verify as verify
-from kj.corpus import MOVIES, load_movie
-from kj.movie import Movie, MovieMaps, StepMap, kj_number
+from kj.corpus import load_movie
+from kj.movie import MovieMaps, kj_number
 
 FieldHomology = sys.modules["kj.homology"].FieldHomology
 
 SUITES = ("euler-oracle", "rmoves", "proposition", "corollary", "leading-order")
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def _count_builds(monkeypatch):
@@ -84,24 +83,12 @@ def test_chain_path_builds_no_class(monkeypatch):
     assert report.ok and report.details["level"] == "chain", report.line()
 
 
-def test_lazy_steps_equal_eager_class_maps():
-    movies = [load_movie(name) for name in MOVIES]
-    movies += [Movie.from_json(p.read_text()) for p in sorted(GOLDEN.glob("*.movie"))]
-    compared = 0
-    for movie in movies:
-        for t in (0, 1):
-            maps = MovieMaps(movie, t)
-            assert "steps" not in vars(maps)
-            for k, cm in enumerate(maps.chain_steps):
-                if cm is None:
-                    continue
-                c1, c2 = maps.complexes[k], maps.complexes[k + 1]
-                eager = StepMap.from_chain_map(cm, FieldHomology(c1), FieldHomology(c2))
-                lazy = maps.steps[k]
-                assert lazy.shift == eager.shift
-                assert lazy.mats == eager.mats
-                compared += 1
-    assert compared > 0
+def test_kj_number_builds_no_class_without_removals_or_slides(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a homology class was built")
+
+    monkeypatch.setattr(FieldHomology, "__init__", refuse)
+    assert [kj_number(load_movie(name)) for name in ("sphere", "torus", "genus2")] == [0, 2, 0]
 
 
 def test_cancelling_insertions_include_r1_pairs():

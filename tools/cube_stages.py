@@ -2,11 +2,13 @@
 ``ChainComplex(...)``, of ``validate()`` and of ``homology()``, the entries
 of d, and the peak RSS before the build, after it and at the end, under
 Khovanov homology over Z and Lee homology over Q. Then, for the
-``torus-noise`` movie at t = 0 and 1 over Q, the time to build and verify
-its elementary chain maps (Morse, R1 and R2, a removal's by its forward
-map) on frames built beforehand, their stored entries, and the peak RSS
-before and after. Each row runs in a fresh subprocess, so that its RSS is
-its own. Standard library only.
+``torus-noise`` movie at t = 0 and 1 over Q, the least time of 7 repeats to
+build and verify its elementary chain maps (Morse, R1 and R2, a removal's
+by its forward map) on frames built beforehand, their stored entries, and
+the peak RSS before and after. Last, for each bundled closed movie, the
+least time of 7 calls of ``kj_number`` and the ``FieldHomology`` builds of
+one call. Each row runs in a fresh subprocess, so that its RSS is its own.
+Standard library only.
 
     python3 tools/cube_stages.py [n ...]    (default: 9 11)
 """
@@ -25,6 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 THEORIES = (("Kh", 0, "Z"), ("Lee", 1, "Q"))
 MOVIE = "torus-noise"
+CLOSED_MOVIES = ("sphere", "torus", "genus2", "torus-noise")  # the bundled movies
+REPEATS = 7
 
 
 def torus_pd(n: int) -> str:
@@ -73,18 +77,46 @@ def chain_map_stages(name: str, t: int) -> dict:
     from kj.rings import QQ
 
     movie = load_movie(name)
-    local = LocalTables(t, QQ)  # shared by the frames and maps, as in MovieMaps
-    built = {f: build_complex(f, t, QQ, local) for f in dict.fromkeys(movie.frames)}
-    frames = [built[f] for f in movie.frames]
-    row = {"rss_before_mib": _rss_mib()}
-    start = time.perf_counter()
-    maps = [elementary_chain_map(rec, c1, c2)
-            for rec, c1, c2 in zip(movie.records, frames, frames[1:]) if rec.kind != "r3"]
-    row["maps_s"] = time.perf_counter() - start
+    row, times = {}, []
+    for _ in range(REPEATS):
+        local = LocalTables(t, QQ)  # shared by the frames and maps, as in MovieMaps
+        built = {f: build_complex(f, t, QQ, local) for f in dict.fromkeys(movie.frames)}
+        frames = [built[f] for f in movie.frames]
+        row.setdefault("rss_before_mib", _rss_mib())
+        start = time.perf_counter()
+        maps = [elementary_chain_map(rec, c1, c2)
+                for rec, c1, c2 in zip(movie.records, frames, frames[1:]) if rec.kind != "r3"]
+        times.append(time.perf_counter() - start)
+    row["maps_s"] = min(times)
     row["maps"] = len(maps)
     row["entries"] = sum(len(cm.values) for cm in maps)
     row["rss_end_mib"] = _rss_mib()
     return row
+
+
+def kj_number_stages(name: str) -> dict:
+    """One closed-movie row, measured in this process."""
+    from kj.corpus import load_movie
+    from kj.homology import FieldHomology
+    from kj.movie import kj_number
+
+    movie = load_movie(name)
+    builds, init = [], FieldHomology.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(None)
+        init(self, *args, **kwargs)
+
+    FieldHomology.__init__ = counted
+    try:
+        times = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            n = kj_number(movie)
+            times.append(time.perf_counter() - start)
+    finally:
+        FieldHomology.__init__ = init
+    return {"kj_number_s": min(times), "n": n, "field_builds": len(builds) // REPEATS}
 
 
 def _run_row(*args) -> dict:
@@ -98,7 +130,9 @@ def _run_row(*args) -> dict:
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--row"]:  # one row, in a subprocess of the tables below
         sys.path.insert(0, str(SRC))
-        if len(argv) == 3:
+        if len(argv) == 2:
+            print(json.dumps(kj_number_stages(argv[1])))
+        elif len(argv) == 3:
             print(json.dumps(chain_map_stages(argv[1], int(argv[2]))))
         else:
             print(json.dumps(stages(int(argv[1]), int(argv[2]), argv[3])))
@@ -117,7 +151,7 @@ def main(argv: list[str]) -> int:
                 flush=True,
             )
     print()
-    print("| movie | chain maps, built and verified | stored entries | RSS |")
+    print(f"| movie | chain maps, built and verified, least of {REPEATS} | stored entries | RSS |")
     print("|---|---|---|---|")
     for t in (0, 1):
         r = _run_row(MOVIE, t)
@@ -126,6 +160,13 @@ def main(argv: list[str]) -> int:
             f"| {r['entries']:,} | {r['rss_before_mib']:.0f} → {r['rss_end_mib']:.0f} MiB |",
             flush=True,
         )
+    print()
+    print(f"| closed movie | `kj_number`, least of {REPEATS} | n | `FieldHomology` builds |")
+    print("|---|---|---|---|")
+    for name in CLOSED_MOVIES:
+        r = _run_row(name)
+        print(f"| {name} | {r['kj_number_s'] * 1000:.2f} ms | {r['n']} | {r['field_builds']} |",
+              flush=True)
     return 0
 
 

@@ -7,7 +7,7 @@ Usage, from the root of a kj checkout:
 The sweep is 494 movies: ``verify._elementary_morse_instances()``,
 ``verify._random_composite_movies(s)`` for s = 0..29, the four bundled movies
 with ten ``random_cancelling_insertion``s of each from ``random.Random(5)``,
-and ``tests/test_movie_maps._slide_sweep()``. For each movie it records
+and ``tests/diagrams.slide_sweep()``. For each movie it records
 ``surface_components``, ``has_closed_component``, ``is_connected_surface``,
 ``movie_convention_flips``, ``compatible_orientations`` for every orientation
 of the first frame and ``propagate_orientation`` for every move and every
@@ -27,7 +27,7 @@ from kj.verify import (
     _random_composite_movies,
     random_cancelling_insertion,
 )
-from test_movie_maps import _slide_sweep
+from diagrams import slide_sweep
 
 
 def sweep_movies():
@@ -39,7 +39,7 @@ def sweep_movies():
         base = load_movie(name)
         movies.append(base)
         movies += [random_cancelling_insertion(base, rng) for _ in range(10)]
-    return movies + _slide_sweep()
+    return movies + slide_sweep()
 
 
 def answer(f):
