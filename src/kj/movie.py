@@ -75,7 +75,7 @@ from .moves import (
 from .rings import QQ, Ring
 from .sparse import SparseMatrix, _Echelon, vec_add, vec_scale
 
-__all__ = ["Movie", "MovieMaps", "kj_number", "compatible_orientations"]
+__all__ = ["Movie", "FrameTable", "MovieMaps", "kj_number", "compatible_orientations"]
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +707,32 @@ def _identify_with_local_circle(complex_: ChainComplex, gen: Gen, pos, local_edg
 # ---------------------------------------------------------------------------
 
 
+class FrameTable:
+    """The frames that the successive movies of one run share, such as the
+    movies of one ``verify.run_suite`` call. For each (t, ring) it holds one
+    ``LocalTables`` for the whole run, and the complexes of the last movie
+    it served there, by diagram, with their ``FieldHomology`` once built.
+    A movie takes the frames it shares with that last movie, builds the
+    rest through the shared ``LocalTables`` and becomes the last movie
+    itself; the frames it does not share are dropped. So the table never
+    holds more than one movie's frames per (t, ring)."""
+
+    def __init__(self):
+        # (t, ring) -> (local tables, complexes by diagram, homologies by diagram)
+        self._last: dict[tuple[int, Ring], tuple[LocalTables, dict, dict]] = {}
+
+    def take(self, frames, t: int, ring: Ring) -> tuple[dict, dict]:
+        """The complexes of the distinct diagrams ``frames`` at t over
+        ``ring``, by diagram, and the homologies of those taken from the
+        last movie, by diagram: the dict the new movie adds its own to."""
+        local, complexes, homologies = self._last.get((t, ring)) or (LocalTables(t, ring), {}, {})
+        built = {f: complexes[f] if f in complexes else build_complex(f, t, ring, local)
+                 for f in frames}
+        kept = {f: homologies[f] for f in frames if f in homologies}
+        self._last[t, ring] = local, built, kept
+        return built, kept
+
+
 class MovieMaps:
     """Per-frame complexes and the induced maps of every move, at one t,
     over Q unless ``ring`` names another field.
@@ -714,16 +740,20 @@ class MovieMaps:
     ``complexes`` and ``homologies`` hold one entry per frame, but frames
     with equal diagrams share one object: each distinct frame's complex is
     built and its d^2 = 0 checked once, and its ``FieldHomology`` built
-    once. The table of distinct frames lives in this instance only.
+    once, on first use (``homology``). The table of distinct frames lives
+    in this instance only, unless ``table`` is given: then the movie takes
+    from that ``FrameTable`` the frames it shares with the last movie the
+    table served at this t and ring, with their homologies once built.
 
     The chain maps, one per move, are built and checked here. A slide or a
-    removal has no chain map: its class map is built here, on the frames'
-    homologies, and checked to be invertible. ``homologies`` is otherwise
-    built on first use. ``push`` carries a vector of the first frame through
-    every move, and is how every reader reads the movie's map, so a movie of
-    chain maps alone builds no homology unless a reader asks for a class."""
+    removal has no chain map: its class map is built here, on its two
+    frames' homologies, and checked to be invertible. ``push`` carries a
+    vector of the first frame through every move, and is how every reader
+    reads the movie's map, so a movie of chain maps alone builds no
+    homology unless a reader asks for a class."""
 
-    def __init__(self, movie: Movie, t: int, ring: Ring | None = None):
+    def __init__(self, movie: Movie, t: int, ring: Ring | None = None,
+                 table: FrameTable | None = None):
         self.movie = movie
         self.t = t
         self.ring = ring or QQ
@@ -733,19 +763,28 @@ class MovieMaps:
         for f in distinct:
             _admit(f)
         # one set of local tables for every frame and chain map, so that a
-        # cube square or edge shape is coded and checked once per movie
-        local = LocalTables(t, self.ring)
-        built = {f: build_complex(f, t, self.ring, local) for f in distinct}
+        # cube square or edge shape is coded and checked once per movie, or
+        # once per run of movies that share ``table``
+        if table is None:
+            table = FrameTable()
+        built, self._homologies = table.take(distinct, t, self.ring)
         self.complexes = [built[f] for f in movie.frames]
         self.chain_steps: list[ChainMap | None] = []
         self._class_steps: dict[int, StepMap] = {}
         for k, rec in enumerate(movie.records):
             self.chain_steps.append(self._build_step(k, rec))
 
-    @cached_property
+    def homology(self, k: int) -> FieldHomology:
+        """Frame k's ``FieldHomology``, built on first use."""
+        f = self.movie.frames[k]
+        if f not in self._homologies:
+            self._homologies[f] = FieldHomology(self.complexes[k])
+        return self._homologies[f]
+
+    @property
     def homologies(self) -> list[FieldHomology]:
-        built = {c: FieldHomology(c) for c in dict.fromkeys(self.complexes)}
-        return [built[c] for c in self.complexes]
+        """Every frame's ``FieldHomology``, each built on first use."""
+        return [self.homology(k) for k in range(len(self.complexes))]
 
     @property
     def chain_level(self) -> bool:
@@ -758,7 +797,7 @@ class MovieMaps:
         c1, c2 = self.complexes[k], self.complexes[k + 1]
         kind = rec.kind
         if kind == "r3":
-            fh1, fh2 = self.homologies[k], self.homologies[k + 1]
+            fh1, fh2 = self.homology(k), self.homology(k + 1)
             step = StepMap(fh1, fh2, _R3Transport(rec, c1, c2).class_map(fh1, fh2))
             step.inverse()  # must be an isomorphism
             self._class_steps[k] = step
@@ -766,7 +805,7 @@ class MovieMaps:
         cm = elementary_chain_map(rec, c1, c2)
         if kind in ("r1_remove", "r2_remove"):
             # the inverse of the induced map of the matching addition
-            fh1, fh2 = self.homologies[k], self.homologies[k + 1]
+            fh1, fh2 = self.homology(k), self.homology(k + 1)
             self._class_steps[k] = StepMap.from_chain_map(cm, fh2, fh1).inverse()
             return None
         return cm
@@ -799,7 +838,7 @@ class MovieMaps:
         (``FieldHomology.greedy_coordinates``), as ``kj movie`` prints it. A
         degree whose leftover representatives all map to zero builds no
         greedy basis."""
-        fh0, fh1 = self.homologies[0], self.homologies[-1]
+        fh0, fh1 = self.homology(0), self.homology(-1)
         shift = self.push(0, {})[0]  # the zero vector carries only its degree
 
         def image(i, rep):

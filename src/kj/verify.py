@@ -26,6 +26,7 @@ from .diagram import (
 from .errors import IllegalMoveError
 from .homology import homology
 from .movie import (
+    FrameTable,
     Movie,
     MovieMaps,
     compatible_orientations,
@@ -106,7 +107,7 @@ def _canonical_coefficients(maps: MovieMaps, chains: list[dict], finals) -> list
             if coeffs is not None:
                 out.append(("chain", coeffs))
                 continue
-        fh = maps.homologies[-1]
+        fh = maps.homology(-1)
         if class_span is None:
             class_span = _canonical_span(c2.ring, [_class_of(fh, v) for v in canonical])
         out.append(("class", _expand_in_span(class_span, _class_of(fh, image))))
@@ -146,9 +147,11 @@ def verify_proposition(movie: Movie, orientation) -> CheckReport:
     return _proposition_reports(movie, [orientation])[0]
 
 
-def _proposition_reports(movie: Movie, orientations) -> list[CheckReport]:
+def _proposition_reports(movie: Movie, orientations, table: FrameTable | None = None
+                         ) -> list[CheckReport]:
     """``verify_proposition`` for each orientation of ``orientations``,
-    all judged against one build of the movie's maps."""
+    all judged against one build of the movie's maps, whose frames come
+    from ``table`` where it has them (``MovieMaps``)."""
     names = [f"proposition[{_movie_name(movie)}, o={_otxt(o)}]" for o in orientations]
     error = None
     if any(f.is_empty() for f in movie.frames):
@@ -157,7 +160,7 @@ def _proposition_reports(movie: Movie, orientations) -> list[CheckReport]:
         error = "movie has a closed component"
     if error:
         return [CheckReport(name, False, {"error": error}) for name in names]
-    maps = MovieMaps(movie, t=1)
+    maps = MovieMaps(movie, t=1, table=table)
     flip = movie_total_flip(movie)
     compats = [
         {effective_orientation(o2, flip) for o2 in compatible_orientations(movie, o)}
@@ -223,8 +226,9 @@ def _judge_coefficients(name, chi, finals, shifts, coeffs, compat, level) -> Che
     return CheckReport(name, ok_main, details)
 
 
-def verify_corollary(movie: Movie) -> CheckReport:
-    """The mod-4 dichotomy for a connected cobordism between knots."""
+def verify_corollary(movie: Movie, table: FrameTable | None = None) -> CheckReport:
+    """The mod-4 dichotomy for a connected cobordism between knots; the
+    frames come from ``table`` where it has them (``MovieMaps``)."""
     name = f"corollary[{_movie_name(movie)}]"
     d1, d2 = movie.frames[0], movie.frames[-1]
     if d1.component_count != 1 or d2.component_count != 1:
@@ -238,7 +242,7 @@ def verify_corollary(movie: Movie) -> CheckReport:
         return CheckReport(name, False, {"error": "orientations rescale differently"})
     shift = exps[1].pop() - exps[0].pop()
     chi = movie.euler_characteristic
-    maps = MovieMaps(movie, t=1)
+    maps = MovieMaps(movie, t=1, table=table)
     c1 = maps.complexes[0]
     diff = vec_sub(QQ, canonical_chain(c1, (True,)), canonical_chain(c1, (False,)))
     [(level, coeffs)] = _canonical_coefficients(maps, [diff], all_orientations(d2))
@@ -271,11 +275,14 @@ def verify_corollary(movie: Movie) -> CheckReport:
     )
 
 
-def leading_order_check(movie: Movie) -> CheckReport:
+def leading_order_check(movie: Movie, table: FrameTable | None = None) -> CheckReport:
     """Per move, the t = 1 chain map minus the t = 0 one must raise the
     q-filtration strictly; for chain-level movies the composite difference
-    must raise it by at least chi + 4."""
-    return _leading_order_report(movie, MovieMaps(movie, t=0), MovieMaps(movie, t=1))
+    must raise it by at least chi + 4. The frames come from ``table``
+    where it has them (``MovieMaps``)."""
+    return _leading_order_report(
+        movie, MovieMaps(movie, t=0, table=table), MovieMaps(movie, t=1, table=table)
+    )
 
 
 def _leading_order_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) -> CheckReport:
@@ -416,9 +423,10 @@ def euler_oracle_suite(corpus=None) -> list[CheckReport]:
     return out
 
 
-def _canonical_transport_report(movie: Movie, label: str) -> CheckReport:
+def _canonical_transport_report(movie: Movie, label: str, table: FrameTable | None = None
+                                ) -> CheckReport:
     """rho'([sbar_o]) = +-[sbar_otilde] for every orientation."""
-    maps = MovieMaps(movie, t=1)
+    maps = MovieMaps(movie, t=1, table=table)
     flip = movie_total_flip(movie)
     finals = all_orientations(movie.frames[-1])
     exponents = _final_exponents(movie, finals)
@@ -445,7 +453,7 @@ def _canonical_transport_report(movie: Movie, label: str) -> CheckReport:
     return CheckReport(label, True, {"signs": signs})
 
 
-def rmoves_suite(seed: int = 0) -> list[CheckReport]:
+def rmoves_suite(seed: int = 0, table: FrameTable | None = None) -> list[CheckReport]:
     from .corpus import DIAGRAMS
 
     out = []
@@ -487,7 +495,7 @@ def rmoves_suite(seed: int = 0) -> list[CheckReport]:
     r3d = parse_pd(DIAGRAMS["r3-unknot"])
     instances.append(("r3-slide", Movie(r3d, [R3Move((0, 1, 2))])))
     for label, movie in instances:
-        out.append(_canonical_transport_report(movie, f"rmoves[{label}]"))
+        out.append(_canonical_transport_report(movie, f"rmoves[{label}]", table))
     return out
 
 
@@ -579,14 +587,14 @@ def _legal_move_candidates(d: PlanarDiagram, rng: random.Random) -> list[Move]:
     return cands
 
 
-def proposition_suite(seed: int = 0) -> list[CheckReport]:
+def proposition_suite(seed: int = 0, table: FrameTable | None = None) -> list[CheckReport]:
     instances = _elementary_morse_instances() + [
         (f"seeded-{idx}", movie, all_orientations(movie.frames[0])[:2])
         for idx, movie in enumerate(_random_composite_movies(seed))
     ]
     out = []
     for label, movie, orientations in instances:
-        for o, report in zip(orientations, _proposition_reports(movie, orientations)):
+        for o, report in zip(orientations, _proposition_reports(movie, orientations, table)):
             out.append(_rename(report, f"proposition[{label}, o={_otxt(o)}]"))
     # the printed exponent must fail somewhere (chi != 0 instances exist)
     alt_fails = any(
@@ -615,16 +623,16 @@ def _genus_movie(genus: int) -> Movie:
     return Movie(parse_pd("PD[O]"), moves)
 
 
-def corollary_suite(seed: int = 0) -> list[CheckReport]:
+def corollary_suite(seed: int = 0, table: FrameTable | None = None) -> list[CheckReport]:
     out = [
-        _rename(verify_corollary(Movie(parse_pd("PD[O]"), [])), "corollary[identity]"),
-        _rename(verify_corollary(_genus_movie(1)), "corollary[genus-1]"),
-        _rename(verify_corollary(_genus_movie(2)), "corollary[genus-2]"),
+        _rename(verify_corollary(Movie(parse_pd("PD[O]"), []), table), "corollary[identity]"),
+        _rename(verify_corollary(_genus_movie(1), table), "corollary[genus-1]"),
+        _rename(verify_corollary(_genus_movie(2), table), "corollary[genus-2]"),
     ]
     return out
 
 
-def leading_order_suite(seed: int = 0) -> list[CheckReport]:
+def leading_order_suite(seed: int = 0, table: FrameTable | None = None) -> list[CheckReport]:
     from .corpus import DIAGRAMS
 
     unknot = parse_pd(DIAGRAMS["unknot"])
@@ -642,12 +650,12 @@ def leading_order_suite(seed: int = 0) -> list[CheckReport]:
         ("saddle-trefoil", Movie(trefoil, [Saddle((1, 1))])),
     ]
     out = [
-        _rename(leading_order_check(mv), f"leading-order[{label}]")
+        _rename(leading_order_check(mv, table), f"leading-order[{label}]")
         for label, mv in movies
     ]
     # the genus-1 maps serve both of its checks
     genus1 = _genus_movie(1)
-    maps = MovieMaps(genus1, t=0), MovieMaps(genus1, t=1)
+    maps = MovieMaps(genus1, t=0, table=table), MovieMaps(genus1, t=1, table=table)
     out.append(_rename(_leading_order_report(genus1, *maps), "leading-order[genus-1]"))
     out.append(_rename(
         _final_computation_report(genus1, *maps), "leading-order[final-computation]"
@@ -656,7 +664,7 @@ def leading_order_suite(seed: int = 0) -> list[CheckReport]:
 
 
 SUITES = {
-    "euler-oracle": lambda seed: euler_oracle_suite(),
+    "euler-oracle": lambda seed, table=None: euler_oracle_suite(),
     "rmoves": rmoves_suite,
     "proposition": proposition_suite,
     "corollary": corollary_suite,
@@ -665,14 +673,14 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckReport]:
-    if name == "all":
-        out = []
-        for suite in SUITES.values():
-            out.extend(suite(seed))
-        return out
-    if name not in SUITES:
+    """The reports of one suite, or of every suite for "all". One
+    ``FrameTable`` serves every movie the run builds maps of, so a movie
+    takes the frames it shares with the movie before it at its t."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](seed)
+    table = FrameTable()
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    return [report for suite in suites for report in suite(seed, table)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from kj.cube import (
 from kj.diagram import parse_pd, resolve
 from kj.errors import InternalInvariantError, PDValidationError
 from kj.laurent import Laurent
-from kj.moves import R1Move, R2Move
-from kj.movie import Movie, elementary_chain_map
+from kj.moves import Birth, R1Move, R2Move
+from kj.movie import FrameTable, Movie, MovieMaps, elementary_chain_map
 from kj.rings import GF, QQ, ZZ
 from kj.sparse import SparseMatrix
 
@@ -523,6 +523,25 @@ def test_shared_local_tables_check_each_square_shape_once(monkeypatch):
     assert expected is not None
     for _ in range(2):
         assert _raised(bad.validate) == expected
+
+
+def test_a_run_table_still_checks_a_mutated_frame(monkeypatch):
+    table = FrameTable()
+    first = Movie(parse_pd(torus_pd(5)), [Birth()])
+    local = MovieMaps(first, 1, table=table).complexes[0].local
+    checked = set(local.checked_squares)
+    assert checked
+    # T(2,5) with every edge label raised by 10: a frame the table does not
+    # hold, whose square shapes the first movie has all checked
+    relabelled = re.sub(r"\d+", lambda m: str(int(m.group()) + 10), torus_pd(5))
+    other = MovieMaps(Movie(parse_pd(relabelled), []), 1, table=table)
+    assert other.complexes[0].local is local
+    assert local.checked_squares == checked
+    # the first movie's frames were dropped, so it builds T(2,5) again
+    # through the same tables, and one flipped edge sign still fails
+    _mutate(monkeypatch, "sign", random.Random(5), 80)
+    with pytest.raises(InternalInvariantError, match="d\\^2 != 0"):
+        MovieMaps(first, 1, table=table)
 
 
 def test_shared_local_tables_must_match_t_and_ring():

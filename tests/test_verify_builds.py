@@ -1,8 +1,11 @@
 """The verify suites build each movie's maps once, keep none of them past
 their movie, and read chain-level checks without building a homology
 class, and neither does ``kj_number`` on a closed movie with no removal
-and no slide; ``MovieMaps`` builds classes only when asked for them.
-Cancelling insertions let R1 pairs through."""
+and no slide; ``MovieMaps`` builds classes only when asked for them, one
+frame at a time. One run's movies share frames through one
+``FrameTable``, which holds only the last movie's frames, changes no
+report and keeps no complex past the run. Cancelling insertions let R1
+pairs through."""
 
 import gc
 import json
@@ -12,8 +15,11 @@ import weakref
 from collections import Counter
 
 import kj.verify as verify
-from kj.corpus import load_movie
-from kj.movie import MovieMaps, kj_number
+from kj.corpus import DIAGRAMS, load_movie
+from kj.cube import ChainComplex
+from kj.diagram import parse_pd
+from kj.moves import Birth
+from kj.movie import FrameTable, Movie, MovieMaps, kj_number
 
 FieldHomology = sys.modules["kj.homology"].FieldHomology
 
@@ -26,9 +32,9 @@ def _count_builds(monkeypatch):
     builds, classes = [], Counter()
     maps_init, fh_init = MovieMaps.__init__, FieldHomology.__init__
 
-    def counted_maps(self, movie, t, ring=None):
+    def counted_maps(self, movie, t, ring=None, table=None):
         builds.append((json.dumps(movie.to_json(), sort_keys=True), t))
-        maps_init(self, movie, t, ring)
+        maps_init(self, movie, t, ring, table)
 
     def counted_fh(self, *args, **kwargs):
         classes["built"] += 1
@@ -57,9 +63,9 @@ def test_no_maps_outlive_their_movie(monkeypatch):
     refs = []
     maps_init = MovieMaps.__init__
 
-    def tracked(self, movie, t, ring=None):
+    def tracked(self, movie, t, ring=None, table=None):
         refs.append(weakref.ref(self))
-        maps_init(self, movie, t, ring)
+        maps_init(self, movie, t, ring, table)
 
     monkeypatch.setattr(MovieMaps, "__init__", tracked)
     first = [r.to_json() for r in verify.run_suite("all", 8)]
@@ -89,6 +95,65 @@ def test_kj_number_builds_no_class_without_removals_or_slides(monkeypatch):
 
     monkeypatch.setattr(FieldHomology, "__init__", refuse)
     assert [kj_number(load_movie(name)) for name in ("sphere", "torus", "genus2")] == [0, 2, 0]
+
+
+def test_kj_number_builds_the_classes_of_the_frames_next_to_removals(monkeypatch):
+    _, classes = _count_builds(monkeypatch)
+    movie = load_movie("torus-noise")
+    assert kj_number(movie) == 2
+    removals = [k for k, rec in enumerate(movie.records) if rec.kind.endswith("_remove")]
+    beside = {movie.frames[j] for k in removals for j in (k, k + 1)}
+    assert len(removals) == 2 and len(beside) == 4
+    assert classes["built"] == 4 < len(set(movie.frames))
+
+
+def _count_complexes(monkeypatch):
+    """Weak references to every ChainComplex built."""
+    refs, init = [], ChainComplex.__init__
+
+    def tracked(self, *args, **kwargs):
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChainComplex, "__init__", tracked)
+    return refs
+
+
+def test_a_run_shares_frames_and_keeps_no_complex(monkeypatch):
+    refs = _count_complexes(monkeypatch)
+    verify.run_suite("all", 8)
+    assert 0 < len(refs) <= 110  # 166 when every movie builds its own frames
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_table_holds_the_last_movie_only():
+    table = FrameTable()
+    trefoil = parse_pd(DIAGRAMS["trefoil"])
+    first = MovieMaps(Movie(trefoil, [Birth()]), 1, table=table)
+    fh = first.homology(0)
+    shared, dropped = weakref.ref(first.complexes[0]), weakref.ref(first.complexes[1])
+    second = MovieMaps(Movie(trefoil, []), 1, table=table)
+    assert second.complexes[0] is first.complexes[0] and second.homology(0) is fh
+    del first, fh
+    gc.collect()
+    assert shared() is not None and dropped() is None
+
+
+def test_shared_frames_change_no_report(monkeypatch):
+    refs = _count_complexes(monkeypatch)
+    shared = {s: [r.to_json() for r in verify.run_suite("all", s)] for s in (0, 7, 8)}
+    built = len(refs)
+    take = FrameTable.take
+
+    def take_nothing(self, frames, t, ring):
+        self._last.clear()  # each movie builds its frames on new local tables
+        return take(self, frames, t, ring)
+
+    monkeypatch.setattr(FrameTable, "take", take_nothing)
+    for s, reports in shared.items():
+        assert [r.to_json() for r in verify.run_suite("all", s)] == reports, s
+    assert len(refs) - built > built
 
 
 def test_cancelling_insertions_include_r1_pairs():

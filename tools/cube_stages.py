@@ -5,22 +5,26 @@ Khovanov homology over Z and Lee homology over Q. Then, for the
 ``torus-noise`` movie at t = 0 and 1 over Q, the least time of 7 repeats to
 build and verify its elementary chain maps (Morse, R1 and R2, a removal's
 by its forward map) on frames built beforehand, their stored entries, and
-the peak RSS before and after. Last, for each bundled closed movie, the
+the peak RSS before and after. Then, for each bundled closed movie, the
 least time of 7 calls of ``kj_number`` and the ``FieldHomology`` builds of
-one call. Each row runs in a fresh subprocess, so that its RSS is its own.
-Standard library only.
+one call. Last, the least time of 7 calls of ``run_suite("all", 8)``, what
+``kj verify all --seed 8`` runs, and the ``ChainComplex`` and
+``FieldHomology`` builds of one call. Each row runs in a fresh subprocess,
+so that its RSS is its own. Standard library only.
 
     python3 tools/cube_stages.py [n ...]    (default: 9 11)
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +32,7 @@ SRC = ROOT / "src"
 THEORIES = (("Kh", 0, "Z"), ("Lee", 1, "Q"))
 MOVIE = "torus-noise"
 CLOSED_MOVIES = ("sphere", "torus", "genus2", "torus-noise")  # the bundled movies
+VERIFY_SEED = 8
 REPEATS = 7
 
 
@@ -94,6 +99,34 @@ def chain_map_stages(name: str, t: int) -> dict:
     return row
 
 
+@contextlib.contextmanager
+def _counted(*classes):
+    """Count the instances of ``classes`` made inside the block, by class
+    name."""
+    counts, inits = Counter(), [(cls, cls.__init__) for cls in classes]
+    for cls, init in inits:
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        cls.__init__ = counted
+    try:
+        yield counts
+    finally:
+        for cls, init in inits:
+            cls.__init__ = init
+
+
+def _least_time(call) -> tuple[float, object]:
+    """The least time of ``REPEATS`` calls, and the last call's result."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        out = call()
+        times.append(time.perf_counter() - start)
+    return min(times), out
+
+
 def kj_number_stages(name: str) -> dict:
     """One closed-movie row, measured in this process."""
     from kj.corpus import load_movie
@@ -101,27 +134,32 @@ def kj_number_stages(name: str) -> dict:
     from kj.movie import kj_number
 
     movie = load_movie(name)
-    builds, init = [], FieldHomology.__init__
-
-    def counted(self, *args, **kwargs):
-        builds.append(None)
-        init(self, *args, **kwargs)
-
-    FieldHomology.__init__ = counted
-    try:
-        times = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            n = kj_number(movie)
-            times.append(time.perf_counter() - start)
-    finally:
-        FieldHomology.__init__ = init
-    return {"kj_number_s": min(times), "n": n, "field_builds": len(builds) // REPEATS}
+    with _counted(FieldHomology) as counts:
+        seconds, n = _least_time(lambda: kj_number(movie))
+    return {"kj_number_s": seconds, "n": n,
+            "field_builds": counts["FieldHomology"] // REPEATS}
 
 
-def _run_row(*args) -> dict:
+def verify_stages(seed: int) -> dict:
+    """The verify row, measured in this process."""
+    from kj.cube import ChainComplex
+    from kj.homology import FieldHomology
+    from kj.verify import run_suite
+
+    with _counted(ChainComplex, FieldHomology) as counts:
+        seconds, reports = _least_time(lambda: run_suite("all", seed))
+    return {"run_suite_s": seconds, "checks": len(reports),
+            "complex_builds": counts["ChainComplex"] // REPEATS,
+            "field_builds": counts["FieldHomology"] // REPEATS}
+
+
+ROWS = {"stages": stages, "chain-maps": chain_map_stages, "kj-number": kj_number_stages,
+        "verify": verify_stages}
+
+
+def _run_row(kind: str, *args) -> dict:
     out = subprocess.run(
-        [sys.executable, __file__, "--row", *map(str, args)],
+        [sys.executable, __file__, "--row", kind, *map(json.dumps, args)],
         check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out)
@@ -130,18 +168,13 @@ def _run_row(*args) -> dict:
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--row"]:  # one row, in a subprocess of the tables below
         sys.path.insert(0, str(SRC))
-        if len(argv) == 2:
-            print(json.dumps(kj_number_stages(argv[1])))
-        elif len(argv) == 3:
-            print(json.dumps(chain_map_stages(argv[1], int(argv[2]))))
-        else:
-            print(json.dumps(stages(int(argv[1]), int(argv[2]), argv[3])))
+        print(json.dumps(ROWS[argv[1]](*map(json.loads, argv[2:]))))
         return 0
     print("| workload | `ChainComplex` | `validate` | `homology()` | entries of d | RSS |")
     print("|---|---|---|---|---|---|")
     for n in map(int, argv or ["9", "11"]):
         for theory, t, ring in THEORIES:
-            r = _run_row(n, t, ring)
+            r = _run_row("stages", n, t, ring)
             print(
                 f"| T(2,{n}) {theory} over {ring} ({r['generators']:,} gens) "
                 f"| {r['complex_s']:.3f} s | {r['validate_s']:.3f} s "
@@ -154,7 +187,7 @@ def main(argv: list[str]) -> int:
     print(f"| movie | chain maps, built and verified, least of {REPEATS} | stored entries | RSS |")
     print("|---|---|---|---|")
     for t in (0, 1):
-        r = _run_row(MOVIE, t)
+        r = _run_row("chain-maps", MOVIE, t)
         print(
             f"| {MOVIE} at t = {t} over Q ({r['maps']} maps) | {r['maps_s'] * 1000:.2f} ms "
             f"| {r['entries']:,} | {r['rss_before_mib']:.0f} → {r['rss_end_mib']:.0f} MiB |",
@@ -164,9 +197,16 @@ def main(argv: list[str]) -> int:
     print(f"| closed movie | `kj_number`, least of {REPEATS} | n | `FieldHomology` builds |")
     print("|---|---|---|---|")
     for name in CLOSED_MOVIES:
-        r = _run_row(name)
+        r = _run_row("kj-number", name)
         print(f"| {name} | {r['kj_number_s'] * 1000:.2f} ms | {r['n']} | {r['field_builds']} |",
               flush=True)
+    print()
+    print(f"| verify run | `run_suite`, least of {REPEATS} | checks "
+          "| `ChainComplex` builds | `FieldHomology` builds |")
+    print("|---|---|---|---|---|")
+    r = _run_row("verify", VERIFY_SEED)
+    print(f"| all, seed {VERIFY_SEED} | {r['run_suite_s'] * 1000:.1f} ms | {r['checks']} "
+          f"| {r['complex_builds']} | {r['field_builds']} |", flush=True)
     return 0
 
 
