@@ -67,11 +67,10 @@ def _read_text(path) -> str:
 
 
 def _read_diagram(source: str):
-    if source in DIAGRAMS:
-        return parse_pd(DIAGRAMS[source])
-    ref = bundled_path(source)
-    if ref is not None and source.endswith(".pd"):
-        return parse_pd(_read_text(ref))
+    """A corpus name, with or without ``.pd``, or else a PD file."""
+    name = source.removesuffix(".pd")
+    if name in DIAGRAMS:
+        return parse_pd(DIAGRAMS[name])
     if os.path.exists(source):
         return parse_pd(_read_text(Path(source)))
     raise PDSyntaxError(f"no such diagram file or corpus name: {source}")

@@ -1,7 +1,8 @@
 """Bundled diagrams and movies, so every verification runs offline.
 
 The movie files live in ``kj/data`` in the JSON format accepted by the
-``kj movie`` command; the diagrams double as the test corpus.
+``kj movie`` command; the diagrams, here as PD text, double as the test
+corpus.
 """
 
 from __future__ import annotations
@@ -33,17 +34,13 @@ def load_diagram(name: str) -> PlanarDiagram:
 
 
 def bundled_path(name: str):
-    base = name if name.endswith(".movie") or name.endswith(".pd") else None
-    candidates = [name] if base else [f"{name}.movie", f"{name}.pd"]
-    for cand in candidates:
-        ref = resources.files("kj.data").joinpath(cand)
-        if ref.is_file():
-            return ref
-    return None
+    """The bundled movie ``name``, with or without ``.movie``, or None."""
+    ref = resources.files("kj.data").joinpath(name.removesuffix(".movie") + ".movie")
+    return ref if ref.is_file() else None
 
 
 def load_movie(name: str) -> Movie:
-    ref = bundled_path(name if name.endswith(".movie") else f"{name}.movie")
+    ref = bundled_path(name)
     if ref is None:
         raise FileNotFoundError(f"no bundled movie named {name!r}")
     return Movie.from_json(ref.read_text())

@@ -5,16 +5,19 @@ for the graded theory and per i for the filtered one. It splits the
 complex into direct-summand blocks (q, or q mod 4 for the filtered
 differential, which shifts q by 0 or 4), each cut straight from the
 column arrays that hold d (``ChainComplex.ptr``, ``targets`` and
-``values``) when its turn comes, cancels unit entries of the
-differential block by block (Gaussian elimination), and then takes the Smith
-normal form over Z, or the rank over a field, of only what is left. Torsion
-is attributed to the q of its target block.
+``values``) when its turn comes, and cancels unit entries of the
+differential block by block (Gaussian elimination). Over a field every
+nonzero entry is a unit, so nothing of d is left and a group's free rank is
+its count of leftover generators. Over Z each leftover block of d_i, from
+(i, k) to (i + 1, k), is built once and its Smith diagonal taken once: the
+free rank at (i, k) is the leftover count less the ranks of d_i and
+d_(i-1) there, and the torsion is the invariant factors of d_(i-1) above 1,
+attributed to the q of its target block.
 
 ``FieldHomology`` runs the same elimination over a field and keeps its
-record. There every nonzero entry is a unit, so nothing of d is left: the
-leftover generators are a basis of the homology (the leftover basis), f
-projects a cycle onto them (its class), and g includes them back as
-representative cycles (Bar-Natan, arXiv:math/0606318). No echelon of a
+record: the leftover generators are a basis of the homology (the leftover
+basis), f projects a cycle onto them (its class), and g includes them back
+as representative cycles (Bar-Natan, arXiv:math/0606318). No echelon of a
 whole degree is built. Only printing asks for the greedy basis, the
 kernel_basis cycles independent in homology in column order, which keeps
 printed coordinates as they were; converting to it is one rank x rank
@@ -31,12 +34,7 @@ from .cube import ChainComplex
 from .errors import InternalInvariantError
 from .rings import Ring, ZZ
 from .snf import snf_diagonal
-from .sparse import (
-    SparseMatrix,
-    _Echelon,
-    kernel_basis,
-    rank as matrix_rank,
-)
+from .sparse import SparseMatrix, _Echelon, kernel_basis
 
 __all__ = ["HomologySummary", "homology", "FieldHomology", "lee_total_rank"]
 
@@ -97,15 +95,18 @@ def homology(complex_: ChainComplex) -> HomologySummary:
     # (i, q) or (i, None) -> leftover generator ids, and their rows of d
     leftover: dict[tuple, list[int]] = {}
     rows: dict[int, dict] = {}
-    for out, inn in _summands(complex_, labels):
-        _eliminate(out, inn, ring)
+    for out, _ in _summands(complex_, labels):
         for x, row in out.items():
             leftover.setdefault((degree[x], labels[x] if graded else None), []).append(x)
             rows[x] = row
+    # (i, k) -> (rank, torsion) of the leftover d_i from (i, k) to (i + 1, k)
+    blocks = {} if ring.is_field else {
+        (i, k): _group_of_block(_leftover_matrix(rows, gens, leftover.get((i + 1, k), [])))
+        for (i, k), gens in leftover.items()
+    }
     for (i, k), gens in leftover.items():
-        d_out = _leftover_matrix(rows, gens, leftover.get((i + 1, k), []), ring)
-        d_in = _leftover_matrix(rows, leftover.get((i - 1, k), []), gens, ring)
-        rank_free, tors = _group_of_block(d_out, d_in, ring)
+        rank_in, tors = blocks.get((i - 1, k), (0, []))
+        rank_free = len(gens) - blocks.get((i, k), (0, []))[0] - rank_in
         if rank_free or tors:
             summary.groups[(i, k)] = (rank_free, tors)
     return summary
@@ -125,14 +126,16 @@ def _numbering(complex_: ChainComplex):
 
 
 def _summands(complex_: ChainComplex, labels: list[int]):
-    """The differential split into direct summands by generator label, one
-    block at a time, as adjacency: source -> {target: coeff} and target ->
-    {sources}. Every generator of the block is a key of both maps.
+    """The differential split into direct summands by generator label and
+    eliminated (``_eliminate``), one block at a time: the leftover rows
+    (source -> {target: coeff}, every leftover generator a key) and the
+    cancellations. Over a field no entry may be left.
 
     A block's rows are cut straight from the complex's column arrays when
     its turn comes, in the order of d's entries, so at most one block's
     adjacency is alive.
     """
+    ring = complex_.ring
     ids = list(range(len(labels)))  # one int object per generator, shared
     members: dict[int, list[int]] = {}
     for x in ids:
@@ -147,7 +150,10 @@ def _summands(complex_: ChainComplex, labels: list[int]):
                 y = ids[targets[k]]
                 row[y] = values[k]
                 inn[y].add(x)
-        yield out, inn
+        steps = _eliminate(out, inn, ring)
+        if ring.is_field and any(out.values()):
+            raise InternalInvariantError("elimination over a field left an entry")
+        yield out, steps
 
 
 def _eliminate(out: dict, inn: dict, ring: Ring) -> list[tuple]:
@@ -215,28 +221,21 @@ def _eliminate(out: dict, inn: dict, ring: Ring) -> list[tuple]:
     return steps
 
 
-def _leftover_matrix(rows: dict, cols: list[int], targets: list[int], ring: Ring) -> SparseMatrix:
-    """The leftover differential from ``cols`` to ``targets``."""
+def _leftover_matrix(rows: dict, cols: list[int], targets: list[int]) -> SparseMatrix:
+    """The leftover differential from ``cols`` to ``targets``, over Z."""
     index = {y: r for r, y in enumerate(targets)}
-    m = SparseMatrix(len(targets), len(cols), ring)
+    m = SparseMatrix(len(targets), len(cols), ZZ)
     for c, x in enumerate(cols):
         for y, v in rows[x].items():
             m.set(index[y], c, v)
     return m
 
 
-def _group_of_block(d_out: SparseMatrix, d_in: SparseMatrix, ring: Ring):
-    """(free rank, torsion) of ker(d_out)/im(d_in) for one block."""
-    if ring is ZZ:
-        diag_out = snf_diagonal(d_out)
-        diag_in = snf_diagonal(d_in)
-        rank_out = len(diag_out)
-        rank_in = len(diag_in)
-        free = d_out.cols - rank_out - rank_in
-        tors = [abs(x) for x in diag_in if abs(x) > 1]
-        return free, sorted(tors)
-    free = d_out.cols - matrix_rank(d_out) - matrix_rank(d_in)
-    return free, []
+def _group_of_block(d: SparseMatrix) -> tuple[int, list[int]]:
+    """(rank, torsion of the cokernel) of one leftover block of d over Z,
+    from its invariant factors, which form a divisibility chain."""
+    diag = snf_diagonal(d)
+    return len(diag), [x for x in diag if x > 1]
 
 
 def lee_total_rank(complex_: ChainComplex) -> int:
@@ -274,16 +273,14 @@ class FieldHomology:
         self._step_of: dict[int, int] = {}  # cancelled id -> its step
         self._g_of: dict[int, list] = {}  # id w -> [(step, gcol[w])]
         leftover: dict[int, list[int]] = {i: [] for i in first}
-        for out, inn in _summands(complex_, labels):
-            for step in _eliminate(out, inn, self.ring):
+        for out, steps in _summands(complex_, labels):
+            for step in steps:
                 k = len(self._steps)
                 self._steps.append(step)
                 self._step_of[step[0]] = self._step_of[step[1]] = k
                 for w, a in step[4].items():
                     self._g_of.setdefault(w, []).append((k, a))
-            for x, row in out.items():
-                if row:
-                    raise InternalInvariantError("elimination over a field left an entry")
+            for x in out:
                 leftover[degree[x]].append(x)
         self._position = {
             x: k for gens in leftover.values() for k, x in enumerate(sorted(gens))

@@ -170,7 +170,7 @@ def _proposition_reports(movie: Movie, orientations, table: FrameTable | None = 
     results = _canonical_coefficients(
         maps, [canonical_chain(maps.complexes[0], o) for o in orientations], finals
     )
-    exponents = _final_exponents(movie, finals)
+    exponents = [_twice_exponent(movie.frames[-1], o) for o in finals]  # e_o'
     out = []
     for name, o, compat, (level, coeffs) in zip(names, orientations, compats, results):
         if coeffs is None:
@@ -178,22 +178,12 @@ def _proposition_reports(movie: Movie, orientations, table: FrameTable | None = 
                 name, False, {"error": "image is not in the canonical span"}
             ))
             continue
-        shifts = _exponent_shifts(movie, o, exponents)
+        e_in = _twice_exponent(movie.frames[0], o)
+        shifts = [e - e_in for e in exponents]  # e_o' - e_o
         out.append(_judge_coefficients(
             name, movie.euler_characteristic, finals, shifts, coeffs, compat, level
         ))
     return out
-
-
-def _final_exponents(movie: Movie, finals) -> list[int]:
-    """e_o' of each final orientation o'."""
-    return [_twice_exponent(movie.frames[-1], o) for o in finals]
-
-
-def _exponent_shifts(movie: Movie, orientation, exponents) -> list[int]:
-    """e_o' - e_o for each final exponent e_o', o the initial orientation."""
-    e_in = _twice_exponent(movie.frames[0], orientation)
-    return [e - e_in for e in exponents]
 
 
 def _judge_coefficients(name, chi, finals, shifts, coeffs, compat, level) -> CheckReport:
@@ -425,31 +415,22 @@ def euler_oracle_suite(corpus=None) -> list[CheckReport]:
 
 def _canonical_transport_report(movie: Movie, label: str, table: FrameTable | None = None
                                 ) -> CheckReport:
-    """rho'([sbar_o]) = +-[sbar_otilde] for every orientation."""
-    maps = MovieMaps(movie, t=1, table=table)
-    flip = movie_total_flip(movie)
-    finals = all_orientations(movie.frames[-1])
-    exponents = _final_exponents(movie, finals)
+    """rho'([sbar_o]) = +-[sbar_otilde] for every orientation o of the first
+    frame, read off ``_proposition_reports``: each o must have exactly one
+    compatible end otilde (a report with an error names none), and its
+    report must pass (an R-move is an isotopy, so chi = 0). The first origin
+    that fails, in the order of ``all_orientations``, gives the error;
+    otherwise the report is the sign of each origin's one compatible end."""
     origins = all_orientations(movie.frames[0])
-    results = _canonical_coefficients(
-        maps, [canonical_chain(maps.complexes[0], o) for o in origins], finals
-    )
     signs = {}
-    for o, (level, coeffs) in zip(origins, results):
-        outs = compatible_orientations(movie, o)
-        if len(outs) != 1:
+    for o, report in zip(origins, _proposition_reports(movie, origins, table)):
+        if "compatible" in report.details and len(report.details["compatible"]) != 1:
             return CheckReport(label, False, {"error": f"transport of {o} branches"})
-        o2 = effective_orientation(next(iter(outs)), flip)
-        # an R-move is an isotopy (chi = 0) and o2 its one compatible end
-        shifts = _exponent_shifts(movie, o, exponents)
-        judged = coeffs is not None and _judge_coefficients(
-            label, 0, finals, shifts, coeffs, {o2}, level
-        )
-        if not (judged and judged.ok):
+        if not report.ok:
             return CheckReport(
                 label, False, {"error": f"image of {_otxt(o)} is not a signed canonical class"}
             )
-        signs[_otxt(o)] = judged.details["signs"][_otxt(o2)]
+        [signs[_otxt(o)]] = report.details["signs"].values()
     return CheckReport(label, True, {"signs": signs})
 
 

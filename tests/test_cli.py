@@ -43,6 +43,12 @@ def test_homology_trefoil_torsion(capsys):
     assert "torsion Z/2" in out
 
 
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_corpus_name_with_pd_suffix_reads_the_corpus(capsys, name):
+    for command in ("homology", "jones"):
+        assert run_cli(capsys, command, f"{name}.pd") == run_cli(capsys, command, name)
+
+
 def test_movie_numbers(capsys):
     for name, n in (("torus.movie", 2), ("sphere.movie", 0), ("genus2.movie", 0)):
         code, out, _ = run_cli(capsys, "movie", name)

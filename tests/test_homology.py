@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,26 @@ def test_lee_over_integers_keeps_invariant_factors():
     }
     for text, groups in expected.items():
         assert homology(build_complex(parse_pd(text), 1, ZZ)).nonzero() == groups
+
+
+def test_integral_homology_reads_each_leftover_block_once(monkeypatch):
+    # each leftover block of d_i, (i, q) to (i + 1, q), reaches one Smith
+    # diagonal, which gives the rank of d_i there and the torsion at i + 1
+    import sys
+
+    module = sys.modules["kj.homology"]
+    c = build_complex(parse_pd(torus_pd(7)), 0, ZZ)
+    degree, labels = module._numbering(c)
+    blocks = Counter(
+        (degree[x], labels[x]) for out, _ in module._summands(c, labels) for x in out
+    )
+    calls = []
+    snf = module.snf_diagonal
+    monkeypatch.setattr(module, "snf_diagonal", lambda m: calls.append(m) or snf(m))
+    homology(c)
+    assert len(blocks) == 14
+    # one call per block, on a matrix whose columns are that block's leftovers
+    assert sorted(m.cols for m in calls) == sorted(blocks.values())
 
 
 def _add_random_r_move(d, rng: random.Random):

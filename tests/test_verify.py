@@ -229,3 +229,12 @@ def test_canonical_coefficients_fall_back_to_classes(monkeypatch):
         assert after.details.pop("level") == "class"
         assert after.details == before.details
     assert chain_level[0].details["signs"] == {"++": 1}
+
+
+def test_transport_report_names_an_origin_whose_transport_branches():
+    from kj.moves import Birth
+    from kj.verify import _canonical_transport_report
+
+    report = _canonical_transport_report(Movie(parse_pd(UNKNOT), [Birth()]), "birth")
+    assert not report.ok
+    assert report.details == {"error": "transport of (True,) branches"}
