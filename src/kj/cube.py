@@ -79,12 +79,13 @@ Gen = tuple[tuple[int, ...], tuple[int, ...]]
 _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
-# machine, `kj homology` on T(2,9) (19686 generators) takes about 0.22 s and
-# 30 MiB for Khovanov homology over Z, and 0.38 s and 36 MiB for Lee
-# homology over Q; on T(2,11) (177150 generators) it takes 2.7 to 2.9 s and
-# 124 MiB, and 3.1 to 3.8 s and 198 MiB. Each further crossing roughly
-# triples the generators, and memory grows with them. A free loop doubles
-# the generators, so loops count against the bound with crossings.
+# machine, building, checking and reducing the complex of T(2,9) (19686
+# generators) takes 0.19 to 0.30 s and 30 MiB for Khovanov homology over Z,
+# and 0.28 to 0.36 s and 38 MiB for Lee homology over Q; on T(2,11) (177150
+# generators) it takes 1.9 to 3.5 s and 124 MiB, and 2.3 to 3.2 s and
+# 215 MiB (`tools/cube_stages.py`, three runs). Each further crossing
+# roughly triples the generators, and memory grows with them. A free loop
+# doubles the generators, so loops count against the bound with crossings.
 MAX_CROSSINGS = 12
 
 
@@ -455,12 +456,14 @@ class ChainComplex(_Stored):
         ``layer`` lists the indices of degree i's resolutions (their bits
         read as a binary number) and ``at`` gives each index's (resolution,
         offset, size)."""
-        n = self.diagram.crossing_count
+        crossings = self.diagram.crossings
+        n = len(crossings)
         flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
         piece, fill = self.local.piece, self.local.fill
         top = self.first[i + 1]
         for index in layer:
             src, _, size = at[index]
+            on_src = src.circle_of_edge
             pieces = []
             ones = 0  # 1 bits below the flipped one
             for j, flip in enumerate(flips):
@@ -468,8 +471,10 @@ class ChainComplex(_Stored):
                     ones += 1
                     continue
                 tgt, row, _ = at[index | flip]
-                c1, c2 = src.circle_of_dart[(j, 0)], src.circle_of_dart[(j, 2)]
-                t1, t2 = tgt.circle_of_dart[(j, 0)], tgt.circle_of_dart[(j, 2)]
+                # slots 0 and 2 lie on the two smoothing arcs of either bit
+                e1, _, e2, _ = crossings[j]
+                on_tgt = tgt.circle_of_edge
+                c1, c2, t1, t2 = on_src[e1], on_src[e2], on_tgt[e1], on_tgt[e2]
                 if c1 != c2:
                     # both source circles land on one target circle
                     consumed, created, table = (c1, c2), (t1,), "merge"
@@ -510,8 +515,9 @@ class ChainComplex(_Stored):
         bits, labels = gen
         tbits = bits[:j] + (1,) + bits[j + 1 :]
         src, tgt = self.resolutions[bits], self.resolutions[tbits]
-        c1, c2 = src.circle_of_dart[(j, 0)], src.circle_of_dart[(j, 2)]
-        t1, t2 = tgt.circle_of_dart[(j, 0)], tgt.circle_of_dart[(j, 2)]
+        e1, _, e2, _ = self.diagram.crossings[j]
+        c1, c2 = src.circle_of_edge[e1], src.circle_of_edge[e2]
+        t1, t2 = tgt.circle_of_edge[e1], tgt.circle_of_edge[e2]
         if c1 != c2:
             products = [((z,), c) for z, c in merge_products(labels[c1], labels[c2], self.t)]
             dropped, created = {c1: None, c2: None}, (t1,)
@@ -797,29 +803,30 @@ def carry_labels(
 
     ``fixed`` sets a target circle's label outright. ``placed`` sends a
     source circle to a named target circle, or drops it with None. Every
-    other source circle goes to the target circle with the same edges
-    outside ``skip`` (none, if it has no edge there): resolutions of one
-    diagram partition the same edges, so a circle that a change leaves
-    alone keeps them. A fixed label wins over a carried one, and an earlier
-    source circle over a later one.
+    other source circle goes to the target circle that runs along its first
+    edge outside ``skip``, which must have the same edges outside ``skip``
+    (and there must be such an edge): resolutions of one diagram partition
+    the same edges, so a circle that a change leaves alone keeps them. A
+    fixed label wins over a carried one, and an earlier source circle over
+    a later one.
     """
     out: list[int | None] = [None] * dst.circle_count
     for ti, lab in fixed.items():
         out[ti] = lab
-    if skip:
-        by_set = {es - skip: ti for ti, es in enumerate(dst.circle_edge_sets)}
-    else:
-        by_set = dst.circle_of_edge_set
-    for si, lab in enumerate(labels):
+    on_dst, circles = dst.circle_of_edge, dst.circles
+    for si, (lab, circle) in enumerate(zip(labels, src.circles)):
         if si in placed:
             ti = placed[si]
             if ti is None:
                 continue
         else:
-            edges = src.circle_edge_sets[si]
-            key = edges - skip if skip else edges
-            ti = by_set.get(key) if key else None
-            if ti is None:
+            edges = circle.edges
+            first = next((e for e in edges if e not in skip), None) if skip else edges[0]
+            ti = on_dst.get(first)
+            # the resolutions of one diagram share the circles they trace
+            # alike, and those have the same edges
+            if ti is None or circles[ti] is not circle and (
+                    src.circle_edge_sets[si] - skip != dst.circle_edge_sets[ti] - skip):
                 raise InternalInvariantError(
                     f"no circle matches edges {sorted(edges)}"
                 )

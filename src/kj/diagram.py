@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import getitem
 
 from .errors import InternalInvariantError, PDSyntaxError, PDValidationError
 
@@ -211,6 +213,25 @@ class PlanarDiagram:
             for (c, s) in orbit:
                 out[(c, (s - 1) % 4)] = fi
         return out
+
+    @cached_property
+    def _dart_tables(self):
+        """What ``Resolution.circles`` walks, a dart (c, s) read as the int
+        4c + s: the edge at each dart; each dart as its (c, s) pair; by
+        crossing, then smoothing bit, then slot, the arrival dart reached
+        from that slot along the smoothing arc and then along the edge at
+        the arc's other end; every crossing edge, in order, with its lowest
+        dart; and a memo of the circles traced so far by their trace, so
+        that resolutions share the circles they trace alike."""
+        darts = [(c, s) for c in range(self.crossing_count) for s in range(4)]
+        edge_at = [self.edge_at(x) for x in darts]
+        # the other end of the edge at each dart
+        other = [4 * c + s for x, e in zip(darts, edge_at) for c, s in [self.other_end(e, x)]]
+        hops = [tuple(tuple(other[4 * c + p] for p in partners) for partners in _PARTNERS)
+                for c in range(self.crossing_count)]
+        starts = [(e, 4 * c + s) for e in self.crossing_edges
+                  for c, s in [min(self.occurrences[e])]]
+        return edge_at, darts, hops, starts, {}
 
     @cached_property
     def crossing_components(self) -> tuple[tuple[int, ...], ...]:
@@ -446,45 +467,50 @@ class Resolution:
 
     @cached_property
     def circles(self) -> tuple[Circle, ...]:
+        """The circles, traced in one walk over the diagram's flat dart
+        tables that also sets ``circle_of_edge`` and ``circle_count``. Each
+        crossing circle starts at the lowest dart of its lowest edge, so they
+        come out ordered by lowest edge."""
         d = self.diagram
-        crossings, occurrences = d.crossings, d.occurrences
-        partners = [_PARTNERS[b] for b in self.bits]  # by crossing, then slot
+        edge_at, darts, hops, starts, traced = d._dart_tables
+        following = [dart for hop in map(getitem, hops, self.bits) for dart in hop]
         circles: list[Circle] = []
-        seen: set[Dart] = set()
-        for e in d.crossing_edges:
-            start = min(occurrences[e])
-            if start in seen:
+        circle_of_edge: dict[int, int] = {}
+        for e, start in starts:
+            if e in circle_of_edge:
                 continue
-            trace: list[Dart] = []
-            edges: list[int] = []
-            cur = start  # an arrival dart
-            while True:
+            trace = [start]  # arrival darts
+            cur = following[start]
+            while cur != start:
                 trace.append(cur)
-                seen.add(cur)
-                c, s = cur
-                edges.append(crossings[c][s])
-                s = partners[c][s]
-                exit_dart = (c, s)
-                seen.add(exit_dart)
-                a, b = occurrences[crossings[c][s]]  # the other end of the exit edge
-                cur = b if exit_dart == a else a
-                if cur == start:
-                    break
-            circles.append(Circle(tuple(edges), tuple(trace)))
-        for e in d.loops:
-            circles.append(Circle((e,), (), is_free_loop=True))
-        circles.sort(key=lambda c: c.min_edge)
+                cur = following[cur]
+            key = tuple(trace)
+            circle = traced.get(key)
+            if circle is None:
+                circle = traced[key] = Circle(tuple(map(edge_at.__getitem__, trace)),
+                                              tuple(map(darts.__getitem__, trace)))
+            circle_of_edge.update(zip(circle.edges, repeat(len(circles))))
+            circles.append(circle)
+        if d.loops:
+            circles.extend(Circle((e,), (), is_free_loop=True) for e in d.loops)
+            circles.sort(key=lambda c: c.min_edge)
+            circle_of_edge = {e: i for i, c in enumerate(circles) for e in c.edges}
+        # one cached_property fills all three
+        self.__dict__.update(circle_of_edge=circle_of_edge, circle_count=len(circles))
         return tuple(circles)
+
+    @cached_property
+    def circle_of_edge(self) -> dict[int, int]:
+        """Edge -> the index of the circle that runs along it."""
+        self.circles  # noqa: B018 -- tracing sets it
+        return self.__dict__["circle_of_edge"]
 
     @cached_property
     def circle_count(self) -> int:
         return len(self.circles)
 
     def circle_index_of_edge(self, edge: int) -> int:
-        for i, c in enumerate(self.circles):
-            if edge in c.edges:
-                return i
-        raise KeyError(edge)
+        return self.circle_of_edge[edge]
 
     @cached_property
     def circle_edge_sets(self) -> tuple[frozenset, ...]:
@@ -493,18 +519,6 @@ class Resolution:
     @cached_property
     def circle_of_edge_set(self) -> dict[frozenset, int]:
         return {es: i for i, es in enumerate(self.circle_edge_sets)}
-
-    @cached_property
-    def circle_of_dart(self) -> dict[Dart, int]:
-        """Arrival or exit dart -> circle index (crossing circles only)."""
-        out: dict[Dart, int] = {}
-        bits = self.bits
-        for i, circ in enumerate(self.circles):
-            for dart in circ.trace:
-                c, s = dart
-                out[dart] = i
-                out[(c, _PARTNERS[bits[c]][s])] = i
-        return out
 
     # -- resolved faces and the two-coloring --------------------------------
 

@@ -252,9 +252,11 @@ def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):
         dst, (mid, tuple(range(1, mres.circle_count + 1))), other, local
     )
     folded = {m - 1: fi for fi, m in enumerate(on_f) if m}
-    # two ends for a merge, two new circles for a split
-    ends = tuple(dict.fromkeys(res.circle_of_dart[flip, s] for s in (0, 2)))
-    news = tuple(dict.fromkeys(mres.circle_of_dart[flip, s] for s in (0, 2)))
+    # two ends for a merge, two new circles for a split: those of the edges
+    # at slots 0 and 2, which lie on the two smoothing arcs of either bit
+    e1, _, e2, _ = dst.diagram.crossings[flip]
+    ends = tuple(dict.fromkeys((res.circle_of_edge[e1], res.circle_of_edge[e2])))
+    news = tuple(dict.fromkeys((mres.circle_of_edge[e1], mres.circle_of_edge[e2])))
     carried = {
         on_t[res.circle_of_edge_set[mres.circle_edge_sets[m]]]: fi
         for m, fi in folded.items()

@@ -168,6 +168,20 @@ def test_carry_labels_rejects_unmatched_circles():
     # the only source circle is dropped and nothing labels the target
     with pytest.raises(InternalInvariantError):
         carry_labels(one, one, (V_PLUS,), {0: None})
+    trefoil = resolve(parse_pd(TREFOIL), (0, 0, 0))  # circles (1, 5, 3) and (2, 4, 6)
+    # edge 1, where circle (1, 5, 3) starts, is missing from the target
+    shifted = resolve(parse_pd("PD[X(2,6,3,5), X(4,2,5,7), X(6,4,7,3)]"), (0, 0, 0))
+    with pytest.raises(InternalInvariantError):
+        carry_labels(trefoil, shifted, (V_PLUS, V_MINUS))
+    # flipping crossing 0 merges both circles: the target circle that holds
+    # edge 1 also holds 2, 4 and 6
+    merged = resolve(parse_pd(TREFOIL), (1, 0, 0))
+    with pytest.raises(InternalInvariantError):
+        carry_labels(trefoil, merged, (V_PLUS, V_MINUS))
+    # every edge of the second loop is skipped, though the target holds it
+    with pytest.raises(InternalInvariantError):
+        carry_labels(two, two, (V_MINUS, V_PLUS), skip=frozenset({2}))
+    assert carry_labels(two, two, (V_MINUS, V_PLUS), skip=frozenset({3})) == (V_MINUS, V_PLUS)
 
 
 def _mirror(text: str) -> str:

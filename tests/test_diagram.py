@@ -14,9 +14,10 @@ from kj.diagram import (
     resolve,
     writhe,
 )
+from kj.corpus import DIAGRAMS, MOVIES, load_movie
 from kj.errors import PDSyntaxError, PDValidationError
 
-from diagrams import CURL, FIG8, HOPF, MIRROR_TREFOIL, TREFOIL
+from diagrams import CURL, FIG8, HOPF, MIRROR_TREFOIL, TREFOIL, torus_pd
 
 
 def test_parse_trefoil():
@@ -174,3 +175,68 @@ def test_writhe_sign_count_consistency():
             n_minus = signs.count(-1)
             assert n_plus + n_minus == d.crossing_count
             assert writhe(d, o) == n_plus - n_minus
+
+
+def _reference_circles(d: PlanarDiagram, bits) -> list[frozenset]:
+    """The edge sets of the circles of a resolution, by union-find over the
+    darts: the two ends of every edge and the two ends of every smoothing
+    arc are joined. Ordered by lowest edge; a free loop is a circle of its
+    own."""
+    parent = {(c, s): (c, s) for c in range(d.crossing_count) for s in range(4)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def join(a, b):
+        parent[find(a)] = find(b)
+
+    for e in d.crossing_edges:
+        join(*d.occurrences[e])
+    for c, b in enumerate(bits):
+        # the 0-smoothing joins slots (0,1) and (2,3), the 1-smoothing (0,3) and (1,2)
+        for s, t in ((0, 1), (2, 3)) if b == 0 else ((0, 3), (1, 2)):
+            join((c, s), (c, t))
+    classes: dict = {}
+    for (c, s) in parent:
+        classes.setdefault(find((c, s)), set()).add(d.crossings[c][s])
+    return sorted([*map(frozenset, classes.values()), *({e} for e in d.loops)], key=min)
+
+
+def _resolution_cases():
+    texts = [*DIAGRAMS.values(), *(torus_pd(n) for n in (3, 5, 7, 9))]
+    frames = [f for name in MOVIES for f in load_movie(name).frames]
+    return [*map(parse_pd, texts), *dict.fromkeys(frames)]
+
+
+def test_traced_circles_match_a_union_find_reference():
+    cases = 0
+    for d in _resolution_cases():
+        for bits in itertools.product((0, 1), repeat=d.crossing_count):
+            res = resolve(d, bits)
+            ref = _reference_circles(d, bits)
+            assert [frozenset(c.edges) for c in res.circles] == ref
+            on_edge = {e: i for i, es in enumerate(ref) for e in es}
+            assert res.circle_of_edge == on_edge
+            assert res.circle_count == len(ref)
+            for e, i in on_edge.items():
+                assert res.circle_index_of_edge(e) == i
+            with pytest.raises(KeyError):
+                res.circle_index_of_edge(max(d.edges, default=0) + 1)
+            for circ in res.circles:
+                if circ.is_free_loop:
+                    assert circ.trace == () and len(circ.edges) == 1
+                    continue
+                # the trace starts at the lowest end of the lowest edge and
+                # goes from each arrival dart along its smoothing arc, then
+                # along the edge there to the next arrival dart
+                assert circ.trace[0] == min(d.occurrences[circ.min_edge])
+                assert circ.edges == tuple(d.edge_at(x) for x in circ.trace)
+                assert len(set(circ.edges)) == len(circ.edges)
+                for (c, s), nxt in zip(circ.trace, circ.trace[1:] + circ.trace[:1]):
+                    exit_dart = (c, 3 - s if bits[c] else s ^ 1)
+                    assert d.other_end(d.edge_at(exit_dart), exit_dart) == nxt
+            cases += 1
+    assert cases > 700

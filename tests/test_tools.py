@@ -20,6 +20,7 @@ def test_cube_stages_row_on_the_trefoil():
         assert row["entries"] > 0
         assert min(row["complex_s"], row["validate_s"], row["homology_s"]) >= 0
         assert row["rss_before_mib"] <= row["rss_built_mib"] <= row["rss_end_mib"]
+    assert tool.trace_stages(3)["trace_s"] > 0
     for t in (0, 1):
         row = tool.chain_map_stages(tool.MOVIE, t)
         assert row["maps"] == 8 and row["entries"] > 0 and row["maps_s"] >= 0

@@ -1,5 +1,7 @@
-"""Print the stage table of ROADMAP.md's Baseline: for T(2,n), the time of
-``ChainComplex(...)``, of ``validate()`` and of ``homology()``, the entries
+"""Print the stage table of ROADMAP.md's Baseline: for T(2,n), the least
+time of 7 to resolve every resolution and trace its circles on a freshly
+parsed diagram, the time of ``ChainComplex(...)`` (which traces them on a
+diagram of its own), of ``validate()`` and of ``homology()``, the entries
 of d, and the peak RSS before the build, after it and at the end, under
 Khovanov homology over Z and Lee homology over Q. Then, for the
 ``torus-noise`` movie at t = 0 and 1 over Q, the least time of 7 repeats to
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib.util
+import itertools
 import json
 import resource
 import subprocess
@@ -72,6 +75,20 @@ def stages(n: int, t: int, ring_name: str) -> dict:
     row["entries"] = len(c.values)  # from the arrays: the SparseMatrix view would add to the RSS
     row["rss_end_mib"] = _rss_mib()
     return row
+
+
+def trace_stages(n: int) -> dict:
+    """The trace time of T(2,n), measured in this process."""
+    from kj.diagram import parse_pd, resolve
+
+    def trace():
+        d = parse_pd(torus_pd(n))  # fresh: a diagram keeps the circles it traced
+        start = time.perf_counter()
+        for bits in itertools.product((0, 1), repeat=n):
+            resolve(d, bits).circles  # noqa: B018 -- traced on first access
+        return time.perf_counter() - start
+
+    return {"trace_s": min(trace() for _ in range(REPEATS))}
 
 
 def chain_map_stages(name: str, t: int) -> dict:
@@ -153,8 +170,8 @@ def verify_stages(seed: int) -> dict:
             "field_builds": counts["FieldHomology"] // REPEATS}
 
 
-ROWS = {"stages": stages, "chain-maps": chain_map_stages, "kj-number": kj_number_stages,
-        "verify": verify_stages}
+ROWS = {"trace": trace_stages, "stages": stages, "chain-maps": chain_map_stages,
+        "kj-number": kj_number_stages, "verify": verify_stages}
 
 
 def _run_row(kind: str, *args) -> dict:
@@ -170,14 +187,16 @@ def main(argv: list[str]) -> int:
         sys.path.insert(0, str(SRC))
         print(json.dumps(ROWS[argv[1]](*map(json.loads, argv[2:]))))
         return 0
-    print("| workload | `ChainComplex` | `validate` | `homology()` | entries of d | RSS |")
-    print("|---|---|---|---|---|---|")
+    print(f"| workload | trace, least of {REPEATS} | `ChainComplex` | `validate` | `homology()` "
+          "| entries of d | RSS |")
+    print("|---|---|---|---|---|---|---|")
     for n in map(int, argv or ["9", "11"]):
+        trace_s = _run_row("trace", n)["trace_s"]
         for theory, t, ring in THEORIES:
             r = _run_row("stages", n, t, ring)
             print(
                 f"| T(2,{n}) {theory} over {ring} ({r['generators']:,} gens) "
-                f"| {r['complex_s']:.3f} s | {r['validate_s']:.3f} s "
+                f"| {trace_s * 1000:.1f} ms | {r['complex_s']:.3f} s | {r['validate_s']:.3f} s "
                 f"| {r['homology_s']:.3f} s | {r['entries']:,} "
                 f"| {r['rss_before_mib']:.0f} → {r['rss_built_mib']:.0f} → "
                 f"{r['rss_end_mib']:.0f} MiB |",
