@@ -6,10 +6,11 @@ like labels
     a = v- + v+,      b = v- - v+,
 
 chosen by the color of the region to the circle's left when traversed with
-its induced direction (colors from the checkerboard structure, outer face
-0; left color 1 gives a). Circles touching at a crossing see the two sides
-of one smoothing arc, so they always receive opposite labels and the chain
-is killed by every merge, making it a cycle.
+its induced direction (left color 1 gives a). That is the diagram's own
+checkerboard color (outer face of each piece 0) left of any of the circle's
+edges along the orientation, ``diagram.edge_color``. Circles touching at a
+crossing see the two sides of one smoothing arc, so they always receive
+opposite labels and the chain is killed by every merge, making it a cycle.
 
 The rescaled generator multiplies by 2^((w - k)/2), with w the writhe of the
 orientation and k the circle count of the oriented resolution. Computations

@@ -80,10 +80,10 @@ _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
 # machine, building, checking and reducing the complex of T(2,9) (19686
-# generators) takes 0.19 to 0.30 s and 30 MiB for Khovanov homology over Z,
-# and 0.28 to 0.36 s and 38 MiB for Lee homology over Q; on T(2,11) (177150
-# generators) it takes 1.9 to 3.5 s and 124 MiB, and 2.3 to 3.2 s and
-# 215 MiB (`tools/cube_stages.py`, three runs). Each further crossing
+# generators) takes 0.24 to 0.28 s and 28 MiB for Khovanov homology over Z,
+# and 0.29 to 0.34 s and 35 MiB for Lee homology over Q; on T(2,11) (177150
+# generators) it takes 1.9 to 2.9 s and 110 MiB, and 2.1 to 3.5 s and
+# 181 MiB (`tools/cube_stages.py`, three runs). Each further crossing
 # roughly triples the generators, and memory grows with them. A free loop
 # doubles the generators, so loops count against the bound with crossings.
 MAX_CROSSINGS = 12

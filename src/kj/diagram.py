@@ -12,9 +12,14 @@ three traced structures computed here:
 * strand directions, giving each edge a tail and head occurrence;
 * faces of the four-valent map, via the counterclockwise rotation system,
   with the Euler count V - E + F = 2 per connected piece as the
-  realizability check;
-* circles of a complete resolution, with left/right faces and a two-
-  coloring of the resolved regions (outer face color 0).
+  realizability check, and their checkerboard coloring (outer face of each
+  piece color 0);
+* circles of a complete resolution.
+
+A smoothing only joins opposite sectors of a crossing, which have the same
+color, and every circle runs along edges, so the regions of every
+resolution take the diagram's coloring: the color beside a circle is the
+color beside any of its edges (``edge_color``).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "oriented_resolution",
     "resolve",
     "checkerboard_nesting",
+    "edge_color",
     "all_orientations",
 ]
 
@@ -213,6 +219,31 @@ class PlanarDiagram:
             for (c, s) in orbit:
                 out[(c, (s - 1) % 4)] = fi
         return out
+
+    @cached_property
+    def face_colors(self) -> tuple[int, ...]:
+        """Checkerboard color of each face: the two faces beside an edge
+        differ, and the outer face of each piece (``outer_sectors``) is 0."""
+        face = self.face_of_sector
+        color: dict[int, int] = {}
+        for sector in self.outer_sectors:
+            stack = [face[sector]]
+            color[stack[0]] = 0
+            while stack:
+                f = stack.pop()
+                for c, s in self.faces[f]:
+                    g = face[c, s]  # across the edge arriving at (c, s)
+                    if g not in color:
+                        color[g] = 1 - color[f]
+                        stack.append(g)
+                    elif color[g] == color[f]:
+                        raise InternalInvariantError("diagram faces are not two-colorable")
+        return tuple(color[f] for f in range(len(self.faces)))
+
+    def color_left_of(self, dart: Dart) -> int:
+        """Color of the face left of the edge that arrives at ``dart``."""
+        c, s = dart
+        return self.face_colors[self.face_of_sector[c, (s - 1) % 4]]
 
     @cached_property
     def _dart_tables(self):
@@ -520,105 +551,32 @@ class Resolution:
     def circle_of_edge_set(self) -> dict[frozenset, int]:
         return {es: i for i, es in enumerate(self.circle_edge_sets)}
 
-    # -- resolved faces and the two-coloring --------------------------------
-
-    @cached_property
-    def _face_merge(self) -> dict[int, int]:
-        """Map face index -> representative after merging across smoothings."""
-        face = self.diagram.face_of_sector
-        # the smoothing arcs absorb the two sectors they do not hug: (c, 1)
-        # and (c, 3) at bit 0, (c, 0) and (c, 2) at bit 1
-        pairs = ((face[c, 1 - b], face[c, 3 - b]) for c, b in enumerate(self.bits))
-        classes = union_classes(range(len(self.diagram.faces)), pairs)
-        return {f: cls[0] for cls in classes for f in cls}
-
-    def _resolved_face_at(self, sector: Dart) -> int:
-        return self._face_merge[self.diagram.face_of_sector[sector]]
-
-    def circle_side_faces(self, i: int) -> tuple[int, int]:
-        """(left, right) resolved-face ids along the canonical traversal."""
-        circ = self.circles[i]
-        if circ.is_free_loop:
-            raise ValueError("free loops have no crossing-level faces")
-        c, s = circ.trace[0]
-        return (
-            self._resolved_face_at((c, (s - 1) % 4)),
-            self._resolved_face_at((c, s)),
-        )
-
-    @cached_property
-    def _coloring(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Per crossing-component: resolved-face colors and outer face ids.
-
-        Returns (face_color, outer_of_component) where outer_of_component is
-        keyed by crossing-component index. The two-coloring flips across
-        every circle; the outer face of each component is color 0.
-        """
-        d = self.diagram
-        face_color: dict[int, int] = {}
-        outer: dict[int, int] = {}
-        # adjacency: each crossing circle separates its two side faces
-        adj: dict[int, set[int]] = {}
-        for i, circ in enumerate(self.circles):
-            if circ.is_free_loop:
-                continue
-            l, r = self.circle_side_faces(i)
-            adj.setdefault(l, set()).add(r)
-            adj.setdefault(r, set()).add(l)
-        for ci, sector in enumerate(d.outer_sectors):
-            out_face = self._resolved_face_at(sector)
-            outer[ci] = out_face
-            stack = [out_face]
-            face_color[out_face] = 0
-            while stack:
-                f = stack.pop()
-                for g in sorted(adj.get(f, ())):
-                    if g in face_color:
-                        if face_color[g] != 1 - face_color[f]:
-                            raise InternalInvariantError(
-                                "resolved face structure is not two-colorable"
-                            )
-                    else:
-                        face_color[g] = 1 - face_color[f]
-                        stack.append(g)
-        return face_color, outer
-
     def nesting_parity(self, i: int) -> int:
         """Color of the face left of circle i under its canonical traversal.
 
         Free loops sit in the unbounded region and get parity 0.
         """
         circ = self.circles[i]
-        if circ.is_free_loop:
-            return 0
-        face_color, _ = self._coloring
-        left, _ = self.circle_side_faces(i)
-        return face_color[left]
+        return 0 if circ.is_free_loop else self.diagram.color_left_of(circ.trace[0])
 
     def oriented_color(self, i: int, orientation) -> int:
         """Color on the left of circle i traversed along the direction the
-        link orientation induces on its edges. Free loops run
-        counterclockwise in their reference direction, with the bounded
-        interior (color 1) on the left. Raises if the circle's edges are not
-        coherently oriented (never so in the oriented resolution)."""
+        link orientation induces on its edges (``edge_color`` of any of
+        them). Raises if the circle's edges are not coherently oriented
+        (never so in the oriented resolution)."""
         d = self.diagram
         o = _check_orientation(d, orientation)
         circ = self.circles[i]
-        if circ.is_free_loop:
-            return 1 if o[d.component_map[circ.edges[0]]] else 0
         votes = set()
         for dart in circ.trace:
             e = d.edge_at(dart)
             forward = d.edge_head[e] == dart  # trace arrives where edge arrives
-            comp_dir = o[d.component_map[e]]
-            votes.add(forward == comp_dir)
-        if len(votes) != 1:
+            votes.add(forward == o[d.component_map[e]])
+        if len(votes) > 1:
             raise InternalInvariantError(
                 "circle is not coherently oriented by the link orientation"
             )
-        face_color, _ = self._coloring
-        left, right = self.circle_side_faces(i)
-        return face_color[left if votes.pop() else right]
+        return edge_color(d, circ.edges[0], o)
 
 
 def resolve(d: PlanarDiagram, bits) -> Resolution:
@@ -631,6 +589,18 @@ def resolve(d: PlanarDiagram, bits) -> Resolution:
     if not {0, 1}.issuperset(b):
         raise PDValidationError("bits must be 0 or 1")
     return Resolution(d, b)
+
+
+def edge_color(d: PlanarDiagram, edge: int, orientation) -> int:
+    """Color on the left of ``edge`` along the direction the orientation
+    gives it; in the oriented resolution, the color of the circle through
+    the edge. A free loop runs counterclockwise in its reference direction,
+    with the bounded interior (color 1) on the left."""
+    o = _check_orientation(d, orientation)
+    forward = o[d.component_map[edge]]
+    if edge in d.loops:
+        return int(forward)
+    return d.color_left_of((d.edge_head if forward else d.edge_tail)[edge])
 
 
 def checkerboard_nesting(d: PlanarDiagram, bits) -> tuple[int, ...]:

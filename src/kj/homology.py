@@ -6,7 +6,8 @@ complex into direct-summand blocks (q, or q mod 4 for the filtered
 differential, which shifts q by 0 or 4), each cut straight from the
 column arrays that hold d (``ChainComplex.ptr``, ``targets`` and
 ``values``) when its turn comes, and cancels unit entries of the
-differential block by block (Gaussian elimination). Over a field every
+differential block by block (Gaussian elimination), dropping each
+cancellation as ``_eliminate`` hands it over. Over a field every
 nonzero entry is a unit, so nothing of d is left and a group's free rank is
 its count of leftover generators. Over Z each leftover block of d_i, from
 (i, k) to (i + 1, k), is built once and its Smith diagonal taken once: the
@@ -27,6 +28,7 @@ system per degree.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -95,7 +97,8 @@ def homology(complex_: ChainComplex) -> HomologySummary:
     # (i, q) or (i, None) -> leftover generator ids, and their rows of d
     leftover: dict[tuple, list[int]] = {}
     rows: dict[int, dict] = {}
-    for out, _ in _summands(complex_, labels):
+    for out, steps in _summands(complex_, labels):
+        deque(steps, maxlen=0)  # cancel, dropping each cancellation as it is made
         for x, row in out.items():
             leftover.setdefault((degree[x], labels[x] if graded else None), []).append(x)
             rows[x] = row
@@ -129,7 +132,8 @@ def _summands(complex_: ChainComplex, labels: list[int]):
     """The differential split into direct summands by generator label and
     eliminated (``_eliminate``), one block at a time: the leftover rows
     (source -> {target: coeff}, every leftover generator a key) and the
-    cancellations. Over a field no entry may be left.
+    cancellations, made as they are read; the rows are the leftover ones
+    once the cancellations are all read.
 
     A block's rows are cut straight from the complex's column arrays when
     its turn comes, in the order of d's entries, so at most one block's
@@ -150,13 +154,10 @@ def _summands(complex_: ChainComplex, labels: list[int]):
                 y = ids[targets[k]]
                 row[y] = values[k]
                 inn[y].add(x)
-        steps = _eliminate(out, inn, ring)
-        if ring.is_field and any(out.values()):
-            raise InternalInvariantError("elimination over a field left an entry")
-        yield out, steps
+        yield out, _eliminate(out, inn, ring)
 
 
-def _eliminate(out: dict, inn: dict, ring: Ring) -> list[tuple]:
+def _eliminate(out: dict, inn: dict, ring: Ring):
     """Cancel unit entries of a block's differential in place, until none is
     left (Bar-Natan's Gaussian elimination lemma, arXiv:math/0606318).
 
@@ -167,15 +168,14 @@ def _eliminate(out: dict, inn: dict, ring: Ring) -> list[tuple]:
     target with the fewest incoming entries goes first, which keeps fill-in
     small.
 
-    Returns the cancellations in order as (x, y, s, row, gcol): s = -u^-1,
+    Yields the cancellations in order as (x, y, s, row, gcol): s = -u^-1,
     ``row`` is the rest of x's row, and ``gcol`` maps every other source w
     of y to -d(w -> y) u^-1. They are the lemma's maps: the projection f
     sends x to 0 and y to s * row, and the inclusion g sends w to
-    w + gcol[w] * x.
+    w + gcol[w] * x. Over a field no entry may be left.
     """
     field = ring.is_field
     one = ring.one
-    steps: list[tuple] = []
     cancelled = True
     while cancelled:
         cancelled = False
@@ -204,7 +204,6 @@ def _eliminate(out: dict, inn: dict, ring: Ring) -> list[tuple]:
             sources = inn.pop(y)
             sources.discard(x)
             gcol = {}
-            steps.append((x, y, scale, row, gcol))
             for w in sources:
                 wrow = out[w]
                 a = gcol[w] = wrow.pop(y) * scale
@@ -218,7 +217,9 @@ def _eliminate(out: dict, inn: dict, ring: Ring) -> list[tuple]:
                     elif target in wrow:
                         del wrow[target]
                         inn[target].discard(w)
-    return steps
+            yield x, y, scale, row, gcol
+    if field and any(out.values()):
+        raise InternalInvariantError("elimination over a field left an entry")
 
 
 def _leftover_matrix(rows: dict, cols: list[int], targets: list[int]) -> SparseMatrix:

@@ -56,10 +56,9 @@ from .cube import (
 from .diagram import (
     PlanarDiagram,
     all_orientations,
-    oriented_resolution,
+    edge_color,
     parse_pd,
     render_pd,
-    resolve,
     smoothing_partner,
     union_classes,
 )
@@ -437,13 +436,6 @@ def strand_links(
     return out
 
 
-def _oriented_circle_color(d: PlanarDiagram, o, edge: int) -> int:
-    """Color left of the oriented-resolution circle through ``edge``, along
-    the direction the orientation induces on it."""
-    res = resolve(d, oriented_resolution(d, o))
-    return res.oriented_color(res.circle_index_of_edge(edge), o)
-
-
 def propagate_orientation(
     d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord, links, o: tuple[bool, ...]
 ) -> list[tuple[bool, ...]]:
@@ -452,12 +444,10 @@ def propagate_orientation(
     orientation-compatible, two entries after a birth."""
     if rec.kind in ("saddle_merge", "saddle_split", "saddle_reconnect"):
         e1, e2 = rec.data["feet"]
-        res = resolve(d1, oriented_resolution(d1, o))
-        i1 = res.circle_index_of_edge(e1)
-        i2 = res.circle_index_of_edge(e2)
-        # a merge of two circles survives only when their labels agree,
-        # i.e. when their left colors coincide
-        if i1 != i2 and res.oriented_color(i1, o) != res.oriented_color(i2, o):
+        # a merge of two Seifert circles survives only when their labels
+        # agree, i.e. when their left colors coincide; two feet on one circle
+        # always do
+        if edge_color(d1, e1, o) != edge_color(d1, e2, o):
             return []
     out: list[bool | None] = []
     branch_at = None
@@ -470,7 +460,7 @@ def propagate_orientation(
             # a fresh loop carries its circle's color across the saddle: the
             # canonical label is preserved by merges and squared by splits,
             # and for a free loop color 1 means the reference sense
-            val = _oriented_circle_color(d1, o, rec.data["feet"][0]) == 1
+            val = edge_color(d1, rec.data["feet"][0], o) == 1
         out.append(val)
     outs = [out]
     if branch_at is not None:
@@ -905,9 +895,7 @@ def coloring_flip(d1: PlanarDiagram, d2: PlanarDiagram, rec: MoveRecord, links) 
         for e in shared:
             if _direction_flip(d1, d2, rec, e) is None:
                 continue
-            return _oriented_circle_color(d1, o1, e) != _oriented_circle_color(
-                d2, o2, e
-            )
+            return edge_color(d1, e, o1) != edge_color(d2, e, o2)
     return False
 
 

@@ -8,6 +8,7 @@ from kj.diagram import (
     all_orientations,
     checkerboard_nesting,
     crossing_sign,
+    edge_color,
     oriented_resolution,
     parse_pd,
     render_pd,
@@ -15,9 +16,9 @@ from kj.diagram import (
     writhe,
 )
 from kj.corpus import DIAGRAMS, MOVIES, load_movie
-from kj.errors import PDSyntaxError, PDValidationError
+from kj.errors import InternalInvariantError, PDSyntaxError, PDValidationError
 
-from diagrams import CURL, FIG8, HOPF, MIRROR_TREFOIL, TREFOIL, torus_pd
+from diagrams import CURL, FIG8, HOPF, MIRROR_TREFOIL, TREFOIL, slide_sweep, torus_pd
 
 
 def test_parse_trefoil():
@@ -139,18 +140,31 @@ def test_checkerboard_examples():
 
 
 def test_checkerboard_two_coloring_is_consistent():
+    # one coloring per diagram: the two sides of every circle of every
+    # resolution differ, wherever the circle passes, and each piece's outer
+    # face is 0
     rng = random.Random(3)
     for text in (TREFOIL, MIRROR_TREFOIL, HOPF, FIG8, CURL):
         d = parse_pd(text)
+        assert {d.face_colors[d.face_of_sector[x]] for x in d.outer_sectors} == {0}
         for _ in range(4):
             bits = tuple(rng.randint(0, 1) for _ in range(d.crossing_count))
-            res = resolve(d, bits)
-            colors = res._coloring[0]
-            for i in range(res.circle_count):
-                if res.circles[i].is_free_loop:
-                    continue
-                l, r = res.circle_side_faces(i)
-                assert colors[l] != colors[r]
+            for circ in resolve(d, bits).circles:
+                for c, s in circ.trace:
+                    right = d.face_colors[d.face_of_sector[c, s]]
+                    assert d.color_left_of((c, s)) != right
+
+
+def test_coherence_guard_of_oriented_color():
+    # the trefoil's oriented resolution is (0, 0, 0); at (1, 1, 1) each of
+    # its three circles runs along the orientation on one edge and against
+    # it on the other
+    tre = parse_pd(TREFOIL)
+    res = resolve(tre, (1, 1, 1))
+    assert [c.edges for c in res.circles] == [(1, 4), (2, 5), (3, 6)]
+    for i in range(3):
+        with pytest.raises(InternalInvariantError, match="not coherently oriented"):
+            res.oriented_color(i, (True,))
 
 
 def test_euler_formula_all_resolutions_valid():
@@ -240,3 +254,85 @@ def test_traced_circles_match_a_union_find_reference():
                     assert d.other_end(d.edge_at(exit_dart), exit_dart) == nxt
             cases += 1
     assert cases > 700
+
+
+def _reference_side_colors(d: PlanarDiagram, bits) -> list:
+    """Per circle of a resolution, the colors of the regions left and right
+    of it along its trace, by a coloring of the resolution's own: the faces
+    of the diagram merged across the smoothing arcs by union-find, the
+    merged faces two-colored by a search across the circles from each
+    piece's outer face (color 0). None for a free loop."""
+    face = d.face_of_sector
+    parent = list(range(len(d.faces)))
+
+    def find(f):
+        while parent[f] != f:
+            parent[f] = parent[parent[f]]
+            f = parent[f]
+        return f
+
+    for c, b in enumerate(bits):
+        # the arcs hug sectors 0 and 2 at bit 0, 1 and 3 at bit 1, and join the other two
+        parent[find(face[c, 1 - b])] = find(face[c, 3 - b])
+    sides = []
+    for circ in resolve(d, bits).circles:
+        if circ.is_free_loop:
+            sides.append(None)
+            continue
+        c, s = circ.trace[0]
+        sides.append((find(face[c, (s - 1) % 4]), find(face[c, s])))
+    neighbours: dict = {}
+    for side in filter(None, sides):
+        neighbours.setdefault(side[0], set()).add(side[1])
+        neighbours.setdefault(side[1], set()).add(side[0])
+    color = {}
+    for sector in d.outer_sectors:
+        stack = [find(face[sector])]
+        color[stack[0]] = 0
+        while stack:
+            f = stack.pop()
+            for g in neighbours.get(f, ()):
+                if g not in color:
+                    color[g] = 1 - color[f]
+                    stack.append(g)
+                assert color[g] != color[f]
+    return [None if side is None else (color[side[0]], color[side[1]]) for side in sides]
+
+
+def test_diagram_coloring_matches_a_merged_face_reference():
+    # the regions of every resolution take the diagram's coloring: on the
+    # corpus, T(2,3/5/7/9), every frame of the bundled movies and of the
+    # slide sweep, every circle of every resolution has the reference's
+    # colors on its two sides, and in the oriented resolution of every
+    # orientation each edge's color is its circle's
+    frames = [f for mv in slide_sweep() for f in mv.frames]
+    circles = edges = 0
+    for d in dict.fromkeys([*_resolution_cases(), *frames]):
+        for bits in itertools.product((0, 1), repeat=d.crossing_count):
+            res = resolve(d, bits)
+            for i, (circ, sides) in enumerate(zip(res.circles, _reference_side_colors(d, bits))):
+                if sides is None:
+                    assert res.nesting_parity(i) == 0
+                    continue
+                assert res.nesting_parity(i) == sides[0]
+                for c, s in circ.trace:
+                    assert d.color_left_of((c, s)) == sides[0]
+                    assert d.face_colors[d.face_of_sector[c, s]] == sides[1]
+                circles += 1
+        for o in all_orientations(d):
+            bits = oriented_resolution(d, o)
+            res = resolve(d, bits)
+            sides = _reference_side_colors(d, bits)
+            for i, circ in enumerate(res.circles):
+                color = res.oriented_color(i, o)
+                if circ.is_free_loop:
+                    assert color == o[d.component_map[circ.edges[0]]]
+                else:
+                    # the trace runs along the orientation or against it throughout
+                    start, e = circ.trace[0], circ.edges[0]
+                    along = (d.edge_head[e] == start) == o[d.component_map[e]]
+                    assert color == sides[i][0 if along else 1]
+                for e in circ.edges:
+                    assert edge_color(d, e, o) == color
+                    edges += 1
+    assert circles > 13000 and edges > 2500

@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -50,3 +52,27 @@ def test_answers_digest_on_a_few_invocations(tmp_path, capsys):
         "movie sphere lee text", "movie sphere lee json", "all",
     ]
     assert lines[0] == f"jones trefoil text  {tool.digest(['--format', 'text', 'jones', 'trefoil'])}"
+
+
+def test_orientation_sweep_values_on_a_few_movies():
+    from kj.corpus import MOVIES, load_movie
+    from kj.verify import _random_composite_movies
+
+    from diagrams import slide_sweep
+
+    tool = _tool("orientation_sweep")
+    # the sphere, a birth and a death: one closed component; the birth gives
+    # its loop both orientations, and the death takes each to the empty one
+    assert tool.movie_values(load_movie("sphere")) == [
+        [[(1, 0)]], True, True, [False, False], [()], [(True,), (False,)], [()], [()],
+    ]
+    # the bundled movies, the composite movies of seed 0 (five with an outer-
+    # face convention flip) and the first slides, which flip the convention
+    # at their R2 addition; the digest is the sweep's, on these movies alone
+    movies = [load_movie(name) for name in MOVIES] + _random_composite_movies(0) + slide_sweep()[:5]
+    values = [tool.movie_values(mv) for mv in movies]
+    assert sum(len(v) for v in values) == 298
+    assert sum(True in v[3] for v in values) == 10
+    digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
+    assert digest == "06a694833f610d263646a776c17b9320949ee86cdd7a135367d38f05702e51ec"
+    assert tool.answer(lambda: 1 // 0) == "ZeroDivisionError('integer division or modulo by zero')"
