@@ -29,8 +29,9 @@ product of two edge signs times P + s P', where P and P' are its two paths
 with every sign +1 and s is the product of its four signs; so it is fixed
 by its four shapes and s. Each distinct such key is summed once, on every
 source code, and squares of a key already checked are skipped, also in
-the other complexes that share the ``LocalTables``. d is read back from
-its arrays first, in part, as ``validate`` says.
+the other complexes that share the ``LocalTables``. A complex writes d
+on the first read of its triple, and ``validate`` reads back, in part, a d
+that has been written.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import itertools
 from array import array
 from collections import Counter
 from collections.abc import Iterator, Mapping
+from functools import cached_property
 from itertools import repeat
 from operator import lshift
 from types import MappingProxyType
@@ -79,11 +81,11 @@ Gen = tuple[tuple[int, ...], tuple[int, ...]]
 _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
-# machine, building, checking and reducing the complex of T(2,9) (19686
-# generators) takes 0.24 to 0.28 s and 28 MiB for Khovanov homology over Z,
-# and 0.29 to 0.34 s and 35 MiB for Lee homology over Q; on T(2,11) (177150
-# generators) it takes 1.9 to 2.9 s and 110 MiB, and 2.1 to 3.5 s and
-# 181 MiB (`tools/cube_stages.py`, three runs). Each further crossing
+# machine, building, checking, writing d of and reducing the complex of
+# T(2,9) (19686 generators) takes 0.19 to 0.28 s and 28 MiB for Khovanov
+# homology over Z, and 0.18 to 0.35 s and 35 MiB for Lee homology over Q; on
+# T(2,11) (177150 generators) it takes 2.0 to 2.8 s and 110 MiB, and 2.0 to
+# 3.6 s and 181 MiB (`tools/cube_stages.py`, three runs). Each further crossing
 # roughly triples the generators, and memory grows with them. A free loop
 # doubles the generators, so loops count against the bound with crossings.
 MAX_CROSSINGS = 12
@@ -314,7 +316,8 @@ class _Stored:
     ``targets[ptr[g]:ptr[g + 1]]`` of the target with entries at the same
     places of ``values``, in the order they were appended. ``targets`` and
     ``ptr`` are int arrays and ``values`` a list of shared ring elements,
-    about 20 bytes per entry. d and every chain map are stored so; each
+    about 20 bytes per entry. d and every chain map are stored so: a chain
+    map is written when it is made, d on the first read of its triple. Each
     subclass gives ``_ends()``: its source, its target and the degree the
     map adds."""
 
@@ -374,9 +377,12 @@ class ChainComplex(_Stored):
 
     d is stored once in ``ptr``, ``targets`` and ``values``, in the one form
     chain maps share (``_Stored``), in the order ``LocalTables.fill``
-    appends it. ``columns`` and ``apply`` read d_i in place; ``diff`` builds
-    every d_i as a ``SparseMatrix`` on each access, a view kept for tests
-    and tools.
+    appends it. The build keeps only what d is written from: the shape and
+    sign of each cube edge (``_edge_shapes``), the place of each resolution
+    (``_spans``) and ``first``; the triple is written on its first read, so
+    a caller that reads only the gradings never writes it. ``columns`` and
+    ``apply`` read d_i in place; ``diff`` builds every d_i as a
+    ``SparseMatrix`` on each access, a view kept for tests and tools.
 
     d is written through ``local``, a ``LocalTables`` at the same t over the
     same ring; complexes that share one, such as a movie's frames, share
@@ -394,9 +400,6 @@ class ChainComplex(_Stored):
         self.qs: dict[int, list[int]] = {}
         self._where: dict[tuple[int, ...], tuple[int, int, dict]] = {}
         self.index: Mapping[Gen, tuple[int, int]] = _Index(self._where)
-        self.ptr = array("l", [0])
-        self.targets = array("l")
-        self.values: list = []
         # every entry of d is one of its shared elements; ``local`` may be
         # shared with other complexes at the same t over the same ring
         if local is None:
@@ -419,7 +422,7 @@ class ChainComplex(_Stored):
         d = self.diagram
         n = d.crossing_count
         layers: dict[int, list[int]] = {}  # resolution indices by degree
-        at: list[tuple[Resolution, int, int]] = []  # (resolution, offset, size) by index
+        at: list[Resolution] = []  # by index
         tables: dict[int, tuple] = {}  # shared by every resolution with k circles
         # bits and labels both run in lexicographic order, so each degree's
         # generators come out sorted
@@ -434,7 +437,7 @@ class ChainComplex(_Stored):
             labelings, codes, degrees = tables[k]
             gens = self.bases.setdefault(i, [])
             self._where[bits] = (i, len(gens), codes)
-            at.append((res, len(gens), len(codes)))
+            at.append(res)
             self._spans.append((len(gens), len(codes)))
             layers.setdefault(i, []).append(index)
             gens.extend(zip(repeat(bits), labelings))
@@ -443,26 +446,22 @@ class ChainComplex(_Stored):
         degrees = self.degrees()
         # degree -> id of its first generator
         self.first = dict(zip(degrees, itertools.accumulate(map(self.dim, degrees), initial=0)))
-        for i in degrees:
-            if i + 1 in self.bases:
-                self._differential(i, layers[i], at)
-            else:
-                self.ptr.extend(repeat(len(self.values), len(self.bases[i])))
+        for i in degrees[:-1]:  # the top degree has no edges out
+            self._differential(i, layers[i], at)
 
     def _differential(self, i: int, layer: list[int], at: list) -> None:
-        """Append d_i's columns, one resolution at a time and one column at a
-        time, in the order of ``gen_differential``: by flipped bit, then by
-        product. Each cube edge is a merge or a split of ``local``.
-        ``layer`` lists the indices of degree i's resolutions (their bits
-        read as a binary number) and ``at`` gives each index's (resolution,
-        offset, size)."""
+        """Lay out d_i's cube edges in ``_edge_shapes``, one resolution at a
+        time, by flipped bit. Each cube edge is a merge or a split of
+        ``local``. ``layer`` lists the indices of degree i's resolutions
+        (their bits read as a binary number) and ``at`` gives each index's
+        resolution."""
         crossings = self.diagram.crossings
         n = len(crossings)
         flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
-        piece, fill = self.local.piece, self.local.fill
+        piece, spans = self.local.piece, self._spans
         top = self.first[i + 1]
         for index in layer:
-            src, _, size = at[index]
+            src = at[index]
             on_src = src.circle_of_edge
             pieces = []
             ones = 0  # 1 bits below the flipped one
@@ -470,7 +469,7 @@ class ChainComplex(_Stored):
                 if index & flip:
                     ones += 1
                     continue
-                tgt, row, _ = at[index | flip]
+                tgt, row = at[index | flip], spans[index | flip][0]
                 # slots 0 and 2 lie on the two smoothing arcs of either bit
                 e1, _, e2, _ = crossings[j]
                 on_tgt = tgt.circle_of_edge
@@ -485,8 +484,50 @@ class ChainComplex(_Stored):
                 pieces.append(piece(
                     src, tgt, top + row, consumed, created, table, -1 if ones & 1 else 1
                 ))
-            fill(self.ptr, self.targets, self.values, size, pieces)
             self._edge_shapes[index] = [2 * shape[4] + (sign < 0) for shape, _, _, sign in pieces]
+
+    def _pieces(self, v: int) -> list[tuple]:
+        """The cube edges out of resolution ``v`` (by index, as in
+        ``_edge_shapes``), by flipped bit, as ``LocalTables.piece`` gave
+        them, each at its target's row: what ``LocalTables.fill`` writes
+        out of ``v``."""
+        n = self.diagram.crossing_count
+        shapes, spans = self.local.shapes, self._spans
+        top = self.first[v.bit_count() - self.n_minus + 1]
+        ups = (v | f for f in (1 << n - 1 - j for j in range(n)) if not v & f)
+        pieces = []
+        for e, u in zip(self._edge_shapes[v], ups):
+            shape, sign = shapes[e >> 1], -1 if e & 1 else 1
+            pieces.append((shape, shape[5][sign], top + spans[u][0], sign))
+        return pieces
+
+    @cached_property
+    def values(self) -> list:
+        """The entries of d. On first read, ``LocalTables.fill`` writes d
+        from ``_edge_shapes``, one resolution at a time in column order, and
+        this sets ``ptr`` and ``targets`` too."""
+        ptr, targets, values = array("l", [0]), array("l"), []
+        fill, spans = self.local.fill, self._spans
+        for v in self._edge_shapes:
+            fill(ptr, targets, values, spans[v][1], self._pieces(v))
+        # the columns of the top degree, which has no edges out
+        ptr.extend(repeat(len(values), self.dim(max(self.bases))))
+        # one cached_property fills all three
+        self.__dict__.update(ptr=ptr, targets=targets)
+        return values
+
+    @cached_property
+    def ptr(self) -> array:
+        """The end of each column of d in ``targets`` and ``values``, after
+        a 0."""
+        self.values  # noqa: B018 -- writing d sets it
+        return self.__dict__["ptr"]
+
+    @cached_property
+    def targets(self) -> array:
+        """The row of each entry of d, by generator id."""
+        self.values  # noqa: B018 -- writing d sets it
+        return self.__dict__["targets"]
 
     def _ends(self):
         return self, self, 1
@@ -545,15 +586,17 @@ class ChainComplex(_Stored):
         return len(self.bases.get(i, ()))
 
     def validate(self) -> None:
-        """d^2 = 0, and the q behavior expected of the theory: every entry of
-        d is read back, and each cube square and edge is checked once per
-        shape.
+        """d^2 = 0, and the q behavior expected of the theory: each cube
+        square and edge is checked once per shape, and every entry of d is
+        read back if d has been written.
 
         ``LocalTables.fill`` is the only writer of d, and it writes each cube
-        edge from its piece. Relative to the offsets of the edge's two
+        edge from its piece, as ``_edge_shapes`` records it, on the first
+        read of the triple; so a d written after this call comes from the
+        edges it checks. Relative to the offsets of the edge's two
         resolutions, the piece's entries are fixed by its shape
-        (``LocalTables.shapes``) and its sign. So d is read back from its
-        arrays: every column out of a resolution with an edge of a new
+        (``LocalTables.shapes``) and its sign. So a written d is read back
+        from its arrays: every column out of a resolution with an edge of a new
         (edge shape, q offset), and the column of the first source code out
         of every other resolution, must hold the very rows and elements its
         edges' shapes and signs write, and d_i must hold as many entries as
@@ -571,7 +614,7 @@ class ChainComplex(_Stored):
         ring; each (edge shape, q offset) has the q shift of every entry
         checked. Those that hold are recorded in ``local`` and skipped
         wherever they recur, in this complex or in another that shares
-        ``local``; every call reads all of d back.
+        ``local``; every call reads all of a written d back.
 
         Of the q and d^2 failures, the one raised is the one a
         column-by-column check in the order of d's columns would meet first,
@@ -582,12 +625,13 @@ class ChainComplex(_Stored):
         n = self.diagram.crossing_count
         flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
         spans, edges, qs, shapes = self._spans, self._edge_shapes, self.qs, self.local.shapes
-        ptr, targets, values = self.ptr, self.targets, self.values
+        # read d back only if it has been written: one written later comes
+        # from the very edges checked here
+        stored = "values" in self.__dict__
+        if stored:
+            ptr, targets, values = self.ptr, self.targets, self.values
         # an edge is 2 * (its shape id) + 1 if its sign is -1
-        every = set().union(*edges.values())
-        terms = self.local.terms(every)
-        # each edge's coded table on ring elements
-        signed = {e: shapes[e >> 1][5][-1 if e & 1 else 1] for e in every}
+        terms = self.local.terms(set().union(*edges.values()))
         checked_q, checked_squares = self.local.checked_q, self.local.checked_squares
         written = dict.fromkeys(self.bases, 0)  # entries the edges wrote, by degree
         first = None  # (degree, column, message) of the first bad column
@@ -602,25 +646,25 @@ class ChainComplex(_Stored):
             # read back every column out of v if an edge's (shape, q offset)
             # is new, else the column of its first source code: they must
             # be what its edges' shapes and signs write at its offsets
-            top, g = self.first[i + 1], self.first[i] + col
-            if checked_q.issuperset(keys):
-                # code 0 reads table entry 0 at row 0 of every edge
-                start, end = ptr[g], ptr[g + 1]
-                held = list(zip(targets[start:end], values[start:end]))
-                wrote = [(top + row + delta, x) for e, row in zip(ids, rows)
-                         for delta, x in signed[e][0]]
-            else:
-                start, end = ptr[g], ptr[g + size]
-                held = ([p - start for p in ptr[g:g + size + 1]],
-                        targets[start:end].tolist(), values[start:end])
-                wrote = [0], [], []
-                self.local.fill(*wrote, size, [(shapes[e >> 1], signed[e], top + row, 0)
-                                               for e, row in zip(ids, rows)])
-            if held != wrote:
-                raise InternalInvariantError(
-                    f"d_{i} does not hold the entries its cube edges wrote"
-                )
-            written[i] += sum(shapes[e >> 1][3] for e in ids)
+            if stored:
+                g = self.first[i] + col
+                if checked_q.issuperset(keys):
+                    # code 0 reads table entry 0 at row 0 of every edge
+                    start, end = ptr[g], ptr[g + 1]
+                    held = list(zip(targets[start:end], values[start:end]))
+                    wrote = [(row + delta, x) for _, entries, row, _ in self._pieces(v)
+                             for delta, x in entries[0]]
+                else:
+                    start, end = ptr[g], ptr[g + size]
+                    held = ([p - start for p in ptr[g:g + size + 1]],
+                            targets[start:end].tolist(), values[start:end])
+                    wrote = [0], [], []
+                    self.local.fill(*wrote, size, self._pieces(v))
+                if held != wrote:
+                    raise InternalInvariantError(
+                        f"d_{i} does not hold the entries its cube edges wrote"
+                    )
+                written[i] += sum(shapes[e >> 1][3] for e in ids)
             if not checked_q.issuperset(keys):
                 if {q_tgt[row + r] - q_src[col + c] for e, row in zip(ids, rows)
                         for c, r, _ in terms[e >> 1]} <= shifts:
@@ -660,7 +704,7 @@ class ChainComplex(_Stored):
                     bad = fault, f"d^2 != 0 at degree {i}"
             if bad is not None and (first is None or (i, col + bad[0]) < first[:2]):
                 first = i, col + bad[0], bad[1]
-        for i, g in self.first.items():
+        for i, g in self.first.items() if stored else ():
             if ptr[g + self.dim(i)] - ptr[g] != written[i]:
                 raise InternalInvariantError(
                     f"d_{i} does not hold the entries its cube edges wrote"

@@ -2,7 +2,7 @@
 share one complex and one ``FieldHomology``, within one ``MovieMaps`` only.
 The state-sum oracle reads the circle counts of the complex it is checked
 against, so ``kj jones`` and the euler-oracle suite trace each resolution
-once."""
+once. A complex writes d on its first read, so ``kj jones`` writes none."""
 
 import itertools
 import sys
@@ -17,6 +17,8 @@ from kj.cli import main
 from kj.corpus import DIAGRAMS, MOVIES, load_movie
 from kj.diagram import parse_pd
 from kj.movie import MovieMaps, kj_number
+
+from diagrams import torus_pd
 
 FieldHomology = sys.modules["kj.homology"].FieldHomology
 
@@ -93,3 +95,33 @@ def test_euler_oracle_traces_each_cube_once(monkeypatch):
     diagrams = [parse_pd(text) for text in DIAGRAMS.values()]
     assert sum(traced.values()) == len(traced)
     assert len(traced) == sum(2**d.crossing_count for d in diagrams)
+
+
+def test_jones_writes_no_differential_and_homology_writes_it_once(monkeypatch, tmp_path,
+                                                                  capsys):
+    path = tmp_path / "T2_7.pd"
+    path.write_text(torus_pd(7))
+    fills, built = Counter(), []
+    fill, init = kj.cube.LocalTables.fill, kj.cube.ChainComplex.__init__
+
+    def counted_fill(*args):
+        fills["fill"] += 1
+        fill(*args)
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(kj.cube.LocalTables, "fill", staticmethod(counted_fill))
+    monkeypatch.setattr(kj.cube.ChainComplex, "__init__", kept)
+    assert main(["jones", str(path)]) == 0
+    assert "oracle agreement:     yes" in capsys.readouterr().out
+    assert len(built) == 1 and fills["fill"] == 0
+    built.clear()
+    assert main(["homology", str(path)]) == 0
+    assert "rank" in capsys.readouterr().out
+    [c] = built
+    # one call per resolution with edges out: every one but the all-1
+    assert fills["fill"] == len(c._edge_shapes) == 2**7 - 1
+    assert len(c.values) > 0 and c.diff
+    assert fills["fill"] == 2**7 - 1

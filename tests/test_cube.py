@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -246,6 +247,23 @@ def test_differential_keeps_entry_order(t, ring):
             assert list(c.diff[i].data.items()) == list(slow.data.items()), (text, i)
 
 
+def test_written_triple_of_d_is_pinned():
+    # d's arrays, entry order included, as they were when the complex wrote
+    # d while it was built: one sha256 over ptr, targets and each entry's
+    # repr, on the corpus, T(2,3...9) and their mirrors
+    digest, entries = hashlib.sha256(), 0
+    tori = [torus_pd(n, mirror) for mirror in (False, True) for n in (3, 5, 7, 9)]
+    for text in [*DIAGRAMS.values(), *tori]:
+        d = parse_pd(text)
+        for t, ring in ((0, ZZ), (0, GF(5)), (1, QQ)):
+            c = cube.ChainComplex(d, t, ring)
+            for part in (c.ptr.tolist(), c.targets.tolist(), c.values):
+                digest.update(repr(part).encode())
+            entries += len(c.values)
+    assert entries == 649070
+    assert digest.hexdigest() == "06b7a663127243413ffc1c5b8d833cd518d19b60603373f797c038b21ca03a69"
+
+
 @pytest.mark.parametrize("t, ring", [(0, ZZ), (0, QQ), (0, GF(5)), (1, ZZ), (1, QQ), (1, GF(5))])
 def test_columns_and_apply_read_the_arrays_as_the_view_does(t, ring):
     rng = random.Random(2100 + 10 * t + ring.characteristic)
@@ -287,8 +305,8 @@ def test_stored_differential_takes_at_most_32_bytes_an_entry():
         tracemalloc.start()
         try:
             c = cube.ChainComplex(d, t, ring)
+            entries = len(c.values)  # d is written on first read
             held = tracemalloc.get_traced_memory()[0]
-            entries = len(c.values)
             del c.ptr, c.targets, c.values
             stored = held - tracemalloc.get_traced_memory()[0]
         finally:
@@ -348,7 +366,7 @@ def test_built_complex_is_freed_by_reference_counting():
         for t in (0, 1):
             c = build_complex(parse_pd(TREFOIL), t, QQ)
             g = c.bases[0][0]
-            c.q_of(g), c.gen_differential(g), list(c.index)
+            c.q_of(g), c.gen_differential(g), list(c.index), c.values
             ref = weakref.ref(c)
             del c
             assert ref() is None

@@ -1,9 +1,10 @@
 """Print the stage table of ROADMAP.md's Baseline: for T(2,n), the least
 time of 7 to resolve every resolution and trace its circles on a freshly
 parsed diagram, the time of ``ChainComplex(...)`` (which traces them on a
-diagram of its own), of ``validate()`` and of ``homology()``, the entries
-of d, and the peak RSS before the build, after it and at the end, under
-Khovanov homology over Z and Lee homology over Q. Then, for the
+diagram of its own), of ``validate()``, of writing d (the first read of
+``values``) and of ``homology()``, the entries of d, and the peak RSS
+before the build, after it, after writing d and at the end, under Khovanov
+homology over Z and Lee homology over Q. Then, for the
 ``torus-noise`` movie at t = 0 and 1 over Q, the least time of 7 repeats to
 build and verify its elementary chain maps (Morse, R1 and R2, a removal's
 by its forward map) on frames built beforehand, their stored entries, and
@@ -68,6 +69,10 @@ def stages(n: int, t: int, ring_name: str) -> dict:
     start = time.perf_counter()
     c.validate()
     row["validate_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    c.values  # noqa: B018 -- d is written on first read
+    row["write_s"] = time.perf_counter() - start
+    row["rss_written_mib"] = _rss_mib()
     start = time.perf_counter()
     homology(c)
     row["homology_s"] = time.perf_counter() - start
@@ -187,9 +192,9 @@ def main(argv: list[str]) -> int:
         sys.path.insert(0, str(SRC))
         print(json.dumps(ROWS[argv[1]](*map(json.loads, argv[2:]))))
         return 0
-    print(f"| workload | trace, least of {REPEATS} | `ChainComplex` | `validate` | `homology()` "
-          "| entries of d | RSS |")
-    print("|---|---|---|---|---|---|---|")
+    print(f"| workload | trace, least of {REPEATS} | `ChainComplex` | `validate` | write d "
+          "| `homology()` | entries of d | RSS |")
+    print("|---|---|---|---|---|---|---|---|")
     for n in map(int, argv or ["9", "11"]):
         trace_s = _run_row("trace", n)["trace_s"]
         for theory, t, ring in THEORIES:
@@ -197,9 +202,9 @@ def main(argv: list[str]) -> int:
             print(
                 f"| T(2,{n}) {theory} over {ring} ({r['generators']:,} gens) "
                 f"| {trace_s * 1000:.1f} ms | {r['complex_s']:.3f} s | {r['validate_s']:.3f} s "
-                f"| {r['homology_s']:.3f} s | {r['entries']:,} "
+                f"| {r['write_s']:.3f} s | {r['homology_s']:.3f} s | {r['entries']:,} "
                 f"| {r['rss_before_mib']:.0f} → {r['rss_built_mib']:.0f} → "
-                f"{r['rss_end_mib']:.0f} MiB |",
+                f"{r['rss_written_mib']:.0f} → {r['rss_end_mib']:.0f} MiB |",
                 flush=True,
             )
     print()
