@@ -30,8 +30,8 @@ with every sign +1 and s is the product of its four signs; so it is fixed
 by its four shapes and s. Each distinct such key is summed once, on every
 source code, and squares of a key already checked are skipped, also in
 the other complexes that share the ``LocalTables``. A complex writes d
-on the first read of its triple, and ``validate`` reads back, in part, a d
-that has been written.
+on the first read of its triple, and ``validate`` compares a d that has
+been written, whole, with a fresh write from the edges it checks.
 """
 
 from __future__ import annotations
@@ -203,16 +203,16 @@ class LocalTables:
         # int -> its ring element (None if zero in the ring)
         self.elements: dict[int, object] = {}
         self._tables: dict[str, list] = {}  # by name, built on first use
-        # by (table, new-circle bits): the coded table on ints, its count of
-        # terms, the shapes that read it by (carried weights, consumed
-        # circles), and the coded table on ring elements by sign
-        self._coded: dict[tuple, tuple[list, int, dict, dict]] = {}
+        # by (table, new-circle bits): the coded table on ints, the shapes
+        # that read it by (carried weights, consumed circles), and the coded
+        # table on ring elements by sign
+        self._coded: dict[tuple, tuple[list, dict, dict]] = {}
         self._keys: dict[tuple, list[int]] = {}  # by (circle count, consumed)
         # by shape id: the row of each source code before the new circles,
         # relative to the target's offset; the table entry each reads; the
-        # coded table on ints; the count of terms; the id; the coded table
-        # on ring elements by sign
-        self.shapes: list[tuple[list[int], list[int], list, int, int, dict]] = []
+        # coded table on ints; the id; the coded table on ring elements by
+        # sign
+        self.shapes: list[tuple[list[int], list[int], list, int, dict]] = []
         # (4 edge shapes, whether their signs multiply to -1) of the squares
         # that vanish, and (edge shape, q offset) of the edges whose q
         # shifts hold
@@ -250,17 +250,13 @@ class LocalTables:
             # ``fill`` appends, so two terms of one entry would both stay
             if any(len({delta for delta, _ in terms}) < len(terms) for terms in ints):
                 raise InternalInvariantError("two terms of a cube map landed on one entry")
-            coded = self._coded[table, news] = ints, sum(map(len, ints)), {}, {}
-        entries = coded[3].get(sign)
+            coded = self._coded[table, news] = ints, {}, {}
+        entries = coded[2].get(sign)
         if entries is None:
-            if sign == 1 and all(self.elements[v] is v for terms in coded[0] for _, v in terms):
-                entries = coded[0]  # each element is its own int, as over Z and Q
-            else:
-                entries = [[(delta, self.element(sign * v)) for delta, v in terms]
-                           for terms in coded[0]]
-            coded[3][sign] = entries
+            entries = coded[2][sign] = [[(delta, self.element(sign * v)) for delta, v in terms]
+                                        for terms in coded[0]]
         weights = carried_weights(src, dst, consumed, created, placed, skip)
-        shape = coded[2].get((weights, consumed))
+        shape = coded[1].get((weights, consumed))
         if shape is None:
             k = len(weights)
             keys = self._keys.get((k, consumed))
@@ -270,10 +266,8 @@ class LocalTables:
                 for n, si in enumerate(consumed):
                     where[k - 1 - si] = 1 << len(consumed) - 1 - n
                 keys = self._keys[k, consumed] = subset_sums(0, where)
-            # each entry of the table is read by 2^(k - consumed) codes
-            count = (len(keys) >> len(consumed)) * coded[1]
-            shape = coded[2][weights, consumed] = (
-                subset_sums(0, weights), keys, coded[0], count, len(self.shapes), coded[3]
+            shape = coded[1][weights, consumed] = (
+                subset_sums(0, weights), keys, coded[0], len(self.shapes), coded[2]
             )
             self.shapes.append(shape)
         return shape, entries, row, sign
@@ -285,7 +279,7 @@ class LocalTables:
         id. Each is laid out on first use."""
         terms = self._terms
         for e in edges:
-            rows, keys, ints, _, sid, _ = self.shapes[e >> 1]
+            rows, keys, ints, sid, _ = self.shapes[e >> 1]
             if sid not in terms:
                 terms[sid] = [(c, r + delta, v) for c, (r, key) in enumerate(zip(rows, keys))
                               for delta, v in ints[key]]
@@ -317,9 +311,9 @@ class _Stored:
     places of ``values``, in the order they were appended. ``targets`` and
     ``ptr`` are int arrays and ``values`` a list of shared ring elements,
     about 20 bytes per entry. d and every chain map are stored so: a chain
-    map is written when it is made, d on the first read of its triple. Each
-    subclass gives ``_ends()``: its source, its target and the degree the
-    map adds."""
+    map is written when it is made, d on the first read of its triple, by
+    ``ChainComplex._write``. Each subclass gives ``_ends()``: its source,
+    its target and the degree the map adds."""
 
     def columns(self, i: int) -> list[dict]:
         """Every column out of degree i as a dict row -> entry, rows counted
@@ -379,8 +373,10 @@ class ChainComplex(_Stored):
     chain maps share (``_Stored``), in the order ``LocalTables.fill``
     appends it. The build keeps only what d is written from: the shape and
     sign of each cube edge (``_edge_shapes``), the place of each resolution
-    (``_spans``) and ``first``; the triple is written on its first read, so
-    a caller that reads only the gradings never writes it. ``columns`` and
+    (``_spans``) and ``first``; ``_write`` writes the triple from them on
+    its first read, so a caller that reads only the gradings never writes
+    it, and ``validate`` compares a written triple whole with a fresh
+    ``_write``. ``columns`` and
     ``apply`` read d_i in place; ``diff`` builds every d_i as a
     ``SparseMatrix`` on each access, a view kept for tests and tools.
 
@@ -484,7 +480,7 @@ class ChainComplex(_Stored):
                 pieces.append(piece(
                     src, tgt, top + row, consumed, created, table, -1 if ones & 1 else 1
                 ))
-            self._edge_shapes[index] = [2 * shape[4] + (sign < 0) for shape, _, _, sign in pieces]
+            self._edge_shapes[index] = [2 * shape[3] + (sign < 0) for shape, _, _, sign in pieces]
 
     def _pieces(self, v: int) -> list[tuple]:
         """The cube edges out of resolution ``v`` (by index, as in
@@ -498,20 +494,26 @@ class ChainComplex(_Stored):
         pieces = []
         for e, u in zip(self._edge_shapes[v], ups):
             shape, sign = shapes[e >> 1], -1 if e & 1 else 1
-            pieces.append((shape, shape[5][sign], top + spans[u][0], sign))
+            pieces.append((shape, shape[4][sign], top + spans[u][0], sign))
         return pieces
 
-    @cached_property
-    def values(self) -> list:
-        """The entries of d. On first read, ``LocalTables.fill`` writes d
-        from ``_edge_shapes``, one resolution at a time in column order, and
-        this sets ``ptr`` and ``targets`` too."""
+    def _write(self) -> tuple[array, array, list]:
+        """d's ``ptr``, ``targets`` and ``values``, as ``LocalTables.fill``
+        writes them from ``_edge_shapes``, one resolution at a time in column
+        order."""
         ptr, targets, values = array("l", [0]), array("l"), []
         fill, spans = self.local.fill, self._spans
         for v in self._edge_shapes:
             fill(ptr, targets, values, spans[v][1], self._pieces(v))
         # the columns of the top degree, which has no edges out
         ptr.extend(repeat(len(values), self.dim(max(self.bases))))
+        return ptr, targets, values
+
+    @cached_property
+    def values(self) -> list:
+        """The entries of d, written by ``_write`` on first read, which sets
+        ``ptr`` and ``targets`` too."""
+        ptr, targets, values = self._write()
         # one cached_property fills all three
         self.__dict__.update(ptr=ptr, targets=targets)
         return values
@@ -587,23 +589,17 @@ class ChainComplex(_Stored):
 
     def validate(self) -> None:
         """d^2 = 0, and the q behavior expected of the theory: each cube
-        square and edge is checked once per shape, and every entry of d is
-        read back if d has been written.
+        square and edge is checked once per shape, and a written d is
+        compared whole with a fresh write.
 
-        ``LocalTables.fill`` is the only writer of d, and it writes each cube
-        edge from its piece, as ``_edge_shapes`` records it, on the first
-        read of the triple; so a d written after this call comes from the
-        edges it checks. Relative to the offsets of the edge's two
-        resolutions, the piece's entries are fixed by its shape
-        (``LocalTables.shapes``) and its sign. So a written d is read back
-        from its arrays: every column out of a resolution with an edge of a new
-        (edge shape, q offset), and the column of the first source code out
-        of every other resolution, must hold the very rows and elements its
-        edges' shapes and signs write, and d_i must hold as many entries as
-        its edges write. That catches an edge written at the
-        wrong offsets, with the wrong shape or sign, and a missing or extra
-        entry; an entry changed in place at a later code of an edge whose
-        shape recurs is not read. The block of
+        ``_write`` is the only writer of d, and it writes each cube edge from
+        its piece, as ``_edge_shapes`` records it, on the first read of the
+        triple; so a d written after this call comes from the edges it
+        checks. A d written before it must equal a fresh ``_write``, every
+        entry of every column; the first degree whose columns differ is
+        raised before any other check. Relative to the offsets of the
+        edge's two resolutions, the piece's entries are fixed by its shape
+        (``LocalTables.shapes``) and its sign. The block of
         d_{i+1} d_i on a square v -> v + e_j + e_k is then
         s1 s2 (P12 + s P34): P12 and P34 are its two paths with every sign
         +1, fixed by the shapes of their edges, and s = s1 s2 s3 s4. An
@@ -614,57 +610,42 @@ class ChainComplex(_Stored):
         ring; each (edge shape, q offset) has the q shift of every entry
         checked. Those that hold are recorded in ``local`` and skipped
         wherever they recur, in this complex or in another that shares
-        ``local``; every call reads all of a written d back.
+        ``local``; every call compares all of a written d.
 
         Of the q and d^2 failures, the one raised is the one a
         column-by-column check in the order of d's columns would meet first,
         a column's q before its d^2: a failing shape is never recorded, so
         it is checked wherever it occurs.
         """
+        # a d written later comes from the very edges checked here, so only
+        # one written before this call is compared
+        if "values" in self.__dict__:
+            held, wrote = (self.ptr, self.targets, self.values), self._write()
+            if held != wrote:
+                # the first degree whose columns differ, or the top one if
+                # only what lies past its last column does
+                i = next((i for i, g in self.first.items()
+                          if _columns(held, g, self.dim(i)) != _columns(wrote, g, self.dim(i))),
+                         max(self.bases))
+                raise InternalInvariantError(
+                    f"d_{i} does not hold the entries its cube edges wrote"
+                )
         shifts = {0} if self.t == 0 else {0, 4}
         n = self.diagram.crossing_count
         flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
         spans, edges, qs, shapes = self._spans, self._edge_shapes, self.qs, self.local.shapes
-        # read d back only if it has been written: one written later comes
-        # from the very edges checked here
-        stored = "values" in self.__dict__
-        if stored:
-            ptr, targets, values = self.ptr, self.targets, self.values
         # an edge is 2 * (its shape id) + 1 if its sign is -1
         terms = self.local.terms(set().union(*edges.values()))
         checked_q, checked_squares = self.local.checked_q, self.local.checked_squares
-        written = dict.fromkeys(self.bases, 0)  # entries the edges wrote, by degree
         first = None  # (degree, column, message) of the first bad column
         for v, ids in edges.items():
             i = v.bit_count() - self.n_minus
-            col, size = spans[v]
+            col = spans[v][0]
             q_src, q_tgt = qs[i], qs[i + 1]
             ups = [v | f for f in flips if not v & f]
             bad = None  # (code, message) of the first bad column of v
             rows = [spans[u][0] for u in ups]
             keys = [(e >> 1, q_tgt[row] - q_src[col]) for e, row in zip(ids, rows)]
-            # read back every column out of v if an edge's (shape, q offset)
-            # is new, else the column of its first source code: they must
-            # be what its edges' shapes and signs write at its offsets
-            if stored:
-                g = self.first[i] + col
-                if checked_q.issuperset(keys):
-                    # code 0 reads table entry 0 at row 0 of every edge
-                    start, end = ptr[g], ptr[g + 1]
-                    held = list(zip(targets[start:end], values[start:end]))
-                    wrote = [(row + delta, x) for _, entries, row, _ in self._pieces(v)
-                             for delta, x in entries[0]]
-                else:
-                    start, end = ptr[g], ptr[g + size]
-                    held = ([p - start for p in ptr[g:g + size + 1]],
-                            targets[start:end].tolist(), values[start:end])
-                    wrote = [0], [], []
-                    self.local.fill(*wrote, size, self._pieces(v))
-                if held != wrote:
-                    raise InternalInvariantError(
-                        f"d_{i} does not hold the entries its cube edges wrote"
-                    )
-                written[i] += sum(shapes[e >> 1][3] for e in ids)
             if not checked_q.issuperset(keys):
                 if {q_tgt[row + r] - q_src[col + c] for e, row in zip(ids, rows)
                         for c, r, _ in terms[e >> 1]} <= shifts:
@@ -704,11 +685,6 @@ class ChainComplex(_Stored):
                     bad = fault, f"d^2 != 0 at degree {i}"
             if bad is not None and (first is None or (i, col + bad[0]) < first[:2]):
                 first = i, col + bad[0], bad[1]
-        for i, g in self.first.items() if stored else ():
-            if ptr[g + self.dim(i)] - ptr[g] != written[i]:
-                raise InternalInvariantError(
-                    f"d_{i} does not hold the entries its cube edges wrote"
-                )
         if first is not None:
             raise InternalInvariantError(first[2])
 
@@ -902,6 +878,16 @@ def carried_weights(
     return tuple(weights)
 
 
+def _columns(triple, g: int, size: int) -> tuple:
+    """The ``size`` columns of a stored triple (as ``_Stored`` lays it out)
+    from column g on: the ends in ``ptr`` from g's start, and their rows and
+    entries; shorter, never an IndexError, where the triple runs out."""
+    ptr, targets, values = triple
+    ends = ptr[g:g + size + 1]
+    start, end = (ends[0], ends[-1]) if ends else (0, 0)
+    return ends, targets[start:end], values[start:end]
+
+
 def _square_fault(paths, stride: int) -> int | None:
     """The first source code on which the given cube squares out of one
     resolution do not vanish, or None. Each square is its two paths, each
@@ -910,7 +896,7 @@ def _square_fault(paths, stride: int) -> int | None:
     of its last resolution, whose degree has ``stride`` generators, and a
     sign."""
     image: dict[int, int] = {}  # by source code * stride + row in its degree
-    for terms, (rows, keys, ints, _, _, _), w, sign in paths:
+    for terms, (rows, keys, ints, _, _), w, sign in paths:
         for code, r, x in terms:
             at = code * stride + w + rows[r]
             x *= sign

@@ -268,8 +268,9 @@ def verify_corollary(movie: Movie, table: FrameTable | None = None) -> CheckRepo
 def leading_order_check(movie: Movie, table: FrameTable | None = None) -> CheckReport:
     """Per move, the t = 1 chain map minus the t = 0 one must raise the
     q-filtration strictly; for chain-level movies the composite difference
-    must raise it by at least chi + 4. The frames come from ``table``
-    where it has them (``MovieMaps``)."""
+    must raise it by at least chi + 4. The t = 0 map has q degree chi plus
+    3 times the degree it shifts by, as n_plus - 2 n_minus changes so. The
+    frames come from ``table`` where it has them (``MovieMaps``)."""
     return _leading_order_report(
         movie, MovieMaps(movie, t=0, table=table), MovieMaps(movie, t=1, table=table)
     )
@@ -285,23 +286,22 @@ def _leading_order_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) -> C
         if cm0 is None or cm1 is None:
             per_move.append({"move": rec.kind, "checked": False})
             continue
-        chi_move = rec.chi
+        # a map that shifts the degree changes n_plus - 2 n_minus by 3 shift
         ok, min_shift = _difference_filtration(
-            maps0.complexes[k], maps0.complexes[k + 1], cm0, cm1, chi_move
+            maps0.complexes[k], maps0.complexes[k + 1], cm0, cm1, rec.chi + 3 * cm0.shift
         )
         all_ok = all_ok and ok
         per_move.append(
-            {"move": rec.kind, "checked": True, "chi": chi_move,
+            {"move": rec.kind, "checked": True, "chi": rec.chi,
              "strictly_higher": ok, "min_extra_shift": min_shift}
         )
     comp_detail = {}
     comp0 = maps0.chain_composite()
     comp1 = maps1.chain_composite()
     if comp0 is not None and comp1 is not None:
-        chi = movie.euler_characteristic
         ok, min_shift = _difference_filtration(
-            maps0.complexes[0], maps0.complexes[-1], comp0, comp1, chi,
-            minimum_extra=4,
+            maps0.complexes[0], maps0.complexes[-1], comp0, comp1,
+            movie.euler_characteristic + 3 * comp0.shift, minimum_extra=4,
         )
         all_ok = all_ok and ok
         comp_detail = {"composite_ok": ok, "composite_min_extra": min_shift}

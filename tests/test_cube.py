@@ -499,18 +499,23 @@ def _repeated_edge(c):
     raise AssertionError("no shape repeats")
 
 
-@pytest.mark.parametrize("whole", [False, True])
+@pytest.mark.parametrize("whole", [False, True, "value"])
 def test_validate_reads_back_an_edge_whose_shape_repeats(whole):
     c = cube.ChainComplex(parse_pd(torus_pd(5)), 1, QQ)
     c.validate()
     i, col, row, edge = _repeated_edge(c)
     top = c.first[i + 1]
-    places = []  # where the edge's entries sit in the arrays of d
+    places = []  # where the edge's entries sit in the arrays of d, by source code
     for code, r, _ in c.local.terms([edge])[edge >> 1]:
         g = c.first[i] + col + code
         places.append(next(k for k in range(c.ptr[g], c.ptr[g + 1])
                            if c.targets[k] == top + row + r))
-    if not whole:
+    if whole == "value":
+        # change in place the edge's entry at the last source code of its
+        # resolution, every edge shape of which the first call checked
+        c.values[places[-1]] = c.values[places[-1]] * 3 + 1
+        places = []
+    elif not whole:
         places = places[:1]
     # move the edge's entries to rows past every row of d_i, in their columns
     for k, place in enumerate(places):

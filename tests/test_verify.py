@@ -121,17 +121,18 @@ def test_suites_all_green():
 
 def test_leading_order_reads_q_at_the_target_degree_of_a_shifting_saddle():
     # these saddles change the reference crossing signs, so their chain maps
-    # send degree i to i - 1: the check reads the target's q at i - 1 and
-    # gives a report (the t = 0 map has q degree -4 where chi = -1)
+    # send degree i to i - 1: the check reads the target's q at i - 1, and
+    # n_plus - 2 n_minus drops by 3, so the t = 0 map has q degree -4 where
+    # chi = -1
     for text, saddle in ((CURL, Saddle((1, 2), "left")), (CURL, Saddle((2, 1), "right")),
                          (R3_UNKNOT, Saddle((2, 6), "left"))):
         mv = Movie(parse_pd(text), [saddle])
         assert MovieMaps(mv, t=0).chain_steps[0].shift == -1
         report = leading_order_check(mv)
-        assert not report.ok
+        assert report.ok
         (move,) = report.details["moves"]
-        assert (move["checked"], move["chi"], move["min_extra_shift"]) == (True, -1, 1)
-        assert report.details["composite_min_extra"] == 1
+        assert (move["checked"], move["chi"], move["min_extra_shift"]) == (True, -1, 4)
+        assert report.details["composite_min_extra"] == 4
 
 
 def test_insertion_invariance_nonclosed():
