@@ -463,6 +463,12 @@ def smoothing_partner(slot: int, bit: int) -> int:
     return 3 - slot
 
 
+def joining_bit(d: PlanarDiagram, c: int, a: int, b: int) -> int:
+    """The smoothing bit at crossing ``c`` whose arc joins the slots of the
+    edges ``a`` and ``b``, which meet ``c`` once each at adjacent slots."""
+    return 0 if smoothing_partner(d.slot(a, c), 0) == d.slot(b, c) else 1
+
+
 # smoothing_partner as a table, by bit and then slot
 _PARTNERS = tuple(tuple(smoothing_partner(s, b) for s in range(4)) for b in (0, 1))
 

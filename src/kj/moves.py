@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import Dart, PlanarDiagram, smoothing_partner
+from .diagram import Dart, PlanarDiagram, joining_bit, smoothing_partner
 from .errors import IllegalMoveError, PDSyntaxError, PDValidationError
 
 __all__ = [
@@ -606,12 +606,8 @@ def detect_r2_pattern(d: PlanarDiagram, m_edges: tuple[int, int]):
     m1 = ma if roles[ma] == 0 else mb
     m2 = mb if m1 is ma else ma
 
-    def circled_bit(c):
-        # bit whose smoothing glues the two middle slots to each other
-        s1, s2 = d.slot(m1, c), d.slot(m2, c)
-        return 0 if smoothing_partner(s1, 0) == s2 else 1
-
-    bits = {c: circled_bit(c) for c in (k_first, k_second)}
+    # the bit whose smoothing glues the two middle slots to each other
+    bits = {c: joining_bit(d, c, m1, m2) for c in (k_first, k_second)}
     ones = [c for c in (k_first, k_second) if bits[c] == 1]
     if len(ones) != 1:
         raise IllegalMoveError(

@@ -12,7 +12,8 @@ its frames (for both t = 0 and t = 1):
   into a ``cube.ChainMap``, stored in the one form d is stored in (its
   ``mats`` is a view kept for tests and tools); the R2 map is the
   inclusion plus a ``_fold`` table, the contraction through the circle
-  part, both pieces written in one call;
+  part, both pieces written in one call. Every piece's sign is one
+  ``_change_twist`` of the bits it sets and clears;
 * R1/R2 removals invert the homology isomorphism of the matching forward
   move;
 * R3 acts at homology level. Its pieces are tables on every generator: the
@@ -46,9 +47,7 @@ from functools import cached_property
 from .cube import (
     ChainComplex,
     ChainMap,
-    Gen,
     LocalTables,
-    V_PLUS,
     _admit,
     build_complex,
     carry_labels,
@@ -57,9 +56,9 @@ from .diagram import (
     PlanarDiagram,
     all_orientations,
     edge_color,
+    joining_bit,
     parse_pd,
     render_pd,
-    smoothing_partner,
     union_classes,
 )
 from .errors import IllegalMoveError, InternalInvariantError, PDSyntaxError
@@ -224,32 +223,29 @@ def r2_chain_map(
     return cm
 
 
-def _spectator_parity_sign(bits, pattern_positions) -> int:
-    """Cube-edge components at distinct positions anticommute, so the
-    correction term carries the parity of all 1-bits away from the pattern."""
-    parity = sum(b for u, b in enumerate(bits) if u not in pattern_positions) % 2
-    return -1 if parity else 1
-
-
 def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):
     """The piece of ``cm`` out of resolution ``bits`` of its source that is
     the contraction through ``tbits`` of its target, into which ``placed``
     sends source circles as in ``ChainMap.piece``: the cube edge at
     ``flip``, then the fold at ``other``, identified with the unfolded
     resolution plus the small circle of the ``local`` edges, born v+. The
-    pair has one sign: ``sign`` times the edge's, the identification's and
-    the parity of the other 1-bits."""
+    pair sets the bit at ``flip`` and clears the one at ``other``, so its
+    sign is ``sign`` times the one ``_change_twist`` of those two changes."""
     dst, src = cm.dst, cm.src.resolutions[bits]
     res = dst.resolutions[tbits]
     mid = tbits[:flip] + (1,) + tbits[flip + 1 :]
+    if mid[other] != 1:
+        raise InternalInvariantError("identification expects the folded position")
     mres = dst.resolutions[mid]
+    fbits = mid[:other] + (0,) + mid[other + 1 :]
+    fres = dst.resolutions[fbits]
+    small = next((i for i, es in enumerate(fres.circle_edge_sets) if es <= local), None)
+    if small is None:
+        raise InternalInvariantError("no local circle at the folded position")
     # the source circle on each circle of tbits, and the mid circle, numbered
-    # from 1, on each folded one: the small circle reads V_PLUS = 0 (the
-    # identification's sign enters below as an int)
+    # from 1, on each unfolded one but the small circle, which reads 0
     on_t = carry_labels(src, res, tuple(range(src.circle_count)), placed or {})
-    (fbits, on_f), _ = _identify_with_local_circle(
-        dst, (mid, tuple(range(1, mres.circle_count + 1))), other, local
-    )
+    on_f = carry_labels(mres, fres, range(1, mres.circle_count + 1), fixed={small: 0}, skip=local)
     folded = {m - 1: fi for fi, m in enumerate(on_f) if m}
     # two ends for a merge, two new circles for a split: those of the edges
     # at slots 0 and 2, which lie on the two smoothing arcs of either bit
@@ -261,15 +257,10 @@ def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):
         for m, fi in folded.items()
         if m not in news
     }
-    sign *= (
-        (-1) ** sum(tbits[:flip])
-        * _change_twist(mid, {other: 0})
-        * _spectator_parity_sign(tbits, {flip, other})
-    )
+    sign *= _change_twist(tbits, {flip: 1, other: 0})
     # the small circle, created last, is born v+
     return cm.piece(
-        bits, fbits, tuple(on_t[c] for c in ends),
-        tuple(folded[m] for m in news) + (on_f.index(V_PLUS),),
+        bits, fbits, tuple(on_t[c] for c in ends), tuple(folded[m] for m in news) + (small,),
         "merge" if len(ends) == 2 else "split", sign, carried,
     )
 
@@ -556,7 +547,9 @@ class _R3Transport:
     carried across the resolution identification. The rest is rewritten,
     modulo boundaries, into the straight section x + h(x) of the folded
     part, h the poke contraction, and carried across the matching
-    identification, followed by the contraction on the other side.
+    identification, followed by the contraction on the other side. Each
+    side's bits are read by ``joining_bit``, and each table's sign is one
+    ``_change_twist`` of the bits it changes.
     """
 
     def __init__(self, rec: MoveRecord, c1: ChainComplex, c2: ChainComplex):
@@ -566,11 +559,8 @@ class _R3Transport:
         self.p, self.q, self.r = data["p"], data["q"], data["r"]
         self.sides1 = (data["t"], data["m"], data["b"])
         self.sides2 = (data["t2"], data["m2"], data["b2"])
-        self.sigma1 = self._open_bit(c1.diagram, *self.sides1)
-        self.sigma2 = self._open_bit(c2.diagram, *self.sides2)
-        self.beta1 = self._glue_bits(c1.diagram, *self.sides1)
-        self.beta2 = self._glue_bits(c2.diagram, *self.sides2)
-        self.x1, self.x2 = self._x_pattern(1), self._x_pattern(2)
+        self.sigma1, self.x1 = self._bits(c1.diagram, *self.sides1)
+        self.sigma2, self.x2 = self._bits(c2.diagram, *self.sides2)
         self.fold1 = self._contraction(c1, self.x1, self.sides1)
         self.fold2 = self._contraction(c2, self.x2, self.sides2)
         # the identifications: on the open half p and q swap and r opens, on
@@ -591,26 +581,15 @@ class _R3Transport:
             pieces[bits] = [self.ident.piece(bits, tbits, (), (), "identity", sign, skip=skip)]
         self.ident.fill(pieces)
 
-    def _open_bit(self, d, t, m, b):
-        """Bit of the middle crossing that does not glue the two triangle
-        sides to each other."""
-        sm, sb = d.slot(m, self.r), d.slot(b, self.r)
-        closed = 0 if smoothing_partner(sm, 0) == sb else 1
-        return 1 - closed
-
-    def _glue_bits(self, d, t, m, b):
-        """(beta_p, beta_q): bits gluing t to the other side at p and q."""
-        st_p, sm_p = d.slot(t, self.p), d.slot(m, self.p)
-        st_q, sb_q = d.slot(t, self.q), d.slot(b, self.q)
-        bp = 0 if smoothing_partner(st_p, 0) == sm_p else 1
-        bq = 0 if smoothing_partner(st_q, 0) == sb_q else 1
-        return bp, bq
-
-    def _x_pattern(self, which: int):
-        """(p, q, r) bits of the straight section of the folded part."""
-        beta = self.beta1 if which == 1 else self.beta2
-        sigma = self.sigma1 if which == 1 else self.sigma2
-        return {self.p: 1 - beta[0], self.q: 1 - beta[1], self.r: 1 - sigma}
+    def _bits(self, d, t, m, b):
+        """(sigma, x) of one side: sigma is the bit of the middle crossing
+        that does not glue the sides m and b to each other, and x the (p, q,
+        r) bits of the straight section of the folded part, which glue t to
+        neither m at p nor b at q, and glue m to b at r."""
+        glued = joining_bit(d, self.r, m, b)
+        x = {self.p: 1 - joining_bit(d, self.p, t, m), self.q: 1 - joining_bit(d, self.q, t, b),
+             self.r: glued}
+        return 1 - glued, x
 
     def _contraction(self, c: ChainComplex, xpat, sides) -> ChainMap:
         """The poke contraction of the folded part of one diagram, on its
@@ -666,32 +645,6 @@ class _R3Transport:
 
 def _matches(bits, pattern: dict[int, int]) -> bool:
     return all(bits[pos] == b for pos, b in pattern.items())
-
-
-def _identify_with_local_circle(complex_: ChainComplex, gen: Gen, pos, local_edges):
-    """Identify the folded position (bit 1 at ``pos``) with the unfolded
-    position plus the small circle made of local edges, born with v+; every
-    other circle keeps its edges outside the local ones."""
-    bits, labels = gen
-    if bits[pos] != 1:
-        raise InternalInvariantError("identification expects the folded position")
-    tbits = bits[:pos] + (0,) + bits[pos + 1 :]
-    res_circ = complex_.resolutions[tbits]
-    circle_idx = next(
-        (i for i, es in enumerate(res_circ.circle_edge_sets) if es <= local_edges),
-        None,
-    )
-    if circle_idx is None:
-        raise InternalInvariantError("no local circle at the folded position")
-    tlabels = carry_labels(
-        complex_.resolutions[bits],
-        res_circ,
-        labels,
-        fixed={circle_idx: V_PLUS},
-        skip=local_edges,
-    )
-    sign = _change_twist(bits, {pos: 0})
-    return (tbits, tlabels), complex_.ring.from_int(sign)
 
 
 # ---------------------------------------------------------------------------

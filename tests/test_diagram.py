@@ -9,10 +9,12 @@ from kj.diagram import (
     checkerboard_nesting,
     crossing_sign,
     edge_color,
+    joining_bit,
     oriented_resolution,
     parse_pd,
     render_pd,
     resolve,
+    smoothing_partner,
     writhe,
 )
 from kj.corpus import DIAGRAMS, MOVIES, load_movie
@@ -112,6 +114,22 @@ def test_single_bit_flip_changes_circles_by_one():
                 flipped[j] ^= 1
                 k2 = resolve(d, tuple(flipped)).circle_count
                 assert abs(k - k2) == 1
+
+
+def test_joining_bit_joins_the_two_slots():
+    texts = [*DIAGRAMS.values(), *(torus_pd(n) for n in (3, 5, 7))]
+    pairs = 0
+    for d in map(parse_pd, texts):
+        for c, crossing in enumerate(d.crossings):
+            once = [e for e in crossing if crossing.count(e) == 1]
+            for a, b in itertools.permutations(once, 2):
+                if d.slot(a, c) % 2 == d.slot(b, c) % 2:
+                    continue  # opposite slots: no smoothing arc joins them
+                bit = joining_bit(d, c, a, b)
+                assert smoothing_partner(d.slot(a, c), bit) == d.slot(b, c)
+                assert joining_bit(d, c, b, a) == bit
+                pairs += 1
+    assert pairs > 100
 
 
 def test_oriented_resolution():

@@ -14,6 +14,7 @@ from kj.cube import (
     V_MINUS,
     V_PLUS,
     ChainComplex,
+    Gen,
     build_complex,
     carry_labels,
     counit,
@@ -33,8 +34,6 @@ from kj.movie import (
     _R3Transport,
     _change_twist,
     _embed_bits,
-    _identify_with_local_circle,
-    _spectator_parity_sign,
     kj_number,
     morse_chain_map,
     r1_chain_map,
@@ -399,6 +398,56 @@ def _ref_r1(rec_data, c_small, c_big, cross_embed):
                 tlabels = carry_labels(res1, res2, labels, placed, {midx: lx, lidx: V_PLUS})
                 cm.add_entry(gen, (tbits, tlabels), ring.from_int(-2 * sign * c))
     return cm
+
+
+def _spectator_parity_sign(bits, pattern_positions) -> int:
+    """Cube-edge components at distinct positions anticommute, so the
+    correction term carries the parity of all 1-bits away from the pattern."""
+    parity = sum(b for u, b in enumerate(bits) if u not in pattern_positions) % 2
+    return -1 if parity else 1
+
+
+def _identify_with_local_circle(complex_: ChainComplex, gen: Gen, pos, local_edges):
+    """Identify the folded position (bit 1 at ``pos``) with the unfolded
+    position plus the small circle made of local edges, born with v+; every
+    other circle keeps its edges outside the local ones."""
+    bits, labels = gen
+    if bits[pos] != 1:
+        raise InternalInvariantError("identification expects the folded position")
+    tbits = bits[:pos] + (0,) + bits[pos + 1 :]
+    res_circ = complex_.resolutions[tbits]
+    circle_idx = next(
+        (i for i, es in enumerate(res_circ.circle_edge_sets) if es <= local_edges),
+        None,
+    )
+    if circle_idx is None:
+        raise InternalInvariantError("no local circle at the folded position")
+    tlabels = carry_labels(
+        complex_.resolutions[bits],
+        res_circ,
+        labels,
+        fixed={circle_idx: V_PLUS},
+        skip=local_edges,
+    )
+    sign = _change_twist(bits, {pos: 0})
+    return (tbits, tlabels), complex_.ring.from_int(sign)
+
+
+def test_fold_sign_is_one_twist():
+    # the edge sign at ``flip``, the identification's twist at ``other`` and
+    # the spectator parity of the reference are one twist of both changes
+    cases = 0
+    for n in range(2, 9):
+        for tbits in itertools.product((0, 1), repeat=n):
+            for flip, other in itertools.permutations(range(n), 2):
+                if tbits[flip] != 0 or tbits[other] != 1:
+                    continue
+                mid = tbits[:flip] + (1,) + tbits[flip + 1 :]
+                product = ((-1) ** sum(tbits[:flip]) * _change_twist(mid, {other: 0})
+                           * _spectator_parity_sign(tbits, {flip, other}))
+                assert product == _change_twist(tbits, {flip: 1, other: 0})
+                cases += 1
+    assert cases == 5630
 
 
 def _ref_r2(rec_data, c_small, c_big, cross_embed):
