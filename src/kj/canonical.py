@@ -11,11 +11,17 @@ checkerboard color (outer face of each piece 0) left of any of the circle's
 edges along the orientation, ``diagram.edge_color``. Circles touching at a
 crossing see the two sides of one smoothing arc, so they always receive
 opposite labels and the chain is killed by every merge, making it a cycle.
+Expanding the labels, the cycle's entry at a labeling is -1 to the number of
+b circles labelled v+; ``CanonicalGenerator.vector`` writes it so, at the
+oriented resolution's place in a complex, and the other readers take it
+from there.
 
 The rescaled generator multiplies by 2^((w - k)/2), with w the writhe of the
-orientation and k the circle count of the oriented resolution. Computations
-stay over Q and carry the rescaling as the integer e = w - k (a power of
-sqrt2); only ``rescaled_chain`` writes the factor out, over Q(sqrt2).
+orientation and k the circle count of the oriented resolution. w is read off
+the oriented resolution, whose 1-smoothed crossings are the negative ones.
+Computations stay over Q and carry the rescaling as the integer e = w - k (a
+power of sqrt2); only ``rescaled_chain`` writes the factor out, over
+Q(sqrt2).
 """
 
 from __future__ import annotations
@@ -23,18 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cube import ChainComplex, V_MINUS, V_PLUS, build_complex
-from .diagram import (
-    PlanarDiagram,
-    all_orientations,
-    oriented_resolution,
-    resolve,
-    writhe,
-)
+from .cube import ChainComplex, V_PLUS, build_complex
+from .diagram import PlanarDiagram, all_orientations, oriented_resolution, resolve
 from .errors import InternalInvariantError, PDValidationError
 from .homology import FieldHomology
 from .rings import QQ, QSQRT2, Ring, half_power_of_two
-from .sparse import SparseMatrix, rank as matrix_rank, vec_add, vec_sub
+from .sparse import rank as matrix_rank, vec_add, vec_sub
 
 __all__ = [
     "LABEL_A",
@@ -48,13 +48,6 @@ __all__ = [
 
 LABEL_A = "a"
 LABEL_B = "b"
-
-# expansion of the two labels in the (v+, v-) basis: label -> {v_label: coeff}
-_EXPANSION = {
-    LABEL_A: {V_MINUS: 1, V_PLUS: 1},
-    LABEL_B: {V_MINUS: 1, V_PLUS: -1},
-}
-
 
 @dataclass
 class CanonicalGenerator:
@@ -71,17 +64,19 @@ class CanonicalGenerator:
         """e = w - k: the rescaled cycle is 2^(e/2) times the raw one."""
         return int(2 * self.scale_exponent)
 
+    def vector(self, complex_: ChainComplex) -> tuple[int, dict]:
+        """The raw cycle as (degree, vector) of ``complex_`` (any ring,
+        t = 1): on the oriented resolution, the entry at each label code is
+        -1 to the number of b circles labelled v+ (a clear bit of the code)."""
+        k = len(self.labels)
+        i, offset = complex_.index[self.bits, (V_PLUS,) * k]
+        b = sum(1 << k - 1 - j for j, lab in enumerate(self.labels) if lab == LABEL_B)
+        signs = complex_.ring.one, complex_.ring.from_int(-1)
+        return i, {offset + code: signs[(b & ~code).bit_count() & 1] for code in range(1 << k)}
+
     def chain(self, complex_: ChainComplex) -> dict:
         """The raw cycle as a chain of ``complex_`` (any ring, t = 1)."""
-        ring = complex_.ring
-        stack = [((), ring.one)]
-        for lab in self.labels:
-            stack = [
-                (prefix + (vlab,), coeff * ring.from_int(c))
-                for prefix, coeff in stack
-                for vlab, c in _EXPANSION[lab].items()
-            ]
-        return {(self.bits, tup): coeff for tup, coeff in stack}
+        return complex_.vec_to_chain(*self.vector(complex_))
 
     def rescaled_chain(self, complex_: ChainComplex) -> dict:
         """The rescaled cycle; requires the Q(sqrt2) complex."""
@@ -91,34 +86,17 @@ class CanonicalGenerator:
         return {g: factor * v for g, v in self.chain(complex_).items()}
 
 
-def lee_generator(
-    d: PlanarDiagram, orientation, flip_colors: bool = False
-) -> CanonicalGenerator:
-    """Construct the canonical cycle data for one orientation.
-
-    ``flip_colors`` swaps the global checkerboard convention; it exchanges
-    the two labels on every circle and exists for convention tests.
-    """
+def lee_generator(d: PlanarDiagram, orientation) -> CanonicalGenerator:
+    """Construct the canonical cycle data for one orientation."""
     if d.is_empty():
         raise PDValidationError("the empty diagram has no circles to label")
     o = tuple(orientation)
     bits = oriented_resolution(d, o)
     res = resolve(d, bits)
-    labels = []
-    for i in range(res.circle_count):
-        color = res.oriented_color(i, o)
-        if flip_colors:
-            color = 1 - color
-        labels.append(LABEL_A if color == 1 else LABEL_B)
     k = res.circle_count
-    w = writhe(d, o)
-    return CanonicalGenerator(
-        diagram=d,
-        orientation=o,
-        bits=bits,
-        labels=tuple(labels),
-        scale_exponent=Fraction(w - k, 2),
-    )
+    labels = tuple(LABEL_A if res.oriented_color(c, o) == 1 else LABEL_B for c in range(k))
+    w = len(bits) - 2 * sum(bits)  # the 1-smoothed crossings are the negative ones
+    return CanonicalGenerator(d, o, bits, labels, Fraction(w - k, 2))
 
 
 def canonical_chain(complex_: ChainComplex, orientation, rescaled: bool = False) -> dict:
@@ -135,44 +113,31 @@ class BasisReport:
     ok: bool
     expected_rank: int
     homology_rank: int
-    coordinates: SparseMatrix  # homology coordinates of each canonical class
+    generators: list[CanonicalGenerator]  # one per orientation
     classes: list[tuple[int, dict]]  # per orientation: (degree, class coordinates)
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "expected_rank": self.expected_rank,
-            "homology_rank": self.homology_rank,
-            "matrix": self.coordinates.to_json(),
-        }
 
 
 def verify_basis(d: PlanarDiagram, ring: Ring | None = None) -> BasisReport:
     """Check that the canonical classes freely generate the t = 1 homology.
 
-    Returns the change-of-basis matrix from canonical classes to the
-    greedy homology basis (``FieldHomology.greedy_coordinates``), one column
-    per orientation in the order of ``all_orientations``; a failure
-    indicates a labeling-rule bug.
+    Reports each orientation's generator and the coordinates of its class
+    on the greedy homology basis (``FieldHomology.greedy_coordinates``), in
+    the order of ``all_orientations``; a failure indicates a labeling-rule
+    bug. ``FieldHomology.reduce`` raises on a canonical vector that is not
+    a cycle.
     """
     complex_ = build_complex(d, 1, ring or QQ)
     fh = FieldHomology(complex_)
-    orientations = all_orientations(d)
-    expected = len(orientations)
+    generators = [lee_generator(d, o) for o in all_orientations(d)]
     classes: list[tuple[int, dict]] = []
-    for o in orientations:
-        chain = canonical_chain(complex_, o)
-        if complex_.apply_differential(chain):
-            raise InternalInvariantError(
-                f"canonical chain of {o} is not a cycle"
-            )
-        i, coords = fh.reduce_chain(chain)
-        classes.append((i, fh.greedy_coordinates(i, coords)))
-    rank = fh.total_rank()
+    for gen in generators:
+        i, vec = gen.vector(complex_)
+        classes.append((i, fh.greedy_coordinates(i, fh.reduce(i, vec))))
+    expected, rank = len(generators), fh.total_rank()
     # full-rank check: the classes must be independent and span
     m, _ = fh.class_matrix(classes)
     ok = expected == rank and matrix_rank(m) == expected
-    return BasisReport(d, ok, expected, rank, m, classes)
+    return BasisReport(d, ok, expected, rank, generators, classes)
 
 
 def mod4_types(d: PlanarDiagram) -> tuple[int, int]:
@@ -180,7 +145,8 @@ def mod4_types(d: PlanarDiagram) -> tuple[int, int]:
 
     Both combinations must be homogeneous mod 4 and their residues differ
     by 2; raises otherwise. The two orientations share their rescaling, so
-    the raw cycles give the same supports.
+    the raw cycles give the same supports, and their oriented resolution,
+    so the cycles sit in one degree.
     """
     if d.component_count != 1:
         raise PDValidationError("mod-4 types are stated for knots")
@@ -188,12 +154,10 @@ def mod4_types(d: PlanarDiagram) -> tuple[int, int]:
     o, oprime = lee_generator(d, (True,)), lee_generator(d, (False,))
     if o.twice_exponent != oprime.twice_exponent:
         raise InternalInvariantError("the knot's two orientations rescale differently")
-    s, sprime = o.chain(complex_), oprime.chain(complex_)
-    plus = vec_add(QQ, s, sprime)
-    minus = vec_sub(QQ, s, sprime)
+    (i, s), (_, sprime) = o.vector(complex_), oprime.vector(complex_)
     out = []
-    for chain in (plus, minus):
-        residues = {complex_.q_of(g) % 4 for g in chain}
+    for vec in (vec_add(QQ, s, sprime), vec_sub(QQ, s, sprime)):
+        residues = {complex_.qs[i][p] % 4 for p in vec}
         if len(residues) != 1:
             raise InternalInvariantError(
                 "canonical combination is not homogeneous mod 4"
@@ -202,4 +166,3 @@ def mod4_types(d: PlanarDiagram) -> tuple[int, int]:
     if (out[0] - out[1]) % 4 != 2:
         raise InternalInvariantError("mod-4 residues do not differ by 2")
     return out[0], out[1]
-

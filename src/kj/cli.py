@@ -16,10 +16,10 @@ import os
 import sys
 from pathlib import Path
 
-from .canonical import lee_generator, verify_basis
+from .canonical import verify_basis
 from .corpus import DIAGRAMS, bundled_path
 from .cube import build_complex, graded_euler_characteristic, kauffman_bracket
-from .diagram import all_orientations, parse_pd, render_pd, writhe
+from .diagram import parse_pd, render_pd, writhe
 from .errors import (
     DiagramTooLargeError,
     IllegalMoveError,
@@ -143,8 +143,8 @@ def cmd_generators(args) -> int:
         raise PDValidationError("the empty diagram has no canonical generators")
     report = verify_basis(d)
     rows = []
-    for o, (i, coords) in zip(all_orientations(d), report.classes):
-        gen = lee_generator(d, o)
+    for gen, (i, coords) in zip(report.generators, report.classes):
+        o = gen.orientation
         rows.append(
             {
                 "orientation": ["+" if b else "-" for b in o],

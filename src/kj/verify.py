@@ -4,7 +4,10 @@ Each checker runs the exact-arithmetic engine on one instance and returns a
 structured report; the suites iterate over the bundled corpus plus seeded
 random instances. Reports carry the realized signs and both exponent
 hypotheses (-chi/2 against -chi), so a discrepancy is documented rather
-than assumed away.
+than assumed away. The proposition, transport and corollary checks build one
+``lee_generator`` per (frame, orientation) they read and take from it both
+the canonical vector and the exponent e = w - k; they expand a pushed image
+on the last frame's canonical vectors, keyed by (degree, position).
 """
 
 from __future__ import annotations
@@ -12,17 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from .canonical import canonical_chain
+from .canonical import lee_generator
 from .cube import build_complex, graded_euler_characteristic, kauffman_bracket
-from .diagram import (
-    PlanarDiagram,
-    all_orientations,
-    oriented_resolution,
-    parse_pd,
-    render_pd,
-    resolve,
-    writhe,
-)
+from .diagram import PlanarDiagram, all_orientations, parse_pd, render_pd
 from .errors import IllegalMoveError
 from .homology import homology
 from .movie import (
@@ -77,31 +72,26 @@ def _plain(x):
 
 # The checks push raw canonical cycles s_o over Q. As sbar_o = 2^(e_o/2) s_o,
 # a coefficient r of s_o' in the image of s_o is the coefficient
-# r * 2^((e_o - e_o')/2) of sbar_o' in the image of sbar_o.
+# r * 2^((e_o - e_o')/2) of sbar_o' in the image of sbar_o. Each check builds
+# one generator per (frame, orientation) it reads, for its vector and its e.
 
 
-def _twice_exponent(d: PlanarDiagram, orientation) -> int:
-    """e = w - k: the writhe less the circle count of the oriented resolution."""
-    res = resolve(d, oriented_resolution(d, orientation))
-    return writhe(d, orientation) - res.circle_count
-
-
-def _canonical_coefficients(maps: MovieMaps, chains: list[dict], finals) -> list:
-    """For each cycle of ``chains`` on the first frame, the coefficients of
-    its image (``MovieMaps.push``) on the last frame's canonical cycles of
-    ``finals``, by position in ``finals``, with the level they were read at:
-    "chain" when the movie has a move, every move is a chain map and the
-    image expands on the canonical chains, else "class", from homology
-    classes on the last frame. The coefficients are None when the image is
-    outside the canonical span. The canonical cycles and their echelon forms
-    are built once for all the chains."""
-    c1, c2 = maps.complexes[0], maps.complexes[-1]
-    canonical = [c2.chain_to_vec(canonical_chain(c2, o)) for o in finals]
+def _canonical_coefficients(maps: MovieMaps, cycles: list[tuple[int, dict]], finals) -> list:
+    """For each (degree, cycle) of ``cycles`` on the first frame, the
+    coefficients of its image (``MovieMaps.push``) on the canonical cycles of
+    the last frame's generators ``finals``, by position in ``finals``, with
+    the level they were read at: "chain" when the movie has a move, every
+    move is a chain map and the image expands on the canonical vectors, else
+    "class", from homology classes on the last frame. The coefficients are
+    None when the image is outside the canonical span. The canonical vectors
+    and their echelon forms are built once for all the cycles."""
+    c2 = maps.complexes[-1]
+    canonical = [gen.vector(c2) for gen in finals]
     chain_span = _canonical_span(c2.ring, canonical) if maps.chain_level else None
     class_span = None
     out = []
-    for chain in chains:
-        image = maps.push(*c1.chain_to_vec(chain))
+    for cycle in cycles:
+        image = maps.push(*cycle)
         if chain_span is not None:
             coeffs = _expand_in_span(chain_span, image)
             if coeffs is not None:
@@ -122,23 +112,21 @@ def _class_of(fh, image):
 
 
 def _canonical_span(ring, vectors):
-    """``vectors``, each (degree, vector), as an echelon form labelled by
-    position, with the row number of each (degree, position) they meet."""
-    index: dict = {}
+    """``vectors``, each (degree, vector), as an echelon form keyed by
+    (degree, position) and labelled by position in ``vectors``. They are
+    independent, so the coefficients it solves for do not depend on the
+    order of its pivots."""
     ech = _Echelon(ring)
     for j, (i, vec) in enumerate(vectors):
-        ech.insert({index.setdefault((i, p), len(index)): v for p, v in vec.items()}, label=j)
-    return index, ech
+        ech.insert({(i, p): v for p, v in vec.items()}, label=j)
+    return ech
 
 
 def _expand_in_span(span, image):
     """Solve image = sum c_o * vector o on a ``_canonical_span``, image a
     (degree, vector), or None."""
-    index, ech = span
     i, vec = image
-    if any((i, p) not in index for p in vec):
-        return None
-    return ech.membership({index[i, p]: v for p, v in vec.items()})
+    return span.membership({(i, p): v for p, v in vec.items()})
 
 
 def verify_proposition(movie: Movie, orientation) -> CheckReport:
@@ -166,20 +154,19 @@ def _proposition_reports(movie: Movie, orientations, table: FrameTable | None = 
         {effective_orientation(o2, flip) for o2 in compatible_orientations(movie, o)}
         for o in orientations
     ]
+    starts = [lee_generator(movie.frames[0], o) for o in orientations]
     finals = all_orientations(movie.frames[-1])
-    results = _canonical_coefficients(
-        maps, [canonical_chain(maps.complexes[0], o) for o in orientations], finals
-    )
-    exponents = [_twice_exponent(movie.frames[-1], o) for o in finals]  # e_o'
+    ends = [lee_generator(movie.frames[-1], o) for o in finals]
+    c1 = maps.complexes[0]
+    results = _canonical_coefficients(maps, [gen.vector(c1) for gen in starts], ends)
     out = []
-    for name, o, compat, (level, coeffs) in zip(names, orientations, compats, results):
+    for name, start, compat, (level, coeffs) in zip(names, starts, compats, results):
         if coeffs is None:
             out.append(CheckReport(
                 name, False, {"error": "image is not in the canonical span"}
             ))
             continue
-        e_in = _twice_exponent(movie.frames[0], o)
-        shifts = [e - e_in for e in exponents]  # e_o' - e_o
+        shifts = [end.twice_exponent - start.twice_exponent for end in ends]  # e_o' - e_o
         out.append(_judge_coefficients(
             name, movie.euler_characteristic, finals, shifts, coeffs, compat, level
         ))
@@ -227,15 +214,16 @@ def verify_corollary(movie: Movie, table: FrameTable | None = None) -> CheckRepo
         return CheckReport(name, False, {"error": "cobordism is not connected"})
     # sbar_+ - sbar_- is a multiple of s_+ - s_- only if both orientations of
     # a knot share their exponent, so check that at both ends
-    exps = [{_twice_exponent(d, o) for o in all_orientations(d)} for d in (d1, d2)]
+    gens = [[lee_generator(d, o) for o in all_orientations(d)] for d in (d1, d2)]
+    exps = [{gen.twice_exponent for gen in frame} for frame in gens]
     if any(len(e) != 1 for e in exps):
         return CheckReport(name, False, {"error": "orientations rescale differently"})
     shift = exps[1].pop() - exps[0].pop()
     chi = movie.euler_characteristic
     maps = MovieMaps(movie, t=1, table=table)
-    c1 = maps.complexes[0]
-    diff = vec_sub(QQ, canonical_chain(c1, (True,)), canonical_chain(c1, (False,)))
-    [(level, coeffs)] = _canonical_coefficients(maps, [diff], all_orientations(d2))
+    # both orientations of a knot have one oriented resolution, so one degree
+    (i, plus), (_, minus) = (gen.vector(maps.complexes[0]) for gen in gens[0])
+    [(level, coeffs)] = _canonical_coefficients(maps, [(i, vec_sub(QQ, plus, minus))], gens[1])
     if coeffs is None:
         return CheckReport(name, False, {"error": "image not in canonical span"})
     c_a = coeffs.get(0, 0)

@@ -10,13 +10,14 @@ from kj.canonical import (
     mod4_types,
     verify_basis,
 )
+from kj.corpus import DIAGRAMS
 from kj.cube import V_MINUS, V_PLUS, build_complex
 from kj.diagram import all_orientations, parse_pd
 from kj.errors import PDValidationError
 from kj.homology import FieldHomology
-from kj.rings import QQ, QSQRT2, QSqrt2, half_power_of_two
+from kj.rings import GF, QQ, QSQRT2, QSqrt2, half_power_of_two
 
-from diagrams import CURL, FIG8, HOPF, R3_UNKNOT, TREFOIL, UNKNOT, UNLINK2
+from diagrams import CURL, FIG8, HOPF, R3_UNKNOT, TREFOIL, UNKNOT, UNLINK2, torus_pd
 
 
 def test_unknot_generators_expand_correctly():
@@ -84,10 +85,11 @@ def test_mod4_types():
 def test_global_color_flip_swaps_generators_on_knots():
     for text in (UNKNOT, TREFOIL, CURL, FIG8):
         d = parse_pd(text)
-        flipped = lee_generator(d, (True,), flip_colors=True)
+        gen = lee_generator(d, (True,))
+        flipped = tuple(LABEL_B if lab == LABEL_A else LABEL_A for lab in gen.labels)
         reversed_ = lee_generator(d, (False,))
-        assert flipped.labels == reversed_.labels
-        assert flipped.bits == reversed_.bits
+        assert flipped == reversed_.labels
+        assert gen.bits == reversed_.bits
 
 
 def test_canonical_classes_independent_in_homology():
@@ -104,3 +106,35 @@ def test_canonical_classes_independent_in_homology():
     for i, cc in coords:
         seen.add((i, tuple(sorted((k, str(v)) for k, v in cc.items()))))
     assert len(seen) == 4
+
+
+def _stack_expansion(gen, c):
+    """The raw cycle by expanding a = v- + v+ and b = v- - v+ circle by
+    circle, as a chain of ``c``: the reference ``CanonicalGenerator.vector``
+    is checked against."""
+    expansion = {LABEL_A: {V_MINUS: 1, V_PLUS: 1}, LABEL_B: {V_MINUS: 1, V_PLUS: -1}}
+    stack = [((), c.ring.one)]
+    for lab in gen.labels:
+        stack = [
+            (prefix + (vlab,), coeff * c.ring.from_int(x))
+            for prefix, coeff in stack
+            for vlab, x in expansion[lab].items()
+        ]
+    return {(gen.bits, labels): coeff for labels, coeff in stack}
+
+
+def test_vector_is_the_stack_expansion():
+    texts = list(DIAGRAMS.values())
+    texts += [torus_pd(n, mirror) for n in (3, 5, 7) for mirror in (False, True)]
+    for text in texts:
+        d = parse_pd(text)
+        for ring in (QQ, GF(5), QSQRT2):
+            c = build_complex(d, 1, ring)
+            for o in all_orientations(d):
+                gen = lee_generator(d, o)
+                reference = _stack_expansion(gen, c)
+                assert gen.vector(c) == c.chain_to_vec(reference), (text, ring.name, o)
+                assert gen.chain(c) == reference
+                if ring is QSQRT2:
+                    factor = half_power_of_two(gen.twice_exponent)
+                    assert gen.rescaled_chain(c) == {g: factor * v for g, v in reference.items()}

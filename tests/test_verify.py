@@ -192,12 +192,11 @@ def test_automatic_paths_never_use_qsqrt2(monkeypatch):
 
 
 def test_twice_exponent_is_writhe_less_circle_count():
-    """e = w - k from the writhe and the oriented resolution's circle count
-    matches the full canonical generator's rescaling."""
+    """The generator's e, read off its oriented resolution's bits, is the
+    writhe of the orientation less the circle count of that resolution."""
     from kj.canonical import lee_generator
     from kj.corpus import DIAGRAMS
-    from kj.diagram import all_orientations
-    from kj.verify import _twice_exponent
+    from kj.diagram import all_orientations, oriented_resolution, resolve, writhe
 
     from diagrams import torus_pd
 
@@ -206,7 +205,42 @@ def test_twice_exponent_is_writhe_less_circle_count():
     for text in texts:
         d = parse_pd(text)
         for o in all_orientations(d):
-            assert _twice_exponent(d, o) == lee_generator(d, o).twice_exponent, (text, o)
+            k = resolve(d, oriented_resolution(d, o)).circle_count
+            assert lee_generator(d, o).twice_exponent == writhe(d, o) - k, (text, o)
+
+
+def test_each_frame_orientation_traces_its_oriented_resolution_once(monkeypatch):
+    """One proposition check and one corollary check trace the oriented
+    resolution of each (frame, orientation) they read once: each builds one
+    generator for it and takes its vector and its exponent from there."""
+    import kj.canonical as canonical
+    import kj.diagram as diagram
+    import kj.verify as verify
+    from kj.diagram import all_orientations, oriented_resolution
+
+    traced = []
+
+    def traced_resolve(d, bits):
+        traced.append((id(d), tuple(bits)))
+        return diagram.resolve(d, bits)
+
+    for module in (canonical, verify):
+        monkeypatch.setattr(module, "resolve", traced_resolve, raising=False)
+
+    def read(frame, orientations):
+        return [(id(frame), oriented_resolution(frame, o)) for o in orientations]
+
+    saddle = Movie(parse_pd(TREFOIL), [Saddle((1, 3), "right")])
+    first, last = saddle.frames[0], saddle.frames[-1]
+    assert verify_proposition(saddle, (True,)).ok
+    assert sorted(traced) == sorted(read(first, [(True,)]) + read(last, all_orientations(last)))
+    traced.clear()
+    genus1 = verify._genus_movie(1)
+    first, last = genus1.frames[0], genus1.frames[-1]
+    assert verify_corollary(genus1).ok
+    assert sorted(traced) == sorted(
+        read(first, all_orientations(first)) + read(last, all_orientations(last))
+    )
 
 
 def test_canonical_coefficients_fall_back_to_classes(monkeypatch):

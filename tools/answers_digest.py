@@ -7,7 +7,8 @@ checkouts give the same answers exactly when their lines agree.
 The invocations, each in text and in JSON: ``kj homology`` on the corpus
 and T(2,3), ..., T(2,11) under Khovanov homology over Z and Q and Lee
 homology over Q and F_5; ``kj jones`` and ``kj generators`` on the same
-diagrams; ``kj verify all --seed s`` for s = 0..9; ``kj movie`` under both
+diagrams; ``kj verify all --seed s`` for s = 0..9 and ``kj verify
+proposition --seed s`` for s = 10..29; ``kj movie`` under both
 theories on the bundled movies, the movies of ``tests/golden``, the open
 movies ``composite s-k`` (``verify._random_composite_movies(s)`` for
 s = 0..29, each with one ``random_cancelling_insertion`` from
@@ -85,6 +86,8 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
                         ["homology", source, "--theory", theory, "--ring", ring]))
         out += [(f"{command} {name}", [command, source]) for command in ("jones", "generators")]
     out += [(f"verify all {s}", ["verify", "all", "--seed", str(s)]) for s in range(10)]
+    out += [(f"verify proposition {s}", ["verify", "proposition", "--seed", str(s)])
+            for s in range(10, 30)]
     for name, source in movies.items():
         out += [(f"movie {name} {theory}", ["movie", source, "--theory", theory])
                 for theory in ("kh", "lee")]
