@@ -33,8 +33,8 @@ from .cube import ChainComplex, V_PLUS, build_complex
 from .diagram import PlanarDiagram, all_orientations, oriented_resolution, resolve
 from .errors import InternalInvariantError, PDValidationError
 from .homology import FieldHomology
-from .rings import QQ, QSQRT2, Ring, half_power_of_two
-from .sparse import rank as matrix_rank, vec_add, vec_sub
+from .rings import QQ, QSQRT2, half_power_of_two
+from .sparse import _Echelon, vec_add, vec_sub
 
 __all__ = [
     "LABEL_A",
@@ -117,8 +117,9 @@ class BasisReport:
     classes: list[tuple[int, dict]]  # per orientation: (degree, class coordinates)
 
 
-def verify_basis(d: PlanarDiagram, ring: Ring | None = None) -> BasisReport:
-    """Check that the canonical classes freely generate the t = 1 homology.
+def verify_basis(d: PlanarDiagram) -> BasisReport:
+    """Check that the canonical classes freely generate the t = 1 homology
+    over Q.
 
     Reports each orientation's generator and the coordinates of its class
     on the greedy homology basis (``FieldHomology.greedy_coordinates``), in
@@ -126,7 +127,7 @@ def verify_basis(d: PlanarDiagram, ring: Ring | None = None) -> BasisReport:
     bug. ``FieldHomology.reduce`` raises on a canonical vector that is not
     a cycle.
     """
-    complex_ = build_complex(d, 1, ring or QQ)
+    complex_ = build_complex(d, 1, QQ)
     fh = FieldHomology(complex_)
     generators = [lee_generator(d, o) for o in all_orientations(d)]
     classes: list[tuple[int, dict]] = []
@@ -135,9 +136,19 @@ def verify_basis(d: PlanarDiagram, ring: Ring | None = None) -> BasisReport:
         classes.append((i, fh.greedy_coordinates(i, fh.reduce(i, vec))))
     expected, rank = len(generators), fh.total_rank()
     # full-rank check: the classes must be independent and span
-    m, _ = fh.class_matrix(classes)
-    ok = expected == rank and matrix_rank(m) == expected
+    ok = expected == rank and len(_canonical_span(QQ, classes).pivots) == expected
     return BasisReport(d, ok, expected, rank, generators, classes)
+
+
+def _canonical_span(ring, vectors):
+    """``vectors``, each (degree, vector), as an echelon form keyed by
+    (degree, position) and labelled by position in ``vectors``; it has one
+    pivot per vector when they are independent, and then the coefficients it
+    solves for do not depend on the order of its pivots."""
+    ech = _Echelon(ring)
+    for j, (i, vec) in enumerate(vectors):
+        ech.insert({(i, p): v for p, v in vec.items()}, label=j)
+    return ech
 
 
 def mod4_types(d: PlanarDiagram) -> tuple[int, int]:

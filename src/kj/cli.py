@@ -19,7 +19,7 @@ from pathlib import Path
 from .canonical import verify_basis
 from .corpus import DIAGRAMS, bundled_path
 from .cube import build_complex, graded_euler_characteristic, kauffman_bracket
-from .diagram import parse_pd, render_pd, writhe
+from .diagram import parse_pd, render_pd
 from .errors import (
     DiagramTooLargeError,
     IllegalMoveError,
@@ -148,7 +148,7 @@ def cmd_generators(args) -> int:
         rows.append(
             {
                 "orientation": ["+" if b else "-" for b in o],
-                "writhe": writhe(d, o),
+                "writhe": gen.twice_exponent + len(gen.labels),  # e = w - k
                 "circles": len(gen.labels),
                 "labels": list(gen.labels),
                 "scale_exponent": str(gen.scale_exponent),

@@ -708,14 +708,6 @@ class ChainComplex(_Stored):
         basis = self.bases[i]
         return {basis[p]: v for p, v in vec.items() if not self.ring.is_zero(v)}
 
-    def apply_differential(self, chain: dict) -> dict:
-        if not chain:
-            return {}
-        i, vec = self.chain_to_vec(chain)
-        if i + 1 not in self.bases:
-            return {}
-        return self.vec_to_chain(i + 1, self.apply(i, vec))
-
 
 class ChainMap(_Stored):
     """A map of chain complexes, homogeneous of a fixed homological shift,
@@ -776,13 +768,6 @@ class ChainMap(_Stored):
         for bits in sorted(src.resolutions, key=sum):  # degree by degree
             size = 1 << src.resolutions[bits].circle_count
             fill(self.ptr, self.targets, self.values, size, pieces.get(bits, ()))
-
-    def apply_chain(self, chain: dict) -> dict:
-        if not chain:
-            return {}
-        i, vec = self.src.chain_to_vec(chain)
-        image = self.apply(i, vec)
-        return self.dst.vec_to_chain(i + self.shift, image) if image else {}
 
     def verify(self) -> None:
         """Commutation with both differentials, exactly, one column at a

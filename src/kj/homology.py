@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .cube import ChainComplex
 from .errors import InternalInvariantError
@@ -51,9 +50,6 @@ class HomologySummary:
 
     def rank(self, i, q=None) -> int:
         return self.groups.get((i, q), (0, []))[0]
-
-    def torsion(self, i, q=None) -> list[int]:
-        return list(self.groups.get((i, q), (0, []))[1])
 
     def total_rank(self) -> int:
         return sum(r for r, _ in self.groups.values())
@@ -257,9 +253,9 @@ class FieldHomology:
     as cycles. ``reps[i]`` is g of the degree-i leftover basis, ``reduce``
     is f on a cycle, and f(reps[i][k]) is the k-th unit vector.
 
-    Printed coordinates use the greedy basis instead: walking
-    ``kernel_basis(d_i)`` in order, the cycles whose classes are independent
-    of those kept before. ``greedy_reps`` and ``greedy_coordinates`` convert,
+    Printed coordinates use the greedy basis instead: walking the
+    ``kernel_basis`` of d_i's columns in order, the cycles whose classes are
+    independent of those kept before. ``greedy_reps`` and ``greedy_coordinates`` convert,
     one rank x rank system per degree, built only when a caller asks.
     """
 
@@ -306,23 +302,6 @@ class FieldHomology:
         if self.complex.apply(i, vec):
             raise InternalInvariantError("vector is not a cycle of the complex")
         return self._project(i, vec)
-
-    def reduce_chain(self, chain: dict) -> tuple[int, dict]:
-        if not chain:
-            raise ValueError("cannot locate the degree of the zero chain")
-        i, vec = self.complex.chain_to_vec(chain)
-        return i, self.reduce(i, vec)
-
-    def class_matrix(self, classes: list[tuple[int, dict]]) -> tuple[SparseMatrix, dict[int, int]]:
-        """Classes given as (degree, coordinates) as the columns of one matrix
-        on the homology basis of all degrees, with each degree's first row."""
-        degrees = sorted(self.reps)
-        offset = dict(zip(degrees, accumulate(map(self.rank, degrees), initial=0)))
-        m = SparseMatrix(self.total_rank(), len(classes), self.ring)
-        for j, (i, coords) in enumerate(classes):
-            for k, v in coords.items():
-                m.set(offset[i] + k, j, v)
-        return m, offset
 
     def greedy_reps(self, i: int) -> list[dict]:
         """The degree-i cycles of the greedy basis."""

@@ -276,8 +276,8 @@ class Movie:
 
     initial: PlanarDiagram
     moves: list[Move]
-    frames: list[PlanarDiagram] = field(default_factory=list)
-    records: list[MoveRecord] = field(default_factory=list)
+    frames: list[PlanarDiagram] = field(init=False)
+    records: list[MoveRecord] = field(init=False)
 
     def __post_init__(self):
         self.frames = [self.initial]

@@ -223,9 +223,6 @@ class Ring:
     def is_zero(self, x) -> bool:
         return x == self.zero
 
-    def render(self, x) -> str:
-        return str(x)
-
     def __repr__(self):
         return f"Ring({self.name})"
 

@@ -190,11 +190,10 @@ def rank(m: SparseMatrix) -> int:
     return len(ech.pivots)
 
 
-def kernel_basis(m, columns=None) -> list[dict]:
-    """A basis of ker(m) over a field, one vector per non-pivot column. m is
-    a SparseMatrix, or the ring of a matrix whose ``columns`` (dicts row ->
-    scalar, read one at a time) are given."""
-    ring, columns = (m.ring, m.columns()) if columns is None else (m, columns)
+def kernel_basis(ring: Ring, columns) -> list[dict]:
+    """A basis of the kernel of a matrix over the field ``ring``, one vector
+    per non-pivot column, from its ``columns`` (dicts row -> scalar, read one
+    at a time)."""
     if not ring.is_field:
         raise ValueError("kernel_basis requires field coefficients")
     ech = _Echelon(ring)

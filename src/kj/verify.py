@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from .canonical import lee_generator
+from .canonical import _canonical_span, lee_generator
 from .cube import build_complex, graded_euler_characteristic, kauffman_bracket
 from .diagram import PlanarDiagram, all_orientations, parse_pd, render_pd
 from .errors import IllegalMoveError
@@ -30,7 +30,7 @@ from .movie import (
 )
 from .moves import MOVE_JSON, Birth, Death, Move, R1Move, R2Move, R3Move, Saddle, apply_move
 from .rings import QQ, half_power_sign
-from .sparse import _Echelon, vec_sub
+from .sparse import vec_sub
 
 __all__ = [
     "verify_proposition",
@@ -109,17 +109,6 @@ def _class_of(fh, image):
     basis)."""
     i, vec = image
     return i, fh.reduce(i, vec) if vec else {}
-
-
-def _canonical_span(ring, vectors):
-    """``vectors``, each (degree, vector), as an echelon form keyed by
-    (degree, position) and labelled by position in ``vectors``. They are
-    independent, so the coefficients it solves for do not depend on the
-    order of its pivots."""
-    ech = _Echelon(ring)
-    for j, (i, vec) in enumerate(vectors):
-        ech.insert({(i, p): v for p, v in vec.items()}, label=j)
-    return ech
 
 
 def _expand_in_span(span, image):
@@ -334,14 +323,11 @@ def _final_computation_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) 
     if not (maps0.chain_level and maps1.chain_level):
         return CheckReport(name, False, {"error": "movie is not chain-level"})
     c_in, c_out = maps1.complexes[0], maps1.complexes[-1]
-    plus = next(
-        g for g in c_in.bases[0] if g[1] == (V_PLUS,) * len(g[1]) and not g[0]
-    )
-    source = c_in.chain_to_vec({plus: QQ.one})
-    img1, img0 = maps1.push(*source), maps0.push(*source)
-    minus_gen = next(g for g in c_out.bases[0] if g[1] == (V_MINUS,))
-    expect = c_out.chain_to_vec({minus_gen: QQ.from_int(2)})
-    neg = c_out.chain_to_vec({minus_gen: QQ.from_int(-2)})
+    # v+ on every circle of the crossingless first frame; +-2 v- on the last
+    i, p = c_in.index[(), (V_PLUS,) * c_in.resolutions[()].circle_count]
+    img1, img0 = maps1.push(i, {p: QQ.one}), maps0.push(i, {p: QQ.one})
+    j, m = c_out.index[(), (V_MINUS,)]
+    expect, neg = (j, {m: QQ.from_int(2)}), (j, {m: QQ.from_int(-2)})
     phi_ok = img1 in (expect, neg)
     psi = vec_sub(QQ, img1[1], img0[1])
     chi = movie.euler_characteristic
@@ -382,11 +368,11 @@ def _otxt(o) -> str:
     return "".join("+" if b else "-" for b in o) or "()"
 
 
-def euler_oracle_suite(corpus=None) -> list[CheckReport]:
+def euler_oracle_suite() -> list[CheckReport]:
     from .corpus import DIAGRAMS
 
     out = []
-    for name, text in (corpus or DIAGRAMS).items():
+    for name, text in DIAGRAMS.items():
         d = parse_pd(text)
         c = build_complex(d, 0, QQ)
         chi_q = graded_euler_characteristic(c)

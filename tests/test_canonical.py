@@ -41,8 +41,8 @@ def test_generators_are_cycles_everywhere():
         d = parse_pd(text)
         c = build_complex(d, 1, QQ)
         for o in all_orientations(d):
-            chain = canonical_chain(c, o)
-            assert c.apply_differential(chain) == {}
+            i, vec = c.chain_to_vec(canonical_chain(c, o))
+            assert c.apply(i, vec) == {}
 
 
 def test_adjacent_circles_alternate_labels():
@@ -73,6 +73,20 @@ def test_verify_basis_on_corpus():
         assert report.homology_rank == 2 ** parse_pd(text).component_count
 
 
+def test_verify_basis_refuses_dependent_classes(monkeypatch):
+    # every orientation given the first orientation's cycle: the rank still
+    # matches, but the repeated classes are dependent and the check fails
+    def first_generator(d, orientation):
+        return lee_generator(d, all_orientations(d)[0])
+
+    monkeypatch.setattr("kj.canonical.lee_generator", first_generator)
+    for text in (HOPF, UNLINK2, TREFOIL):
+        d = parse_pd(text)
+        report = verify_basis(d)
+        assert not report.ok, text
+        assert report.homology_rank == 2 ** d.component_count
+
+
 def test_mod4_types():
     assert mod4_types(parse_pd(UNKNOT)) == (3, 1)
     for text in (TREFOIL, CURL, FIG8):
@@ -98,8 +112,8 @@ def test_canonical_classes_independent_in_homology():
     fh = FieldHomology(c)
     coords = []
     for o in all_orientations(d):
-        chain = canonical_chain(c, o)
-        coords.append(fh.reduce_chain(chain))
+        i, vec = c.chain_to_vec(canonical_chain(c, o))
+        coords.append((i, fh.reduce(i, vec)))
     # four distinct classes across degrees 0 and 2
     assert len(coords) == 4
     seen = set()

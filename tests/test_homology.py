@@ -167,7 +167,7 @@ class _EchelonHomology:
                 for col in c.diff[i - 1].columns():
                     ech.insert(col)
             reps = []
-            for vec in kernel_basis(c.diff[i]):
+            for vec in kernel_basis(c.ring, c.diff[i].columns()):
                 if ech.insert(vec, label=len(reps)) is None:
                     reps.append(vec)
             self.reps[i], self._echelons[i] = reps, ech

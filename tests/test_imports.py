@@ -1,12 +1,16 @@
 """Every name a module of ``kj`` imports is used in it or listed in its
-``__all__``, and every private module-level function and class is named
-somewhere in ``kj``, and no module but ``rings`` uses true division. The
-standard library has no linter, so this walks the syntax trees."""
+``__all__``, every private module-level function and class is named
+somewhere in ``kj``, every method is named somewhere in the project, and no
+module but ``rings`` uses true division. The standard library has no
+linter, so this walks the syntax trees."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kj"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kj"
 
 
 def _imported(tree):
@@ -77,6 +81,45 @@ def test_private_definitions_are_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
         and not named.get(node.name)
+    ]
+    assert orphans == []
+
+
+def _references(node) -> Counter:
+    """Each name under ``node`` as an attribute, a name, or a word inside a
+    string, with its count."""
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.update(re.findall(r"\w+", n.value))
+    return out
+
+
+def test_methods_are_referenced():
+    # a method that nothing in kj, the tests, the tools or the benchmark
+    # names, outside its own def, is dead code a refactor left behind
+    trees = {
+        path: ast.parse(path.read_text())
+        for folder in (SRC, ROOT / "tests", ROOT / "tools", ROOT / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+    }
+    named: Counter = Counter()
+    for tree in trees.values():
+        named.update(_references(tree))
+    orphans = [
+        f"{path.name}: {cls.name}.{node.name}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and named[node.name] == _references(node)[node.name]
     ]
     assert orphans == []
 

@@ -209,15 +209,20 @@ def test_genus1_chain_values():
     dst = maps1.complexes[-1]
     plus_in = ((), (V_PLUS,))
     minus_in = ((), (V_MINUS,))
-    out_plus = cm.apply_chain({plus_in: Fraction(1)})
+
+    def apply_chain(m, chain):
+        i, vec = m.src.chain_to_vec(chain)
+        return m.dst.vec_to_chain(i + m.shift, m.apply(i, vec))
+
+    out_plus = apply_chain(cm, {plus_in: Fraction(1)})
     # the final frame's loop id is 1 again
     assert out_plus == {((), (V_MINUS,)): Fraction(2)}
-    out_minus = cm.apply_chain({minus_in: Fraction(1)})
+    out_minus = apply_chain(cm, {minus_in: Fraction(1)})
     assert out_minus == {((), (V_PLUS,)): Fraction(2)}
     maps0 = MovieMaps(mv, t=0, ring=QQ)
     cm0 = maps0.chain_composite()
-    assert cm0.apply_chain({plus_in: Fraction(1)}) == {((), (V_MINUS,)): Fraction(2)}
-    assert cm0.apply_chain({minus_in: Fraction(1)}) == {}
+    assert apply_chain(cm0, {plus_in: Fraction(1)}) == {((), (V_MINUS,)): Fraction(2)}
+    assert apply_chain(cm0, {minus_in: Fraction(1)}) == {}
 
 
 def test_compatible_orientations_identity_and_genus1():

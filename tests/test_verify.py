@@ -61,7 +61,8 @@ def test_r2_exactness_witness():
 
     flip = movie_total_flip(mv)
     for o in ((True,), (False,)):
-        image = cm.apply_chain(canonical_chain(c1, o, rescaled=True))
+        i, vec = c1.chain_to_vec(canonical_chain(c1, o, rescaled=True))
+        image = c2.vec_to_chain(i + cm.shift, cm.apply(i, vec))
         o2 = effective_orientation(next(iter(compatible_orientations(mv, o))), flip)
         for sign in (1, -1):
             target = canonical_chain(c2, o2, rescaled=True)
