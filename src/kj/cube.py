@@ -27,11 +27,15 @@ weights that carry the untouched circles, the table entry each source code
 reads, and the coded table) and its sign. A square's block of d^2 is the
 product of two edge signs times P + s P', where P and P' are its two paths
 with every sign +1 and s is the product of its four signs; so it is fixed
-by its four shapes and s. Each distinct such key is summed once, on every
-source code, and squares of a key already checked are skipped, also in
-the other complexes that share the ``LocalTables``. A complex writes d
-on the first read of its triple, and ``validate`` compares a d that has
-been written, whole, with a fresh write from the edges it checks.
+by its four shapes and s. Each distinct such key is summed once, and
+squares of a key already checked are skipped, also in the other complexes
+that share the ``LocalTables``. A cube map acts only on the circles it
+consumes (Bar-Natan's locality), so a square is summed only on the source
+codes of the circles its first edges consume, whenever
+``LocalTables.codes`` finds that both paths carry every other circle
+alike, and otherwise on every code. A complex writes d on the first read
+of its triple, and ``validate`` compares a d that has been written,
+whole, with a fresh write from the edges it checks.
 """
 
 from __future__ import annotations
@@ -195,6 +199,13 @@ class LocalTables:
     one t, such as the frames of a movie: ``ChainComplex.validate`` records
     here the cube squares and edges it has checked, by shape, and skips
     them wherever they recur.
+
+    A cube map acts only on the circles it consumes and carries each other
+    one along, so ``validate`` reads an edge, or sums a square, only on the
+    source codes whose set bits lie on the circles it touches, whenever
+    ``codes`` finds that the other circles are carried alike on every path.
+    Nothing is laid out per shape: a check reads the shape's own lists at
+    the codes it is given.
     """
 
     def __init__(self, t: int, ring: Ring):
@@ -207,19 +218,21 @@ class LocalTables:
         # that read it by (carried weights, consumed circles), and the coded
         # table on ring elements by sign
         self._coded: dict[tuple, tuple[list, dict, dict]] = {}
-        self._keys: dict[tuple, list[int]] = {}  # by (circle count, consumed)
+        # by (circle count, consumed): the table entry each source code
+        # reads, and the mask of the consumed bits
+        self._keys: dict[tuple, tuple[list[int], int]] = {}
         # by shape id: the row of each source code before the new circles,
         # relative to the target's offset; the table entry each reads; the
         # coded table on ints; the id; the coded table on ring elements by
-        # sign
-        self.shapes: list[tuple[list[int], list[int], list, int, dict]] = []
+        # sign; the mask of the consumed source bits
+        self.shapes: list[tuple[list[int], list[int], list, int, dict, int]] = []
         # (4 edge shapes, whether their signs multiply to -1) of the squares
         # that vanish, and (edge shape, q offset) of the edges whose q
         # shifts hold
         self.checked_squares: set[tuple[int, int, int, int, int]] = set()
         self.checked_q: set[tuple[int, int]] = set()
-        # laid out by ``terms``
-        self._terms: dict[int, list[tuple[int, int, int]]] = {}
+        # by a mask of source bits: the codes whose set bits lie in it
+        self._codes: dict[int, list[int]] = {}
 
     def element(self, v: int):
         """The shared ring element of the int ``v``, or None if it is zero."""
@@ -265,25 +278,66 @@ class LocalTables:
                 where = [0] * k
                 for n, si in enumerate(consumed):
                     where[k - 1 - si] = 1 << len(consumed) - 1 - n
-                keys = self._keys[k, consumed] = subset_sums(0, where)
+                keys = self._keys[k, consumed] = subset_sums(0, where), sum(
+                    1 << p for p, n in enumerate(where) if n)
             shape = coded[1][weights, consumed] = (
-                subset_sums(0, weights), keys, coded[0], len(self.shapes), coded[2]
+                subset_sums(0, weights), keys[0], coded[0], len(self.shapes), coded[2], keys[1]
             )
             self.shapes.append(shape)
         return shape, entries, row, sign
 
-    def terms(self, edges) -> dict:
-        """For cube edges given as 2 * (shape id) + 1 if their sign is -1:
-        the terms of their shapes as (source code, row, int), rows relative
-        to the target's offset, in the order ``fill`` writes them, by shape
-        id. Each is laid out on first use."""
-        terms = self._terms
-        for e in edges:
-            rows, keys, ints, sid, _ = self.shapes[e >> 1]
-            if sid not in terms:
-                terms[sid] = [(c, r + delta, v) for c, (r, key) in enumerate(zip(rows, keys))
-                              for delta, v in ints[key]]
-        return terms
+    def terms(self, sid: int, codes=None) -> list[tuple[int, int, int]]:
+        """The terms of shape ``sid`` as (source code, row, int), rows
+        relative to the target's offset, in the order ``fill`` writes them,
+        on the source ``codes`` in order (by default every code)."""
+        rows, keys, ints = self.shapes[sid][:3]
+        if codes is None:
+            codes = range(len(rows))
+        return [(c, rows[c] + delta, v) for c in codes for delta, v in ints[keys[c]]]
+
+    def codes(self, first: int, *square: int) -> list[int]:
+        """The source codes to check the shape ``first`` on, or, given
+        ``square`` = (second, third, fourth), the cube square whose paths
+        are ``first`` then second and third then fourth: those whose set
+        bits all lie on the bits the first edges consume, if each path
+        carries every other bit, past each of its maps, to one nonzero bit,
+        and distinct bits to distinct ones; otherwise every code. Each list
+        is made once and shared.
+
+        In the first case the image of a source code is the image of its
+        part on those bits, shifted by what the other bits are carried to,
+        alike on every path, since a map's carried weights are distinct bits
+        and none of them a created circle's (``carried_weights``). So an
+        edge keeps its q shifts, or a square vanishes, on every code exactly
+        when it does on those codes, and the first code where it fails is
+        one of them. A sum of distinct bits keeps its bit count: that shows
+        the other bits carried to distinct nonzero bits."""
+        shapes = self.shapes
+        rows1, own1 = shapes[first][0], shapes[first][5]
+        every = len(rows1) - 1
+        if not square:
+            rest = every & ~own1
+            mask = own1 if rows1[rest].bit_count() == rest.bit_count() else every
+        else:
+            second, third, fourth = square
+            rows2, own2 = shapes[second][0], shapes[second][5]
+            rows3, own3 = shapes[third][0], shapes[third][5]
+            rows4, own4 = shapes[fourth][0], shapes[fourth][5]
+            mask = own1 | own3
+            rest = bits = every & ~mask
+            if rows2[rows1[rest]].bit_count() != rest.bit_count():
+                mask = every
+            while bits and mask != every:  # each other bit on its own
+                bit = bits & -bits
+                bits ^= bit
+                mid1, mid3 = rows1[bit], rows3[bit]
+                if mid1 & own2 or mid3 & own4 or rows2[mid1] != rows4[mid3]:
+                    mask = every
+        codes = self._codes.get(mask)
+        if codes is None:
+            codes = self._codes[mask] = subset_sums(
+                0, [1 << p for p in range(mask.bit_length()) if mask >> p & 1])
+        return codes
 
     @staticmethod
     def fill(ptr, targets, values, size: int, pieces) -> None:
@@ -605,10 +659,13 @@ class ChainComplex(_Stored):
         +1, fixed by the shapes of their edges, and s = s1 s2 s3 s4. An
         edge's q shifts are fixed by its shape and the q difference of the
         first generators of its two resolutions. So each (4 edge shapes, s)
-        has P12 + s P34 summed on every source code, in a dict of the ints
-        the elements stand for, and it must vanish over Z, hence in the
-        ring; each (edge shape, q offset) has the q shift of every entry
-        checked. Those that hold are recorded in ``local`` and skipped
+        has P12 + s P34 summed, in a dict of the ints the elements stand
+        for, and it must vanish over Z, hence in the ring; each (edge shape,
+        q offset) has the q shift of its entries checked. Both are read
+        only on the source codes ``LocalTables.codes`` gives: those whose
+        set bits lie on the circles the first edges consume, when every
+        other circle is carried alike on every path, and otherwise every
+        code. Those that hold are recorded in ``local`` and skipped
         wherever they recur, in this complex or in another that shares
         ``local``; every call compares all of a written d.
 
@@ -633,10 +690,9 @@ class ChainComplex(_Stored):
         shifts = {0} if self.t == 0 else {0, 4}
         n = self.diagram.crossing_count
         flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
-        spans, edges, qs, shapes = self._spans, self._edge_shapes, self.qs, self.local.shapes
-        # an edge is 2 * (its shape id) + 1 if its sign is -1
-        terms = self.local.terms(set().union(*edges.values()))
-        checked_q, checked_squares = self.local.checked_q, self.local.checked_squares
+        spans, edges, qs, local = self._spans, self._edge_shapes, self.qs, self.local
+        shapes, terms, codes = local.shapes, local.terms, local.codes
+        checked_q, checked_squares = local.checked_q, local.checked_squares
         first = None  # (degree, column, message) of the first bad column
         for v, ids in edges.items():
             i = v.bit_count() - self.n_minus
@@ -645,23 +701,22 @@ class ChainComplex(_Stored):
             ups = [v | f for f in flips if not v & f]
             bad = None  # (code, message) of the first bad column of v
             rows = [spans[u][0] for u in ups]
-            keys = [(e >> 1, q_tgt[row] - q_src[col]) for e, row in zip(ids, rows)]
-            if not checked_q.issuperset(keys):
-                if {q_tgt[row + r] - q_src[col + c] for e, row in zip(ids, rows)
-                        for c, r, _ in terms[e >> 1]} <= shifts:
-                    checked_q.update(keys)
-                else:
-                    for e, row, key in zip(ids, rows, keys):
-                        c, dq = next(((c, dq) for c, r, _ in terms[e >> 1]
-                                      if (dq := q_tgt[row + r] - q_src[col + c]) not in shifts),
-                                     (None, None))
-                        if c is None:
-                            checked_q.add(key)
-                        elif bad is None or c < bad[0]:
-                            if self.t == 0:
-                                bad = c, "graded differential broke q"
-                            else:
-                                bad = c, f"filtered differential shifted q by {dq}"
+            # an edge is 2 * (its shape id) + 1 if its sign is -1
+            q_keys = [(e >> 1, q_tgt[row] - q_src[col]) for e, row in zip(ids, rows)]
+            if not checked_q.issuperset(q_keys):
+                for row, q_key in zip(rows, q_keys):
+                    if q_key in checked_q:
+                        continue
+                    c, dq = next(((c, dq) for c, r, _ in terms(q_key[0], codes(q_key[0]))
+                                  if (dq := q_tgt[row + r] - q_src[col + c]) not in shifts),
+                                 (None, None))
+                    if c is None:
+                        checked_q.add(q_key)
+                    elif bad is None or c < bad[0]:
+                        if self.t == 0:
+                            bad = c, "graded differential broke q"
+                        else:
+                            bad = c, f"filtered differential shifted q by {dq}"
             new, paths = set(), []  # new squares out of v, and both paths of each
             for b in range(1, len(ids)):
                 for a in range(b):
@@ -670,13 +725,14 @@ class ChainComplex(_Stored):
                     # the square is s1 s2 (P12 + s1 s2 s3 s4 P34), P the
                     # paths with every sign +1
                     odd = (e1 ^ e2 ^ e3 ^ e4) & 1
-                    key = e1 >> 1, e2 >> 1, e3 >> 1, e4 >> 1, odd
+                    s1, s2, s3, s4 = e1 >> 1, e2 >> 1, e3 >> 1, e4 >> 1
+                    key = s1, s2, s3, s4, odd
                     if key in checked_squares or key in new:
                         continue
                     new.add(key)
-                    w = spans[ups[a] | ups[b]][0]
-                    paths.append((terms[key[0]], shapes[key[1]], w, 1))
-                    paths.append((terms[key[2]], shapes[key[3]], w, -1 if odd else 1))
+                    w, on = spans[ups[a] | ups[b]][0], codes(s1, s2, s3, s4)
+                    paths.append((on, shapes[s1], shapes[s2], w, 1))
+                    paths.append((on, shapes[s3], shapes[s4], w, -1 if odd else 1))
             if paths:
                 fault = _square_fault(paths, len(qs[i + 2]))
                 if fault is None:
@@ -876,18 +932,20 @@ def _columns(triple, g: int, size: int) -> tuple:
 def _square_fault(paths, stride: int) -> int | None:
     """The first source code on which the given cube squares out of one
     resolution do not vanish, or None. Each square is its two paths, each
-    path the terms of its first edge (as ``LocalTables.terms`` gives them),
-    the shape of its second edge (as in ``LocalTables.shapes``), the offset
-    of its last resolution, whose degree has ``stride`` generators, and a
-    sign."""
+    path the source codes to sum it on, the shapes of its two edges (as in
+    ``LocalTables.shapes``), the offset of its last resolution, whose degree
+    has ``stride`` generators, and a sign."""
     image: dict[int, int] = {}  # by source code * stride + row in its degree
-    for terms, (rows, keys, ints, _, _), w, sign in paths:
-        for code, r, x in terms:
-            at = code * stride + w + rows[r]
-            x *= sign
-            for delta, y in ints[keys[r]]:
-                k = at + delta
-                image[k] = image.get(k, 0) + x * y
+    for codes, (rows1, keys1, ints1, _, _, _), (rows2, keys2, ints2, _, _, _), w, sign in paths:
+        for code in codes:
+            at, r1 = code * stride + w, rows1[code]
+            for delta1, x in ints1[keys1[code]]:
+                r = r1 + delta1  # the code reached in the middle resolution
+                x *= sign
+                row = at + rows2[r]
+                for delta2, y in ints2[keys2[r]]:
+                    k = row + delta2
+                    image[k] = image.get(k, 0) + x * y
     if any(image.values()):
         return min(k for k, x in image.items() if x) // stride
     return None

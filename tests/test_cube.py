@@ -484,6 +484,52 @@ def test_validate_checks_in_full_on_every_call(monkeypatch):
             bad.validate()
 
 
+def _codes_summed(monkeypatch) -> list[int]:
+    """From now on, the number of source codes each cube square that
+    ``validate`` sums is summed on, one entry per square."""
+    summed, fault = [], cube._square_fault
+
+    def counted(paths, stride):
+        for first, second in zip(paths[::2], paths[1::2]):
+            summed.append(len({*first[0], *second[0]}))
+        return fault(paths, stride)
+
+    monkeypatch.setattr(cube, "_square_fault", counted)
+    return summed
+
+
+def test_validate_sums_each_square_on_its_touched_codes(monkeypatch):
+    summed = _codes_summed(monkeypatch)
+    for t in (0, 1):
+        build_complex(parse_pd(torus_pd(7)), t, QQ)
+    # a square's first edges consume at most four circles
+    assert summed and max(summed) <= 16
+    # T(2,7)'s resolution of weight w has w circles. Swap where the first
+    # cube edge into the top one (7 circles) carries two of the circles it
+    # leaves alone, so that some square out of a 5-circle resolution
+    # carries one of its untouched circles to a different circle on each
+    # path: that square is summed on all 32 codes.
+    weights = cube.carried_weights
+
+    def swapped(src, dst, *rest):
+        out = list(weights(src, dst, *rest))
+        if dst.circle_count == 7 and not swapped.done:
+            swapped.done = True
+            p, q = [p for p, w in enumerate(out) if w][:2]
+            out[p], out[q] = out[q], out[p]
+        return tuple(out)
+
+    swapped.done = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cube, "carried_weights", swapped)
+        bad = cube.ChainComplex(parse_pd(torus_pd(7)), 1, QQ)
+    expected = _raised(lambda: _reference_validate(bad))
+    assert expected is not None
+    summed.clear()
+    assert _raised(bad.validate) == expected
+    assert 32 in summed
+
+
 def _repeated_edge(c):
     """(degree, source offset, target offset, shape id) of a cube edge whose
     shape an earlier edge of ``c`` already has, with the same sign."""
@@ -506,7 +552,7 @@ def test_validate_reads_back_an_edge_whose_shape_repeats(whole):
     i, col, row, edge = _repeated_edge(c)
     top = c.first[i + 1]
     places = []  # where the edge's entries sit in the arrays of d, by source code
-    for code, r, _ in c.local.terms([edge])[edge >> 1]:
+    for code, r, _ in c.local.terms(edge >> 1):
         g = c.first[i] + col + code
         places.append(next(k for k in range(c.ptr[g], c.ptr[g + 1])
                            if c.targets[k] == top + row + r))

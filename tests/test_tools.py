@@ -23,6 +23,8 @@ def test_cube_stages_row_on_the_trefoil():
         assert min(row["complex_s"], row["validate_s"], row["write_s"], row["homology_s"]) >= 0
         assert row["rss_before_mib"] <= row["rss_built_mib"] <= row["rss_written_mib"] \
             <= row["rss_end_mib"]
+        for count in (row["squares_summed"], row["codes_summed"]):
+            assert isinstance(count, int) and count >= 0
     assert tool.trace_stages(3)["trace_s"] > 0
     for t in (0, 1):
         row = tool.chain_map_stages(tool.MOVIE, t)

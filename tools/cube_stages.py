@@ -2,9 +2,10 @@
 time of 7 to resolve every resolution and trace its circles on a freshly
 parsed diagram, the time of ``ChainComplex(...)`` (which traces them on a
 diagram of its own), of ``validate()``, of writing d (the first read of
-``values``) and of ``homology()``, the entries of d, and the peak RSS
-before the build, after it, after writing d and at the end, under Khovanov
-homology over Z and Lee homology over Q. Then, for the
+``values``) and of ``homology()``, the entries of d, the peak RSS
+before the build, after it, after writing d and at the end, and the cube
+squares the first ``validate()`` sums and the source codes it sums them on
+in all, under Khovanov homology over Z and Lee homology over Q. Then, for the
 ``torus-noise`` movie at t = 0 and 1 over Q, the least time of 7 repeats to
 build and verify its elementary chain maps (Morse, R1 and R2, a removal's
 by its forward map) on frames built beforehand, their stored entries, and
@@ -79,7 +80,34 @@ def stages(n: int, t: int, ring_name: str) -> dict:
     row["generators"] = sum(c.dim(i) for i in c.degrees())
     row["entries"] = len(c.values)  # from the arrays: the SparseMatrix view would add to the RSS
     row["rss_end_mib"] = _rss_mib()
+    # counted on a fresh build, so that counting does not slow the timed call
+    with _summed() as counts:
+        ChainComplex(d, t, ring).validate()
+    row["squares_summed"], row["codes_summed"] = counts["squares"], counts["codes"]
     return row
+
+
+@contextlib.contextmanager
+def _summed():
+    """Count the cube squares that ``validate`` sums inside the block, and
+    the source codes it sums them on in all, by wrapping
+    ``kj.cube._square_fault``: each square is two paths, each path first
+    the source codes it is summed on."""
+    from kj import cube
+
+    counts, fault = Counter(), cube._square_fault
+
+    def counted(paths, stride):
+        for first, second in zip(paths[::2], paths[1::2]):
+            counts["squares"] += 1
+            counts["codes"] += len({*first[0], *second[0]})
+        return fault(paths, stride)
+
+    cube._square_fault = counted
+    try:
+        yield counts
+    finally:
+        cube._square_fault = fault
 
 
 def trace_stages(n: int) -> dict:
@@ -193,8 +221,8 @@ def main(argv: list[str]) -> int:
         print(json.dumps(ROWS[argv[1]](*map(json.loads, argv[2:]))))
         return 0
     print(f"| workload | trace, least of {REPEATS} | `ChainComplex` | `validate` | write d "
-          "| `homology()` | entries of d | RSS |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| `homology()` | entries of d | RSS | squares summed | codes summed |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for n in map(int, argv or ["9", "11"]):
         trace_s = _run_row("trace", n)["trace_s"]
         for theory, t, ring in THEORIES:
@@ -204,7 +232,8 @@ def main(argv: list[str]) -> int:
                 f"| {trace_s * 1000:.1f} ms | {r['complex_s']:.3f} s | {r['validate_s']:.3f} s "
                 f"| {r['write_s']:.3f} s | {r['homology_s']:.3f} s | {r['entries']:,} "
                 f"| {r['rss_before_mib']:.0f} → {r['rss_built_mib']:.0f} → "
-                f"{r['rss_written_mib']:.0f} → {r['rss_end_mib']:.0f} MiB |",
+                f"{r['rss_written_mib']:.0f} → {r['rss_end_mib']:.0f} MiB "
+                f"| {r['squares_summed']:,} | {r['codes_summed']:,} |",
                 flush=True,
             )
     print()
