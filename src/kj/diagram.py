@@ -295,24 +295,19 @@ class PlanarDiagram:
                     f"edge {e} occurs {len(occ)} times (expected {expected})"
                 )
         _ = self.components  # forces direction consistency checks
-        # Euler formula per connected piece of the four-valent map
-        face_comp: dict[int, set[int]] = {}
-        for fi, orbit in enumerate(self.faces):
-            for (c, _) in orbit:
-                face_comp.setdefault(fi, set()).add(c)
-        for comp in self.crossing_components:
-            cset = set(comp)
-            v = len(comp)
-            e = sum(
-                1
-                for ed in self.crossing_edges
-                if self.occurrences[ed][0][0] in cset
-            )
-            f = sum(1 for fi, cs in face_comp.items() if cs & cset)
-            if v - e + f != 2:
+        # Euler formula per connected piece of the four-valent map: each
+        # crossing edge occurs twice, both ends in one piece, so a piece of
+        # v crossings has 2v edges and V - E + F = F - V; a face lies in the
+        # piece of the first crossing its orbit meets
+        comps = self.crossing_components
+        piece = {c: i for i, comp in enumerate(comps) for c in comp}
+        faces = [0] * len(comps)
+        for orbit in self.faces:
+            faces[piece[orbit[0][0]]] += 1
+        for comp, f in zip(comps, faces):
+            if f - len(comp) != 2:
                 raise PDValidationError(
-                    f"crossings {comp} do not embed in the plane "
-                    f"(V-E+F = {v - e + f})"
+                    f"crossings {comp} do not embed in the plane (V-E+F = {f - len(comp)})"
                 )
 
     # -- conveniences --------------------------------------------------------

@@ -3,6 +3,9 @@
 ``apply_move`` rewrites a PD code and returns the new diagram together with
 a MoveRecord describing exactly which edges and crossings were touched; the
 induced-map builders consume the record rather than re-deriving locations.
+Each move's rewrite is one entry of a table keyed by the move's kind and,
+for R1 and R2, its action; a rewrite that changes crossings validates its
+frame before it returns.
 Fresh edges always take the lowest unused identifiers, in a fixed per-move
 order, so frames are reproducible. New crossings append to the end of the
 crossing list (this keeps the cube signs of untouched crossings stable).
@@ -18,6 +21,18 @@ which is both tail and head. A strand poked across itself shares its middle
 piece: the under head is the over tail. A curl on e is X(f1, f1, f2, e_in)
 (left) or X(e_in, f1, f1, f2) (right), with f1 its loop edge, f2 the head
 piece and e_in the tail piece: e on an edge, f2 on a loop.
+
+A curl's loop edge holds two adjacent slots of its crossing. That slot pair
+gives the curl's hand and the slots where the strand enters (e_in) and
+leaves (e_out); a removal glues those two darts:
+
+    loop at (0, 1): left,  e_in at 3, e_out at 2
+    loop at (2, 3): left,  e_in at 0, e_out at 1
+    loop at (1, 2): right, e_in at 0, e_out at 3
+    loop at (0, 3): right, e_in at 1, e_out at 2
+
+An R2 removal glues, for each middle edge, its strand's darts beyond the
+two bigon crossings.
 
 The two crossings of a poke are wired from the under strand's pieces ut and
 uh, the over strand's ot and oh, and the fresh middles m1 (under) and m2
@@ -35,6 +50,14 @@ A poke's four fresh ids are drawn from the diagram without its poked loops,
 in the order (uh, m1, m2, oh) with one loop or none, (ut, ot, m1, m2) for
 two loops, (ut, m1, m2, uh) for a loop poked across itself and
 (m1, m2, uh, oh) for an edge folded across itself.
+
+An R3 slides the triangle's side t across its opposite crossing r: t is the
+least side passing over both others, else the least passing under both.
+Of the other two sides, m is the lesser: m joins p and r, t joins p and q,
+and b joins q and r. The crossings keep their slots, and each side takes a
+fresh middle edge, in the order (t2, m2, b2). At each of its two crossings,
+the side's slot takes the edge beyond its other crossing, and the opposite
+slot takes its middle edge.
 """
 
 from __future__ import annotations
@@ -189,18 +212,17 @@ class MoveRecord:
 # -- shared helpers -------------------------------------------------------------
 
 
-def _replace_occurrence(crossings: list[list[int]], dart: Dart, new_edge: int):
-    c, s = dart
-    crossings[c][s] = new_edge
-
-
-def _edge_side_face(d: PlanarDiagram, edge: int, side: str) -> int:
-    """Face on the given side of a crossing edge (sides relative to the
-    reference direction)."""
-    c, s = d.edge_head[edge]
-    if side == "left":
-        return d.face_of_sector[(c, (s - 1) % 4)]
-    return d.face_of_sector[(c, s)]
+def _validated(crossings, loops, move: str | None = None) -> PlanarDiagram:
+    """The diagram on ``crossings`` and ``loops``, validated. A failure is
+    the ``move``'s IllegalMoveError when one is named."""
+    d = PlanarDiagram(tuple(map(tuple, crossings)), loops)
+    try:
+        d.validate()
+    except PDValidationError as exc:
+        if move is None:
+            raise
+        raise IllegalMoveError(f"{move} produced an invalid diagram: {exc}")
+    return d
 
 
 def _directed_occurrences(d: PlanarDiagram, edge: int, face: int):
@@ -215,49 +237,33 @@ def _directed_occurrences(d: PlanarDiagram, edge: int, face: int):
     return None
 
 
-def _outer_directed(d: PlanarDiagram, edge: int):
-    """Directed occurrence of ``edge`` with the outer region on its left."""
-    outer = {d.face_of_sector[sector] for sector in d.outer_sectors}
-    for side in ("left", "right"):
-        f = _edge_side_face(d, edge, side)
-        if f in outer:
-            return _directed_occurrences(d, edge, f)
-    return None
-
-
-def _crossing_component_of_edge(d: PlanarDiagram, e: int) -> int:
-    c = d.occurrences[e][0][0]
-    for i, comp in enumerate(d.crossing_components):
-        if c in comp:
-            return i
-    raise KeyError(e)
-
-
 def _shared_region(d: PlanarDiagram, a: int, b: int, sides=("left", "right"), where=""):
     """Edges ``a`` and ``b`` directed with one region on their left, as
     ``_directed_occurrences`` gives them; a free loop, which lies in the
     outer region, is (None, None, True). The region is a face both border,
     tried on ``sides`` of ``a``, when they are crossing edges of one
     crossing component, and the outer region otherwise."""
-    if a in d.loops or b in d.loops:
-        got = [(None, None, True) if e in d.loops else _outer_directed(d, e) for e in (a, b)]
-        for e, g in zip((a, b), got):
-            if g is None:
-                raise IllegalMoveError(f"edge {e} does not border the outer region")
-        return got
-    if _crossing_component_of_edge(d, a) == _crossing_component_of_edge(d, b):
+    loop = a in d.loops or b in d.loops
+    if not loop and any({d.occurrences[a][0][0], d.occurrences[b][0][0]} <= set(comp)
+                        for comp in d.crossing_components):
+        c, s = d.edge_head[a]
         for side in sides:
-            face = _edge_side_face(d, a, side)
+            face = d.face_of_sector[(c, (s - (side == "left")) % 4)]
             got_b = _directed_occurrences(d, b, face)
             if got_b is not None:
                 return _directed_occurrences(d, a, face), got_b
         raise IllegalMoveError(f"edges {a} and {b} do not border a common face{where}")
-    got = _outer_directed(d, a), _outer_directed(d, b)
-    if None in got:
-        raise IllegalMoveError(
-            f"edges {a} and {b} lie in different pieces and do not both "
-            "border the outer region"
-        )
+    outer = {d.face_of_sector[sector] for sector in d.outer_sectors}
+    got = [(None, None, True) if e in d.loops
+           else next(filter(None, (_directed_occurrences(d, e, f) for f in outer)), None)
+           for e in (a, b)]
+    for e, g in zip((a, b), got):
+        if g is None:
+            raise IllegalMoveError(
+                f"edge {e} does not border the outer region" if loop else
+                f"edges {a} and {b} lie in different pieces and do not both "
+                "border the outer region"
+            )
     return got
 
 
@@ -266,14 +272,15 @@ def _without_loops(d: PlanarDiagram, edges) -> PlanarDiagram:
     return PlanarDiagram(d.crossings, tuple(e for e in d.loops if e not in edges))
 
 
-def _cut(d: PlanarDiagram, heads: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+def _cut(d: PlanarDiagram, heads: dict[int, int]) -> list[list[int]]:
     """The crossings of ``d`` with the head occurrence of each crossing edge
     in ``heads`` handed to its head piece ``heads[e]``."""
     crossings = [list(t) for t in d.crossings]
     for e, piece in heads.items():
         if e not in d.loops:
-            _replace_occurrence(crossings, d.edge_head[e], piece)
-    return tuple(map(tuple, crossings))
+            c, s = d.edge_head[e]
+            crossings[c][s] = piece
+    return crossings
 
 
 def _identity_map(d: PlanarDiagram) -> dict[int, int]:
@@ -282,37 +289,21 @@ def _identity_map(d: PlanarDiagram) -> dict[int, int]:
 
 def apply_move(d: PlanarDiagram, move: Move) -> tuple[PlanarDiagram, MoveRecord]:
     """Apply one move, validating legality. Raises IllegalMoveError."""
-    if isinstance(move, Birth):
-        return _birth(d)
-    if isinstance(move, Death):
-        return _death(d, move)
-    if isinstance(move, Saddle):
-        return _saddle(d, move)
-    if isinstance(move, R1Move):
-        if move.action == "add":
-            return _r1_add(d, move)
-        if move.action == "remove":
-            return _r1_remove(d, move)
-        raise IllegalMoveError(f"unknown r1 action {move.action!r}")
-    if isinstance(move, R2Move):
-        if move.action == "add":
-            return _r2_add(d, move)
-        if move.action == "remove":
-            return _r2_remove(d, move)
-        raise IllegalMoveError(f"unknown r2 action {move.action!r}")
-    if isinstance(move, R3Move):
-        return _r3(d, move)
-    raise IllegalMoveError(f"unknown move {move!r}")
+    if not isinstance(move, Move):
+        raise IllegalMoveError(f"unknown move {move!r}")
+    rule = _RULES.get((move.kind, getattr(move, "action", None)))
+    if rule is None:
+        raise IllegalMoveError(f"unknown {move.kind} action {move.action!r}")
+    return rule(d, move)
 
 
 # -- Morse moves ----------------------------------------------------------------
 
 
-def _birth(d: PlanarDiagram):
+def _birth(d: PlanarDiagram, move: Birth):
     (loop,) = d.fresh_edges(1)
     d2 = PlanarDiagram(d.crossings, d.loops + (loop,))
-    rec = MoveRecord("birth", _identity_map(d), {"loop": loop})
-    return d2, rec
+    return d2, MoveRecord("birth", _identity_map(d), {"loop": loop})
 
 
 def _death(d: PlanarDiagram, move: Death):
@@ -362,18 +353,22 @@ def _saddle(d: PlanarDiagram, move: Saddle):
     # both feet on crossing edges; reconnect: e1 runs tail1 -> head2, e2
     # runs tail2 -> head1
     crossings = [list(t) for t in d.crossings]
-    _replace_occurrence(crossings, head2, e1)
-    _replace_occurrence(crossings, head1, e2)
-    d2 = PlanarDiagram(tuple(tuple(t) for t in crossings), d.loops)
-    try:
-        d2.validate()
-    except PDValidationError as exc:
-        raise IllegalMoveError(f"saddle produced an invalid diagram: {exc}")
-    rec = MoveRecord("saddle_reconnect", ident, {"feet": (e1, e2)})
-    return d2, rec
+    for (c, s), e in ((head2, e1), (head1, e2)):
+        crossings[c][s] = e
+    d2 = _validated(crossings, d.loops, "saddle")
+    return d2, MoveRecord("saddle_reconnect", ident, {"feet": (e1, e2)})
 
 
 # -- Reidemeister I ---------------------------------------------------------------
+
+# the curl table of the module docstring: the loop edge's slots -> (hand,
+# slot of e_in, slot of e_out)
+_CURLS = {
+    (0, 1): ("left", 3, 2),
+    (2, 3): ("left", 0, 1),
+    (1, 2): ("right", 0, 3),
+    (0, 3): ("right", 1, 2),
+}
 
 
 def _r1_add(d: PlanarDiagram, move: R1Move):
@@ -387,8 +382,7 @@ def _r1_add(d: PlanarDiagram, move: R1Move):
     e_in = f2 if e in d.loops else e
     # left curl: X(f1, f1, e_out, e_in); right curl: X(e_in, f1, f1, e_out)
     cross = (f1, f1, f2, e_in) if move.hand == "left" else (e_in, f1, f1, f2)
-    d2 = PlanarDiagram(_cut(d, {e: f2}) + (cross,), base.loops)
-    d2.validate()
+    d2 = _validated(_cut(d, {e: f2}) + [cross], base.loops)
     rec = MoveRecord(
         "r1_add",
         _identity_map(d),
@@ -398,6 +392,15 @@ def _r1_add(d: PlanarDiagram, move: R1Move):
     return d2, rec
 
 
+def _curl(d: PlanarDiagram, loop_edge: int):
+    """(crossing, hand, slot of e_in, slot of e_out) of the curl that
+    carries ``loop_edge`` twice."""
+    occ = d.occurrences.get(loop_edge, ())
+    if len(occ) == 2 and occ[0][0] == occ[1][0] and (occ[0][1], occ[1][1]) in _CURLS:
+        return occ[0][0], *_CURLS[occ[0][1], occ[1][1]]
+    raise IllegalMoveError(f"edge {loop_edge} is not a curl loop")
+
+
 def detect_curl(d: PlanarDiagram, loop_edge: int):
     """Identify the curl crossing carrying ``loop_edge`` twice.
 
@@ -405,46 +408,28 @@ def detect_curl(d: PlanarDiagram, loop_edge: int):
     leaves at e_out; hand left means the positive curl (its 0-smoothing
     splits the small circle off).
     """
-    occ = d.occurrences.get(loop_edge)
-    if not occ or len(occ) != 2 or occ[0][0] != occ[1][0]:
-        raise IllegalMoveError(f"edge {loop_edge} is not a curl loop")
-    c = occ[0][0]
-    slots = {occ[0][1], occ[1][1]}
-    tup = d.crossings[c]
-    if slots == {0, 1}:
-        hand, e_in, e_out = "left", tup[3], tup[2]
-    elif slots == {2, 3}:
-        hand, e_in, e_out = "left", tup[0], tup[1]
-    elif slots == {1, 2}:
-        hand, e_in, e_out = "right", tup[0], tup[3]
-    elif slots == {0, 3}:
-        hand, e_in, e_out = "right", tup[1], tup[2]
-    else:
-        raise IllegalMoveError(f"edge {loop_edge} is not a curl loop")
-    return c, hand, e_in, e_out
+    c, hand, s_in, s_out = _curl(d, loop_edge)
+    return c, hand, d.crossings[c][s_in], d.crossings[c][s_out]
 
 
 def _splice(d: PlanarDiagram, removed: set[int], glue_pairs):
     """Remove crossings and reglue the strands across them.
 
     ``glue_pairs`` lists pairs of darts at removed crossings whose edges are
-    to be joined end to end. Returns (crossings, crossing_map, new_loops,
-    merged) where merged maps each involved old edge to its new identifier
-    (chains keep the least id; closed chains become free loops).
+    to be joined end to end. Returns (diagram, crossing_map, merged), the
+    diagram validated, where merged maps each involved old edge to its new
+    identifier (chains keep the least id; closed chains become free loops,
+    appended to the loops of ``d``).
     """
-    crossing_map = {
-        i: i - sum(1 for r in removed if r < i)
-        for i in range(d.crossing_count)
-        if i not in removed
-    }
-    crossings = [list(t) for i, t in enumerate(d.crossings) if i not in removed]
+    kept = [i for i in range(d.crossing_count) if i not in removed]
+    crossing_map = {i: j for j, i in enumerate(kept)}
+    crossings = [list(d.crossings[i]) for i in kept]
     glue: dict[Dart, Dart] = {}
     for a, b in glue_pairs:
         if a in glue or b in glue:
             raise IllegalMoveError("conflicting strand gluings")
         glue[a] = b
         glue[b] = a
-    involved = sorted({d.edge_at(a) for a in glue})
 
     def walk(edge: int, out_dart: Dart):
         """Follow gluings away from ``edge`` through its end ``out_dart``.
@@ -463,48 +448,31 @@ def _splice(d: PlanarDiagram, removed: set[int], glue_pairs):
 
     merged: dict[int, int] = {}
     new_loops: list[int] = []
-    done: set[int] = set()
-    for e in involved:
-        if e in done:
+    for e in sorted({d.edge_at(a) for a in glue}):
+        if e in merged:
             continue
         occ1, occ2 = d.occurrences[e]
         right, term_r = walk(e, occ2)
         if term_r is None:
-            cycle = [e] + right
-            new_id = min(cycle)
-            for x in cycle:
-                merged[x] = new_id
-                done.add(x)
-            new_loops.append(new_id)
-            continue
-        left, term_l = walk(e, occ1)
-        chain = list(reversed(left)) + [e] + right
+            chain, ends = [e] + right, ()
+        else:
+            left, term_l = walk(e, occ1)
+            chain, ends = left[::-1] + [e] + right, (term_l, term_r)
         new_id = min(chain)
-        for x in chain:
-            merged[x] = new_id
-            done.add(x)
-        for term in (term_l, term_r):
-            c, s = term
+        merged.update(dict.fromkeys(chain, new_id))
+        if not ends:
+            new_loops.append(new_id)
+        for c, s in ends:
             if c in removed:
                 raise IllegalMoveError("strand terminates at a removed crossing")
             crossings[crossing_map[c]][s] = new_id
-    return crossings, crossing_map, new_loops, merged
+    return _validated(crossings, d.loops + tuple(new_loops)), crossing_map, merged
 
 
 def _r1_remove(d: PlanarDiagram, move: R1Move):
-    c, hand, e_in, e_out = detect_curl(d, move.edge)
-    occ_in = [o for o in d.occurrences[e_in] if o[0] == c]
-    occ_out = [o for o in d.occurrences[e_out] if o[0] == c]
-    if e_in == e_out:
-        pair = (occ_in[0], occ_in[1])
-    else:
-        pair = (occ_in[0], occ_out[0])
-    crossings, crossing_map, new_loops, merged = _splice(d, {c}, [pair])
-    d2 = PlanarDiagram(
-        tuple(tuple(t) for t in crossings), d.loops + tuple(new_loops)
-    )
-    d2.validate()
-    keep = merged[e_in]
+    c, hand, s_in, s_out = _curl(d, move.edge)
+    d2, crossing_map, merged = _splice(d, {c}, [((c, s_in), (c, s_out))])
+    keep = merged[d.crossings[c][s_in]]
     rec = MoveRecord(
         "r1_remove",
         crossing_map,
@@ -564,8 +532,7 @@ def _r2_add(d: PlanarDiagram, move: R2Move):
         (False, False): ((ut, oh, m1, m2), (m1, ot, uh, m2)),
     }[fu, fo]
     # a strand poked across itself hands its head occurrence to oh
-    d2 = PlanarDiagram(_cut(d, {under: uh, over: oh}) + (k1, k2), base.loops)
-    d2.validate()
+    d2 = _validated(_cut(d, {under: uh, over: oh}) + [k1, k2], base.loops)
     nk1, nk2, nm1, nm2 = detect_r2_pattern(d2, (m1, m2))
     anchors = {under: ut}
     anchors.setdefault(over, ot)  # a strand poked across itself: its tail
@@ -627,28 +594,17 @@ def detect_r2_pattern(d: PlanarDiagram, m_edges: tuple[int, int]):
 
 def _r2_remove(d: PlanarDiagram, move: R2Move):
     k1, k2, m1, m2 = detect_r2_pattern(d, move.edges)
-    removed = {k1, k2}
-
-    def outer_dart(e, c):
-        return (c, (d.slot(e, c) + 2) % 4)
-
-    pairs = [
-        (outer_dart(m1, k1), outer_dart(m1, k2)),
-        (outer_dart(m2, k1), outer_dart(m2, k2)),
-    ]
-    crossings, crossing_map, new_loops, merged = _splice(d, removed, pairs)
-    d2 = PlanarDiagram(
-        tuple(tuple(t) for t in crossings), d.loops + tuple(new_loops)
-    )
-    d2.validate()
-    under_kept = merged[d.edge_at(outer_dart(m1, k1))]
-    over_kept = merged[d.edge_at(outer_dart(m2, k1))]
+    # each middle's strand is glued from its dart beyond k1 to its dart
+    # beyond k2
+    beyond = [[(c, (d.slot(m, c) + 2) % 4) for c in (k1, k2)] for m in (m1, m2)]
+    d2, crossing_map, merged = _splice(d, {k1, k2}, beyond)
+    under_kept, over_kept = (merged[d.edge_at(darts[0])] for darts in beyond)
     rec = MoveRecord(
         "r2_remove",
         crossing_map,
         {"k1": k1, "k2": k2, "m1": m1, "m2": m2,
          "anchors": {under_kept: under_kept, over_kept: over_kept},
-         "flip_components": [e for e in (under_kept, over_kept) if e in new_loops]},
+         "flip_components": [e for e in (under_kept, over_kept) if e in d2.loops]},
     )
     return d2, rec
 
@@ -668,89 +624,43 @@ def find_triangle(d: PlanarDiagram, crossings: tuple[int, int, int]):
 
 
 def _r3(d: PlanarDiagram, move: R3Move):
-    orbit = find_triangle(d, move.crossings)
-    side_edges = set()
-    for (c, s) in orbit:
-        side_edges.add(d.edge_at((c, (s - 1) % 4)))
-    if len(side_edges) != 3:
-        raise IllegalMoveError("triangle sides are degenerate")
-
-    def profile(e):
-        roles = sorted(s % 2 for (_, s) in d.occurrences[e])
-        return {(1, 1): "over", (0, 0): "under"}.get(tuple(roles), "mixed")
-
-    movable = sorted(e for e in side_edges if profile(e) == "over")
-    if not movable:
-        movable = sorted(e for e in side_edges if profile(e) == "under")
+    # the triangle's sides, each joining two of its three crossings
+    sides = sorted(d.edge_at((c, (s - 1) % 4)) for c, s in find_triangle(d, move.crossings))
+    ends = {e: {c for c, _ in d.occurrences[e]} for e in sides}
+    parities = {e: {s % 2 for _, s in d.occurrences[e]} for e in sides}
+    movable = [e for e in sides if parities[e] == {1}] or [e for e in sides if parities[e] == {0}]
     if not movable:
         raise IllegalMoveError(
             f"triangle {move.crossings} has no strand passing over or under "
             "both others; not a slide triangle"
         )
-    t_edge = movable[0]
-    t_crossings = sorted({c for c, _ in d.occurrences[t_edge]})
-    if len(t_crossings) != 2:
-        raise IllegalMoveError("movable side is degenerate")
-    (r,) = [c for c in move.crossings if c not in t_crossings]
-    other_sides = [e for e in sorted(side_edges) if e != t_edge]
-
-    def crossings_of(e):
-        return {c for c, _ in d.occurrences[e]}
-
-    p = q = m_edge = b_edge = None
-    for first, second in ((other_sides[0], other_sides[1]),
-                          (other_sides[1], other_sides[0])):
-        pc = crossings_of(first) - {r}
-        qc = crossings_of(second) - {r}
-        if (
-            len(pc) == 1
-            and len(qc) == 1
-            and r in crossings_of(first)
-            and r in crossings_of(second)
-            and pc | qc == set(t_crossings)
-        ):
-            p, q = pc.pop(), qc.pop()
-            m_edge, b_edge = first, second
-            break
-    if p is None:
-        raise IllegalMoveError("triangle sides do not close up")
-
-    def opp_edge(e, c):
-        return d.crossings[c][(d.slot(e, c) + 2) % 4]
-
-    m_outer_p = opp_edge(m_edge, p)   # strand M beyond P
-    m_outer_r = opp_edge(m_edge, r)   # strand M beyond R
-    b_outer_q = opp_edge(b_edge, q)
-    b_outer_r = opp_edge(b_edge, r)
-    t_outer_p = opp_edge(t_edge, p)
-    t_outer_q = opp_edge(t_edge, q)
-
+    t = movable[0]
+    m, b = (e for e in sides if e != t)
+    (p,), (q,), (r,) = ends[m] - ends[b], ends[b] - ends[m], ends[m] & ends[b]
     t2, m2, b2 = d.fresh_edges(3)
-    crossings = [list(t) for t in d.crossings]
-    # the crossing P slides along strand M past R; Q slides along B past R;
-    # each physical slot keeps its role, only the incident edge changes
-    crossings[p][d.slot(m_edge, p)] = m_outer_r
-    crossings[p][(d.slot(m_edge, p) + 2) % 4] = m2
-    crossings[p][d.slot(t_edge, p)] = t_outer_q
-    crossings[p][(d.slot(t_edge, p) + 2) % 4] = t2
-    crossings[q][d.slot(b_edge, q)] = b_outer_r
-    crossings[q][(d.slot(b_edge, q) + 2) % 4] = b2
-    crossings[q][d.slot(t_edge, q)] = t_outer_p
-    crossings[q][(d.slot(t_edge, q) + 2) % 4] = t2
-    crossings[r][d.slot(m_edge, r)] = m_outer_p
-    crossings[r][(d.slot(m_edge, r) + 2) % 4] = m2
-    crossings[r][d.slot(b_edge, r)] = b_outer_q
-    crossings[r][(d.slot(b_edge, r) + 2) % 4] = b2
-    d2 = PlanarDiagram(tuple(tuple(t) for t in crossings), d.loops)
-    try:
-        d2.validate()
-    except PDValidationError as exc:
-        raise IllegalMoveError(f"r3 produced an invalid diagram: {exc}")
+    crossings = [list(x) for x in d.crossings]
+    for side, middle, (here, there) in ((m, m2, (p, r)), (t, t2, (p, q)), (b, b2, (q, r))):
+        for c, beyond in ((here, there), (there, here)):
+            s = d.slot(side, c)
+            crossings[c][s] = d.crossings[beyond][(d.slot(side, beyond) + 2) % 4]
+            crossings[c][(s + 2) % 4] = middle
+    d2 = _validated(crossings, d.loops, "r3")
     rec = MoveRecord(
         "r3",
         _identity_map(d),
-        {"p": p, "q": q, "r": r,
-         "t": t_edge, "m": m_edge, "b": b_edge,
-         "t2": t2, "m2": m2, "b2": b2},
+        {"p": p, "q": q, "r": r, "t": t, "m": m, "b": b, "t2": t2, "m2": m2, "b2": b2},
     )
     return d2, rec
+
+
+# each move's rewrite, by the move's kind and, for R1 and R2, its action
+_RULES = {
+    ("birth", None): _birth,
+    ("death", None): _death,
+    ("saddle", None): _saddle,
+    ("r1", "add"): _r1_add,
+    ("r1", "remove"): _r1_remove,
+    ("r2", "add"): _r2_add,
+    ("r2", "remove"): _r2_remove,
+    ("r3", None): _r3,
+}

@@ -1,5 +1,8 @@
-import pytest
+import hashlib
+import random
 from fractions import Fraction
+
+import pytest
 
 from kj.cube import V_MINUS, V_PLUS, build_complex
 from kj.diagram import PlanarDiagram, parse_pd, render_pd
@@ -8,8 +11,9 @@ from kj.moves import (Birth, Death, R1Move, R2Move, R3Move, Saddle, apply_move,
                       move_from_json, move_to_json)
 from kj.movie import Movie, MovieMaps, compatible_orientations, kj_number
 from kj.rings import QQ
+from kj.verify import _positional_map, _random_composite_movies, random_cancelling_insertion
 
-from diagrams import R3_UNKNOT, TREFOIL, UNKNOT
+from diagrams import R3_UNKNOT, TREFOIL, UNKNOT, slide_sweep
 
 
 def test_birth_on_empty():
@@ -154,11 +158,44 @@ def test_r3_applies_and_is_involutive():
     assert d2.crossing_count == 3
     assert sorted(d2.crossings) != sorted(d.crossings)
     d3, _ = apply_move(d2, R3Move((0, 1, 2)))
-    # sliding back returns the original diagram up to edge names
+    # sliding back returns the original diagram up to edge names: one
+    # renaming carries it slot by slot onto the original
     assert d3.crossing_count == 3
+    _positional_map(d3, d)
     from kj.cube import kauffman_bracket
 
     assert kauffman_bracket(d2) == kauffman_bracket(d)
+    sweep = slide_sweep()
+    assert len(sweep) == 126
+    for mv in sweep:
+        slid, slide = mv.frames[2], mv.moves[1]
+        back, _ = apply_move(slid, slide)
+        _positional_map(back, mv.frames[1])
+
+
+def test_every_move_record_is_pinned():
+    # each move's frame and record, as the moves wrote them: one sha256
+    # over every move of the slide sweep and of the seeded composite movies
+    # of seeds 0..9, each with one cancelling insertion so that R1 and R2
+    # removals are covered
+    movies = slide_sweep()
+    for s in range(10):
+        rng = random.Random(s)
+        movies += [random_cancelling_insertion(mv, rng) for mv in _random_composite_movies(s)]
+    digest, kinds, count = hashlib.sha256(), set(), 0
+    for mv in movies:
+        frame = mv.initial
+        for move in mv.moves:
+            frame, rec = apply_move(frame, move)
+            digest.update(repr((render_pd(frame), frame.loops, rec.kind,
+                                sorted(rec.crossing_map.items()),
+                                repr(sorted(rec.data.items())))).encode())
+            kinds.add(rec.kind)
+            count += 1
+    assert kinds == {"birth", "death", "saddle_merge", "saddle_split", "saddle_reconnect",
+                     "r1_add", "r1_remove", "r2_add", "r2_remove", "r3"}
+    assert count == 746
+    assert digest.hexdigest() == "dd21e92dc6bd520dbbf17d5fcbc7285b333d16f422b99865e0e241f5a88f8a84"
 
 
 def test_movie_construction_and_euler():

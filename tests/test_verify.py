@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from kj.canonical import canonical_chain, mod4_types
 from kj.corpus import load_movie
 from kj.cube import build_complex
@@ -48,6 +50,16 @@ def test_genus1_proposition_and_corollary():
     assert rep.ok and rep.details["chi"] == -2
     cor = verify_corollary(mv)
     assert cor.ok and cor.details["combination"] == "sum" and cor.details["sign"] in (1, -1)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the label convention is per piece")
+def test_proposition_on_a_poke_that_joins_two_pieces():
+    # the smallest failing movie of the proposition sweep (seed 8,
+    # seeded-7): after the split the frame PD[X(1,1,2,2), O] has two pieces,
+    # and the poke joins them; both orientations fail at level chain today
+    mv = Movie(parse_pd(CURL), [Saddle((2, 2), "left"), R2Move("add", (3, 1))])
+    for o in [(True,), (False,)]:
+        assert verify_proposition(mv, o).ok
 
 
 def test_r2_exactness_witness():
