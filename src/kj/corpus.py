@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .diagram import PlanarDiagram, parse_pd
 from .movie import Movie
 
-__all__ = ["DIAGRAMS", "MOVIES", "load_diagram", "load_movie", "bundled_path"]
+__all__ = ["DIAGRAMS", "MOVIES", "load_movie", "bundled_path"]
 
 DIAGRAMS = {
     "unknot": "PD[O]",
@@ -27,10 +26,6 @@ DIAGRAMS = {
 }
 
 MOVIES = ("sphere", "torus", "genus2", "torus-noise")
-
-
-def load_diagram(name: str) -> PlanarDiagram:
-    return parse_pd(DIAGRAMS[name])
 
 
 def bundled_path(name: str):

@@ -297,8 +297,11 @@ class FieldHomology:
     def reduce(self, i: int, vec: dict) -> dict:
         """Coordinates of a cycle's class on the degree-i leftover basis: f.
 
-        Raises if the vector is not in the cycle space.
+        Raises if the vector is not in the cycle space. The zero vector has
+        no class, in any degree, the complex's or not.
         """
+        if not vec:
+            return {}
         if self.complex.apply(i, vec):
             raise InternalInvariantError("vector is not a cycle of the complex")
         return self._project(i, vec)

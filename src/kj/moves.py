@@ -80,7 +80,6 @@ __all__ = [
     "apply_move",
     "move_from_json",
     "move_to_json",
-    "detect_curl",
     "detect_r2_pattern",
     "find_triangle",
 ]
@@ -399,17 +398,6 @@ def _curl(d: PlanarDiagram, loop_edge: int):
     if len(occ) == 2 and occ[0][0] == occ[1][0] and (occ[0][1], occ[1][1]) in _CURLS:
         return occ[0][0], *_CURLS[occ[0][1], occ[1][1]]
     raise IllegalMoveError(f"edge {loop_edge} is not a curl loop")
-
-
-def detect_curl(d: PlanarDiagram, loop_edge: int):
-    """Identify the curl crossing carrying ``loop_edge`` twice.
-
-    Returns (crossing, hand, e_in, e_out): the strand enters at e_in and
-    leaves at e_out; hand left means the positive curl (its 0-smoothing
-    splits the small circle off).
-    """
-    c, hand, s_in, s_out = _curl(d, loop_edge)
-    return c, hand, d.crossings[c][s_in], d.crossings[c][s_out]
 
 
 def _splice(d: PlanarDiagram, removed: set[int], glue_pairs):

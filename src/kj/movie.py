@@ -18,15 +18,19 @@ its frames (for both t = 0 and t = 1):
   move;
 * R3 acts at homology level. Its pieces are tables on every generator: the
   two resolution identifications of the slide and a ``_fold`` on each
-  side. Each degree's representatives are decomposed, modulo boundaries,
-  through one echelon form and carried by those tables.
+  side. Each cycle is decomposed, modulo boundaries, through its degree's
+  echelon form and carried by those tables.
 
-The cobordism-induced map is read one way, by ``MovieMaps.push``: a cycle
-of the first frame is carried through the moves one at a time, by a move's
-chain map where it has one, else reduced to its class, sent by the class
-map and lifted back to a cycle. For a closed movie (empty diagram to empty
-diagram) at t = 0 the image of the generator is the Khovanov-Jacobsson
-number up to sign.
+A move with no chain map has a ``StepMap``, a matrix per degree between
+the homologies of its frames, and ``StepMap.of`` is the one loop that
+writes such matrices, from the images of the source frame's
+representatives. ``MovieMaps.steps`` holds one step per move, a chain map
+or a ``StepMap``, and both carry a cycle by ``apply(i, vec)``. The
+cobordism-induced map is read one way, by ``MovieMaps.push``: a cycle of
+the first frame is carried through the steps one at a time; a ``StepMap``
+reduces it to its class, sends the class by its matrix and lifts it back
+to a cycle. For a closed movie (empty diagram to empty diagram) at t = 0
+the image of the generator is the Khovanov-Jacobsson number up to sign.
 
 One strand correspondence per move says which link component continues
 which: ``strand_links`` lists, for each component of the later frame, the
@@ -481,7 +485,8 @@ def compatible_orientations(movie: Movie, o_in) -> set[tuple[bool, ...]]:
 class StepMap:
     """Homology-level map of one move with no chain map (an R1/R2 removal or
     an R3): matrices keyed by source degree, mapping into degree i + shift
-    of the target."""
+    of the target. ``apply`` carries a cycle as ``ChainMap.apply`` does, so
+    a movie's steps are read by one loop."""
 
     def __init__(self, fh_src: FieldHomology, fh_dst: FieldHomology, mats, shift: int = 0):
         self.fh_src = fh_src
@@ -490,16 +495,33 @@ class StepMap:
         self.shift = shift
 
     @staticmethod
-    def from_chain_map(cm: ChainMap, fh_src, fh_dst) -> "StepMap":
+    def of(carry, fh_src: FieldHomology, fh_dst: FieldHomology, shift: int = 0) -> "StepMap":
+        """The class map whose column for each representative of
+        ``fh_src.reps[i]`` is the class on ``fh_dst`` of ``carry(i, rep)``,
+        a cycle of degree i + shift."""
+        ring = fh_src.complex.ring
         mats = {}
         for i in sorted(fh_src.reps):
-            m = mats[i] = SparseMatrix(fh_dst.rank(i + cm.shift), fh_src.rank(i), cm.src.ring)
+            m = mats[i] = SparseMatrix(fh_dst.rank(i + shift), fh_src.rank(i), ring)
             for col, rep in enumerate(fh_src.reps[i]):
-                img = cm.apply(i, rep)
-                if img:
-                    for r, v in fh_dst.reduce(i + cm.shift, img).items():
-                        m.set(r, col, v)
-        return StepMap(fh_src, fh_dst, mats, cm.shift)
+                for r, v in fh_dst.reduce(i + shift, carry(i, rep)).items():
+                    m.set(r, col, v)
+        return StepMap(fh_src, fh_dst, mats, shift)
+
+    @staticmethod
+    def from_chain_map(cm: ChainMap, fh_src, fh_dst) -> "StepMap":
+        return StepMap.of(cm.apply, fh_src, fh_dst, cm.shift)
+
+    def apply(self, i: int, vec: dict) -> dict:
+        """A degree-i cycle of the source frame carried to degree i + shift
+        of the target: reduced to its class, sent by the matrix and lifted
+        by the target frame's ``reps``."""
+        ring, m = self.fh_src.complex.ring, self.mats.get(i)
+        coords = m.apply(self.fh_src.reduce(i, vec)) if m else {}
+        out: dict = {}
+        for r, x in coords.items():
+            out = vec_add(ring, out, vec_scale(ring, x, self.fh_dst.reps[i + self.shift][r]))
+        return out
 
     def inverse(self) -> "StepMap":
         """The inverse map; raises unless every matrix is invertible."""
@@ -580,6 +602,7 @@ class _R3Transport:
             sign = _change_twist(bits, changes)
             pieces[bits] = [self.ident.piece(bits, tbits, (), (), "identity", sign, skip=skip)]
         self.ident.fill(pieces)
+        self._echelons: dict[int, _Echelon] = {}  # by degree, on first use
 
     def _bits(self, d, t, m, b):
         """(sigma, x) of one side: sigma is the bit of the middle crossing
@@ -604,16 +627,16 @@ class _R3Transport:
         return cm
 
     def class_map(self, fh1: FieldHomology, fh2: FieldHomology):
+        return StepMap.of(self._carry, fh1, fh2).mats
+
+    def _carry(self, i: int, rep: dict) -> dict:
+        """A degree-i cycle of the first frame decomposed as rep + d(w) =
+        v_sigma + y + h(y), read by the coefficients of the sigma and section
+        generators, and carried across the identification and the other
+        side's contraction, which vanishes off its section."""
         ring = self.c1.ring
-        mats = {}
-        for i in sorted(fh1.reps):
-            src = fh1.reps[i]
-            m = mats[i] = SparseMatrix(fh2.rank(i), len(src), ring)
-            if not src:
-                continue
-            # decompose: rep + d(w) = v_sigma + y + h(y), reading the
-            # coefficients of the sigma and section generators, by position
-            ech = _Echelon(ring)
+        if i not in self._echelons:
+            ech = self._echelons[i] = _Echelon(ring)
             for col in self.c1.columns(i - 1):
                 ech.insert(col)
             basis = self.c1.bases[i]
@@ -624,23 +647,17 @@ class _R3Transport:
             for pos, (bits, _) in enumerate(basis):
                 if bits[self.r] == self.sigma1:
                     ech.insert({pos: ring.one}, label=pos)
-            for col, rep in enumerate(src):
-                sol = ech.membership(rep)
-                if sol is None:
-                    raise InternalInvariantError(
-                        "slide transport: no representative in the standard section"
-                    )
-                # the contraction of the other side vanishes off its section
-                moved = self.ident.apply(i, sol)
-                image = vec_add(ring, moved, self.fold2.apply(i, moved))
-                if not image:
-                    continue
-                # the transported representative must again be a cycle
-                if self.c2.apply(i, image):
-                    raise InternalInvariantError("slide transport broke the cycle")
-                for r, v in fh2.reduce(i, image).items():
-                    m.set(r, col, v)
-        return mats
+        sol = self._echelons[i].membership(rep)
+        if sol is None:
+            raise InternalInvariantError(
+                "slide transport: no representative in the standard section"
+            )
+        moved = self.ident.apply(i, sol)
+        image = vec_add(ring, moved, self.fold2.apply(i, moved))
+        # the transported representative must again be a cycle
+        if self.c2.apply(i, image):
+            raise InternalInvariantError("slide transport broke the cycle")
+        return image
 
 
 def _matches(bits, pattern: dict[int, int]) -> bool:
@@ -690,12 +707,12 @@ class MovieMaps:
     from that ``FrameTable`` the frames it shares with the last movie the
     table served at this t and ring, with their homologies once built.
 
-    The chain maps, one per move, are built and checked here. A slide or a
-    removal has no chain map: its class map is built here, on its two
-    frames' homologies, and checked to be invertible. ``push`` carries a
-    vector of the first frame through every move, and is how every reader
-    reads the movie's map, so a movie of chain maps alone builds no
-    homology unless a reader asks for a class."""
+    ``steps`` holds one step per move, built and checked here: the move's
+    chain map, or for a slide or a removal, which has none, its
+    ``StepMap`` on its two frames' homologies, checked to be invertible.
+    ``push`` carries a vector of the first frame through every step, and is
+    how every reader reads the movie's map, so a movie of chain maps alone
+    builds no homology unless a reader asks for a class."""
 
     def __init__(self, movie: Movie, t: int, ring: Ring | None = None,
                  table: FrameTable | None = None):
@@ -714,10 +731,7 @@ class MovieMaps:
             table = FrameTable()
         built, self._homologies = table.take(distinct, t, self.ring)
         self.complexes = [built[f] for f in movie.frames]
-        self.chain_steps: list[ChainMap | None] = []
-        self._class_steps: dict[int, StepMap] = {}
-        for k, rec in enumerate(movie.records):
-            self.chain_steps.append(self._build_step(k, rec))
+        self.steps = [self._build_step(k, rec) for k, rec in enumerate(movie.records)]
 
     def homology(self, k: int) -> FieldHomology:
         """Frame k's ``FieldHomology``, built on first use."""
@@ -733,47 +747,32 @@ class MovieMaps:
 
     @property
     def chain_level(self) -> bool:
-        """Whether the movie has a move and every move a chain map."""
-        return bool(self.chain_steps) and None not in self.chain_steps
+        """Whether the movie has a move and every step is a chain map."""
+        return bool(self.steps) and all(type(step) is ChainMap for step in self.steps)
 
-    def _build_step(self, k: int, rec: MoveRecord) -> ChainMap | None:
-        """The chain map of move k, or None when the move has only a class
-        map, which goes to ``_class_steps``."""
+    def _build_step(self, k: int, rec: MoveRecord) -> ChainMap | StepMap:
+        """The step of move k: its chain map, or the class map of a removal
+        or a slide, checked to be invertible."""
         c1, c2 = self.complexes[k], self.complexes[k + 1]
-        kind = rec.kind
-        if kind == "r3":
+        if rec.kind == "r3":
             fh1, fh2 = self.homology(k), self.homology(k + 1)
             step = StepMap(fh1, fh2, _R3Transport(rec, c1, c2).class_map(fh1, fh2))
             step.inverse()  # must be an isomorphism
-            self._class_steps[k] = step
-            return None
+            return step
         cm = elementary_chain_map(rec, c1, c2)
-        if kind in ("r1_remove", "r2_remove"):
+        if rec.kind in ("r1_remove", "r2_remove"):
             # the inverse of the induced map of the matching addition
-            fh1, fh2 = self.homology(k), self.homology(k + 1)
-            self._class_steps[k] = StepMap.from_chain_map(cm, fh2, fh1).inverse()
-            return None
+            return StepMap.from_chain_map(cm, self.homology(k + 1), self.homology(k)).inverse()
         return cm
 
     # -- reading the movie's map ---------------------------------------------
 
     def push(self, i: int, vec: dict) -> tuple[int, dict]:
         """A degree-i vector of the first frame's complex carried to the last
-        frame, as (degree, vector). A move with a chain map applies it; a move
-        with only a class map reduces the cycle on its source frame, applies
-        its matrix and lifts the class by the target frame's ``reps``."""
-        ring = self.ring
-        for k, cm in enumerate(self.chain_steps):
-            if cm is not None:
-                vec, i = cm.apply(i, vec), i + cm.shift
-                continue
-            step = self._class_steps[k]
-            m = step.mats.get(i)
-            coords = m.apply(step.fh_src.reduce(i, vec)) if vec and m else {}
-            i += step.shift
-            vec = {}
-            for r, x in coords.items():
-                vec = vec_add(ring, vec, vec_scale(ring, x, step.fh_dst.reps[i][r]))
+        frame, as (degree, vector): each step, a chain map or a ``StepMap``,
+        applies itself in turn."""
+        for step in self.steps:
+            vec, i = step.apply(i, vec), i + step.shift
         return i, vec
 
     def induced_map(self) -> tuple[int, dict[int, SparseMatrix]]:
@@ -787,8 +786,7 @@ class MovieMaps:
         shift = self.push(0, {})[0]  # the zero vector carries only its degree
 
         def image(i, rep):
-            j, vec = self.push(i, rep)
-            return fh1.reduce(j, vec) if vec else {}
+            return fh1.reduce(*self.push(i, rep))
 
         mats = {}
         for i in sorted(fh0.reps):
@@ -802,8 +800,8 @@ class MovieMaps:
     def chain_composite(self) -> ChainMap | None:
         if not self.chain_level:
             return None
-        total = self.chain_steps[0]
-        for cm in self.chain_steps[1:]:
+        total = self.steps[0]
+        for cm in self.steps[1:]:
             total = cm.compose(total)
         return total
 

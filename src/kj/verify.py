@@ -21,6 +21,7 @@ from .diagram import PlanarDiagram, all_orientations, parse_pd, render_pd
 from .errors import IllegalMoveError
 from .homology import homology
 from .movie import (
+    ChainMap,
     FrameTable,
     Movie,
     MovieMaps,
@@ -108,7 +109,7 @@ def _class_of(fh, image):
     """A (degree, cycle) as (degree, its coordinates on ``fh``'s leftover
     basis)."""
     i, vec = image
-    return i, fh.reduce(i, vec) if vec else {}
+    return i, fh.reduce(i, vec)
 
 
 def _expand_in_span(span, image):
@@ -259,8 +260,8 @@ def _leading_order_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) -> C
     per_move = []
     all_ok = True
     for k, rec in enumerate(movie.records):
-        cm0, cm1 = maps0.chain_steps[k], maps1.chain_steps[k]
-        if cm0 is None or cm1 is None:
+        cm0, cm1 = maps0.steps[k], maps1.steps[k]
+        if type(cm0) is not ChainMap or type(cm1) is not ChainMap:
             per_move.append({"move": rec.kind, "checked": False})
             continue
         # a map that shifts the degree changes n_plus - 2 n_minus by 3 shift

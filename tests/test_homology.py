@@ -153,6 +153,15 @@ def test_field_homology_reduce_roundtrip():
                 assert fh.reduce(i + 1, col) == {}
 
 
+def test_zero_vector_has_no_class_in_any_degree():
+    c = build_complex(parse_pd(TREFOIL), 0, QQ)
+    fh = FieldHomology(c)
+    outside = [min(c.degrees()) - 1, max(c.degrees()) + 1, 99]
+    assert not set(outside) & set(c.degrees())
+    for i in [*c.degrees(), *outside]:
+        assert fh.reduce(i, {}) == {}
+
+
 class _EchelonHomology:
     """The whole-degree echelon homology that FieldHomology replaced, kept
     as the reference: per degree, an echelon of im(d_{i-1}) extended by each

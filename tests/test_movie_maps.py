@@ -47,7 +47,7 @@ from kj.verify import (
     random_cancelling_insertion,
 )
 
-from diagrams import HOPF, R3_UNKNOT, TREFOIL, UNKNOT, UNLINK2, slide_sweep
+from diagrams import HOPF, R3_UNKNOT, REMOVAL_FIRST_MOVIE, TREFOIL, UNKNOT, UNLINK2, slide_sweep
 
 
 def _canonical_class(maps: MovieMaps, frame: int, orientation, rescaled=True):
@@ -104,7 +104,7 @@ def test_r1_left_canonical_exact_on_unknot():
     # chain-level identity: the curl map sends sbar_o to sbar_otilde on the nose
     mv = Movie(parse_pd(UNKNOT), [R1Move("add", 1, "left")])
     maps = MovieMaps(mv, t=1, ring=QSQRT2)
-    cm = maps.chain_steps[0]
+    cm = maps.steps[0]
     src, dst = maps.complexes
     sbar = canonical_chain(src, (True,), rescaled=True)
     i, vec = src.chain_to_vec(sbar)
@@ -238,10 +238,10 @@ def test_frames_and_chain_maps_share_one_set_of_local_tables():
         maps = MovieMaps(load_movie("torus-noise"), t)
         local = maps.complexes[0].local
         assert all(c.local is local for c in maps.complexes)
-        assert all(cm.local is local for cm in maps.chain_steps if cm is not None)
+        assert all(cm.local is local for cm in maps.steps if type(cm) is ChainMap)
         # the chain maps are stored as d is, by the class kj.movie re-exports
         assert ChainMap is kj.cube.ChainMap
-        assert all(type(cm) is ChainMap for cm in maps.chain_steps if cm is not None)
+        assert all(type(cm) is ChainMap for cm in maps.steps if type(cm) is not StepMap)
         # the frames' squares are summed once per shape, over the movie
         squares = sum(
             len(ids) * (len(ids) - 1) // 2
@@ -256,7 +256,7 @@ def test_chain_map_check_catches_every_flipped_r2_entry():
     for text, edges in ((UNKNOT, (1, 1)), (TREFOIL, (1, 3))):
         mv = Movie(parse_pd(text), [R2Move("add", edges)])
         for t in (0, 1):
-            cm = MovieMaps(mv, t=t).chain_steps[0]
+            cm = MovieMaps(mv, t=t).steps[0]
             # every stored value, flipped in place
             assert cm.values
             for k, v in enumerate(cm.values):
@@ -537,7 +537,7 @@ def test_composite_is_the_product_of_the_views():
     # the reference, and no zero is stored
     for name in ("torus", "genus2", "sphere"):
         for t in (0, 1):
-            steps = MovieMaps(load_movie(name), t).chain_steps
+            steps = MovieMaps(load_movie(name), t).steps
             total, want = steps[0], steps[0].mats
             for cm in steps[1:]:
                 total = cm.compose(total)
@@ -762,9 +762,9 @@ def test_push_matches_the_composite_of_class_maps():
                 continue  # a slide that breaks the cycle
             fhs = maps.homologies
             steps = [
-                maps._class_steps[k] if cm is None
-                else StepMap.from_chain_map(cm, fhs[k], fhs[k + 1])
-                for k, cm in enumerate(maps.chain_steps)
+                StepMap.from_chain_map(cm, fhs[k], fhs[k + 1]) if type(cm) is ChainMap
+                else cm
+                for k, cm in enumerate(maps.steps)
             ]
             total = steps[0]
             for step in steps[1:]:
@@ -775,8 +775,34 @@ def test_push_matches_the_composite_of_class_maps():
                     assert j == i + total.shift
                     column = total.mats[i].column(col)
                     assert (fhs[-1].reduce(j, image) if image else {}) == column
-                    through_class_steps += bool(column) and None in maps.chain_steps
+                    through_class_steps += bool(column) and not maps.chain_level
     assert through_class_steps >= 40
+
+
+def test_each_move_has_one_step():
+    """``MovieMaps.steps`` holds one step per move: a ``StepMap`` exactly
+    for a removal or a slide, a ``ChainMap`` otherwise, and ``push`` shifts
+    the degree by the sum of the steps' shifts."""
+    movies = [load_movie(name) for name in MOVIES]
+    movies.append(Movie.from_json(json.dumps(REMOVAL_FIRST_MOVIE)))
+    movies.append(Movie(parse_pd(R3_UNKNOT), [R3Move((0, 1, 2))]))
+    for s in range(4):
+        rng = random.Random(s)
+        movies += [random_cancelling_insertion(mv, rng) for mv in _random_composite_movies(s)]
+    kinds = set()
+    for movie in movies:
+        for t in (0, 1):
+            maps = MovieMaps(movie, t)
+            assert len(maps.steps) == len(movie.records)
+            for step, rec in zip(maps.steps, movie.records):
+                by_class = rec.kind in ("r1_remove", "r2_remove", "r3")
+                assert type(step) is (StepMap if by_class else ChainMap)
+                kinds.add(rec.kind)
+            assert maps.chain_level == (not any(type(step) is StepMap for step in maps.steps))
+            shift = sum(step.shift for step in maps.steps)
+            for i in maps.complexes[0].degrees():
+                assert maps.push(i, {})[0] == i + shift
+    assert {"r1_remove", "r2_remove", "r3", "r1_add", "r2_add"} <= kinds
 
 
 # In every sweep movie both frames of the slide have the same Kh over Z and

@@ -68,7 +68,7 @@ def test_r2_exactness_witness():
     mv = Movie(parse_pd(UNKNOT), [R2Move("add", (1, 1))])
     maps = MovieMaps(mv, t=1, ring=QSQRT2)
     c1, c2 = maps.complexes
-    cm = maps.chain_steps[0]
+    cm = maps.steps[0]
     from kj.movie import effective_orientation, movie_total_flip
 
     flip = movie_total_flip(mv)
@@ -140,7 +140,7 @@ def test_leading_order_reads_q_at_the_target_degree_of_a_shifting_saddle():
     for text, saddle in ((CURL, Saddle((1, 2), "left")), (CURL, Saddle((2, 1), "right")),
                          (R3_UNKNOT, Saddle((2, 6), "left"))):
         mv = Movie(parse_pd(text), [saddle])
-        assert MovieMaps(mv, t=0).chain_steps[0].shift == -1
+        assert MovieMaps(mv, t=0).steps[0].shift == -1
         report = leading_order_check(mv)
         assert report.ok
         (move,) = report.details["moves"]
