@@ -693,7 +693,6 @@ class ChainComplex(_Stored):
         spans, edges, qs, local = self._spans, self._edge_shapes, self.qs, self.local
         shapes, terms, codes = local.shapes, local.terms, local.codes
         checked_q, checked_squares = local.checked_q, local.checked_squares
-        first = None  # (degree, column, message) of the first bad column
         for v, ids in edges.items():
             i = v.bit_count() - self.n_minus
             col = spans[v][0]
@@ -739,10 +738,10 @@ class ChainComplex(_Stored):
                     checked_squares |= new
                 elif bad is None or fault < bad[0]:
                     bad = fault, f"d^2 != 0 at degree {i}"
-            if bad is not None and (first is None or (i, col + bad[0]) < first[:2]):
-                first = i, col + bad[0], bad[1]
-        if first is not None:
-            raise InternalInvariantError(first[2])
+            # resolutions come in column order, so the first bad one holds
+            # the first bad column
+            if bad is not None:
+                raise InternalInvariantError(bad[1])
 
     # -- chains as dicts Gen -> scalar -----------------------------------------
 

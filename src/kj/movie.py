@@ -31,6 +31,9 @@ the first frame is carried through the steps one at a time; a ``StepMap``
 reduces it to its class, sends the class by its matrix and lifts it back
 to a cycle. For a closed movie (empty diagram to empty diagram) at t = 0
 the image of the generator is the Khovanov-Jacobsson number up to sign.
+For an open movie, ``MovieMaps.induced_map`` writes the movie's own
+``StepMap`` by ``StepMap.of`` over ``push``, one push per leftover
+representative of the first frame, and rewrites it on the greedy bases.
 
 One strand correspondence per move says which link component continues
 which: ``strand_links`` lists, for each component of the later frame, the
@@ -626,8 +629,9 @@ class _R3Transport:
                  for bits in c.resolutions if _matches(bits, xpat)})
         return cm
 
-    def class_map(self, fh1: FieldHomology, fh2: FieldHomology):
-        return StepMap.of(self._carry, fh1, fh2).mats
+    def class_map(self, fh1: FieldHomology, fh2: FieldHomology) -> StepMap:
+        """The slide's ``StepMap``, written by ``StepMap.of`` from ``_carry``."""
+        return StepMap.of(self._carry, fh1, fh2)
 
     def _carry(self, i: int, rep: dict) -> dict:
         """A degree-i cycle of the first frame decomposed as rep + d(w) =
@@ -755,8 +759,7 @@ class MovieMaps:
         or a slide, checked to be invertible."""
         c1, c2 = self.complexes[k], self.complexes[k + 1]
         if rec.kind == "r3":
-            fh1, fh2 = self.homology(k), self.homology(k + 1)
-            step = StepMap(fh1, fh2, _R3Transport(rec, c1, c2).class_map(fh1, fh2))
+            step = _R3Transport(rec, c1, c2).class_map(self.homology(k), self.homology(k + 1))
             step.inverse()  # must be an isomorphism
             return step
         cm = elementary_chain_map(rec, c1, c2)
@@ -779,22 +782,25 @@ class MovieMaps:
         """The map on homology from the first frame to the last, as (shift,
         {degree i: matrix into degree i + shift}) for every degree of the
         first frame's complex, on the greedy bases of both ends
-        (``FieldHomology.greedy_coordinates``), as ``kj movie`` prints it. A
-        degree whose leftover representatives all map to zero builds no
-        greedy basis."""
+        (``FieldHomology.greedy_coordinates``), as ``kj movie`` prints it.
+
+        The movie's ``StepMap`` is written by ``StepMap.of`` over ``push``,
+        so each leftover representative of the first frame is pushed once;
+        each nonzero degree is then rewritten on the greedy bases, and a
+        degree that maps to zero builds no greedy basis. Push carries
+        cycles to cycles and boundaries to boundaries, so a pushed cycle's
+        class depends only on its own class, and the rewrite holds the
+        pushed classes of the greedy representatives."""
         fh0, fh1 = self.homology(0), self.homology(-1)
-        shift = self.push(0, {})[0]  # the zero vector carries only its degree
-
-        def image(i, rep):
-            return fh1.reduce(*self.push(i, rep))
-
-        mats = {}
-        for i in sorted(fh0.reps):
-            m = mats[i] = SparseMatrix(fh1.rank(i + shift), fh0.rank(i), self.ring)
-            if any(image(i, rep) for rep in fh0.reps[i]):
+        shift = sum(step.shift for step in self.steps)
+        mats = StepMap.of(lambda i, rep: self.push(i, rep)[1], fh0, fh1, shift).mats
+        for i, m in mats.items():
+            if not m.is_zero():
+                greedy = mats[i] = SparseMatrix(m.rows, m.cols, self.ring)
                 for col, rep in enumerate(fh0.greedy_reps(i)):
-                    for r, v in fh1.greedy_coordinates(i + shift, image(i, rep)).items():
-                        m.set(r, col, v)
+                    coords = fh1.greedy_coordinates(i + shift, m.apply(fh0.reduce(i, rep)))
+                    for r, v in coords.items():
+                        greedy.set(r, col, v)
         return shift, mats
 
     def chain_composite(self) -> ChainMap | None:

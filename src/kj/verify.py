@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .canonical import _canonical_span, lee_generator
-from .cube import build_complex, graded_euler_characteristic, kauffman_bracket
+from .cube import V_MINUS, V_PLUS, build_complex, graded_euler_characteristic, kauffman_bracket
 from .diagram import PlanarDiagram, all_orientations, parse_pd, render_pd
 from .errors import IllegalMoveError
 from .homology import homology
@@ -29,7 +29,8 @@ from .movie import (
     effective_orientation,
     movie_total_flip,
 )
-from .moves import MOVE_JSON, Birth, Death, Move, R1Move, R2Move, R3Move, Saddle, apply_move
+from .moves import (MOVE_JSON, Birth, Death, Move, MoveRecord, R1Move, R2Move, R3Move, Saddle,
+                    apply_move)
 from .rings import QQ, half_power_sign
 from .sparse import vec_sub
 
@@ -318,8 +319,6 @@ def final_computation_check(movie: Movie) -> CheckReport:
 
 def _final_computation_report(movie: Movie, maps0: MovieMaps, maps1: MovieMaps) -> CheckReport:
     """``final_computation_check`` on the movie's maps at t = 0 and t = 1."""
-    from .cube import V_MINUS, V_PLUS
-
     name = f"final-computation[{_movie_name(movie)}]"
     if not (maps0.chain_level and maps1.chain_level):
         return CheckReport(name, False, {"error": "movie is not chain-level"})
@@ -419,33 +418,16 @@ def rmoves_suite(seed: int = 0, table: FrameTable | None = None) -> list[CheckRe
     unlink = parse_pd(DIAGRAMS["unlink2"])
     instances: list[tuple[str, Movie]] = []
     for hand in ("left", "right"):
-        instances.append(
-            (f"r1-add-{hand}-unknot", Movie(unknot, [R1Move("add", 1, hand)]))
-        )
-        instances.append(
-            (f"r1-add-{hand}-trefoil", Movie(trefoil, [R1Move("add", 1, hand)]))
-        )
+        instances.append((f"r1-add-{hand}-unknot", Movie(unknot, [R1Move("add", 1, hand)])))
+        instances.append((f"r1-add-{hand}-trefoil", Movie(trefoil, [R1Move("add", 1, hand)])))
     curl = Movie(unknot, [R1Move("add", 1, "left")])
-    instances.append(
-        (
-            "r1-remove-left",
-            Movie(unknot, [R1Move("add", 1, "left"),
-                           R1Move("remove", curl.records[0].data["loop_edge"])]),
-        )
-    )
+    instances.append(("r1-remove-left", Movie(unknot, [*curl.moves, _undo(curl.records[0])])))
     poke = Movie(unknot, [R2Move("add", (1, 1))])
-    m1, m2 = poke.records[0].data["m1"], poke.records[0].data["m2"]
     instances.append(("r2-add-fold-unknot", poke))
-    instances.append(
-        (
-            "r2-remove-fold",
-            Movie(unknot, [R2Move("add", (1, 1)), R2Move("remove", (m1, m2))]),
-        )
-    )
+    instances.append(("r2-remove-fold", Movie(unknot, [*poke.moves, _undo(poke.records[0])])))
     instances.append(("r2-add-unlink", Movie(unlink, [R2Move("add", (1, 2))])))
-    instances.append(
-        ("r2-add-unlink-over", Movie(unlink, [R2Move("add", (1, 2), over=True)]))
-    )
+    instances.append(("r2-add-unlink-over",
+                      Movie(unlink, [R2Move("add", (1, 2), over=True)])))
     instances.append(("r2-add-trefoil", Movie(trefoil, [R2Move("add", (1, 3))])))
     instances.append(("r2-add-hopf", Movie(hopf, [R2Move("add", (1, 3))])))
     r3d = parse_pd(DIAGRAMS["r3-unknot"])
@@ -661,14 +643,12 @@ def random_cancelling_insertion(movie: Movie, rng: random.Random) -> Movie:
                 edge = rng.choice(edges)
                 hand = rng.choice(("left", "right"))
                 add = R1Move("add", edge, hand)
-                mid, rec = apply_move(frame, add)
-                remove = R1Move("remove", rec.data["loop_edge"], hand)
             else:
                 e1 = rng.choice(edges)
                 e2 = rng.choice(edges)
                 add = R2Move("add", (e1, e2), rng.choice((False, True)))
-                mid, rec = apply_move(frame, add)
-                remove = R2Move("remove", (rec.data["m1"], rec.data["m2"]))
+            mid, rec = apply_move(frame, add)
+            remove = _undo(rec)
             after, _ = apply_move(mid, remove)
             moves = [*movie.moves[:k], add, remove]
             for before, mv in zip(movie.frames[k:], movie.moves[k:]):
@@ -679,6 +659,13 @@ def random_cancelling_insertion(movie: Movie, rng: random.Random) -> Movie:
             continue
         return Movie(movie.initial, moves)
     raise RuntimeError("found no legal cancelling insertion")
+
+
+def _undo(rec: MoveRecord) -> Move:
+    """The removal that undoes the R1 or R2 addition ``rec`` records."""
+    if rec.kind == "r1_add":
+        return R1Move("remove", rec.data["loop_edge"], rec.data["hand"])
+    return R2Move("remove", (rec.data["m1"], rec.data["m2"]))
 
 
 def _positional_map(a: PlanarDiagram, b: PlanarDiagram) -> dict[int, int]:
