@@ -11,8 +11,8 @@ Cube edges flip one bit 0 -> 1 and apply merge or split on the affected
 circles with the sign (-1)^(number of 1 bits below the flipped index).
 
 ``LocalTables`` writes every map on the cube of resolutions: d, one cube
-edge at a time, and every chain map of a movie, one resolution pair at a
-time. Both share one table format (an entry per labeling of the consumed
+edge key at a time, and every chain map of a movie, one resolution pair at
+a time. Both share one table format (an entry per labeling of the consumed
 circles) and one routine that appends a map's columns from those tables,
 and one stored form: a column-major triple over generator ids, which
 ``columns`` and ``apply`` read in place. ``ChainComplex.diff`` and
@@ -182,18 +182,27 @@ def local_table(name: str, t: int) -> list:
 
 
 class LocalTables:
-    """The one way kj writes a map on the cube of resolutions: d and every
-    chain map of a movie, one resolution pair at a time, each change by a
-    ``local_table``. Every other circle keeps its label, on the target
-    circle ``carried_weights`` finds for it. A table is built on first use
-    and coded once per new-circle bits into (target code delta, int) pairs,
-    zeros left out, and once more per sign into (target code delta, ring
-    element) pairs, so equal entries share one object.
+    """The one way kj writes a map on the cube of resolutions: d one cube
+    edge key at a time and every chain map of a movie one resolution pair
+    at a time, each change by a ``local_table``. Every other circle keeps
+    its label, on the target circle ``carried_weights`` finds for it. A
+    table is built on first use and coded once per new-circle bits into
+    (target code delta, int) pairs, zeros left out, and once more per sign
+    into (target code delta, ring element) pairs, so equal entries share
+    one object.
 
     Relative to the offsets of its two resolutions, a piece's entries are
     fixed by its shape and its sign. The shape is its carried weights and
     its coded table, read at its consumed circles; each distinct one is
     laid out once, in ``shapes``, where its id is its place.
+
+    A cube edge of d is laid out once per key, in ``cube_edges``: its
+    source and target circles on slots 0 and 2 of the flipped crossing and
+    the two circle counts. A resolution lists its circles by lowest edge,
+    and a flip changes only the circles through its crossing, so every
+    other circle keeps its place among the rest, and the key fixes the
+    carried weights. Chain maps carry once per resolution pair, since
+    frames of different diagrams do not keep that order.
 
     One instance may serve many complexes and chain maps over one ring at
     one t, such as the frames of a movie: ``ChainComplex.validate`` records
@@ -226,6 +235,10 @@ class LocalTables:
         # coded table on ints; the id; the coded table on ring elements by
         # sign; the mask of the consumed source bits
         self.shapes: list[tuple[list[int], list[int], list, int, dict, int]] = []
+        # the shape id of a cube edge of d by its key (c1, c2, t1, t2, k,
+        # tk): its source and target circles on slots 0 and 2 of the
+        # flipped crossing and the circle counts of its two resolutions
+        self.cube_edges: dict[tuple[int, int, int, int, int, int], int] = {}
         # (4 edge shapes, whether their signs multiply to -1) of the squares
         # that vanish, and (edge shape, q offset) of the edges whose q
         # shifts hold
@@ -264,10 +277,6 @@ class LocalTables:
             if any(len({delta for delta, _ in terms}) < len(terms) for terms in ints):
                 raise InternalInvariantError("two terms of a cube map landed on one entry")
             coded = self._coded[table, news] = ints, {}, {}
-        entries = coded[2].get(sign)
-        if entries is None:
-            entries = coded[2][sign] = [[(delta, self.element(sign * v)) for delta, v in terms]
-                                        for terms in coded[0]]
         weights = carried_weights(src, dst, consumed, created, placed, skip)
         shape = coded[1].get((weights, consumed))
         if shape is None:
@@ -284,7 +293,17 @@ class LocalTables:
                 subset_sums(0, weights), keys[0], coded[0], len(self.shapes), coded[2], keys[1]
             )
             self.shapes.append(shape)
-        return shape, entries, row, sign
+        return shape, self.signed(shape, sign), row, sign
+
+    def signed(self, shape, sign: int) -> list:
+        """The coded table of ``shape`` on ring elements times ``sign``,
+        made on first use and shared by every piece of that shape and sign."""
+        by_sign = shape[4]
+        entries = by_sign.get(sign)
+        if entries is None:
+            entries = by_sign[sign] = [[(delta, self.element(sign * v)) for delta, v in terms]
+                                       for terms in shape[2]]
+        return entries
 
     def terms(self, sid: int, codes=None) -> list[tuple[int, int, int]]:
         """The terms of shape ``sid`` as (source code, row, int), rows
@@ -426,7 +445,9 @@ class ChainComplex(_Stored):
     d is stored once in ``ptr``, ``targets`` and ``values``, in the one form
     chain maps share (``_Stored``), in the order ``LocalTables.fill``
     appends it. The build keeps only what d is written from: the shape and
-    sign of each cube edge (``_edge_shapes``), the place of each resolution
+    sign of each cube edge (``_edge_shapes``), the shape found by the
+    edge's key in ``local.cube_edges`` and laid out only for a new key
+    (T(2,9) has 2,304 cube edges and 45 keys), the place of each resolution
     (``_spans``) and ``first``; ``_write`` writes the triple from them on
     its first read, so a caller that reads only the gradings never writes
     it, and ``validate`` compares a written triple whole with a fresh
@@ -436,7 +457,8 @@ class ChainComplex(_Stored):
 
     d is written through ``local``, a ``LocalTables`` at the same t over the
     same ring; complexes that share one, such as a movie's frames, share
-    its coded tables and the squares ``validate`` has checked.
+    its coded tables, its edge keys and the squares ``validate`` has
+    checked.
     """
 
     def __init__(self, diagram: PlanarDiagram, t: int, ring: Ring,
@@ -497,44 +519,53 @@ class ChainComplex(_Stored):
         # degree -> id of its first generator
         self.first = dict(zip(degrees, itertools.accumulate(map(self.dim, degrees), initial=0)))
         for i in degrees[:-1]:  # the top degree has no edges out
-            self._differential(i, layers[i], at)
+            self._differential(layers[i], at)
 
-    def _differential(self, i: int, layer: list[int], at: list) -> None:
-        """Lay out d_i's cube edges in ``_edge_shapes``, one resolution at a
-        time, by flipped bit. Each cube edge is a merge or a split of
-        ``local``. ``layer`` lists the indices of degree i's resolutions
-        (their bits read as a binary number) and ``at`` gives each index's
-        resolution."""
+    def _differential(self, layer: list[int], at: list) -> None:
+        """Lay out the cube edges out of the resolutions ``layer`` lists, by
+        index (bits read as a binary number), in ``_edge_shapes``, one
+        resolution at a time, by flipped bit; ``at`` gives each index's
+        resolution. Each cube edge is a merge or a split of ``local``, and
+        its shape is fixed by its key in ``local.cube_edges``, so only an
+        edge whose key is new is laid out, by ``LocalTables.piece``.
+
+        The key is enough because circles are listed by lowest edge, in
+        both resolutions: a flip changes only the circles through slots 0
+        and 2 of its crossing (slots 1 and 3 lie on those same circles), so
+        every other circle keeps its edges and its order, and the carried
+        weights send the source circles but the consumed ones, in order, to
+        the target circles but the created ones."""
         crossings = self.diagram.crossings
         n = len(crossings)
         flips = [1 << n - 1 - j for j in range(n)]  # bit j of a resolution index
-        piece, spans = self.local.piece, self._spans
-        top = self.first[i + 1]
+        known, piece = self.local.cube_edges, self.local.piece
         for index in layer:
             src = at[index]
-            on_src = src.circle_of_edge
-            pieces = []
+            on_src, k = src.circle_of_edge, src.circle_count
+            ids = []
             ones = 0  # 1 bits below the flipped one
             for j, flip in enumerate(flips):
                 if index & flip:
                     ones += 1
                     continue
-                tgt, row = at[index | flip], spans[index | flip][0]
+                tgt = at[index | flip]
                 # slots 0 and 2 lie on the two smoothing arcs of either bit
                 e1, _, e2, _ = crossings[j]
                 on_tgt = tgt.circle_of_edge
-                c1, c2, t1, t2 = on_src[e1], on_src[e2], on_tgt[e1], on_tgt[e2]
-                if c1 != c2:
-                    # both source circles land on one target circle
-                    consumed, created, table = (c1, c2), (t1,), "merge"
-                elif t1 == t2:
-                    raise InternalInvariantError("cube edge changed no circle")
-                else:
-                    consumed, created, table = (c1,), (t1, t2), "split"
-                pieces.append(piece(
-                    src, tgt, top + row, consumed, created, table, -1 if ones & 1 else 1
-                ))
-            self._edge_shapes[index] = [2 * shape[3] + (sign < 0) for shape, _, _, sign in pieces]
+                key = on_src[e1], on_src[e2], on_tgt[e1], on_tgt[e2], k, tgt.circle_count
+                sid = known.get(key)
+                if sid is None:
+                    c1, c2, t1, t2 = key[:4]
+                    if c1 != c2:
+                        # both source circles land on one target circle
+                        consumed, created, table = (c1, c2), (t1,), "merge"
+                    elif t1 == t2:
+                        raise InternalInvariantError("cube edge changed no circle")
+                    else:
+                        consumed, created, table = (c1,), (t1, t2), "split"
+                    sid = known[key] = piece(src, tgt, 0, consumed, created, table)[0][3]
+                ids.append(2 * sid + (ones & 1))
+            self._edge_shapes[index] = ids
 
     def _pieces(self, v: int) -> list[tuple]:
         """The cube edges out of resolution ``v`` (by index, as in
@@ -542,13 +573,13 @@ class ChainComplex(_Stored):
         them, each at its target's row: what ``LocalTables.fill`` writes
         out of ``v``."""
         n = self.diagram.crossing_count
-        shapes, spans = self.local.shapes, self._spans
+        shapes, signed, spans = self.local.shapes, self.local.signed, self._spans
         top = self.first[v.bit_count() - self.n_minus + 1]
         ups = (v | f for f in (1 << n - 1 - j for j in range(n)) if not v & f)
         pieces = []
         for e, u in zip(self._edge_shapes[v], ups):
             shape, sign = shapes[e >> 1], -1 if e & 1 else 1
-            pieces.append((shape, shape[4][sign], top + spans[u][0], sign))
+            pieces.append((shape, signed(shape, sign), top + spans[u][0], sign))
         return pieces
 
     def _write(self) -> tuple[array, array, list]:

@@ -5,11 +5,13 @@ import random
 import re
 import tracemalloc
 import weakref
+from array import array
+from pathlib import Path
 
 import pytest
 
 from kj import cube
-from kj.corpus import DIAGRAMS, load_movie
+from kj.corpus import DIAGRAMS, MOVIES, load_movie
 from kj.cube import (
     V_MINUS,
     V_PLUS,
@@ -264,6 +266,83 @@ def test_written_triple_of_d_is_pinned():
     assert digest.hexdigest() == "06b7a663127243413ffc1c5b8d833cd518d19b60603373f797c038b21ca03a69"
 
 
+def _reference_layout(c, local):
+    """d of ``c`` laid out one ``local.piece`` per cube edge, whose carried
+    weights ``carried_weights`` finds, as before edges were keyed: each
+    edge's shape and sign, by resolution index in column order, and d's
+    triple as ``fill`` writes it from those pieces."""
+    n = c.diagram.crossing_count
+    at = list(c.resolutions.values())  # by index
+    ptr, targets, values = array("l", [0]), array("l"), []
+    edges = {}
+    for v in sorted(range(2 ** n - 1), key=int.bit_count):  # the top one has no edges out
+        top = c.first[v.bit_count() - c.n_minus + 1]
+        pieces = []
+        for j in range(n):
+            u = v | 1 << n - 1 - j
+            if u != v:
+                src, tgt, consumed, created, table = _edge_change(c, at, v, j)
+                sign = (-1) ** (v >> n - j).bit_count()  # 1 bits below the flipped one
+                pieces.append(local.piece(
+                    src, tgt, top + c._spans[u][0], consumed, created, table, sign))
+        edges[v] = [(shape, sign) for shape, _, _, sign in pieces]
+        cube.LocalTables.fill(ptr, targets, values, c._spans[v][1], pieces)
+    ptr.extend(itertools.repeat(len(values), c.dim(max(c.bases))))
+    return edges, (ptr, targets, values)
+
+
+def _assert_laid_out_as_reference(c, local, label) -> None:
+    """``c``'s cube edges have the shapes and signs that ``_reference_layout``
+    lays out through ``local``, and d the same written triple."""
+    edges, triple = _reference_layout(c, local)
+    assert list(c._edge_shapes) == list(edges), label
+    pairs = set()  # (shape id in c.local, shape id in local)
+    for v, ids in c._edge_shapes.items():
+        assert [e & 1 for e in ids] == [sign < 0 for _, sign in edges[v]], (label, v)
+        pairs.update((e >> 1, shape[3]) for e, (shape, _) in zip(ids, edges[v]))
+    for sid, ref in pairs:
+        # rows, table keys, coded table and consumed bits
+        got, want = c.local.shapes[sid], local.shapes[ref]
+        assert (got[:3], got[5]) == (want[:3], want[5]), (label, sid)
+    assert (c.ptr, c.targets, c.values) == triple, label
+
+
+def test_keyed_edges_lay_out_d_as_one_piece_per_edge():
+    tori = [torus_pd(n, mirror) for mirror in (False, True) for n in (3, 5, 7, 9)]
+    for text in [*DIAGRAMS.values(), *tori]:
+        d = parse_pd(text)
+        for t, ring in itertools.product((0, 1), (ZZ, QQ, GF(5))):
+            c = cube.ChainComplex(d, t, ring)
+            _assert_laid_out_as_reference(c, cube.LocalTables(t, ring), (text, t, ring))
+    c = cube.ChainComplex(parse_pd(torus_pd(11)), 0, QQ)
+    _assert_laid_out_as_reference(c, cube.LocalTables(0, QQ), "T(2,11)")
+    # the frames of a movie share one set of tables, and so its edge keys
+    golden = Path(__file__).parent / "golden"
+    movies = [load_movie(name) for name in MOVIES]
+    movies += [Movie.from_json(p.read_text()) for p in sorted(golden.glob("*.movie"))]
+    loops = 0
+    for movie in movies:
+        for t in (0, 1):
+            local, ref = cube.LocalTables(t, QQ), cube.LocalTables(t, QQ)
+            for f in dict.fromkeys(movie.frames):
+                loops += bool(f.loops)
+                _assert_laid_out_as_reference(cube.ChainComplex(f, t, QQ, local), ref, f)
+    assert loops
+
+
+def test_d_carries_once_per_edge_key(monkeypatch):
+    calls, weights = [0], cube.carried_weights
+
+    def counted(*args):
+        calls[0] += 1
+        return weights(*args)
+
+    monkeypatch.setattr(cube, "carried_weights", counted)
+    c = cube.ChainComplex(parse_pd(torus_pd(9)), 0, ZZ)
+    assert len(_edges(c)) == 2304
+    assert calls[0] == len(c.local.cube_edges) == 45
+
+
 @pytest.mark.parametrize("t, ring", [(0, ZZ), (0, QQ), (0, GF(5)), (1, ZZ), (1, QQ), (1, GF(5))])
 def test_columns_and_apply_read_the_arrays_as_the_view_does(t, ring):
     rng = random.Random(2100 + 10 * t + ring.characteristic)
@@ -377,7 +456,9 @@ def test_built_complex_is_freed_by_reference_counting():
 def _reference_validate(c) -> None:
     """The column-by-column check that ``validate`` replaced: every length-2
     path of d, on the ints of d's entries, read back by identity from the
-    complex's shared elements."""
+    complex's shared elements, once d is written (writing it may make the
+    elements of a sign no edge was laid out with)."""
+    c.values  # noqa: B018 -- d is written on first read
     ints = {id(x): v for v, x in c.local.elements.items() if x is not None}
 
     def int_columns(i):
@@ -415,33 +496,70 @@ def _raised(check) -> str | None:
     return None
 
 
+def _edge_change(c, at: list, v: int, j: int) -> tuple:
+    """The cube edge of ``c`` out of resolution index v that flips bit j,
+    read off the diagram: its two resolutions (``at`` gives each by index),
+    the circles it consumes and creates, and its table."""
+    src, tgt = at[v], at[v | 1 << c.diagram.crossing_count - 1 - j]
+    e1, _, e2, _ = c.diagram.crossings[j]
+    c1, c2 = src.circle_of_edge[e1], src.circle_of_edge[e2]
+    t1, t2 = tgt.circle_of_edge[e1], tgt.circle_of_edge[e2]
+    if c1 != c2:
+        return src, tgt, (c1, c2), (t1,), "merge"
+    return src, tgt, (c1,), (t1, t2), "split"
+
+
+def _edges(c) -> list[tuple[int, int]]:
+    """Every cube edge of ``c`` as (resolution index, place among the edges
+    out of it), in the order of d's columns."""
+    return [(v, k) for v, ids in c._edge_shapes.items() for k in range(len(ids))]
+
+
+def _reshape(c, v: int, k: int, change) -> None:
+    """Give edge k out of resolution v of ``c`` the shape ``piece`` lays out
+    when ``change`` rewrites its carried weights, on throwaway tables, and
+    append that shape to ``c.local.shapes``, so that no memo of the shared
+    tables holds it; the edge keeps its sign."""
+    n = c.diagram.crossing_count
+    j = [j for j in range(n) if not v >> n - 1 - j & 1][k]
+    src, tgt, consumed, created, table = _edge_change(c, list(c.resolutions.values()), v, j)
+    weights = cube.carried_weights
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cube, "carried_weights", lambda *args: change(list(weights(*args))))
+        shape = cube.LocalTables(c.t, c.ring).piece(src, tgt, 0, consumed, created, table)[0]
+    shapes = c.local.shapes
+    shapes.append((*shape[:3], len(shapes), {}, shape[5]))
+    c._edge_shapes[v][k] = 2 * (len(shapes) - 1) + (c._edge_shapes[v][k] & 1)
+
+
 def _mutate(monkeypatch, kind: str, rng: random.Random, edges: int) -> None:
     """Break the next build of d one way: flip the sign of one cube edge,
     swap where two carried circles land on one edge, drop a split term, or
-    use the t = 1 products at t = 0."""
-    target, calls = rng.randrange(max(edges, 1)), [0]
-    if kind == "sign":
-        piece = cube.LocalTables.piece
+    use the t = 1 products at t = 0. A sign or a swap is made on the
+    ``_edge_shapes`` of one built complex, at one edge counted in the order
+    of d's columns across the complexes built from now on."""
+    target, seen = rng.randrange(max(edges, 1)), [0]
+    if kind in ("sign", "swap"):
+        build = cube.ChainComplex._build
 
-        def flipped(self, src, dst, row, consumed, created, table, sign=1, *rest):
-            calls[0] += 1
-            if calls[0] - 1 == target:
-                sign = -sign
-            return piece(self, src, dst, row, consumed, created, table, sign, *rest)
-
-        monkeypatch.setattr(cube.LocalTables, "piece", flipped)
-    elif kind == "swap":
-        weights = cube.carried_weights
-
-        def swapped(*args, **kwargs):
-            out = list(weights(*args, **kwargs))
-            calls[0] += 1
-            if calls[0] - 1 == target and len(out) > 1:
+        def swapped(out):
+            if len(out) > 1:
                 p, q = rng.sample(range(len(out)), 2)
                 out[p], out[q] = out[q], out[p]
             return tuple(out)
 
-        monkeypatch.setattr(cube, "carried_weights", swapped)
+        def mutated(self):
+            build(self)
+            at = _edges(self)
+            if 0 <= target - seen[0] < len(at):
+                v, k = at[target - seen[0]]
+                if kind == "sign":
+                    self._edge_shapes[v][k] ^= 1
+                else:
+                    _reshape(self, v, k, swapped)
+            seen[0] += len(at)
+
+        monkeypatch.setattr(cube.ChainComplex, "_build", mutated)
     elif kind == "drop":
         split = cube.split_products
         monkeypatch.setattr(cube, "split_products", lambda x, t: split(x, t)[1:])
@@ -509,20 +627,13 @@ def test_validate_sums_each_square_on_its_touched_codes(monkeypatch):
     # leaves alone, so that some square out of a 5-circle resolution
     # carries one of its untouched circles to a different circle on each
     # path: that square is summed on all 32 codes.
-    weights = cube.carried_weights
-
-    def swapped(src, dst, *rest):
-        out = list(weights(src, dst, *rest))
-        if dst.circle_count == 7 and not swapped.done:
-            swapped.done = True
-            p, q = [p for p, w in enumerate(out) if w][:2]
-            out[p], out[q] = out[q], out[p]
+    def swapped(out):
+        p, q = [p for p, w in enumerate(out) if w][:2]
+        out[p], out[q] = out[q], out[p]
         return tuple(out)
 
-    swapped.done = False
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cube, "carried_weights", swapped)
-        bad = cube.ChainComplex(parse_pd(torus_pd(7)), 1, QQ)
+    bad = cube.ChainComplex(parse_pd(torus_pd(7)), 1, QQ)
+    _reshape(bad, next(v for v in bad._edge_shapes if v.bit_count() == 6), 0, swapped)
     expected = _raised(lambda: _reference_validate(bad))
     assert expected is not None
     summed.clear()

@@ -3,9 +3,11 @@ time of 7 to resolve every resolution and trace its circles on a freshly
 parsed diagram, the time of ``ChainComplex(...)`` (which traces them on a
 diagram of its own), of ``validate()``, of writing d (the first read of
 ``values``) and of ``homology()``, the entries of d, the peak RSS
-before the build, after it, after writing d and at the end, and the cube
-squares the first ``validate()`` sums and the source codes it sums them on
-in all, under Khovanov homology over Z and Lee homology over Q. Then, for the
+before the build, after it, after writing d and at the end, the cube edges
+and the edge keys the build lays out (one ``LocalTables.piece`` each, so
+T(2,9) lays out 45 keys for its 2,304 edges), and the cube squares the
+first ``validate()`` sums and the source codes it sums them on in all,
+under Khovanov homology over Z and Lee homology over Q. Then, for the
 ``torus-noise`` movie at t = 0 and 1 over Q, the least time of 7 repeats to
 build and verify its elementary chain maps (Morse, R1 and R2, a removal's
 by its forward map) on frames built beforehand, their stored entries, and
@@ -80,6 +82,8 @@ def stages(n: int, t: int, ring_name: str) -> dict:
     row["generators"] = sum(c.dim(i) for i in c.degrees())
     row["entries"] = len(c.values)  # from the arrays: the SparseMatrix view would add to the RSS
     row["rss_end_mib"] = _rss_mib()
+    row["cube_edges"] = sum(map(len, c._edge_shapes.values()))
+    row["edge_keys"] = len(c.local.cube_edges)
     # counted on a fresh build, so that counting does not slow the timed call
     with _summed() as counts:
         ChainComplex(d, t, ring).validate()
@@ -221,8 +225,9 @@ def main(argv: list[str]) -> int:
         print(json.dumps(ROWS[argv[1]](*map(json.loads, argv[2:]))))
         return 0
     print(f"| workload | trace, least of {REPEATS} | `ChainComplex` | `validate` | write d "
-          "| `homology()` | entries of d | RSS | squares summed | codes summed |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+          "| `homology()` | entries of d | RSS | cube edges | edge keys | squares summed "
+          "| codes summed |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     for n in map(int, argv or ["9", "11"]):
         trace_s = _run_row("trace", n)["trace_s"]
         for theory, t, ring in THEORIES:
@@ -233,6 +238,7 @@ def main(argv: list[str]) -> int:
                 f"| {r['write_s']:.3f} s | {r['homology_s']:.3f} s | {r['entries']:,} "
                 f"| {r['rss_before_mib']:.0f} → {r['rss_built_mib']:.0f} → "
                 f"{r['rss_written_mib']:.0f} → {r['rss_end_mib']:.0f} MiB "
+                f"| {r['cube_edges']:,} | {r['edge_keys']:,} "
                 f"| {r['squares_summed']:,} | {r['codes_summed']:,} |",
                 flush=True,
             )
