@@ -2,10 +2,11 @@
 
 Subcommands: homology, jones, generators, movie, verify. Inputs are PD
 files, movie JSON files, or bundled corpus names. Output is deterministic
-text or JSON (schema 1). Exit codes: 1 parse error, 2 validation error,
-3 internal invariant failure, 4 illegal move, 5 diagram too large (more
-crossings and free loops than ``kj.cube.MAX_CROSSINGS``, in a diagram or in
-any frame of a movie), 10 verification failure.
+text or JSON (schema 1). Exit codes: 0 success, 1 parse error, 2 validation
+error, 2 usage error (a bad command-line argument), 3 internal invariant
+failure, 4 illegal move, 5 diagram too large (more crossings and free loops
+than ``kj.cube.MAX_CROSSINGS``, in a diagram or in any frame of a movie), 10
+verification failure. Every error ends in one line on stderr.
 """
 
 from __future__ import annotations
@@ -41,14 +42,23 @@ EXIT_MOVE = 4
 EXIT_TOO_LARGE = 5
 EXIT_VERIFY = 10
 
+# error class -> what its one-line message calls it, and its exit code;
+# `main` looks up the exact class, as kj.errors keeps its hierarchy flat
+_ERRORS = {
+    PDSyntaxError: ("parse error", EXIT_PARSE),
+    PDValidationError: ("validation error", EXIT_VALIDATION),
+    argparse.ArgumentError: ("usage error", EXIT_VALIDATION),
+    IllegalMoveError: ("illegal move", EXIT_MOVE),
+    DiagramTooLargeError: ("diagram too large", EXIT_TOO_LARGE),
+    InternalInvariantError: ("internal invariant failure", EXIT_INTERNAL),
+}
+
+_RINGS = {"Z": ZZ, "Q": QQ, "Qsqrt2": QSQRT2}
+
 
 def _ring_from_flag(text: str):
-    if text == "Z":
-        return ZZ
-    if text == "Q":
-        return QQ
-    if text == "Qsqrt2":
-        return QSQRT2
+    if text in _RINGS:
+        return _RINGS[text]
     if text.startswith("Fp:"):
         try:
             p = int(text.split(":", 1)[1])
@@ -87,7 +97,7 @@ def _read_movie(source: str) -> Movie:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        payload = {"schema": SCHEMA, **payload}
+        payload = {"schema": SCHEMA, "command": args.command, **payload}
         print(json.dumps(payload, sort_keys=True, indent=1))
     else:
         print(text)
@@ -107,8 +117,7 @@ def cmd_homology(args) -> int:
     summary.ring_name = ring.name
     _emit(
         args,
-        {"command": "homology", "diagram": render_pd(d), "theory": args.theory,
-         "result": summary.to_json()},
+        {"diagram": render_pd(d), "theory": args.theory, "result": summary.to_json()},
         summary.to_text(),
     )
     return 0
@@ -129,9 +138,8 @@ def cmd_jones(args) -> int:
     )
     _emit(
         args,
-        {"command": "jones", "diagram": render_pd(d),
-         "bracket": bracket.to_json(), "euler": chi_q.to_json(),
-         "agree": agree},
+        {"diagram": render_pd(d), "bracket": bracket.to_json(),
+         "euler": chi_q.to_json(), "agree": agree},
         text,
     )
     return 0 if agree else EXIT_INTERNAL
@@ -171,8 +179,7 @@ def cmd_generators(args) -> int:
     )
     _emit(
         args,
-        {"command": "generators", "diagram": render_pd(d),
-         "generators": rows, "basis_ok": report.ok,
+        {"diagram": render_pd(d), "generators": rows, "basis_ok": report.ok,
          "rank": report.homology_rank},
         "\n".join(lines),
     )
@@ -185,12 +192,7 @@ def cmd_movie(args) -> int:
         raise PDValidationError("the KJ number of a closed movie is defined at t = 0")
     chi = movie.euler_characteristic
     frames = [("empty" if f.is_empty() else render_pd(f)) for f in movie.frames]
-    payload = {
-        "command": "movie",
-        "frames": frames,
-        "euler_characteristic": chi,
-        "closed": movie.is_closed,
-    }
+    payload = {"frames": frames, "euler_characteristic": chi, "closed": movie.is_closed}
     lines = [f"frames ({len(frames)}):"]
     lines.extend(f"  {i}: {f}" for i, f in enumerate(frames))
     lines.append(f"euler characteristic: {chi}")
@@ -225,15 +227,22 @@ def cmd_verify(args) -> int:
     )
     _emit(
         args,
-        {"command": "verify", "suite": args.suite, "seed": args.seed,
-         "ok": ok, "checks": [r.to_json() for r in reports]},
+        {"suite": args.suite, "seed": args.seed, "ok": ok,
+         "checks": [r.to_json() for r in reports]},
         "\n".join(text_lines),
     )
     return 0 if ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument by raising, not by printing usage and exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="kj",
         description="Exact Khovanov/Lee homology, movie-induced maps, and "
         "Khovanov-Jacobsson numbers.",
@@ -276,25 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except PDSyntaxError as exc:
-        print(f"kj: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PDValidationError as exc:
-        print(f"kj: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except IllegalMoveError as exc:
-        print(f"kj: illegal move: {exc}", file=sys.stderr)
-        return EXIT_MOVE
-    except DiagramTooLargeError as exc:
-        print(f"kj: diagram too large: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except InternalInvariantError as exc:
-        print(f"kj: internal invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except tuple(_ERRORS) as exc:
+        what, code = _ERRORS[type(exc)]
+        print(f"kj: {what}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

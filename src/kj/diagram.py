@@ -251,18 +251,20 @@ class PlanarDiagram:
         4c + s: the edge at each dart; each dart as its (c, s) pair; by
         crossing, then smoothing bit, then slot, the arrival dart reached
         from that slot along the smoothing arc and then along the edge at
-        the arc's other end; every crossing edge, in order, with its lowest
-        dart; and a memo of the circles traced so far by their trace, so
-        that resolutions share the circles they trace alike."""
+        the arc's other end; every edge, in order, with its lowest dart (a
+        free loop: None); and a memo of the circles traced so far by their
+        trace, and of each free loop's circle by its edge, so that
+        resolutions share the circles they trace alike."""
         darts = [(c, s) for c in range(self.crossing_count) for s in range(4)]
         edge_at = [self.edge_at(x) for x in darts]
         # the other end of the edge at each dart
         other = [4 * c + s for x, e in zip(darts, edge_at) for c, s in [self.other_end(e, x)]]
         hops = [tuple(tuple(other[4 * c + p] for p in partners) for partners in _PARTNERS)
                 for c in range(self.crossing_count)]
-        starts = [(e, 4 * c + s) for e in self.crossing_edges
-                  for c, s in [min(self.occurrences[e])]]
-        return edge_at, darts, hops, starts, {}
+        starts = [(e, min((4 * c + s for c, s in self.occurrences[e]), default=None))
+                  for e in self.edges]
+        loops = {e: Circle((e,), (), is_free_loop=True) for e in self.loops}
+        return edge_at, darts, hops, starts, loops
 
     @cached_property
     def crossing_components(self) -> tuple[tuple[int, ...], ...]:
@@ -482,10 +484,6 @@ class Circle:
     trace: tuple[Dart, ...]
     is_free_loop: bool = False
 
-    @property
-    def min_edge(self) -> int:
-        return min(self.edges)
-
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
@@ -501,32 +499,31 @@ class Resolution:
     def circles(self) -> tuple[Circle, ...]:
         """The circles, traced in one walk over the diagram's flat dart
         tables that also sets ``circle_of_edge`` and ``circle_count``. Each
-        crossing circle starts at the lowest dart of its lowest edge, so they
-        come out ordered by lowest edge."""
-        d = self.diagram
-        edge_at, darts, hops, starts, traced = d._dart_tables
+        crossing circle starts at the lowest dart of its lowest edge, and
+        each free loop at its own edge, so they come out ordered by lowest
+        edge."""
+        edge_at, darts, hops, starts, traced = self.diagram._dart_tables
         following = [dart for hop in map(getitem, hops, self.bits) for dart in hop]
         circles: list[Circle] = []
         circle_of_edge: dict[int, int] = {}
         for e, start in starts:
             if e in circle_of_edge:
                 continue
-            trace = [start]  # arrival darts
-            cur = following[start]
-            while cur != start:
-                trace.append(cur)
-                cur = following[cur]
-            key = tuple(trace)
-            circle = traced.get(key)
-            if circle is None:
-                circle = traced[key] = Circle(tuple(map(edge_at.__getitem__, trace)),
-                                              tuple(map(darts.__getitem__, trace)))
+            if start is None:
+                circle = traced[e]  # a free loop
+            else:
+                trace = [start]  # arrival darts
+                cur = following[start]
+                while cur != start:
+                    trace.append(cur)
+                    cur = following[cur]
+                key = tuple(trace)
+                circle = traced.get(key)
+                if circle is None:
+                    circle = traced[key] = Circle(tuple(map(edge_at.__getitem__, trace)),
+                                                  tuple(map(darts.__getitem__, trace)))
             circle_of_edge.update(zip(circle.edges, repeat(len(circles))))
             circles.append(circle)
-        if d.loops:
-            circles.extend(Circle((e,), (), is_free_loop=True) for e in d.loops)
-            circles.sort(key=lambda c: c.min_edge)
-            circle_of_edge = {e: i for i, c in enumerate(circles) for e in c.edges}
         # one cached_property fills all three
         self.__dict__.update(circle_of_edge=circle_of_edge, circle_count=len(circles))
         return tuple(circles)

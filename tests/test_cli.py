@@ -3,12 +3,15 @@ import io
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kj.cli
+import kj.errors
 import kj.movie
-from kj.cli import EXIT_TOO_LARGE, main
+from kj.cli import _ERRORS, EXIT_TOO_LARGE, main
 from kj.corpus import DIAGRAMS
 from kj.cube import MAX_CROSSINGS
 from kj.diagram import parse_pd
@@ -122,6 +125,43 @@ def test_exit_codes(tmp_path, capsys):
                  ["homology", str(binary)], ["jones", str(binary)], ["movie", str(binary)]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out and err.count("\n") == 1 and "parse error" in err
+
+
+USAGE_ERRORS = [
+    ["verify", "bogus"], ["homology"], ["homology", "trefoil", "--theory", "x"],
+    ["--format", "xml", "jones", "trefoil"], ["frobnicate"],
+    ["verify", "all", "--seed", "x"], ["homology", "trefoil", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_bad_argument_ends_in_one_usage_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and err.startswith("kj: usage error: ")
+
+
+def test_help_prints_on_stdout_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: kj ") and "homology" in out and not err
+
+
+def _exit_codes_sentence(text: str) -> list[str]:
+    """The items of the "Exit codes:" sentence, parentheticals dropped."""
+    text = re.sub(r"\s*\([^)]*\)", "", " ".join(text.split()))
+    return sorted(text.split("Exit codes: ", 1)[1].split(". ", 1)[0].split(", "))
+
+
+def test_every_error_has_an_exit_code_and_the_docs_list_them():
+    assert {getattr(kj.errors, name) for name in kj.errors.__all__} <= set(_ERRORS)
+    expected = sorted(["0 success", "10 verification failure",
+                       *(f"{code} {what}" for what, code in _ERRORS.values())])
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for text in (readme, kj.cli.__doc__):
+        assert _exit_codes_sentence(text) == expected
 
 
 def test_too_large_diagram_exits_before_building(tmp_path, capsys):

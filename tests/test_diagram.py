@@ -264,7 +264,7 @@ def test_traced_circles_match_a_union_find_reference():
                 # the trace starts at the lowest end of the lowest edge and
                 # goes from each arrival dart along its smoothing arc, then
                 # along the edge there to the next arrival dart
-                assert circ.trace[0] == min(d.occurrences[circ.min_edge])
+                assert circ.trace[0] == min(d.occurrences[min(circ.edges)])
                 assert circ.edges == tuple(d.edge_at(x) for x in circ.trace)
                 assert len(set(circ.edges)) == len(circ.edges)
                 for (c, s), nxt in zip(circ.trace, circ.trace[1:] + circ.trace[:1]):

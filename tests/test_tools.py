@@ -45,7 +45,8 @@ def test_answers_digest_on_a_few_invocations(tmp_path, capsys):
     assert len(names) == len(set(names))
     assert {"homology T2_11 lee Fp:5 json", "jones trefoil text", "generators T2_3 json",
             "verify all 9 json", "verify proposition 29 text", "movie sphere lee text",
-            "movie r3-r2 kh json"} <= set(names)
+            "movie r3-r2 kh json", "error too-large homology T2_13 text",
+            "error usage frobnicate json"} <= set(names)
     first = tool.digest(["jones", "trefoil"])
     assert re.fullmatch("[0-9a-f]{64}", first)
     assert tool.digest(["jones", "trefoil"]) == first
@@ -81,3 +82,24 @@ def test_orientation_sweep_values_on_a_few_movies():
     digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
     assert digest == "06a694833f610d263646a776c17b9320949ee86cdd7a135367d38f05702e51ec"
     assert tool.answer(lambda: 1 // 0) == "ZeroDivisionError('integer division or modulo by zero')"
+
+
+def test_known_defects_agree_with_the_suite_and_the_movie_maps():
+    from kj.errors import InternalInvariantError
+    from kj.movie import MovieMaps
+    from kj.verify import proposition_suite
+
+    from diagrams import slide_sweep
+
+    tool = _tool("known_defects")
+    reports = proposition_suite(8)
+    assert tool.proposition_failures(8) == ([r.name for r in reports if not r.ok], len(reports))
+    movies = slide_sweep()[:5]
+    for t in (0, 1):
+        expected = []
+        for k, movie in enumerate(movies):
+            try:
+                MovieMaps(movie, t=t)
+            except InternalInvariantError as exc:
+                expected.append((k, str(exc)))
+        assert tool.slide_failures(movies, t) == expected

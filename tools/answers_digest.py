@@ -13,8 +13,11 @@ theories on the bundled movies, the movies of ``tests/golden``, the open
 movies ``composite s-k`` (``verify._random_composite_movies(s)`` for
 s = 0..29, each with one ``random_cancelling_insertion`` from
 ``random.Random(s)``), ``slide k`` (``tests/diagrams.slide_sweep()``) and
-``removal-first`` (``tests/diagrams.REMOVAL_FIRST_MOVIE``). T(2,n) is
-``tests/diagrams.torus_pd(n)``. Given prefixes, only the
+``removal-first`` (``tests/diagrams.REMOVAL_FIRST_MOVIE``); and, named
+``error <kind> ...``, one or more invocations that end in each documented
+error exit: a missing file (1), a bad ring (2), a bad command-line argument
+(2), a death on an edge that is not a free loop (4) and T(2,13) (5). T(2,n)
+is ``tests/diagrams.torus_pd(n)``. Given prefixes, only the
 invocations whose names start with one of them run. Every invocation runs
 in this process, through ``kj.cli.main``. Standard library only.
 """
@@ -91,6 +94,22 @@ def invocations(workdir: Path) -> list[tuple[str, list[str]]]:
     for name, source in movies.items():
         out += [(f"movie {name} {theory}", ["movie", source, "--theory", theory])
                 for theory in ("kh", "lee")]
+    too_large = workdir / "T2_13.pd"
+    too_large.write_text(torus_pd(13) + "\n")
+    death = workdir / "death-on-a-crossing-edge.movie"
+    death.write_text(json.dumps({"initial": DIAGRAMS["trefoil"],
+                                 "moves": [{"type": "death", "edge": 1}]}))
+    out += [
+        ("error parse homology no-such.pd", ["homology", "no-such.pd"]),
+        ("error validation homology trefoil Fp:4", ["homology", "trefoil", "--ring", "Fp:4"]),
+        ("error validation homology trefoil lee Z",
+         ["homology", "trefoil", "--theory", "lee", "--ring", "Z"]),
+        ("error move death on a crossing edge", ["movie", str(death)]),
+        ("error too-large homology T2_13", ["homology", str(too_large)]),
+        ("error usage frobnicate", ["frobnicate"]),
+        ("error usage verify bogus", ["verify", "bogus"]),
+        ("error usage homology", ["homology"]),
+    ]
     return [(f"{name} {fmt}", ["--format", fmt, *argv])
             for name, argv in out for fmt in ("text", "json")]
 
@@ -101,7 +120,10 @@ def digest(argv: list[str]) -> str:
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a kj whose argparse exits on a bad argument
+            code = exc.code
     return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
 
 
