@@ -10,6 +10,12 @@ bitvector together with a circle labeling; gradings are
 Cube edges flip one bit 0 -> 1 and apply merge or split on the affected
 circles with the sign (-1)^(number of 1 bits below the flipped index).
 
+A complex numbers its generators degree by degree, each resolution's
+together in code order, and keeps only each resolution's offset and each
+degree's count. ``ChainComplex.bases``, the list of (bits, labels) tuples
+in that order, is written on its first read; ``qs[i]`` follows the same
+order.
+
 ``LocalTables`` writes every map on the cube of resolutions: d, one cube
 edge key at a time, and every chain map of a movie, one resolution pair at
 a time. Both share one table format (an entry per labeling of the consumed
@@ -86,10 +92,10 @@ _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
 # machine, building, checking, writing d of and reducing the complex of
-# T(2,9) (19686 generators) takes 0.19 to 0.28 s and 28 MiB for Khovanov
-# homology over Z, and 0.18 to 0.35 s and 35 MiB for Lee homology over Q; on
-# T(2,11) (177150 generators) it takes 2.0 to 2.8 s and 110 MiB, and 2.0 to
-# 3.6 s and 181 MiB (`tools/cube_stages.py`, three runs). Each further crossing
+# T(2,9) (19686 generators) takes 0.09 to 0.11 s and 27 MiB for Khovanov
+# homology over Z, and 0.12 to 0.15 s and 32 MiB for Lee homology over Q; on
+# T(2,11) (177150 generators) it takes 1.3 to 2.4 s and 94 MiB, and 1.6 to
+# 1.9 s and 165 MiB (`tools/cube_stages.py`, three runs). Each further crossing
 # roughly triples the generators, and memory grows with them. A free loop
 # doubles the generators, so loops count against the bound with crossings.
 MAX_CROSSINGS = 12
@@ -120,15 +126,15 @@ def counit(x: int) -> int:
 
 
 def _labeling_tables(k: int):
-    """The 2^k labelings of k circles in code order, the code of each, and
-    the q degree of each (deg v+ = +1, deg v- = -1).
+    """The code of each of the 2^k labelings of k circles, in code order,
+    and the q degree of each (deg v+ = +1, deg v- = -1).
 
     A labeling's code reads its labels as a binary number, first circle most
     significant (V_PLUS = 0, V_MINUS = 1), so code order is lexicographic.
     """
     labelings = tuple(itertools.product((V_PLUS, V_MINUS), repeat=k))
     codes = {labels: code for code, labels in enumerate(labelings)}
-    return labelings, codes, tuple(k - 2 * sum(labels) for labels in labelings)
+    return codes, tuple(k - 2 * sum(labels) for labels in labelings)
 
 
 class _Index(Mapping):
@@ -438,9 +444,13 @@ class _Stored:
 class ChainComplex(_Stored):
     """Basis-indexed chain groups with sparse differentials d_i: C^i -> C^{i+1}.
 
-    ``qs[i]`` is the q-grading of each generator of ``bases[i]``, in order.
     A resolution's generators sit together in its degree, in code order, so
-    ``index`` is offset arithmetic rather than a table of generators.
+    ``index`` is offset arithmetic rather than a table of generators. The
+    build keeps each degree's generator count, which ``dim`` and
+    ``degrees`` read; ``bases[i]``, every generator of degree i in that
+    order, is written on its first read, which no kj command makes.
+    ``qs[i]`` is the q-grading of each generator of degree i, in the same
+    order.
 
     d is stored once in ``ptr``, ``targets`` and ``values``, in the one form
     chain maps share (``_Stored``), in the order ``LocalTables.fill``
@@ -468,7 +478,7 @@ class ChainComplex(_Stored):
         self.ring = ring
         self.n_plus, self.n_minus = _sign_counts(diagram)
         self.resolutions: dict[tuple[int, ...], Resolution] = {}
-        self.bases: dict[int, list[Gen]] = {}
+        self._dims: dict[int, int] = {}  # generator count by degree
         self.qs: dict[int, list[int]] = {}
         self._where: dict[tuple[int, ...], tuple[int, int, dict]] = {}
         self.index: Mapping[Gen, tuple[int, int]] = _Index(self._where)
@@ -497,7 +507,7 @@ class ChainComplex(_Stored):
         at: list[Resolution] = []  # by index
         tables: dict[int, tuple] = {}  # shared by every resolution with k circles
         # bits and labels both run in lexicographic order, so each degree's
-        # generators come out sorted
+        # generators are numbered in sorted order
         for index, bits in enumerate(itertools.product((0, 1), repeat=n)):
             res = resolve(d, bits)
             self.resolutions[bits] = res
@@ -506,13 +516,13 @@ class ChainComplex(_Stored):
             k = res.circle_count
             if k not in tables:
                 tables[k] = _labeling_tables(k)
-            labelings, codes, degrees = tables[k]
-            gens = self.bases.setdefault(i, [])
-            self._where[bits] = (i, len(gens), codes)
+            codes, degrees = tables[k]
+            offset = self._dims.get(i, 0)
+            self._where[bits] = (i, offset, codes)
             at.append(res)
-            self._spans.append((len(gens), len(codes)))
+            self._spans.append((offset, len(codes)))
             layers.setdefault(i, []).append(index)
-            gens.extend(zip(repeat(bits), labelings))
+            self._dims[i] = offset + len(codes)
             shift = weight + self.n_plus - 2 * self.n_minus
             self.qs.setdefault(i, []).extend(map(shift.__add__, degrees))
         degrees = self.degrees()
@@ -591,7 +601,7 @@ class ChainComplex(_Stored):
         for v in self._edge_shapes:
             fill(ptr, targets, values, spans[v][1], self._pieces(v))
         # the columns of the top degree, which has no edges out
-        ptr.extend(repeat(len(values), self.dim(max(self.bases))))
+        ptr.extend(repeat(len(values), self.dim(max(self._dims))))
         return ptr, targets, values
 
     @cached_property
@@ -667,10 +677,21 @@ class ChainComplex(_Stored):
         return self.qs[i][pos]
 
     def degrees(self) -> list[int]:
-        return sorted(self.bases)
+        return sorted(self._dims)
 
     def dim(self, i: int) -> int:
-        return len(self.bases.get(i, ()))
+        return self._dims.get(i, 0)
+
+    @cached_property
+    def bases(self) -> dict[int, list[Gen]]:
+        """Every generator as (bits, labels), by degree, each at its
+        position in ``index``: written from the resolutions' offsets and
+        codes on first read."""
+        bases: dict[int, list[Gen]] = {i: [] for i in self._dims}
+        # resolutions run in order of offset within each degree
+        for bits, (i, _, codes) in self._where.items():
+            bases[i].extend(zip(repeat(bits), codes))
+        return bases
 
     def validate(self) -> None:
         """d^2 = 0, and the q behavior expected of the theory: each cube
@@ -714,7 +735,7 @@ class ChainComplex(_Stored):
                 # only what lies past its last column does
                 i = next((i for i, g in self.first.items()
                           if _columns(held, g, self.dim(i)) != _columns(wrote, g, self.dim(i))),
-                         max(self.bases))
+                         max(self._dims))
                 raise InternalInvariantError(
                     f"d_{i} does not hold the entries its cube edges wrote"
                 )

@@ -643,14 +643,18 @@ class _R3Transport:
             ech = self._echelons[i] = _Echelon(ring)
             for col in self.c1.columns(i - 1):
                 ech.insert(col)
-            basis = self.c1.bases[i]
+            # each degree-i resolution's bits and positions, in position order
+            spans = [(bits, range(offset, offset + len(codes)))
+                     for bits, (j, offset, codes) in self.c1._where.items() if j == i]
             fold = self.fold1.columns(i)
-            for pos, (bits, _) in enumerate(basis):
+            for bits, positions in spans:
                 if _matches(bits, self.x1):
-                    ech.insert({pos: ring.one, **fold[pos]}, label=pos)
-            for pos, (bits, _) in enumerate(basis):
+                    for pos in positions:
+                        ech.insert({pos: ring.one, **fold[pos]}, label=pos)
+            for bits, positions in spans:
                 if bits[self.r] == self.sigma1:
-                    ech.insert({pos: ring.one}, label=pos)
+                    for pos in positions:
+                        ech.insert({pos: ring.one}, label=pos)
         sol = self._echelons[i].membership(rep)
         if sol is None:
             raise InternalInvariantError(

@@ -125,3 +125,25 @@ def test_jones_writes_no_differential_and_homology_writes_it_once(monkeypatch, t
     assert fills["fill"] == len(c._edge_shapes) == 2**7 - 1
     assert len(c.values) > 0 and c.diff
     assert fills["fill"] == 2**7 - 1
+
+
+def test_no_command_writes_the_generator_list(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "T2_7.pd"
+    path.write_text(torus_pd(7))
+    built, init = [], kj.cube.ChainComplex.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(kj.cube.ChainComplex, "__init__", kept)
+    for argv in (["jones", str(path)],
+                 ["homology", str(path), "--theory", "kh", "--ring", "Z"],
+                 ["homology", str(path), "--theory", "lee", "--ring", "Q"],
+                 ["movie", "torus-noise.movie"],
+                 ["verify", "rmoves", "--seed", "8"]):
+        built.clear()
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert built, argv
+        assert all("bases" not in c.__dict__ for c in built), argv

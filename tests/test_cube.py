@@ -439,6 +439,22 @@ def test_index_is_position_in_degree(t):
                 c.q_of(g)
 
 
+@pytest.mark.parametrize("t", [0, 1])
+def test_generator_counts_match_the_list_written_on_first_read(t):
+    tori = [torus_pd(n) for n in (3, 5, 7, 9)]
+    for text in [*DIAGRAMS.values(), *tori, *map(_mirror, tori)]:
+        c = build_complex(parse_pd(text), t, QQ)
+        assert "bases" not in c.__dict__
+        degrees, first = c.degrees(), dict(c.first)
+        bases = c.bases
+        assert c.bases is bases
+        assert c.degrees() == degrees == list(bases) and c.first == first
+        for i in degrees:
+            assert c.dim(i) == len(bases[i]) == len(c.qs[i]), (text, i)
+            for pos, g in enumerate(bases[i]):
+                assert c.index[g] == (i, pos), (text, g)
+
+
 def test_built_complex_is_freed_by_reference_counting():
     gc.disable()
     try:
