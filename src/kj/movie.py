@@ -7,13 +7,19 @@ its frames (for both t = 0 and t = 1):
 * Morse moves and forward R1/R2 moves are honest chain maps, machine
   checked to commute with the differentials. Each is a table on the labels
   of the circles the move consumes and creates, and the identity on every
-  other circle, filled in one source resolution at a time by
+  other circle, written one source resolution at a time by
   ``cube.LocalTables``, the routine and table format d is written with,
   into a ``cube.ChainMap``, stored in the one form d is stored in (its
-  ``mats`` is a view kept for tests and tools); the R2 map is the
-  inclusion plus a ``_fold`` table, the contraction through the circle
-  part, both pieces written in one call. Every piece's sign is one
-  ``_change_twist`` of the bits it sets and clears;
+  ``mats`` is a view kept for tests and tools). One driver,
+  ``_chain_map``, fills and checks every such map from a rule giving its
+  pieces out of each source resolution. An R1 or R2 addition carries each
+  resolution by one rule, ``_insertion_map``: one embedding, with the new
+  crossings' bits set, one placement of its circles by the anchors, and
+  one ``_change_twist`` of clearing the new crossings; each builder keeps
+  only its table choice. The R2 map is the inclusion plus a ``_fold``
+  table, the contraction through the circle part, both pieces written in
+  one call. Every piece's sign is one ``_change_twist`` of the bits it
+  sets and clears;
 * R1/R2 removals invert the homology isomorphism of the matching forward
   move;
 * R3 acts at homology level. Its pieces are tables on every generator: the
@@ -88,29 +94,33 @@ __all__ = ["Movie", "FrameTable", "MovieMaps", "kj_number", "compatible_orientat
 # ---------------------------------------------------------------------------
 
 
-def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
-    """Chain map of a birth, death, or saddle (same crossing set)."""
-    # a reconnection can change reference crossing signs, shifting degrees
-    cm = ChainMap(c1, c2, shift=c1.n_minus - c2.n_minus)
-    pieces = {}
-    for bits, res1 in c1.resolutions.items():
-        res2 = c2.resolutions[bits]
-        if rec.kind == "birth":
-            lidx = res2.circle_index_of_edge(rec.data["loop"])
-            piece = cm.piece(bits, bits, (), (lidx,), "birth")
-        elif rec.kind == "death":
-            lidx = res1.circle_index_of_edge(rec.data["loop"])
-            piece = cm.piece(bits, bits, (lidx,), (), "death")
-        else:
-            i1, i2 = map(res1.circle_index_of_edge, rec.data["feet"])
-            if i1 != i2:
-                piece = cm.piece(bits, bits, (i1, i2), _saddle_targets(rec, res2, 1), "merge")
-            else:
-                piece = cm.piece(bits, bits, (i1,), _saddle_targets(rec, res2, 2), "split")
-        pieces[bits] = [piece]
-    cm.fill(pieces)
+def _chain_map(c1: ChainComplex, c2: ChainComplex, shift: int, pieces_of) -> ChainMap:
+    """The checked chain map from ``c1`` to ``c2`` that shifts degrees by
+    ``shift``, whose pieces out of each source resolution are
+    ``pieces_of(cm, bits, res)``, as ``ChainMap.piece`` gives them."""
+    cm = ChainMap(c1, c2, shift)
+    cm.fill({bits: pieces_of(cm, bits, res) for bits, res in c1.resolutions.items()})
     cm.verify()
     return cm
+
+
+def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
+    """Chain map of a birth, death, or saddle (same crossing set)."""
+    loop = rec.data.get("loop")
+
+    def pieces(cm, bits, res1):
+        res2 = c2.resolutions[bits]
+        if rec.kind == "birth":
+            return [cm.piece(bits, bits, (), (res2.circle_index_of_edge(loop),), "birth")]
+        if rec.kind == "death":
+            return [cm.piece(bits, bits, (res1.circle_index_of_edge(loop),), (), "death")]
+        i1, i2 = map(res1.circle_index_of_edge, rec.data["feet"])
+        if i1 != i2:
+            return [cm.piece(bits, bits, (i1, i2), _saddle_targets(rec, res2, 1), "merge")]
+        return [cm.piece(bits, bits, (i1,), _saddle_targets(rec, res2, 2), "split")]
+
+    # a reconnection can change reference crossing signs, shifting degrees
+    return _chain_map(c1, c2, c1.n_minus - c2.n_minus, pieces)
 
 
 def elementary_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
@@ -156,6 +166,28 @@ def _change_twist(bits, changes: dict[int, int]) -> int:
     return -1 if parity else 1
 
 
+def _insertion_map(rec_data, c_small, c_big, cross_embed, new: dict[int, int], pieces_of):
+    """The checked map of an R1 or R2 addition from ``c_small`` to ``c_big``.
+
+    Each small resolution goes to its embedding, with the ``new`` crossings'
+    bits set; the anchors (small edge -> big edge) place its circles; and
+    its sign is one ``_change_twist`` of clearing the new crossings. Its
+    pieces are ``pieces_of(cm, bits, tbits, res2, placed, sign)``, res2
+    the big resolution at tbits and placed the anchored circles.
+    """
+    nbig = c_big.diagram.crossing_count
+
+    def pieces(cm, bits, res1):
+        tbits = _embed_bits(bits, cross_embed, nbig, new)
+        res2 = c_big.resolutions[tbits]
+        placed = {res1.circle_index_of_edge(small_edge): res2.circle_index_of_edge(big_edge)
+                  for small_edge, big_edge in rec_data["anchors"].items()}
+        sign = _change_twist(tbits, dict.fromkeys(new, 0))
+        return pieces_of(cm, bits, tbits, res2, placed, sign)
+
+    return _chain_map(c_small, c_big, 0, pieces)
+
+
 def r1_chain_map(
     rec_data: dict, c_small: ChainComplex, c_big: ChainComplex, cross_embed
 ) -> ChainMap:
@@ -164,29 +196,20 @@ def r1_chain_map(
     cross_embed maps each small crossing index to its big index; the curl
     crossing sits at rec_data["crossing"] in the big diagram.
     """
-    hand = rec_data["hand"]
-    cstar = rec_data["crossing"]
+    left = rec_data["hand"] == "left"
     f1 = rec_data["loop_edge"]
-    ((a_small, a_big),) = rec_data["anchors"].items()
-    nbig = c_big.diagram.crossing_count
-    # a right curl is a birth of the loop, a left curl split_minus_2x
-    cm = ChainMap(c_small, c_big)
-    pieces = {}
-    for bits, res1 in c_small.resolutions.items():
-        host = res1.circle_index_of_edge(a_small)
-        tbits = _embed_bits(bits, cross_embed, nbig, {cstar: 0 if hand == "left" else 1})
-        res2 = c_big.resolutions[tbits]
+
+    # a right curl is a birth of the loop, a left curl split_minus_2x at the
+    # host, whose one anchor places it
+    def pieces(cm, bits, tbits, res2, placed, sign):
         lidx = res2.circle_index_of_edge(f1)
-        midx = res2.circle_index_of_edge(a_big)
-        if hand == "left":
-            piece = cm.piece(bits, tbits, (host,), (midx, lidx), "split_minus_2x")
-        else:
-            sign = _change_twist(tbits, {cstar: 0})
-            piece = cm.piece(bits, tbits, (), (lidx,), "birth", sign, {host: midx})
-        pieces[bits] = [piece]
-    cm.fill(pieces)
-    cm.verify()
-    return cm
+        if left:
+            ((host, midx),) = placed.items()
+            return [cm.piece(bits, tbits, (host,), (midx, lidx), "split_minus_2x", sign)]
+        return [cm.piece(bits, tbits, (), (lidx,), "birth", sign, placed)]
+
+    new = {rec_data["crossing"]: 0 if left else 1}
+    return _insertion_map(rec_data, c_small, c_big, cross_embed, new, pieces)
 
 
 def _embed_bits(bits, cross_embed, nbig, extra: dict[int, int]):
@@ -205,29 +228,17 @@ def r2_chain_map(
 ) -> ChainMap:
     """Forward map of a poke: inclusion into the parallel part plus the
     contraction correction through the circle part."""
-    k1 = rec_data["k1"]
-    k2 = rec_data["k2"]
-    anchors: dict[int, int] = rec_data["anchors"]
+    k1, k2 = rec_data["k1"], rec_data["k2"]
     local = frozenset((rec_data["m1"], rec_data["m2"]))
-    nbig = c_big.diagram.crossing_count
+
     # parallel part: k1 -> 0, k2 -> 1 (k1 is the crossing whose 1-smoothing
-    # joins the middle edges, per detect_r2_pattern)
-    cm = ChainMap(c_small, c_big)
-    pieces = {}
-    for bits, res1 in c_small.resolutions.items():
-        tbits = _embed_bits(bits, cross_embed, nbig, {k1: 0, k2: 1})
-        res2 = c_big.resolutions[tbits]
-        placed = {
-            res1.circle_index_of_edge(small_edge): res2.circle_index_of_edge(big_edge)
-            for small_edge, big_edge in anchors.items()
-        }
-        sign = _change_twist(tbits, {k2: 0})
-        # the inclusion lands where k2 = 1, the correction where k2 = 0
-        pieces[bits] = [cm.piece(bits, tbits, (), (), "identity", sign, placed),
-                        _fold(cm, bits, tbits, k1, k2, local, sign, placed)]
-    cm.fill(pieces)
-    cm.verify()
-    return cm
+    # joins the middle edges, per detect_r2_pattern); the inclusion lands
+    # where k2 = 1, the correction where k2 = 0
+    def pieces(cm, bits, tbits, res2, placed, sign):
+        return [cm.piece(bits, tbits, (), (), "identity", sign, placed),
+                _fold(cm, bits, tbits, k1, k2, local, sign, placed)]
+
+    return _insertion_map(rec_data, c_small, c_big, cross_embed, {k1: 0, k2: 1}, pieces)
 
 
 def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):

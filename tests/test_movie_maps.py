@@ -514,10 +514,25 @@ def _reference_movies():
         for _ in range(4):
             mv = random_cancelling_insertion(mv, rng)
             movies.append(mv)
+    # removals of a crossing below a later curl, whose maps' twists are not
+    # all +1 (an addition's new crossings come last, so its twists are)
+    for add, remove in ((R1Move("add", 1, "right"), R1Move("remove", 7, "right")),
+                        (R1Move("add", 1, "left"), R1Move("remove", 7, "left")),
+                        (R2Move("add", (1, 3)), R2Move("remove", (8, 9)))):
+        movies.append(Movie(parse_pd(TREFOIL), [add, R1Move("add", 2, "right"), remove]))
     return movies
 
 
-def test_chain_maps_match_generator_by_generator():
+def test_chain_maps_match_generator_by_generator(monkeypatch):
+    twists = set()
+    twist = kj.movie._change_twist
+
+    def noted(bits, changes):
+        sign = twist(bits, changes)
+        twists.add(sign)
+        return sign
+
+    monkeypatch.setattr(kj.movie, "_change_twist", noted)
     kinds = set()
     for movie in _reference_movies():
         for t in (0, 1):
@@ -527,9 +542,34 @@ def test_chain_maps_match_generator_by_generator():
                 for i, m in mats.items():
                     assert m.shape() == ref.mats[i].shape()
                     assert m.data == ref.mats[i].data
-        kinds.update(rec.kind for rec in movie.records)
-    assert {"birth", "death", "saddle_merge", "saddle_split",
-            "r1_add", "r1_remove", "r2_add", "r2_remove"} <= kinds
+        kinds.update(_variant(mv, rec) for mv, rec in zip(movie.moves, movie.records))
+    # every curl hand both ways, and every poke addition, each with the sign
+    # of the one insertion rule
+    assert {"birth", "death", "saddle_merge", "saddle_split", "r2_remove",
+            *itertools.product(("r1_add", "r1_remove"), ("left", "right")),
+            *itertools.product(("r2_add",), (False, True), (False, True))} <= kinds
+    assert twists == {1, -1}
+
+
+def _variant(move, rec):
+    """The record's kind, with the curl's hand for an R1 move and, for an R2
+    addition, whether the first strand passes over and whether the strand
+    is poked across itself."""
+    if rec.kind.startswith("r1"):
+        return rec.kind, rec.data["hand"]
+    if rec.kind == "r2_add":
+        return rec.kind, move.over, move.edges[0] == move.edges[1]
+    return rec.kind
+
+
+def test_embedding_refuses_a_gap():
+    # a crossing map that drops the old crossings leaves their bits unset
+    movie = Movie(parse_pd(TREFOIL), [R2Move("add", (1, 3))])
+    rec = movie.records[0]
+    for t in (0, 1):
+        c1, c2 = (build_complex(f, t, QQ) for f in movie.frames)
+        with pytest.raises(InternalInvariantError, match="crossing embedding left a gap"):
+            r2_chain_map(rec.data, c1, c2, {})
 
 
 def test_composite_is_the_product_of_the_views():
