@@ -9,11 +9,9 @@ from .cube import (
     filtration_level,
     graded_euler_characteristic,
     kauffman_bracket,
-    mod4_split,
 )
 from .diagram import (
     PlanarDiagram,
-    checkerboard_nesting,
     crossing_sign,
     oriented_resolution,
     parse_pd,
@@ -42,13 +40,11 @@ __all__ = [
     "writhe",
     "crossing_sign",
     "oriented_resolution",
-    "checkerboard_nesting",
     "ChainComplex",
     "build_complex",
     "filtration_level",
     "graded_euler_characteristic",
     "kauffman_bracket",
-    "mod4_split",
     "homology",
     "HomologySummary",
     "FieldHomology",

@@ -73,7 +73,6 @@ __all__ = [
     "filtration_level",
     "graded_euler_characteristic",
     "kauffman_bracket",
-    "mod4_split",
     "edge_map_on_chain",
     "carry_labels",
     "carried_weights",
@@ -184,6 +183,14 @@ def local_table(name: str, t: int) -> list:
         # 2 X(host) (x) v+(loop), X: v+ -> v-, v- -> t v+
         return [[((V_PLUS, V_MINUS), 1), ((V_MINUS, V_PLUS), -1)],
                 [((V_MINUS, V_MINUS), 1), ((V_PLUS, V_PLUS), -t)]]
+    if name == "merge_antipode":
+        # a right curl's removal: m(host (x) S(loop)), S: v+ -> v+, v- -> -v-
+        return [[(z, c * (-1) ** y) for z, c in merge] for merge, y in
+                zip(local_table("merge", t), (V_PLUS, V_MINUS) * 2)]
+    if name.startswith("death_"):
+        # the counit on the first consumed circle, then the named table
+        rest = local_table(name[6:], t)
+        return [[] for _ in rest] + rest
     raise ValueError(f"no local table named {name!r}")
 
 
@@ -1097,30 +1104,6 @@ def kauffman_bracket(
         term = loop ** k * Laurent.q(weight + n_plus - 2 * n_minus)
         out = out + (-1) ** (weight + n_minus) * count * term
     return out
-
-
-def mod4_split(complex_: ChainComplex):
-    """Partition the basis of a knot's t = 1 complex by q mod 4.
-
-    Returns (residues, parts) where parts maps each residue to the set of
-    generators; both parts are closed under the differential.
-    """
-    if complex_.t != 1:
-        raise ValueError("the mod-4 splitting concerns the filtered theory")
-    if complex_.diagram.component_count != 1:
-        raise PDValidationError("mod-4 splitting is stated for knots")
-    parts: dict[int, set[Gen]] = {}
-    for gens in complex_.bases.values():
-        for g in gens:
-            parts.setdefault(complex_.q_of(g) % 4, set()).add(g)
-    residues = sorted(parts)
-    if len(residues) > 2:
-        raise InternalInvariantError(f"knot complex hit residues {residues}")
-    qs = [q % 4 for i in complex_.degrees() for q in complex_.qs[i]]  # by generator id
-    for g, q in enumerate(qs):
-        if any(qs[y] != q for y in complex_.targets[complex_.ptr[g]:complex_.ptr[g + 1]]):
-            raise InternalInvariantError("differential escaped its mod-4 class")
-    return residues, parts
 
 
 def edge_map_on_chain(complex_: ChainComplex, chain: dict, j: int) -> dict:

@@ -42,7 +42,6 @@ __all__ = [
     "writhe",
     "oriented_resolution",
     "resolve",
-    "checkerboard_nesting",
     "edge_color",
     "all_orientations",
 ]
@@ -80,10 +79,6 @@ class PlanarDiagram:
     @cached_property
     def crossing_edges(self) -> tuple[int, ...]:
         return tuple(e for e in self.edges if e not in self.loops)
-
-    @cached_property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def edge_at(self, dart: Dart) -> int:
         return self.crossings[dart[0]][dart[1]]
@@ -549,14 +544,6 @@ class Resolution:
     def circle_of_edge_set(self) -> dict[frozenset, int]:
         return {es: i for i, es in enumerate(self.circle_edge_sets)}
 
-    def nesting_parity(self, i: int) -> int:
-        """Color of the face left of circle i under its canonical traversal.
-
-        Free loops sit in the unbounded region and get parity 0.
-        """
-        circ = self.circles[i]
-        return 0 if circ.is_free_loop else self.diagram.color_left_of(circ.trace[0])
-
     def oriented_color(self, i: int, orientation) -> int:
         """Color on the left of circle i traversed along the direction the
         link orientation induces on its edges (``edge_color`` of any of
@@ -599,9 +586,3 @@ def edge_color(d: PlanarDiagram, edge: int, orientation) -> int:
     if edge in d.loops:
         return int(forward)
     return d.color_left_of((d.edge_head if forward else d.edge_tail)[edge])
-
-
-def checkerboard_nesting(d: PlanarDiagram, bits) -> tuple[int, ...]:
-    """Per-circle nesting parity of the resolved diagram (outer face 0)."""
-    res = resolve(d, bits)
-    return tuple(res.nesting_parity(i) for i in range(res.circle_count))

@@ -4,32 +4,33 @@ A movie is an initial diagram plus a sequence of moves; its frames are the
 successive diagrams. Every move induces a map between the homologies of
 its frames (for both t = 0 and t = 1):
 
-* Morse moves and forward R1/R2 moves are honest chain maps, machine
-  checked to commute with the differentials. Each is a table on the labels
-  of the circles the move consumes and creates, and the identity on every
-  other circle, written one source resolution at a time by
+* Morse moves and R1/R2 moves are honest chain maps, machine checked to
+  commute with the differentials. Each is a table on the labels of the
+  circles the move consumes and creates, and the identity on every other
+  circle, written one source resolution at a time by
   ``cube.LocalTables``, the routine and table format d is written with,
   into a ``cube.ChainMap``, stored in the one form d is stored in (its
-  ``mats`` is a view kept for tests and tools). One driver,
-  ``_chain_map``, fills and checks every such map from a rule giving its
-  pieces out of each source resolution. An R1 or R2 addition carries each
-  resolution by one rule, ``_insertion_map``: one embedding, with the new
-  crossings' bits set, one placement of its circles by the anchors, and
-  one ``_change_twist`` of clearing the new crossings; each builder keeps
-  only its table choice. The R2 map is the inclusion plus a ``_fold``
-  table, the contraction through the circle part, both pieces written in
-  one call. Every piece's sign is one ``_change_twist`` of the bits it
-  sets and clears;
-* R1/R2 removals invert the homology isomorphism of the matching forward
-  move;
+  ``mats`` is a view kept for tests and tools). One driver, ``_chain_map``,
+  fills and checks every such map from a rule giving its pieces out of
+  each source resolution. An R1 or R2 move carries each resolution by one
+  rule, ``_insertion_map``: one embedding between the small frame's
+  resolutions and the big frame's with the new crossings' bits set, one
+  placement of circles by the anchors, and one ``_change_twist`` of
+  clearing the new crossings; each builder keeps only its table choice. An
+  addition runs from the small frame, a removal from the big one, as the
+  addition's inverse up to homotopy (Bar-Natan, arXiv:math/0410495 4.3).
+  The R2 addition is the inclusion plus a ``_fold`` table, the contraction
+  through the circle part, and its removal the identity plus ``_unfold``,
+  the fold mirrored. Every piece's sign is one ``_change_twist`` of the
+  bits it sets and clears;
 * R3 acts at homology level. Its pieces are tables on every generator: the
   two resolution identifications of the slide and a ``_fold`` on each
   side. Each cycle is decomposed, modulo boundaries, through its degree's
   echelon form and carried by those tables.
 
-A move with no chain map has a ``StepMap``, a matrix per degree between
-the homologies of its frames, and ``StepMap.of`` is the one loop that
-writes such matrices, from the images of the source frame's
+A slide, the one move with no chain map, has a ``StepMap``, a matrix per
+degree between the homologies of its frames, and ``StepMap.of`` is the one
+loop that writes such matrices, from the images of the source frame's
 representatives. ``MovieMaps.steps`` holds one step per move, a chain map
 or a ``StepMap``, and both carry a cycle by ``apply(i, vec)``. The
 cobordism-induced map is read one way, by ``MovieMaps.push``: a cycle of
@@ -125,17 +126,14 @@ def morse_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> Chai
 
 def elementary_chain_map(rec: MoveRecord, c1: ChainComplex, c2: ChainComplex) -> ChainMap:
     """The checked chain map of a move other than a slide, from the complex
-    ``c1`` of its first frame to ``c2`` of its second; for an R1 or R2
-    removal, that of the matching addition, from ``c2`` to ``c1``."""
+    ``c1`` of its first frame to ``c2`` of its second."""
     kind = rec.kind
     if kind in ("birth", "death") or kind.startswith("saddle"):
         return morse_chain_map(rec, c1, c2)
     if kind not in ("r1_add", "r2_add", "r1_remove", "r2_remove"):
         raise InternalInvariantError(f"no chain map for record kind {kind}")
-    forward = r1_chain_map if kind[:2] == "r1" else r2_chain_map
-    if kind.endswith("_remove"):
-        return forward(rec.data, c2, c1, {new: old for old, new in rec.crossing_map.items()})
-    return forward(rec.data, c1, c2, dict(rec.crossing_map))
+    build = r1_chain_map if kind[:2] == "r1" else r2_chain_map
+    return build(rec.data, c1, c2, dict(rec.crossing_map))
 
 
 def _saddle_targets(rec: MoveRecord, res2, count: int) -> tuple[int, ...]:
@@ -166,56 +164,67 @@ def _change_twist(bits, changes: dict[int, int]) -> int:
     return -1 if parity else 1
 
 
-def _insertion_map(rec_data, c_small, c_big, cross_embed, new: dict[int, int], pieces_of):
-    """The checked map of an R1 or R2 addition from ``c_small`` to ``c_big``.
+def _insertion_map(rec_data, c1, c2, cross_map, new: dict[int, int], pieces_of):
+    """The checked map from ``c1`` to ``c2`` of an R1 or R2 move: an
+    addition if ``c2`` has the more crossings, else a removal.
 
-    Each small resolution goes to its embedding, with the ``new`` crossings'
-    bits set; the anchors (small edge -> big edge) place its circles; and
-    its sign is one ``_change_twist`` of clearing the new crossings. Its
-    pieces are ``pieces_of(cm, bits, tbits, res2, placed, sign)``, res2
-    the big resolution at tbits and placed the anchored circles.
+    Each resolution of ``c1`` goes to the one of ``c2`` its bits embed in by
+    ``cross_map``, with an addition's ``new`` crossings' bits set; the
+    anchors (``c1`` edge -> ``c2`` edge) place its circles; and its sign is
+    one ``_change_twist`` of clearing the new crossings of the big
+    resolution. Its pieces are ``pieces_of(cm, bits, tbits, placed, sign)``,
+    tbits the target's bits and placed the anchored circles.
     """
-    nbig = c_big.diagram.crossing_count
+    adding = c2.diagram.crossing_count > c1.diagram.crossing_count
+    n2 = c2.diagram.crossing_count
 
     def pieces(cm, bits, res1):
-        tbits = _embed_bits(bits, cross_embed, nbig, new)
-        res2 = c_big.resolutions[tbits]
-        placed = {res1.circle_index_of_edge(small_edge): res2.circle_index_of_edge(big_edge)
-                  for small_edge, big_edge in rec_data["anchors"].items()}
-        sign = _change_twist(tbits, dict.fromkeys(new, 0))
-        return pieces_of(cm, bits, tbits, res2, placed, sign)
+        tbits = _embed_bits(bits, cross_map, n2, new if adding else {})
+        res2 = c2.resolutions[tbits]
+        placed = {res1.circle_index_of_edge(e1): res2.circle_index_of_edge(e2)
+                  for e1, e2 in rec_data["anchors"].items()}
+        sign = _change_twist(tbits if adding else bits, dict.fromkeys(new, 0))
+        return pieces_of(cm, bits, tbits, placed, sign)
 
-    return _chain_map(c_small, c_big, 0, pieces)
+    return _chain_map(c1, c2, 0, pieces)
 
 
-def r1_chain_map(
-    rec_data: dict, c_small: ChainComplex, c_big: ChainComplex, cross_embed
-) -> ChainMap:
-    """Forward map of a curl addition, built against the big complex as-is.
+def r1_chain_map(rec_data: dict, c1: ChainComplex, c2: ChainComplex, cross_map) -> ChainMap:
+    """The map of a curl move from ``c1`` to ``c2`` (``_insertion_map``); the
+    curl crossing sits at rec_data["crossing"] in the big diagram.
 
-    cross_embed maps each small crossing index to its big index; the curl
-    crossing sits at rec_data["crossing"] in the big diagram.
+    An addition is a birth of the loop for a right curl and split_minus_2x
+    at the host for a left one. A removal is their inverse up to homotopy,
+    out of the big resolutions whose curl bit makes the loop a circle of
+    its own: a death of the loop, or merge_antipode of host and loop.
     """
     left = rec_data["hand"] == "left"
-    f1 = rec_data["loop_edge"]
+    cstar, f1 = rec_data["crossing"], rec_data["loop_edge"]
+    new = {cstar: 0 if left else 1}
 
-    # a right curl is a birth of the loop, a left curl split_minus_2x at the
-    # host, whose one anchor places it
-    def pieces(cm, bits, tbits, res2, placed, sign):
-        lidx = res2.circle_index_of_edge(f1)
+    def pieces(cm, bits, tbits, placed, sign):
+        ((host, target),) = placed.items()
+        if len(tbits) > len(bits):
+            loop = cm.dst.resolutions[tbits].circle_index_of_edge(f1)
+            if left:
+                return [cm.piece(bits, tbits, (host,), (target, loop), "split_minus_2x", sign)]
+            return [cm.piece(bits, tbits, (), (loop,), "birth", sign, placed)]
+        if bits[cstar] != new[cstar]:
+            return []
+        loop = cm.src.resolutions[bits].circle_index_of_edge(f1)
         if left:
-            ((host, midx),) = placed.items()
-            return [cm.piece(bits, tbits, (host,), (midx, lidx), "split_minus_2x", sign)]
-        return [cm.piece(bits, tbits, (), (lidx,), "birth", sign, placed)]
+            return [cm.piece(bits, tbits, (loop,), (), "death", sign, placed)]
+        return [cm.piece(bits, tbits, (host, loop), (target,), "merge_antipode", sign)]
 
-    new = {rec_data["crossing"]: 0 if left else 1}
-    return _insertion_map(rec_data, c_small, c_big, cross_embed, new, pieces)
+    return _insertion_map(rec_data, c1, c2, cross_map, new, pieces)
 
 
-def _embed_bits(bits, cross_embed, nbig, extra: dict[int, int]):
-    out = [None] * nbig
-    for small_idx, big_idx in cross_embed.items():
-        out[big_idx] = bits[small_idx]
+def _embed_bits(bits, cross_map, count: int, extra: dict[int, int]):
+    """The ``count`` bits whose crossing ``cross_map[x]`` takes ``bits[x]``,
+    and each of the ``extra`` crossings its own bit."""
+    out = [None] * count
+    for x, y in cross_map.items():
+        out[y] = bits[x]
     for pos, b in extra.items():
         out[pos] = b
     if any(x is None for x in out):
@@ -223,22 +232,30 @@ def _embed_bits(bits, cross_embed, nbig, extra: dict[int, int]):
     return tuple(out)
 
 
-def r2_chain_map(
-    rec_data: dict, c_small: ChainComplex, c_big: ChainComplex, cross_embed
-) -> ChainMap:
-    """Forward map of a poke: inclusion into the parallel part plus the
-    contraction correction through the circle part."""
+def r2_chain_map(rec_data: dict, c1: ChainComplex, c2: ChainComplex, cross_map) -> ChainMap:
+    """The map of a poke from ``c1`` to ``c2`` (``_insertion_map``). k1 is
+    the crossing whose 1-smoothing joins the middle edges (per
+    ``detect_r2_pattern``), so the parallel part is where (k1, k2) = (0, 1).
+
+    An addition is the inclusion into the parallel part plus the
+    contraction through the circle part (``_fold``). A removal is its
+    inverse up to homotopy: the identity out of the parallel part plus,
+    out of (k1, k2) = (1, 0), ``_unfold``.
+    """
     k1, k2 = rec_data["k1"], rec_data["k2"]
     local = frozenset((rec_data["m1"], rec_data["m2"]))
 
-    # parallel part: k1 -> 0, k2 -> 1 (k1 is the crossing whose 1-smoothing
-    # joins the middle edges, per detect_r2_pattern); the inclusion lands
-    # where k2 = 1, the correction where k2 = 0
-    def pieces(cm, bits, tbits, res2, placed, sign):
-        return [cm.piece(bits, tbits, (), (), "identity", sign, placed),
-                _fold(cm, bits, tbits, k1, k2, local, sign, placed)]
+    def pieces(cm, bits, tbits, placed, sign):
+        if len(tbits) > len(bits):
+            return [cm.piece(bits, tbits, (), (), "identity", sign, placed),
+                    _fold(cm, bits, tbits, k1, k2, local, sign, placed)]
+        if (bits[k1], bits[k2]) == (0, 1):
+            return [cm.piece(bits, tbits, (), (), "identity", sign, placed)]
+        if (bits[k1], bits[k2]) == (1, 0):
+            return [_unfold(cm, bits, tbits, k1, k2, local, sign, rec_data["anchors"])]
+        return []
 
-    return _insertion_map(rec_data, c_small, c_big, cross_embed, {k1: 0, k2: 1}, pieces)
+    return _insertion_map(rec_data, c1, c2, cross_map, {k1: 0, k2: 1}, pieces)
 
 
 def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):
@@ -281,6 +298,39 @@ def _fold(cm: ChainMap, bits, tbits, flip, other, local, sign=1, placed=None):
         bits, fbits, tuple(on_t[c] for c in ends), tuple(folded[m] for m in news) + (small,),
         "merge" if len(ends) == 2 else "split", sign, carried,
     )
+
+
+def _unfold(cm: ChainMap, bits, tbits, flip, other, local, sign, anchors):
+    """``_fold`` mirrored: the piece of ``cm`` out of resolution ``bits`` of
+    its source (the big frame, 1 at ``flip`` and 0 at ``other``) into
+    ``tbits`` of its target. The counit takes the small circle of the
+    ``local`` edges; the other circles are identified with the resolution
+    whose bit at ``flip`` is 0; then the cube edge at ``other``, whose
+    target the ``anchors`` (big edge -> small edge) identify with ``tbits``.
+    Its sign is minus ``sign`` times the one ``_change_twist`` of setting
+    both bits where both are 0."""
+    big, res = cm.src, cm.src.resolutions[bits]
+    zbits = bits[:flip] + (0,) + bits[flip + 1 :]
+    pbits = zbits[:other] + (1,) + zbits[other + 1 :]
+    zres, pres, tres = big.resolutions[zbits], big.resolutions[pbits], cm.dst.resolutions[tbits]
+    small = next((i for i, es in enumerate(res.circle_edge_sets) if es <= local), None)
+    if small is None:
+        raise InternalInvariantError("no local circle at the folded position")
+    # each circle of the later resolutions, labelled by the source circle it
+    # carries, or by -1 if the cube edge creates it
+    e1, _, e2, _ = big.diagram.crossings[other]
+    ends = tuple(dict.fromkeys((zres.circle_of_edge[e1], zres.circle_of_edge[e2])))
+    news = dict.fromkeys((pres.circle_of_edge[e1], pres.circle_of_edge[e2]), -1)
+    on_z = carry_labels(res, zres, tuple(range(res.circle_count)), {small: None}, skip=local)
+    on_p = carry_labels(zres, pres, on_z, dict.fromkeys(ends), news)
+    on_t = carry_labels(pres, tres, on_p, {pres.circle_of_edge[a]: tres.circle_of_edge[b]
+                                           for a, b in anchors.items()})
+    consumed = (small, *(on_z[z] for z in ends))
+    created = tuple(i for i, s in enumerate(on_t) if s < 0)
+    sign *= -_change_twist(zbits, {flip: 1, other: 1})
+    return cm.piece(bits, tbits, consumed, created,
+                    "death_merge" if len(ends) == 2 else "death_split",
+                    sign, {s: i for i, s in enumerate(on_t) if s >= 0})
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +547,10 @@ def compatible_orientations(movie: Movie, o_in) -> set[tuple[bool, ...]]:
 
 
 class StepMap:
-    """Homology-level map of one move with no chain map (an R1/R2 removal or
-    an R3): matrices keyed by source degree, mapping into degree i + shift
-    of the target. ``apply`` carries a cycle as ``ChainMap.apply`` does, so
-    a movie's steps are read by one loop."""
+    """Homology-level map of a slide, the one move with no chain map, or of
+    an open movie: matrices keyed by source degree, mapping into degree
+    i + shift of the target. ``apply`` carries a cycle as ``ChainMap.apply``
+    does, so a movie's steps are read by one loop."""
 
     def __init__(self, fh_src: FieldHomology, fh_dst: FieldHomology, mats, shift: int = 0):
         self.fh_src = fh_src
@@ -692,31 +742,29 @@ class FrameTable:
     """The frames that the successive movies of one run share, such as the
     movies of one ``verify.run_suite`` call. For each (t, ring) it holds one
     ``LocalTables`` for the whole run, and the complexes of the last movie
-    it served there, by diagram, with their ``FieldHomology`` once built.
-    A movie takes the frames it shares with that last movie, builds the
-    rest through the shared ``LocalTables`` and becomes the last movie
-    itself; the frames it does not share are dropped. So the table never
-    holds more than one movie's frames per (t, ring)."""
+    it served there, by diagram. A movie takes the frames it shares with
+    that last movie, builds the rest through the shared ``LocalTables`` and
+    becomes the last movie itself; the frames it does not share are
+    dropped. So the table never holds more than one movie's frames per
+    (t, ring)."""
 
     def __init__(self):
-        # (t, ring) -> (local tables, complexes by diagram, homologies by diagram)
-        self._last: dict[tuple[int, Ring], tuple[LocalTables, dict, dict]] = {}
+        # (t, ring) -> (local tables, complexes by diagram)
+        self._last: dict[tuple[int, Ring], tuple[LocalTables, dict]] = {}
 
-    def take(self, frames, t: int, ring: Ring) -> tuple[dict, dict]:
+    def take(self, frames, t: int, ring: Ring) -> dict:
         """The complexes of the distinct diagrams ``frames`` at t over
-        ``ring``, by diagram, and the homologies of those taken from the
-        last movie, by diagram: the dict the new movie adds its own to."""
-        local, complexes, homologies = self._last.get((t, ring)) or (LocalTables(t, ring), {}, {})
+        ``ring``, by diagram."""
+        local, complexes = self._last.get((t, ring)) or (LocalTables(t, ring), {})
         built = {f: complexes[f] if f in complexes else build_complex(f, t, ring, local)
                  for f in frames}
-        kept = {f: homologies[f] for f in frames if f in homologies}
-        self._last[t, ring] = local, built, kept
-        return built, kept
+        self._last[t, ring] = local, built
+        return built
 
 
 class MovieMaps:
     """Per-frame complexes and the induced maps of every move, at one t,
-    over Q unless ``ring`` names another field.
+    over Q unless ``ring`` names another.
 
     ``complexes`` and ``homologies`` hold one entry per frame, but frames
     with equal diagrams share one object: each distinct frame's complex is
@@ -724,14 +772,14 @@ class MovieMaps:
     once, on first use (``homology``). The table of distinct frames lives
     in this instance only, unless ``table`` is given: then the movie takes
     from that ``FrameTable`` the frames it shares with the last movie the
-    table served at this t and ring, with their homologies once built.
+    table served at this t and ring.
 
     ``steps`` holds one step per move, built and checked here: the move's
-    chain map, or for a slide or a removal, which has none, its
-    ``StepMap`` on its two frames' homologies, checked to be invertible.
-    ``push`` carries a vector of the first frame through every step, and is
-    how every reader reads the movie's map, so a movie of chain maps alone
-    builds no homology unless a reader asks for a class."""
+    chain map, or for a slide, which has none, its ``StepMap`` on its two
+    frames' homologies, checked to be invertible. ``push`` carries a vector
+    of the first frame through every step, and is how every reader reads
+    the movie's map, so a movie with no slide builds no homology unless a
+    reader asks for a class, and its map runs over any ring, Z included."""
 
     def __init__(self, movie: Movie, t: int, ring: Ring | None = None,
                  table: FrameTable | None = None):
@@ -748,8 +796,9 @@ class MovieMaps:
         # once per run of movies that share ``table``
         if table is None:
             table = FrameTable()
-        built, self._homologies = table.take(distinct, t, self.ring)
+        built = table.take(distinct, t, self.ring)
         self.complexes = [built[f] for f in movie.frames]
+        self._homologies: dict[PlanarDiagram, FieldHomology] = {}
         self.steps = [self._build_step(k, rec) for k, rec in enumerate(movie.records)]
 
     def homology(self, k: int) -> FieldHomology:
@@ -770,18 +819,14 @@ class MovieMaps:
         return bool(self.steps) and all(type(step) is ChainMap for step in self.steps)
 
     def _build_step(self, k: int, rec: MoveRecord) -> ChainMap | StepMap:
-        """The step of move k: its chain map, or the class map of a removal
-        or a slide, checked to be invertible."""
+        """The step of move k: its chain map, or the class map of a slide,
+        checked to be invertible."""
         c1, c2 = self.complexes[k], self.complexes[k + 1]
-        if rec.kind == "r3":
-            step = _R3Transport(rec, c1, c2).class_map(self.homology(k), self.homology(k + 1))
-            step.inverse()  # must be an isomorphism
-            return step
-        cm = elementary_chain_map(rec, c1, c2)
-        if rec.kind in ("r1_remove", "r2_remove"):
-            # the inverse of the induced map of the matching addition
-            return StepMap.from_chain_map(cm, self.homology(k + 1), self.homology(k)).inverse()
-        return cm
+        if rec.kind != "r3":
+            return elementary_chain_map(rec, c1, c2)
+        step = _R3Transport(rec, c1, c2).class_map(self.homology(k), self.homology(k + 1))
+        step.inverse()  # must be an isomorphism
+        return step
 
     # -- reading the movie's map ---------------------------------------------
 

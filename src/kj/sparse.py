@@ -57,10 +57,6 @@ class SparseMatrix:
             m.set(i, i, ring.one)
         return m
 
-    @staticmethod
-    def zero(rows: int, cols: int, ring: Ring) -> "SparseMatrix":
-        return SparseMatrix(rows, cols, ring)
-
     def is_zero(self) -> bool:
         return not self.data
 

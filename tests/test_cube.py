@@ -20,7 +20,6 @@ from kj.cube import (
     filtration_level,
     graded_euler_characteristic,
     kauffman_bracket,
-    mod4_split,
 )
 from kj.diagram import parse_pd, resolve
 from kj.errors import InternalInvariantError, PDValidationError
@@ -126,19 +125,6 @@ def test_euler_characteristic_equals_bracket():
 def test_euler_characteristic_multiplicative_disjoint_union():
     u2 = build_complex(parse_pd("PD[O,O]"), 0, QQ)
     assert graded_euler_characteristic(u2) == Laurent({1: 1, -1: 1}) ** 2
-
-
-def test_mod4_split():
-    c = build_complex(parse_pd("PD[O]"), 1, QQ)
-    residues, parts = mod4_split(c)
-    assert residues == [1, 3]
-    assert parts[1] == {((), (V_PLUS,))}
-    assert parts[3] == {((), (V_MINUS,))}
-    for text in (TREFOIL, CURL):
-        residues, _ = mod4_split(build_complex(parse_pd(text), 1, QQ))
-        assert (residues[1] - residues[0]) % 4 == 2
-    with pytest.raises(PDValidationError):
-        mod4_split(build_complex(parse_pd(HOPF), 1, QQ))
 
 
 def test_d_squared_on_random_small_diagrams():

@@ -23,9 +23,9 @@ from kj.cube import (
     split_products,
 )
 from kj.diagram import PlanarDiagram, all_orientations, parse_pd, smoothing_partner
-from kj.errors import InternalInvariantError
+from kj.errors import IllegalMoveError, InternalInvariantError
 from kj.homology import FieldHomology
-from kj.moves import Birth, Death, R1Move, R2Move, R3Move, Saddle
+from kj.moves import Birth, Death, R1Move, R2Move, R3Move, Saddle, apply_move
 from kj.movie import (
     ChainMap,
     Movie,
@@ -39,11 +39,13 @@ from kj.movie import (
     r1_chain_map,
     r2_chain_map,
 )
-from kj.rings import QQ, QSQRT2, QSqrt2, half_power_of_two
+from kj.rings import GF, QQ, QSQRT2, QSqrt2, half_power_of_two
 from kj.sparse import SparseMatrix, solve_in_image
 from kj.verify import (
     _elementary_morse_instances,
     _random_composite_movies,
+    _undo,
+    leading_order_check,
     random_cancelling_insertion,
 )
 
@@ -551,6 +553,98 @@ def test_chain_maps_match_generator_by_generator(monkeypatch):
     assert twists == {1, -1}
 
 
+def _add_then_remove_movies() -> list[Movie]:
+    """Every legal R1 or R2 addition on the unknot, the two-component
+    unlink, the Hopf link and the trefoil, each followed by the removal
+    that undoes it."""
+    movies = []
+    for d in map(parse_pd, (UNKNOT, UNLINK2, HOPF, TREFOIL)):
+        adds = [R1Move("add", e, hand) for e in d.edges for hand in ("left", "right")]
+        adds += [R2Move("add", edges, over)
+                 for edges in itertools.product(d.edges, repeat=2) for over in (False, True)]
+        for add in adds:
+            try:
+                movies.append(Movie(d, [add, _undo(apply_move(d, add)[1])]))
+            except IllegalMoveError:
+                continue
+    return movies
+
+
+def test_leading_order_checks_every_move_of_a_removal():
+    # a removal is a chain map, so the leading-order check reads it and the
+    # composite instead of skipping both
+    movies = _add_then_remove_movies()
+    assert len(movies) == 108
+    for movie in movies:
+        report = leading_order_check(movie)
+        assert report.ok and "composite_ok" in report.details
+        assert all(move["checked"] for move in report.details["moves"])
+
+
+def _class_maps(step: StepMap) -> dict:
+    """A ``StepMap``'s matrices by degree, as (shape, entries), leaving out
+    the degrees where neither frame has homology."""
+    return {i: (m.shape(), m.data) for i, m in step.mats.items() if m.shape() != (0, 0)}
+
+
+def test_removals_invert_the_additions_on_homology(monkeypatch):
+    """Each R1/R2 removal's chain map induces the inverse of the class map
+    of the matching addition, the reference for these maps, at t = 0 and 1
+    over Q and GF(3); the twists of its pieces take both signs;
+    and right after its addition, when the pair gives back the same frame,
+    it composes with the addition's map to a relabelling of the generators,
+    the identity on the nose when every edge returns to its place (a poke
+    over two free loops may trade their names)."""
+    seen, twists, pairs = [], set(), set()
+    twist = kj.movie._change_twist
+
+    def noted(bits, changes):
+        seen.append(twist(bits, changes))
+        return seen[-1]
+
+    monkeypatch.setattr(kj.movie, "_change_twist", noted)
+    compared = identities = relabelled = 0
+    for movie in _reference_movies() + _add_then_remove_movies():
+        for t, ring in itertools.product((0, 1), (QQ, GF(3))):
+            maps = MovieMaps(movie, t, ring)
+            for k, rec in enumerate(movie.records):
+                if not rec.kind.endswith("_remove"):
+                    continue
+                big, small = maps.complexes[k], maps.complexes[k + 1]
+                build = r1_chain_map if rec.kind[:2] == "r1" else r2_chain_map
+                seen.clear()
+                removal = build(rec.data, big, small, dict(rec.crossing_map))
+                twists.update(seen)
+                forward = build(rec.data, small, big, {b: a for a, b in rec.crossing_map.items()})
+                fh_big, fh_small = FieldHomology(big), FieldHomology(small)
+                want = StepMap.from_chain_map(forward, fh_small, fh_big).inverse()
+                got = StepMap.from_chain_map(removal, fh_big, fh_small)
+                assert _class_maps(got) == _class_maps(want)
+                compared += 1
+                add = movie.records[k - 1] if k else None
+                if (add is None or add.kind != rec.kind.replace("remove", "add")
+                        or movie.frames[k - 1] != movie.frames[k + 1]):
+                    continue
+                # one unit entry per column: a relabelling of the generators,
+                # the identity when every edge returns to its place
+                composite = maps.steps[k].compose(maps.steps[k - 1])
+                gens = len(composite.ptr) - 1
+                assert composite.src is composite.dst and composite.shift == 0
+                assert list(composite.ptr) == list(range(gens + 1))
+                assert composite.values == [ring.one] * gens
+                assert sorted(composite.targets) == list(range(gens))
+                if all(rec.data["anchors"].get(e) == a for a, e in add.data["anchors"].items()):
+                    assert list(composite.targets) == list(range(gens))
+                    identities += 1
+                    pairs.add(_variant(movie.moves[k - 1], add))
+                else:
+                    relabelled += 1
+    assert twists == {1, -1}
+    assert {*itertools.product(("r1_add",), ("left", "right")),
+            *itertools.product(("r2_add",), (False, True), (False, True))} <= pairs
+    assert compared >= 600 and identities >= 400 and relabelled
+
+
 def _variant(move, rec):
     """The record's kind, with the curl's hand for an R1 move and, for an R2
     addition, whether the first strand passes over and whether the strand
@@ -794,7 +888,7 @@ def test_push_matches_the_composite_of_class_maps():
     """Each leftover representative of the first frame, pushed through the
     movie and reduced on the last frame, gives its column of the product of
     the moves' class maps: ``StepMap.from_chain_map`` of a chain step, the
-    class map of a removal or a slide, composed by ``compose_after``."""
+    class map of a slide, composed by ``compose_after``."""
     movies = [load_movie(name) for name in MOVIES] + _golden_movies()
     movies += slide_sweep()[::5]
     through_class_steps = 0
@@ -869,7 +963,7 @@ def test_induced_map_pushes_each_leftover_representative_once():
 
 def test_each_move_has_one_step():
     """``MovieMaps.steps`` holds one step per move: a ``StepMap`` exactly
-    for a removal or a slide, a ``ChainMap`` otherwise, and ``push`` shifts
+    for a slide, a ``ChainMap`` otherwise, and ``push`` shifts
     the degree by the sum of the steps' shifts."""
     movies = [load_movie(name) for name in MOVIES]
     movies.append(Movie.from_json(json.dumps(REMOVAL_FIRST_MOVIE)))
@@ -883,8 +977,7 @@ def test_each_move_has_one_step():
             maps = MovieMaps(movie, t)
             assert len(maps.steps) == len(movie.records)
             for step, rec in zip(maps.steps, movie.records):
-                by_class = rec.kind in ("r1_remove", "r2_remove", "r3")
-                assert type(step) is (StepMap if by_class else ChainMap)
+                assert type(step) is (StepMap if rec.kind == "r3" else ChainMap)
                 kinds.add(rec.kind)
             assert maps.chain_level == (not any(type(step) is StepMap for step in maps.steps))
             shift = sum(step.shift for step in maps.steps)

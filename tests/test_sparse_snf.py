@@ -56,7 +56,7 @@ def test_snf_worked_example():
 
 def test_snf_identity_and_zero():
     assert snf_diagonal(SparseMatrix.identity(3, ZZ)) == [1, 1, 1]
-    assert snf_diagonal(SparseMatrix.zero(2, 3, ZZ)) == []
+    assert snf_diagonal(SparseMatrix(2, 3, ZZ)) == []
     assert snf_diagonal(_mat(ZZ, [[2, 0], [0, 3]])) == [1, 6]
 
 
