@@ -676,9 +676,6 @@ class ChainComplex(_Stored):
 
     # -- gradings -------------------------------------------------------------
 
-    def hom_degree(self, gen: Gen) -> int:
-        return sum(gen[0]) - self.n_minus
-
     def q_of(self, gen: Gen) -> int:
         i, pos = self.index[gen]
         return self.qs[i][pos]
@@ -805,7 +802,7 @@ class ChainComplex(_Stored):
     # -- chains as dicts Gen -> scalar -----------------------------------------
 
     def chain_degree(self, chain: dict) -> int:
-        degs = {self.hom_degree(g) for g in chain}
+        degs = {self._where[bits][0] for bits, _ in chain}
         if len(degs) != 1:
             raise ValueError(f"chain is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()

@@ -479,9 +479,6 @@ class Circle:
     trace: tuple[Dart, ...]
     is_free_loop: bool = False
 
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
 
 @dataclass(frozen=True)
 class Resolution:
@@ -538,7 +535,7 @@ class Resolution:
 
     @cached_property
     def circle_edge_sets(self) -> tuple[frozenset, ...]:
-        return tuple(c.edge_set() for c in self.circles)
+        return tuple(frozenset(c.edges) for c in self.circles)
 
     @cached_property
     def circle_of_edge_set(self) -> dict[frozenset, int]:

@@ -8,14 +8,21 @@ than assumed away. The proposition, transport and corollary checks build one
 ``lee_generator`` per (frame, orientation) they read and take from it both
 the canonical vector and the exponent e = w - k; they expand a pushed image
 on the last frame's canonical vectors, keyed by (degree, position).
+
+Every suite is a module-level function ``suite(seed, table)`` returning its
+reports, listed by name in ``SUITES``: ``seed`` draws its random movies and
+``table`` is the run's ``FrameTable``; a suite with no use for one of them
+ignores it. ``run_suite`` calls each suite so.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice, product
 
 from .canonical import _canonical_span, lee_generator
+from .corpus import DIAGRAMS
 from .cube import V_MINUS, V_PLUS, build_complex, graded_euler_characteristic, kauffman_bracket
 from .diagram import PlanarDiagram, all_orientations, parse_pd, render_pd
 from .errors import IllegalMoveError
@@ -101,16 +108,10 @@ def _canonical_coefficients(maps: MovieMaps, cycles: list[tuple[int, dict]], fin
                 continue
         fh = maps.homology(-1)
         if class_span is None:
-            class_span = _canonical_span(c2.ring, [_class_of(fh, v) for v in canonical])
-        out.append(("class", _expand_in_span(class_span, _class_of(fh, image))))
+            class_span = _canonical_span(c2.ring, [(i, fh.reduce(i, v)) for i, v in canonical])
+        i, vec = image
+        out.append(("class", _expand_in_span(class_span, (i, fh.reduce(i, vec)))))
     return out
-
-
-def _class_of(fh, image):
-    """A (degree, cycle) as (degree, its coordinates on ``fh``'s leftover
-    basis)."""
-    i, vec = image
-    return i, fh.reduce(i, vec)
 
 
 def _expand_in_span(span, image):
@@ -173,13 +174,12 @@ def _judge_coefficients(name, chi, finals, shifts, coeffs, compat, level) -> Che
     for j, o in enumerate(finals):
         r = coeffs.get(j, 0)
         if o in compat:
-            sign = half_power_sign(r, -chi + shifts[j])
+            sign, alt = _exponent_signs(r, chi, shifts[j])
             if sign is None:
                 ok_main = False
             else:
                 signs[o] = sign
-            if half_power_sign(r, -2 * chi + shifts[j]) is None:
-                ok_alt = False
+            ok_alt = ok_alt and alt
         elif r:
             ok_main = False
             ok_alt = False
@@ -192,6 +192,13 @@ def _judge_coefficients(name, chi, finals, shifts, coeffs, compat, level) -> Che
         "exponent_-chi": ok_alt,
     }
     return CheckReport(name, ok_main, details)
+
+
+def _exponent_signs(r, chi, shift):
+    """The sign s with r = s 2^((-chi + shift)/2), the paper's exponent,
+    or None; and whether r is +-2^((-2 chi + shift)/2), the alternative
+    exponent -chi. ``shift`` is e_o' - e_o of the two canonical vectors."""
+    return half_power_sign(r, -chi + shift), half_power_sign(r, -2 * chi + shift) is not None
 
 
 def verify_corollary(movie: Movie, table: FrameTable | None = None) -> CheckReport:
@@ -226,9 +233,9 @@ def verify_corollary(movie: Movie, table: FrameTable | None = None) -> CheckRepo
         shape_ok = c_a == c_b  # multiple of sbar_o + sbar_o'
     else:
         return CheckReport(name, False, {"error": f"chi = {chi} is odd"})
-    sign = half_power_sign(c_a, -chi + shift)
+    sign, alt = _exponent_signs(c_a, chi, shift)
     ok = shape_ok and sign is not None
-    alt_ok = shape_ok and half_power_sign(c_a, -2 * chi + shift) is not None
+    alt_ok = shape_ok and alt
     return CheckReport(
         name,
         ok,
@@ -368,9 +375,10 @@ def _otxt(o) -> str:
     return "".join("+" if b else "-" for b in o) or "()"
 
 
-def euler_oracle_suite() -> list[CheckReport]:
-    from .corpus import DIAGRAMS
-
+def euler_oracle_suite(seed: int = 0, table: FrameTable | None = None) -> list[CheckReport]:
+    """The graded Euler characteristic of each corpus diagram's Khovanov
+    complex against its Kauffman bracket. It builds no movie, so it reads
+    neither ``seed`` nor ``table``."""
     out = []
     for name, text in DIAGRAMS.items():
         d = parse_pd(text)
@@ -409,8 +417,6 @@ def _canonical_transport_report(movie: Movie, label: str, table: FrameTable | No
 
 
 def rmoves_suite(seed: int = 0, table: FrameTable | None = None) -> list[CheckReport]:
-    from .corpus import DIAGRAMS
-
     out = []
     unknot = parse_pd(DIAGRAMS["unknot"])
     trefoil = parse_pd(DIAGRAMS["trefoil"])
@@ -439,8 +445,6 @@ def rmoves_suite(seed: int = 0, table: FrameTable | None = None) -> list[CheckRe
 
 def _elementary_morse_instances() -> list[tuple[str, Movie, list]]:
     """(label, movie, orientations of its first frame), one movie each."""
-    from .corpus import DIAGRAMS
-
     out = []
     for name in ("unknot", "unlink2", "curl", "trefoil", "hopf", "fig8"):
         d = parse_pd(DIAGRAMS[name])
@@ -449,32 +453,32 @@ def _elementary_morse_instances() -> list[tuple[str, Movie, list]]:
         for loop in d.loops[:1]:
             if d.component_count > 1:
                 out.append((f"death-on-{name}", Movie(d, [Death(loop)]), orientations))
-        saddles = []
-        edges = list(d.edges)
-        for e1 in edges:
-            for e2 in edges:
-                for side in ("left", "right"):
-                    if len(saddles) >= 3:
-                        break
-                    try:
-                        mv = Movie(d, [Saddle((e1, e2), side)])
-                    except IllegalMoveError:
-                        continue
-                    if any(f.is_empty() for f in mv.frames):
-                        continue
-                    saddles.append((f"saddle-{e1}-{e2}-{side}-{name}", mv))
-        out.extend((label, mv, orientations) for label, mv in saddles)
+        out.extend((f"{label}-{name}", mv, orientations)
+                   for label, mv in islice(_legal_saddles(d), 3))
     return out
 
 
-def _random_composite_movies(seed: int, count: int = 10):
-    from .corpus import DIAGRAMS
+def _legal_saddles(d: PlanarDiagram):
+    """(label, movie) for each one-saddle movie on ``d`` that leaves no
+    frame empty, in order of first edge, second edge and side."""
+    for e1, e2, side in product(d.edges, d.edges, ("left", "right")):
+        try:
+            mv = Movie(d, [Saddle((e1, e2), side)])
+        except IllegalMoveError:
+            continue
+        if not any(f.is_empty() for f in mv.frames):
+            yield f"saddle-{e1}-{e2}-{side}", mv
 
+
+def _random_composite_movies(seed: int) -> list[Movie]:
+    """Ten seeded movies of two to four moves on small corpus diagrams,
+    each frame non-empty with at most four crossings and no closed
+    component (fewer if 400 draws do not find ten)."""
     rng = random.Random(seed)
     starts = ["unknot", "unlink2", "curl", "trefoil", "hopf"]
     movies = []
     attempts = 0
-    while len(movies) < count and attempts < 400:
+    while len(movies) < 10 and attempts < 400:
         attempts += 1
         d = parse_pd(DIAGRAMS[rng.choice(starts)])
         moves: list[Move] = []
@@ -571,8 +575,6 @@ def corollary_suite(seed: int = 0, table: FrameTable | None = None) -> list[Chec
 
 
 def leading_order_suite(seed: int = 0, table: FrameTable | None = None) -> list[CheckReport]:
-    from .corpus import DIAGRAMS
-
     unknot = parse_pd(DIAGRAMS["unknot"])
     unlink = parse_pd(DIAGRAMS["unlink2"])
     trefoil = parse_pd(DIAGRAMS["trefoil"])
@@ -602,7 +604,7 @@ def leading_order_suite(seed: int = 0, table: FrameTable | None = None) -> list[
 
 
 SUITES = {
-    "euler-oracle": lambda seed, table=None: euler_oracle_suite(),
+    "euler-oracle": euler_oracle_suite,
     "rmoves": rmoves_suite,
     "proposition": proposition_suite,
     "corollary": corollary_suite,

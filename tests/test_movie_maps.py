@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import kj.cube
 import kj.movie
 from kj.canonical import canonical_chain, lee_generator
-from kj.corpus import MOVIES, load_movie
+from kj.corpus import DIAGRAMS, MOVIES, load_movie
 from kj.cube import (
     V_MINUS,
     V_PLUS,
@@ -43,7 +43,9 @@ from kj.rings import GF, QQ, QSQRT2, QSqrt2, half_power_of_two
 from kj.sparse import SparseMatrix, solve_in_image
 from kj.verify import (
     _elementary_morse_instances,
+    _positional_map,
     _random_composite_movies,
+    _relabelled,
     _undo,
     leading_order_check,
     random_cancelling_insertion,
@@ -643,6 +645,90 @@ def test_removals_invert_the_additions_on_homology(monkeypatch):
     assert {*itertools.product(("r1_add",), ("left", "right")),
             *itertools.product(("r2_add",), (False, True), (False, True))} <= pairs
     assert compared >= 600 and identities >= 400 and relabelled
+
+
+def _addition(d: PlanarDiagram, rng: random.Random):
+    """A random R1 or R2 addition on ``d``, drawn as
+    ``random_cancelling_insertion`` draws its pair's."""
+    edges = list(d.edges)
+    if rng.random() < 0.5:
+        return R1Move("add", rng.choice(edges), rng.choice(("left", "right")))
+    return R2Move("add", (rng.choice(edges), rng.choice(edges)), rng.choice((False, True)))
+
+
+def _delayed_insertion(movie: Movie, rng: random.Random, most: int = 6) -> Movie:
+    """``movie`` with a detour inserted at a random non-empty frame: an
+    addition A, one or two more additions, the removal of A, then the other
+    removals, the last addition's first. So A's removal comes one or more
+    moves after A, with crossings of a later addition above A's. The moves
+    after the detour are renamed as ``random_cancelling_insertion`` renames
+    them, and no frame of the detour has more than ``most`` crossings."""
+    for _ in range(200):
+        k = rng.randrange(len(movie.moves) + 1)
+        frame = movie.frames[k]
+        if frame.is_empty():
+            continue
+        try:
+            adds, records, cur = [], [], frame
+            for _ in range(1 + rng.randint(1, 2)):
+                adds.append(_addition(cur, rng))
+                cur, rec = apply_move(cur, adds[-1])
+                records.append(rec)
+            if cur.crossing_count > most:
+                continue
+            removes = [_undo(records[0]), *map(_undo, reversed(records[1:]))]
+            for mv in removes:
+                cur, _ = apply_move(cur, mv)
+            moves = [*movie.moves[:k], *adds, *removes]
+            for before, mv in zip(movie.frames[k:], movie.moves[k:]):
+                mv = _relabelled(mv, _positional_map(before, cur))
+                cur, _ = apply_move(cur, mv)
+                moves.append(mv)
+        except IllegalMoveError:
+            continue
+        return Movie(movie.initial, moves)
+    raise RuntimeError("found no legal detour")
+
+
+def test_removals_below_a_later_crossing(monkeypatch):
+    """A removal one or more moves after its addition, below the crossings
+    of a later addition, is a checked chain map at t = 0 and t = 1, its
+    twists take the sign -1 that no addition's take, and it leaves n of a
+    closed movie alone."""
+    rng = random.Random(5)
+    opened = [Movie(parse_pd(text), []) for text in DIAGRAMS.values()]
+    opened = [mv for mv in opened if mv.initial.crossing_count <= 4]
+    closed = [load_movie(name) for name in MOVIES]
+    ns = [kj_number(mv) for mv in closed]
+    movies = [_delayed_insertion(mv, rng) for mv in opened + closed for _ in range(3)]
+
+    seen, twists = [], {}
+    twist, step = kj.movie._change_twist, kj.movie.elementary_chain_map
+
+    def noted(bits, changes):
+        seen.append(twist(bits, changes))
+        return seen[-1]
+
+    def noted_step(rec, c1, c2):
+        seen.clear()
+        cm = step(rec, c1, c2)
+        twists.setdefault(rec.kind, set()).update(seen)
+        return cm
+
+    monkeypatch.setattr(kj.movie, "_change_twist", noted)
+    monkeypatch.setattr(kj.movie, "elementary_chain_map", noted_step)
+    removals = 0
+    for movie in movies:
+        for t in (0, 1):
+            maps = MovieMaps(movie, t)
+            for k, rec in enumerate(movie.records):
+                if rec.kind.endswith("_remove"):
+                    assert type(maps.steps[k]) is ChainMap
+                    removals += 1
+    assert removals >= 2 * 2 * len(movies)
+    assert twists["r1_add"] == twists["r2_add"] == {1}
+    assert twists["r1_remove"] == twists["r2_remove"] == {1, -1}
+    assert [kj_number(mv) for mv in movies[3 * len(opened):]] == [n for n in ns for _ in range(3)]
 
 
 def _variant(move, rec):

@@ -105,3 +105,37 @@ def test_known_defects_agree_with_the_suite_and_the_movie_maps():
             except InternalInvariantError as exc:
                 expected.append((k, str(exc)))
         assert tool.slide_failures(movies, t) == expected
+
+
+def _package(root: Path, modules: dict[str, str]) -> Path:
+    root.mkdir()
+    for name, text in modules.items():
+        (root / name).write_text(text)
+    return root
+
+
+def test_code_lines_of_one_package(tmp_path, capsys):
+    tool = _tool("code_lines")
+    pkg = _package(tmp_path / "pkg", {
+        "a.py": '"""Doc."""\n\nx = 1  # note\n# comment\ny = (\n    2)\n',
+        "bb.py": "def f():\n    \"\"\"Doc\n    more.\"\"\"\n    return 1\n",
+    })
+    assert tool.main([str(pkg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a.py        3",
+        "bb.py       2",
+        "total       5",
+    ]
+
+
+def test_code_lines_before_and_after(tmp_path, capsys):
+    tool = _tool("code_lines")
+    before = _package(tmp_path / "before", {"a.py": "x = 1\ny = 2\n", "gone.py": "z = 3\n"})
+    after = _package(tmp_path / "after", {"a.py": "x = 1\n", "new.py": "w = 4\nv = 5\n"})
+    assert tool.main([str(before), str(after)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a.py          2 →      1",
+        "gone.py       1 →      -",
+        "new.py        - →      2",
+        "total         3 →      3",
+    ]

@@ -9,6 +9,7 @@ pairs through."""
 
 import gc
 import importlib.util
+import inspect
 import json
 import random
 import sys
@@ -61,6 +62,16 @@ def test_each_suite_builds_each_movie_once(monkeypatch):
         fields[suite] = classes["built"]
     assert fields["proposition"] <= 30
     assert fields["leading-order"] == 0
+
+
+def test_every_suite_is_a_module_function_of_seed_and_table():
+    # run_suite calls each suite as suite(seed, table), and the benchmark's
+    # tracer wraps each value of SUITES by name
+    assert tuple(verify.SUITES) == SUITES
+    for key, suite in verify.SUITES.items():
+        assert inspect.isfunction(suite) and suite.__module__ == "kj.verify", key
+        assert getattr(verify, suite.__name__) is suite, key
+        assert list(inspect.signature(suite).parameters) == ["seed", "table"], key
 
 
 def test_no_maps_outlive_their_movie(monkeypatch):

@@ -2,9 +2,12 @@
 
 A code line holds at least one token of code: blank lines, comment lines
 and the lines of module, class and function docstrings are not counted.
+Given two package directories, it prints each module's count in both as
+``before → after``, with ``-`` for a module that one of them lacks.
 Standard library only.
 
     python3 tools/code_lines.py [package directory, default src/kj]
+    python3 tools/code_lines.py BEFORE AFTER
 """
 
 from __future__ import annotations
@@ -44,14 +47,25 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
+def package_lines(root: Path) -> dict[str, int]:
+    """The code lines of each module under ``root``, by relative path."""
+    return {p.relative_to(root).as_posix(): code_lines(p.read_text(encoding="utf-8"))
+            for p in sorted(root.rglob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "kj"
-    counts = {p.relative_to(root).as_posix(): code_lines(p.read_text(encoding="utf-8"))
-              for p in sorted(root.rglob("*.py"))}
-    width = max(map(len, counts), default=5)
-    for name, n in counts.items():
-        print(f"{name:<{width}}  {n:>6,}")
-    print(f"{'total':<{width}}  {sum(counts.values()):>6,}")
+    if len(argv) > 2:
+        print("usage: code_lines.py [PACKAGE | BEFORE AFTER]", file=sys.stderr)
+        return 2
+    roots = [Path(a) for a in argv] or [Path(__file__).resolve().parents[1] / "src" / "kj"]
+    tables = [package_lines(root) for root in roots]
+    names = sorted(set().union(*tables), key=Path)
+    width = max(map(len, names), default=5)
+    for t in tables:
+        t["total"] = sum(t.values())
+    for name in [*names, "total"]:
+        cells = (f"{t[name]:,}" if name in t else "-" for t in tables)
+        print(f"{name:<{width}}  " + " → ".join(f"{c:>6}" for c in cells))
     return 0
 
 
