@@ -23,8 +23,9 @@ circles) and one routine that appends a map's columns from those tables,
 and one stored form: a column-major triple over generator ids, which
 ``columns`` and ``apply`` read in place. ``ChainComplex.diff`` and
 ``ChainMap.mats`` build ``SparseMatrix`` views of it, kept for tests and
-tools. Elsewhere in kj only ``homology._summands`` reads the triple,
-to cut d's blocks from it.
+tools. Homology never reads d's triple: ``ChainComplex.blocks`` cuts each
+q-block of d straight from the edge list, as the rows Gaussian
+elimination works on, so ``kj homology`` writes no d.
 
 Khovanov proves d^2 = 0 one square of the cube at a time, and
 ``ChainComplex.validate`` checks it that way. Relative to the offsets of
@@ -50,7 +51,7 @@ import itertools
 from array import array
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from operator import lshift
 from types import MappingProxyType
@@ -90,11 +91,12 @@ Gen = tuple[tuple[int, ...], tuple[int, ...]]
 _NOTHING: Mapping = MappingProxyType({})
 
 # The largest diagram kj builds a cube of resolutions for. On a 2-core
-# machine, building, checking, writing d of and reducing the complex of
-# T(2,9) (19686 generators) takes 0.09 to 0.11 s and 27 MiB for Khovanov
-# homology over Z, and 0.12 to 0.15 s and 32 MiB for Lee homology over Q; on
-# T(2,11) (177150 generators) it takes 1.3 to 2.4 s and 94 MiB, and 1.6 to
-# 1.9 s and 165 MiB (`tools/cube_stages.py`, three runs). Each further crossing
+# machine, building, checking and reducing the complex of T(2,9) (19686
+# generators), with its blocks cut from the cube edges and no d written,
+# takes 0.11 to 0.14 s and 26 MiB for Khovanov homology over Z, and 0.13 to
+# 0.18 s and 31 MiB for Lee homology over Q; on T(2,11) (177150 generators)
+# it takes 1.5 to 1.9 s and 78 MiB, and 1.6 to 2.3 s and 147 MiB
+# (`tools/cube_stages.py`, three runs). Each further crossing
 # roughly triples the generators, and memory grows with them. A free loop
 # doubles the generators, so loops count against the bound with crossings.
 MAX_CROSSINGS = 12
@@ -202,7 +204,8 @@ class LocalTables:
     table is built on first use and coded once per new-circle bits into
     (target code delta, int) pairs, zeros left out, and once more per sign
     into (target code delta, ring element) pairs, so equal entries share
-    one object.
+    one object; homology's blocks read the ints per sign instead, reduced
+    mod p over F_p (``reduced``).
 
     Relative to the offsets of its two resolutions, a piece's entries are
     fixed by its shape and its sign. The shape is its carried weights and
@@ -257,6 +260,9 @@ class LocalTables:
         # shifts hold
         self.checked_squares: set[tuple[int, int, int, int, int]] = set()
         self.checked_q: set[tuple[int, int]] = set()
+        # by (shape id, sign): the coded table on ints times the sign,
+        # reduced mod p over F_p
+        self._reduced: dict[tuple[int, int], list] = {}
         # by a mask of source bits: the codes whose set bits lie in it
         self._codes: dict[int, list[int]] = {}
 
@@ -316,6 +322,18 @@ class LocalTables:
         if entries is None:
             entries = by_sign[sign] = [[(delta, self.element(sign * v)) for delta, v in terms]
                                        for terms in shape[2]]
+        return entries
+
+    def reduced(self, shape, sign: int) -> list:
+        """The coded table of ``shape`` on ints times ``sign``, reduced mod p
+        over F_p: what ``ChainComplex.blocks`` reads, made on first use and
+        shared as ``signed``'s tables are."""
+        entries = self._reduced.get((shape[3], sign))
+        if entries is None:
+            p = self.ring.characteristic
+            entries = self._reduced[shape[3], sign] = [
+                [(delta, sign * v % p if p else sign * v) for delta, v in terms]
+                for terms in shape[2]]
         return entries
 
     def terms(self, sid: int, codes=None) -> list[tuple[int, int, int]]:
@@ -468,7 +486,8 @@ class ChainComplex(_Stored):
     (``_spans``) and ``first``; ``_write`` writes the triple from them on
     its first read, so a caller that reads only the gradings never writes
     it, and ``validate`` compares a written triple whole with a fresh
-    ``_write``. ``columns`` and
+    ``_write``. ``blocks`` reads the same edges into d's q-blocks for
+    homology, and writes no triple. ``columns`` and
     ``apply`` read d_i in place; ``diff`` builds every d_i as a
     ``SparseMatrix`` on each access, a view kept for tests and tools.
 
@@ -584,19 +603,20 @@ class ChainComplex(_Stored):
                 ids.append(2 * sid + (ones & 1))
             self._edge_shapes[index] = ids
 
-    def _pieces(self, v: int) -> list[tuple]:
+    def _pieces(self, v: int, coded) -> list[tuple]:
         """The cube edges out of resolution ``v`` (by index, as in
         ``_edge_shapes``), by flipped bit, as ``LocalTables.piece`` gave
-        them, each at its target's row: what ``LocalTables.fill`` writes
-        out of ``v``."""
+        them, each at its target's row, with the coded table ``coded`` gives
+        for its shape and sign: with ``LocalTables.signed``, what
+        ``LocalTables.fill`` writes out of ``v``."""
         n = self.diagram.crossing_count
-        shapes, signed, spans = self.local.shapes, self.local.signed, self._spans
+        shapes, spans = self.local.shapes, self._spans
         top = self.first[v.bit_count() - self.n_minus + 1]
         ups = (v | f for f in (1 << n - 1 - j for j in range(n)) if not v & f)
         pieces = []
         for e, u in zip(self._edge_shapes[v], ups):
             shape, sign = shapes[e >> 1], -1 if e & 1 else 1
-            pieces.append((shape, signed(shape, sign), top + spans[u][0], sign))
+            pieces.append((shape, coded(shape, sign), top + spans[u][0], sign))
         return pieces
 
     def _write(self) -> tuple[array, array, list]:
@@ -606,10 +626,62 @@ class ChainComplex(_Stored):
         ptr, targets, values = array("l", [0]), array("l"), []
         fill, spans = self.local.fill, self._spans
         for v in self._edge_shapes:
-            fill(ptr, targets, values, spans[v][1], self._pieces(v))
+            fill(ptr, targets, values, spans[v][1], self._pieces(v, self.local.signed))
         # the columns of the top degree, which has no edges out
         ptr.extend(repeat(len(values), self.dim(max(self._dims))))
         return ptr, targets, values
+
+    def blocks(self) -> Iterator[tuple[int, dict, dict]]:
+        """d split into direct summands by generator label, q at t = 0 and
+        q mod 4 at t = 1 (a cube edge keeps q, and t shifts it by 4), in
+        label order: each as (label, rows, incoming). ``rows`` maps each of
+        the block's generator ids, in order, to {target id: entry} in the
+        order of d's entries, and ``incoming`` maps each to the set of
+        sources with an entry on it, filled in order of source. Entries are
+        ints, as ``LocalTables.reduced`` gives them: the shape's numbers
+        times the edge sign, reduced mod p over F_p.
+
+        Each block is cut straight from the edge list when its turn comes,
+        a resolution's labelings in it listed by their count of v-, so d is
+        never written and a block is cut only once the one before it has
+        been handed over."""
+        graded, spans, first = self.t == 0, self._spans, self.first
+        ids = list(range(sum(self._dims.values())))  # one int object per generator, shared
+        # by label: each resolution's index, the id of its all-v+ generator
+        # and its codes in the block, in order of id
+        spots: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+        for v in sorted(range(len(spans)), key=int.bit_count):
+            weight, (offset, size) = v.bit_count(), spans[v]
+            k = size.bit_length() - 1
+            top_q = weight + self.n_plus - 2 * self.n_minus + k  # q of the all-v+ labeling
+            base = first[weight - self.n_minus] + offset
+            # labelings whose counts of v- agree mod ``mod`` share a label
+            mod = k + 1 if graded else 2
+            for m in range(min(k + 1, mod)):
+                q = top_q - 2 * m
+                spots.setdefault(q if graded else q % 4, []).append(
+                    (v, base, _codes_with(k, m, mod)))
+        # by resolution index, per cube edge out of it: its target's row,
+        # its shape's rows and keys by code, and its table on ints
+        reduced = self.local.reduced
+        pieces = {v: tuple((row, shape[0], shape[1], table)
+                           for shape, table, row, _ in self._pieces(v, reduced))
+                  for v in self._edge_shapes}
+        for label in sorted(spots):
+            rows = {ids[base + c]: {} for _, base, codes in spots[label] for c in codes}
+            incoming = {x: set() for x in rows}
+            for v, base, codes in spots[label]:
+                edges_out = pieces.get(v, ())  # none out of the top degree
+                for c in codes:
+                    x = ids[base + c]
+                    row_x = rows[x]
+                    for row, shifts, keys, table in edges_out:
+                        r = row + shifts[c]
+                        for delta, entry in table[keys[c]]:
+                            y = ids[r + delta]
+                            row_x[y] = entry
+                            incoming[y].add(x)
+            yield label, rows, incoming
 
     @cached_property
     def values(self) -> list:
@@ -1004,6 +1076,13 @@ def _square_fault(paths, stride: int) -> int | None:
     if any(image.values()):
         return min(k for k, x in image.items() if x) // stride
     return None
+
+
+@cache
+def _codes_with(k: int, m: int, mod: int) -> tuple[int, ...]:
+    """The codes of the labelings of k circles whose count of v- is m mod
+    ``mod``, in code order."""
+    return tuple(c for c in range(1 << k) if c.bit_count() % mod == m)
 
 
 def subset_sums(start: int, weights) -> list[int]:

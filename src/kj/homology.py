@@ -4,10 +4,12 @@
 for the graded theory and per i for the filtered one. It splits the
 complex into direct-summand blocks (q, or q mod 4 for the filtered
 differential, which shifts q by 0 or 4), each cut straight from the
-column arrays that hold d (``ChainComplex.ptr``, ``targets`` and
-``values``) when its turn comes, and cancels unit entries of the
-differential block by block (Gaussian elimination), dropping each
-cancellation as ``_eliminate`` hands it over. Over a field every
+cube's edge list when its turn comes (``ChainComplex.blocks``), so d is
+never written, and cancels unit entries of the differential block by
+block (Gaussian elimination), dropping each cancellation as
+``_eliminate`` hands it over. Entries are plain numbers in every ring:
+d's are integers, so a field of characteristic 0 eliminates over Q, and
+F_p on residues mod p. Over a field every
 nonzero entry is a unit, so nothing of d is left and a group's free rank is
 its count of leftover generators. Over Z each leftover block of d_i, from
 (i, k) to (i + 1, k), is built once and its Smith diagonal taken once: the
@@ -18,7 +20,8 @@ attributed to the q of its target block.
 ``FieldHomology`` runs the same elimination over a field and keeps its
 record: the leftover generators are a basis of the homology (the leftover
 basis), f projects a cycle onto them (its class), and g includes them back
-as representative cycles (Bar-Natan, arXiv:math/0606318). No echelon of a
+as representative cycles (Bar-Natan, arXiv:math/0606318). The record holds
+plain numbers; f and g act on ring elements, so they return them. No echelon of a
 whole degree is built. Only printing asks for the greedy basis, the
 kernel_basis cycles independent in homology in column order, which keeps
 printed coordinates as they were; converting to it is one rank x rank
@@ -28,12 +31,13 @@ system per degree.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
 from .cube import ChainComplex
 from .errors import InternalInvariantError
-from .rings import Ring, ZZ
+from .rings import QQ, Ring, ZZ
 from .snf import snf_diagonal
 from .sparse import SparseMatrix, _Echelon, kernel_basis
 
@@ -89,14 +93,14 @@ def homology(complex_: ChainComplex) -> HomologySummary:
     ring = complex_.ring
     summary = HomologySummary(ring.name, complex_.t)
     graded = complex_.t == 0
-    degree, labels = _numbering(complex_)
+    degree_of = _degree_of(complex_)
     # (i, q) or (i, None) -> leftover generator ids, and their rows of d
     leftover: dict[tuple, list[int]] = {}
     rows: dict[int, dict] = {}
-    for out, steps in _summands(complex_, labels):
-        deque(steps, maxlen=0)  # cancel, dropping each cancellation as it is made
+    for label, out, inn in complex_.blocks():
+        deque(_eliminate(out, inn, ring), maxlen=0)  # cancel, dropping each cancellation
         for x, row in out.items():
-            leftover.setdefault((degree[x], labels[x] if graded else None), []).append(x)
+            leftover.setdefault((degree_of(x), label if graded else None), []).append(x)
             rows[x] = row
     # (i, k) -> (rank, torsion) of the leftover d_i from (i, k) to (i + 1, k)
     blocks = {} if ring.is_field else {
@@ -111,51 +115,21 @@ def homology(complex_: ChainComplex) -> HomologySummary:
     return summary
 
 
-def _numbering(complex_: ChainComplex):
-    """Per generator id, numbered degree by degree, its degree i and its
-    block label, q at t = 0 and q mod 4 at t = 1."""
-    graded = complex_.t == 0
-    degree: list[int] = []  # generator id -> i
-    labels: list[int] = []  # generator id -> q (t = 0) or q mod 4 (t = 1)
-    for i in complex_.degrees():
-        qs = complex_.qs[i]
-        degree.extend([i] * len(qs))
-        labels.extend(qs if graded else [q % 4 for q in qs])
-    return degree, labels
-
-
-def _summands(complex_: ChainComplex, labels: list[int]):
-    """The differential split into direct summands by generator label and
-    eliminated (``_eliminate``), one block at a time: the leftover rows
-    (source -> {target: coeff}, every leftover generator a key) and the
-    cancellations, made as they are read; the rows are the leftover ones
-    once the cancellations are all read.
-
-    A block's rows are cut straight from the complex's column arrays when
-    its turn comes, in the order of d's entries, so at most one block's
-    adjacency is alive.
-    """
-    ring = complex_.ring
-    ids = list(range(len(labels)))  # one int object per generator, shared
-    members: dict[int, list[int]] = {}
-    for x in ids:
-        members.setdefault(labels[x], []).append(x)
-    ptr, targets, values = complex_.ptr, complex_.targets, complex_.values
-    for b in sorted(members):
-        out = {x: {} for x in members[b]}
-        inn = {x: set() for x in members[b]}
-        for x in members[b]:
-            row = out[x]
-            for k in range(ptr[x], ptr[x + 1]):
-                y = ids[targets[k]]
-                row[y] = values[k]
-                inn[y].add(x)
-        yield out, _eliminate(out, inn, ring)
+def _degree_of(complex_: ChainComplex):
+    """The degree of a generator id, found among the degrees' first ids."""
+    degrees = complex_.degrees()
+    starts = [complex_.first[i] for i in degrees]
+    return lambda g: degrees[bisect_right(starts, g) - 1]
 
 
 def _eliminate(out: dict, inn: dict, ring: Ring):
     """Cancel unit entries of a block's differential in place, until none is
     left (Bar-Natan's Gaussian elimination lemma, arXiv:math/0606318).
+
+    Entries are plain numbers: ints over Z, ints and ``Fraction``s over a
+    field of characteristic 0 (a matrix of ints reduces alike over Q and
+    Q(sqrt2)), and residues mod p over F_p, where each new entry is reduced
+    mod p and a unit inverted by ``pow``.
 
     Cancelling a unit u = d(x -> y) deletes x and y and adds
     -d(x' -> y) u^-1 d(x -> y') to every other entry x' -> y'; the complex
@@ -170,8 +144,7 @@ def _eliminate(out: dict, inn: dict, ring: Ring):
     sends x to 0 and y to s * row, and the inclusion g sends w to
     w + gcol[w] * x. Over a field no entry may be left.
     """
-    field = ring.is_field
-    one = ring.one
+    field, p = ring.is_field, ring.characteristic
     cancelled = True
     while cancelled:
         cancelled = False
@@ -189,7 +162,12 @@ def _eliminate(out: dict, inn: dict, ring: Ring):
                 continue
             cancelled = True
             u = row.pop(y)
-            scale = -ring.div(one, u) if field else -u
+            if not field:
+                scale = -u
+            elif p:
+                scale = -pow(u, -1, p) % p
+            else:
+                scale = -QQ.div(1, u)
             del out[x]
             for target in row:
                 inn[target].discard(x)
@@ -202,10 +180,15 @@ def _eliminate(out: dict, inn: dict, ring: Ring):
             gcol = {}
             for w in sources:
                 wrow = out[w]
-                a = gcol[w] = wrow.pop(y) * scale
+                a = wrow.pop(y) * scale
+                if p:
+                    a %= p
+                gcol[w] = a
                 for target, v in row.items():
                     s = wrow.get(target)
                     s = a * v if s is None else s + a * v
+                    if p:
+                        s %= p
                     if s:
                         if target not in wrow:
                             inn[target].add(w)
@@ -264,21 +247,21 @@ class FieldHomology:
             raise ValueError("FieldHomology requires field coefficients")
         self.complex = complex_
         self.ring = complex_.ring
-        degree, labels = _numbering(complex_)
+        degree_of = _degree_of(complex_)
         first = self._first = complex_.first
         self._steps: list[tuple] = []  # the cancellations, in order
         self._step_of: dict[int, int] = {}  # cancelled id -> its step
         self._g_of: dict[int, list] = {}  # id w -> [(step, gcol[w])]
         leftover: dict[int, list[int]] = {i: [] for i in first}
-        for out, steps in _summands(complex_, labels):
-            for step in steps:
+        for _, out, inn in complex_.blocks():
+            for step in _eliminate(out, inn, self.ring):
                 k = len(self._steps)
                 self._steps.append(step)
                 self._step_of[step[0]] = self._step_of[step[1]] = k
                 for w, a in step[4].items():
                     self._g_of.setdefault(w, []).append((k, a))
             for x in out:
-                leftover[degree[x]].append(x)
+                leftover[degree_of(x)].append(x)
         self._position = {
             x: k for gens in leftover.values() for k, x in enumerate(sorted(gens))
         }

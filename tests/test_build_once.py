@@ -2,7 +2,9 @@
 share one complex and one ``FieldHomology``, within one ``MovieMaps`` only.
 The state-sum oracle reads the circle counts of the complex it is checked
 against, so ``kj jones`` and the euler-oracle suite trace each resolution
-once. A complex writes d on its first read, so ``kj jones`` writes none."""
+once. A complex writes d on its first read, so ``kj jones`` writes none,
+and ``kj homology``, which cuts its blocks from the cube edges, none
+either."""
 
 import itertools
 import sys
@@ -97,8 +99,7 @@ def test_euler_oracle_traces_each_cube_once(monkeypatch):
     assert len(traced) == sum(2**d.crossing_count for d in diagrams)
 
 
-def test_jones_writes_no_differential_and_homology_writes_it_once(monkeypatch, tmp_path,
-                                                                  capsys):
+def test_jones_and_homology_write_no_differential(monkeypatch, tmp_path, capsys):
     path = tmp_path / "T2_7.pd"
     path.write_text(torus_pd(7))
     fills, built = Counter(), []
@@ -121,10 +122,11 @@ def test_jones_writes_no_differential_and_homology_writes_it_once(monkeypatch, t
     assert main(["homology", str(path)]) == 0
     assert "rank" in capsys.readouterr().out
     [c] = built
+    # homology cuts its blocks from the cube edges; d is written on a first read
+    assert fills["fill"] == 0
+    assert len(c.values) > 0 and c.diff
     # one call per resolution with edges out: every one but the all-1
     assert fills["fill"] == len(c._edge_shapes) == 2**7 - 1
-    assert len(c.values) > 0 and c.diff
-    assert fills["fill"] == 2**7 - 1
 
 
 def test_no_command_writes_the_generator_list(monkeypatch, tmp_path, capsys):
@@ -147,3 +149,24 @@ def test_no_command_writes_the_generator_list(monkeypatch, tmp_path, capsys):
         capsys.readouterr()
         assert built, argv
         assert all("bases" not in c.__dict__ for c in built), argv
+
+
+@pytest.mark.parametrize("theory, ring", [
+    ("kh", "Z"), ("kh", "Q"), ("kh", "Qsqrt2"), ("kh", "Fp:5"),
+    ("lee", "Q"), ("lee", "Qsqrt2"), ("lee", "Fp:5"),
+])
+def test_homology_leaves_the_differential_unwritten(monkeypatch, tmp_path, capsys, theory,
+                                                    ring):
+    path = tmp_path / "T2_5.pd"
+    path.write_text(torus_pd(5))
+    built, init = [], kj.cube.ChainComplex.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(kj.cube.ChainComplex, "__init__", kept)
+    assert main(["homology", str(path), "--theory", theory, "--ring", ring]) == 0
+    assert "rank" in capsys.readouterr().out
+    [c] = built
+    assert not {"ptr", "targets", "values"} & c.__dict__.keys()

@@ -22,7 +22,7 @@ def test_cube_stages_row_on_the_trefoil():
         assert row["entries"] > 0
         assert row["cube_edges"] == 12 and 0 < row["edge_keys"] <= 12
         assert min(row["complex_s"], row["validate_s"], row["write_s"], row["homology_s"]) >= 0
-        assert row["rss_before_mib"] <= row["rss_built_mib"] <= row["rss_written_mib"] \
+        assert row["rss_before_mib"] <= row["rss_built_mib"] <= row["rss_homology_mib"] \
             <= row["rss_end_mib"]
         for count in (row["squares_summed"], row["codes_summed"]):
             assert isinstance(count, int) and count >= 0

@@ -1,10 +1,11 @@
 """Print the stage table of ROADMAP.md's Baseline: for T(2,n), the least
 time of 7 to resolve every resolution and trace its circles on a freshly
 parsed diagram, the time of ``ChainComplex(...)`` (which traces them on a
-diagram of its own), of ``validate()``, of writing d (the first read of
-``values``) and of ``homology()``, the entries of d, the peak RSS
-before the build, after it, after writing d and at the end, the cube edges
-and the edge keys the build lays out (one ``LocalTables.piece`` each, so
+diagram of its own), of ``validate()``, of ``homology()`` (which, as in
+``kj homology``, writes no d), then of writing d (the first read of
+``values``, as a movie frame's d is written), the entries of d, the peak
+RSS before the build, after it, after ``homology()`` and after writing d,
+the cube edges and the edge keys the build lays out (one ``LocalTables.piece`` each, so
 T(2,9) lays out 45 keys for its 2,304 edges), and the cube squares the
 first ``validate()`` sums and the source codes it sums them on in all,
 under Khovanov homology over Z and Lee homology over Q. Then, for the
@@ -73,12 +74,12 @@ def stages(n: int, t: int, ring_name: str) -> dict:
     c.validate()
     row["validate_s"] = time.perf_counter() - start
     start = time.perf_counter()
-    c.values  # noqa: B018 -- d is written on first read
-    row["write_s"] = time.perf_counter() - start
-    row["rss_written_mib"] = _rss_mib()
-    start = time.perf_counter()
-    homology(c)
+    homology(c)  # as `kj homology` runs it: its blocks are cut from the edge list
     row["homology_s"] = time.perf_counter() - start
+    row["rss_homology_mib"] = _rss_mib()
+    start = time.perf_counter()
+    c.values  # noqa: B018 -- d is written on first read, as a movie frame's is
+    row["write_s"] = time.perf_counter() - start
     row["generators"] = sum(c.dim(i) for i in c.degrees())
     row["entries"] = len(c.values)  # from the arrays: the SparseMatrix view would add to the RSS
     row["rss_end_mib"] = _rss_mib()
@@ -224,8 +225,8 @@ def main(argv: list[str]) -> int:
         sys.path.insert(0, str(SRC))
         print(json.dumps(ROWS[argv[1]](*map(json.loads, argv[2:]))))
         return 0
-    print(f"| workload | trace, least of {REPEATS} | `ChainComplex` | `validate` | write d "
-          "| `homology()` | entries of d | RSS | cube edges | edge keys | squares summed "
+    print(f"| workload | trace, least of {REPEATS} | `ChainComplex` | `validate` | `homology()` "
+          "| then write d | entries of d | RSS | cube edges | edge keys | squares summed "
           "| codes summed |")
     print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     for n in map(int, argv or ["9", "11"]):
@@ -235,9 +236,9 @@ def main(argv: list[str]) -> int:
             print(
                 f"| T(2,{n}) {theory} over {ring} ({r['generators']:,} gens) "
                 f"| {trace_s * 1000:.1f} ms | {r['complex_s']:.3f} s | {r['validate_s']:.3f} s "
-                f"| {r['write_s']:.3f} s | {r['homology_s']:.3f} s | {r['entries']:,} "
+                f"| {r['homology_s']:.3f} s | {r['write_s']:.3f} s | {r['entries']:,} "
                 f"| {r['rss_before_mib']:.0f} → {r['rss_built_mib']:.0f} → "
-                f"{r['rss_written_mib']:.0f} → {r['rss_end_mib']:.0f} MiB "
+                f"{r['rss_homology_mib']:.0f} → {r['rss_end_mib']:.0f} MiB "
                 f"| {r['cube_edges']:,} | {r['edge_keys']:,} "
                 f"| {r['squares_summed']:,} | {r['codes_summed']:,} |",
                 flush=True,
